@@ -1235,6 +1235,7 @@ void run_retention_study() {
       }
       checkpoint(analyzer.finish(&stream));
       const double seconds = std::chrono::duration<double>(clock::now() - t0).count();
+      retention->report_paths();  // settle trailing background folds before counting
 
       if (r == 0 || seconds < out.seconds) {
         out.windows = analyzer.windows_rotated();

@@ -1,6 +1,5 @@
 #include "core/incremental.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -381,10 +380,7 @@ void TraceStream::record_stage_timing(obs::Registry& reg, double source_seconds,
 IncrementalAnalyzer::IncrementalAnalyzer(std::vector<TraceMeta> metas,
                                          const AnalyzerConfig& config,
                                          const IncrementalOptions& options)
-    : config_(config),
-      options_(options),
-      pool_(std::min(config.threads != 0 ? config.threads : ThreadPool::env_thread_count(),
-                     std::max<std::size_t>(metas.size(), 1))) {
+    : config_(config), options_(options) {
   streams_.reserve(metas.size());
   for (const TraceMeta& m : metas) {
     auto stream = std::make_unique<TraceStream>(m, config_);
@@ -411,13 +407,9 @@ void IncrementalAnalyzer::feed(const PacketView* views, std::size_t n) {
     window_start_ = std::floor(views[0].ts / w) * w;
     window_end_ = window_start_ + w;
   }
-  dispatch_buffers();
-}
-
-void IncrementalAnalyzer::dispatch_buffers() {
-  pool_.for_each_index(streams_.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
     if (!buffers_[i].empty()) streams_[i]->feed(buffers_[i].data(), buffers_[i].size());
-  });
+  }
 }
 
 WindowShard IncrementalAnalyzer::rotate() {
@@ -426,12 +418,11 @@ WindowShard IncrementalAnalyzer::rotate() {
   win.start_ts = window_start_;
   win.end_ts = window_end_;
   win.shards.resize(streams_.size());
-  const double boundary = window_end_;
-  pool_.for_each_index(streams_.size(), [&](std::size_t i) {
-    if (options_.evict) streams_[i]->evict_idle(boundary);
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    if (options_.evict) streams_[i]->evict_idle(window_end_);
     win.shards[i] = streams_[i]->rotate();
     if (options_.reclaim) streams_[i]->reclaim();
-  });
+  }
   window_start_ = window_end_;
   window_end_ += options_.window_seconds;
   return win;
@@ -444,13 +435,13 @@ WindowShard IncrementalAnalyzer::finish(const MergedPacketStream* merged) {
   win.start_ts = window_start_;
   win.end_ts = max_ts_;
   win.shards.resize(streams_.size());
-  pool_.for_each_index(streams_.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
     const AnomalyCounts* anoms = nullptr;
     if (merged != nullptr && i < merged->source_count()) {
       anoms = &merged->source(i).anomalies();
     }
     win.shards[i] = streams_[i]->finish_window(anoms);
-  });
+  }
   return win;
 }
 

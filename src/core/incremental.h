@@ -11,7 +11,7 @@
 // The contract that makes the daemon trustworthy: a windowed run's rotated
 // window shards, merged back per trace (snapshot/window.h) and folded,
 // produce a DatasetAnalysis byte-identical to the one-shot batch run over
-// the same packets — at any thread count and any window length.  Each
+// the same packets — at any window length.  Each
 // window shard is an ordinary TraceShard whose accumulators are
 // window-fresh deltas:
 //
@@ -48,7 +48,6 @@
 
 #include "core/analyzer.h"
 #include "pcap/packet_source.h"
-#include "util/thread_pool.h"
 
 namespace entrace {
 
@@ -244,9 +243,12 @@ struct IncrementalOptions {
 };
 
 // Multi-trace windowed engine: demuxes merged batches by view.source into
-// one TraceStream per trace (dispatched on a thread pool, deterministic
-// because each trace's packets stay in order and shards assemble by trace
-// index) and harvests WindowShards at rotation.
+// one TraceStream per trace and harvests WindowShards at rotation, all on
+// the calling thread.  The taps of a dataset are monitored one after
+// another (the generator starts trace i at i * (duration + gap)), so a
+// time-ordered merged batch almost always holds packets of a single trace:
+// a per-batch fan-out across the streams would synchronize threads for no
+// parallel work.  config.threads is therefore not consulted here.
 class IncrementalAnalyzer {
  public:
   IncrementalAnalyzer(std::vector<TraceMeta> metas, const AnalyzerConfig& config,
@@ -279,13 +281,10 @@ class IncrementalAnalyzer {
   std::uint64_t evicted_total() const;
 
  private:
-  void dispatch_buffers();
-
   AnalyzerConfig config_;
   IncrementalOptions options_;
   std::vector<std::unique_ptr<TraceStream>> streams_;
   std::vector<std::vector<PacketView>> buffers_;  // per-trace demux, reused
-  ThreadPool pool_;
   double max_ts_ = 0.0;
   double window_start_ = 0.0;
   double window_end_ = 0.0;

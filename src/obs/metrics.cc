@@ -43,6 +43,21 @@ void Histogram::observe_n(double x, std::uint64_t n) {
   sum_ += x * static_cast<double>(n);
 }
 
+double Histogram::quantile(double q) const {
+  if (count_ == 0) return 0.0;
+  const double rank = std::clamp(q, 0.0, 1.0) * static_cast<double>(count_);
+  std::uint64_t below = 0;
+  for (std::size_t i = 0; i < bounds_.size(); ++i) {
+    const std::uint64_t n = buckets_[i];
+    if (n != 0 && static_cast<double>(below + n) >= rank) {
+      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
+      return lo + (bounds_[i] - lo) * (rank - static_cast<double>(below)) / static_cast<double>(n);
+    }
+    below += n;
+  }
+  return bounds_.empty() ? 0.0 : bounds_.back();  // the overflow bucket
+}
+
 void Histogram::restore(std::vector<std::uint64_t> buckets, std::uint64_t count, double sum) {
   if (buckets.size() != bounds_.size() + 1) {
     throw std::logic_error("Histogram::restore: bucket count does not match bounds");

@@ -83,6 +83,12 @@ class Histogram {
   // bounds().size() + 1 entries; the last is the overflow bucket.
   const std::vector<std::uint64_t>& buckets() const { return buckets_; }
 
+  // Estimated q-quantile (q in [0, 1]), interpolated linearly inside the
+  // bucket that holds it — Prometheus' histogram_quantile() convention: the
+  // first bucket starts at 0, and a quantile that falls in the overflow
+  // bucket reads as the last bound.  0 when empty.
+  double quantile(double q) const;
+
   // Requires identical bounds (throws std::logic_error otherwise).
   void merge(const Histogram& other);
 

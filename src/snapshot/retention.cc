@@ -3,10 +3,14 @@
 #include <cstdio>
 #include <cstring>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,6 +19,20 @@ namespace entrace::snapshot {
 namespace {
 
 namespace fs = std::filesystem;
+
+// Fold durations from sub-millisecond tier-1 folds at test scale to
+// multi-second tier-2 compactions of a long run.
+std::vector<double> fold_seconds_bounds() {
+  return {0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0};
+}
+
+// Return the fold thread's freed heap pages to the system (see the memory
+// note in retention.h).  No-op where the allocator has no such call.
+void trim_heap() {
+#if defined(__GLIBC__)
+  ::malloc_trim(0);
+#endif
+}
 
 // "window-00000042.esnap" -> 42.
 bool parse_window_file(const std::string& name, std::uint64_t& index) {
@@ -98,7 +116,10 @@ std::string sketch_file_name(int tier, std::uint64_t first_window, std::uint64_t
 }
 
 RetentionManager::RetentionManager(std::string dir, std::size_t keep_full)
-    : dir_(std::move(dir)), summary_path_(dir_ + "/summary.jsonl"), keep_full_(keep_full) {}
+    : dir_(std::move(dir)),
+      summary_path_(dir_ + "/summary.jsonl"),
+      keep_full_(keep_full),
+      fold_seconds_(fold_seconds_bounds()) {}
 
 RetentionManager::RetentionManager(std::string dir, const RetentionOptions& opts,
                                    const AnalyzerConfig& config, const SnapshotMeta& meta)
@@ -107,11 +128,38 @@ RetentionManager::RetentionManager(std::string dir, const RetentionOptions& opts
       keep_full_(opts.keep_full),
       sketch_every_(opts.sketch_every),
       config_(config),
-      meta_(meta) {
+      meta_(meta),
+      fold_seconds_(fold_seconds_bounds()) {
   if (sketch_every_ < 2) {
     throw std::invalid_argument("RetentionOptions::sketch_every must be >= 2");
   }
   recover_scan();
+  fold_thread_ = std::thread([this] { fold_loop(); });
+  // Restore the tier invariants (fewer than K entries waiting at each fold
+  // point); a recovered backlog folds right here.
+  try {
+    AgeResult scrap;
+    settle(scrap);
+  } catch (...) {
+    stop_fold_thread();
+    throw;
+  }
+}
+
+RetentionManager::~RetentionManager() {
+  if (!fold_thread_.joinable()) return;
+  AgeResult scrap;
+  collect_fold(scrap, /*wait=*/true);
+  stop_fold_thread();
+}
+
+void RetentionManager::stop_fold_thread() {
+  {
+    std::lock_guard<std::mutex> lock(fold_mu_);
+    fold_stop_ = true;
+  }
+  fold_cv_.notify_all();
+  fold_thread_.join();
 }
 
 AgeResult RetentionManager::add_window(const WindowSummary& summary,
@@ -128,11 +176,22 @@ AgeResult RetentionManager::add_window(const WindowSummary& summary,
   }
   tier0_.push_back(Tier0Entry{summary, esnap_path});
   bytes_ += summary.snapshot_bytes;
-  age_down(r);
+  age_tier0(r);
+  if (sketch_every_ < 2) return r;
+
+  collect_fold(r, /*wait=*/false);
+  start_fold();
+  // Backpressure, which keeps the disk bound in retention.h: once 2K aged
+  // windows are pending, wait for the fold thread instead of letting the
+  // backlog grow.
+  while (fold_running_ && pending_.size() >= 2 * sketch_every_) {
+    if (!collect_fold(r, /*wait=*/true)) break;  // failed: retry next call
+    start_fold();
+  }
   return r;
 }
 
-void RetentionManager::age_down(AgeResult& r) {
+void RetentionManager::age_tier0(AgeResult& r) {
   while (tier0_.size() > keep_full_) {
     Tier0Entry old = std::move(tier0_.front());
     tier0_.pop_front();
@@ -151,18 +210,6 @@ void RetentionManager::age_down(AgeResult& r) {
       bytes_ -= old.summary.snapshot_bytes;
     }
   }
-  if (sketch_every_ < 2) return;
-  while (pending_.size() >= sketch_every_) {
-    if (!fold_into(pending_, sketch_every_, 1, tier1_, r)) break;
-  }
-  while (tier1_.size() >= sketch_every_) {
-    if (!fold_into(tier1_, sketch_every_, 2, tier2_, r)) break;
-  }
-  // Tier-2 compaction: fold the whole tier into one sketch so it never
-  // exceeds sketch_every files no matter how long the run.
-  while (tier2_.size() >= sketch_every_) {
-    if (!fold_into(tier2_, tier2_.size(), 2, tier2_, r)) break;
-  }
 }
 
 bool RetentionManager::append_summary(const WindowSummary& s) {
@@ -176,55 +223,136 @@ bool RetentionManager::append_summary(const WindowSummary& s) {
   return true;
 }
 
-bool RetentionManager::fold_into(std::deque<FileEntry>& src, std::size_t count, int out_tier,
-                                 std::deque<FileEntry>& dst, AgeResult& r) {
-  std::vector<WindowShard> windows;
-  windows.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+std::unique_ptr<RetentionManager::FoldJob> RetentionManager::next_due_fold() {
+  const auto job = [this](std::deque<FileEntry>& src, std::size_t count, int out_tier,
+                          std::deque<FileEntry>& dst) {
+    auto j = std::make_unique<FoldJob>();
+    j->src = &src;
+    j->dst = &dst;
+    j->inputs.assign(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(count));
+    j->out.first = src.front().first;
+    j->out.last = src[count - 1].last;
+    j->out.path = dir_ + "/" + sketch_file_name(out_tier, j->out.first, j->out.last);
+    return j;
+  };
+  // Tier-2 compaction folds the whole tier into one sketch so it never
+  // exceeds sketch_every files no matter how long the run.
+  if (tier2_.size() >= sketch_every_) return job(tier2_, tier2_.size(), 2, tier2_);
+  if (tier1_.size() >= sketch_every_) return job(tier1_, sketch_every_, 2, tier2_);
+  if (pending_.size() >= sketch_every_) return job(pending_, sketch_every_, 1, tier1_);
+  return nullptr;
+}
+
+void RetentionManager::run_fold(FoldJob& job) const {
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    WindowFold fold(config_);
+    std::size_t i = 0;
     try {
-      WindowShard w = read_window_snapshot(src[i].path);
-      w.index = src[i].first;
-      windows.push_back(std::move(w));
+      for (; i < job.inputs.size(); ++i) fold.add(read_window_snapshot(job.inputs[i].path));
     } catch (const std::exception&) {
-      // A damaged input would wedge the tier forever if we kept retrying
-      // it: drop the entry (its headline line survives in summary.jsonl)
-      // and let the next aging pass fold the survivors.
-      note_io_error(r);
-      std::remove(src[i].path.c_str());
-      bytes_ -= src[i].bytes;
-      src.erase(src.begin() + static_cast<std::ptrdiff_t>(i));
-      return false;
+      job.bad_input = i;
+    }
+    if (!job.bad_input.has_value()) {
+      WindowShard merged;
+      merged.shards = fold.take();
+      try {
+        // Crash-safe tmp+rename inside the writer: the sketch either exists
+        // complete or not at all, and the inputs are deleted only after the
+        // caller applies it.
+        job.out.bytes = write_window_snapshot(job.out.path, meta_, merged);
+        job.written = true;
+      } catch (const std::exception&) {
+        // Inputs intact; the caller counts the error and the fold retries.
+      }
     }
   }
+  job.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
 
-  WindowShard merged;
-  merged.index = src.front().first;
-  merged.start_ts = windows.front().start_ts;
-  merged.end_ts = windows.back().end_ts;
-  merged.shards = merge_window_shards(std::move(windows), config_);
-
-  FileEntry out;
-  out.first = src.front().first;
-  out.last = src[count - 1].last;
-  out.path = dir_ + "/" + sketch_file_name(out_tier, out.first, out.last);
-  try {
-    // Crash-safe tmp+rename inside the writer: the sketch either exists
-    // complete or not at all, and the inputs are deleted only afterwards.
-    out.bytes = write_window_snapshot(out.path, meta_, merged);
-  } catch (const std::exception&) {
-    note_io_error(r);  // inputs intact; retried on the next aging pass
+bool RetentionManager::apply_fold(FoldJob& job, AgeResult& r) {
+  fold_seconds_.observe(job.seconds);
+  std::deque<FileEntry>& src = *job.src;
+  if (job.bad_input.has_value()) {
+    // A damaged input would wedge the tier forever if we kept retrying
+    // it: drop the entry (its headline line survives in summary.jsonl)
+    // and let a later pass fold the survivors.  Only appends reach the
+    // tiers while a fold runs, so the inputs are still src's front.
+    note_io_error(r);
+    const auto bad = src.begin() + static_cast<std::ptrdiff_t>(*job.bad_input);
+    std::remove(bad->path.c_str());
+    bytes_ -= bad->bytes;
+    src.erase(bad);
+    return false;
+  }
+  if (!job.written) {
+    note_io_error(r);  // inputs intact; retried on a later call
     return false;
   }
   ++r.folds;
   ++folds_;
-  bytes_ += out.bytes;
-  for (std::size_t i = 0; i < count; ++i) {
+  bytes_ += job.out.bytes;
+  for (std::size_t i = 0; i < job.inputs.size(); ++i) {
     if (std::remove(src.front().path.c_str()) != 0) note_io_error(r);
     bytes_ -= src.front().bytes;
     src.pop_front();
   }
-  dst.push_back(std::move(out));
+  job.dst->push_back(std::move(job.out));
   return true;
+}
+
+bool RetentionManager::start_fold() {
+  if (fold_running_) return true;
+  std::unique_ptr<FoldJob> job = next_due_fold();
+  if (job == nullptr) return false;
+  {
+    std::lock_guard<std::mutex> lock(fold_mu_);
+    fold_job_ = std::move(job);
+    fold_done_ = false;
+  }
+  fold_cv_.notify_all();
+  fold_running_ = true;
+  return true;
+}
+
+bool RetentionManager::collect_fold(AgeResult& r, bool wait) {
+  if (!fold_running_) return true;
+  std::unique_ptr<FoldJob> job;
+  {
+    std::unique_lock<std::mutex> lock(fold_mu_);
+    if (!wait && !fold_done_) return true;
+    fold_cv_.wait(lock, [this] { return fold_done_; });
+    job = std::move(fold_job_);
+    fold_done_ = false;
+  }
+  fold_running_ = false;
+  return apply_fold(*job, r);
+}
+
+void RetentionManager::settle(AgeResult& r) {
+  if (!collect_fold(r, /*wait=*/true)) return;
+  while (start_fold()) {
+    if (!collect_fold(r, /*wait=*/true)) return;  // failed: retry next call
+  }
+}
+
+void RetentionManager::fold_loop() {
+  std::unique_lock<std::mutex> lock(fold_mu_);
+  for (;;) {
+    fold_cv_.wait(lock, [this] { return fold_stop_ || (fold_job_ != nullptr && !fold_done_); });
+    if (fold_job_ == nullptr || fold_done_) return;  // stopping, nothing in hand
+    FoldJob& job = *fold_job_;
+    lock.unlock();
+    try {
+      run_fold(job);
+    } catch (...) {
+      job.written = false;  // counted by the caller; the fold retries
+    }
+    trim_heap();
+    lock.lock();
+    fold_done_ = true;
+    fold_cv_.notify_all();
+  }
 }
 
 void RetentionManager::note_io_error(AgeResult& r) {
@@ -344,11 +472,8 @@ void RetentionManager::recover_scan() {
     bytes_ += e.bytes;
     tier2_.push_back(std::move(e));
   }
-
-  // Restore the tier invariants (tier0 <= keep_full, fewer than K entries
-  // waiting at each fold point); a recovered backlog folds right here.
   AgeResult scrap;
-  age_down(scrap);
+  age_tier0(scrap);
 }
 
 std::vector<std::string> RetentionManager::tier0_paths() const {
@@ -358,7 +483,11 @@ std::vector<std::string> RetentionManager::tier0_paths() const {
   return paths;
 }
 
-std::vector<std::string> RetentionManager::report_paths() const {
+std::vector<std::string> RetentionManager::report_paths() {
+  if (fold_thread_.joinable()) {
+    AgeResult scrap;
+    settle(scrap);
+  }
   std::vector<std::string> paths;
   paths.reserve(tier2_.size() + tier1_.size() + pending_.size() + tier0_.size());
   for (const FileEntry& e : tier2_) paths.push_back(e.path);

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/report.h"
 #include "snapshot/reader.h"
@@ -35,88 +34,87 @@ WindowShard read_window_snapshot(const std::string& path) {
   return win;
 }
 
-std::vector<TraceShard> merge_window_shards(std::vector<WindowShard>&& windows,
-                                            const AnalyzerConfig& config) {
-  std::size_t traces = 0;
-  for (const WindowShard& w : windows) traces = std::max(traces, w.shards.size());
+WindowFold::WindowFold(const AnalyzerConfig& config) : config_(config) {}
 
-  std::vector<TraceShard> out;
-  out.reserve(traces);
-  for (std::size_t t = 0; t < traces; ++t) out.emplace_back(config.scanner);
-
-  for (std::size_t t = 0; t < traces; ++t) {
-    TraceShard& dst = out[t];
-    dst.table = std::make_unique<FlowTable>(config.flow);
-    std::deque<Connection>& conns = dst.table->connections();
+void WindowFold::add(WindowShard&& window) {
+  // A trace's identity comes from the first window that carries it.
+  while (out_.size() < window.shards.size()) {
+    const TraceShard& first = window.shards[out_.size()];
+    TraceShard& dst = out_.emplace_back(config_.scanner);
+    dst.subnet_id = first.subnet_id;
+    dst.load.trace_name = first.load.trace_name;
+    dst.table = std::make_unique<FlowTable>(config_.flow);
+    by_seq_.emplace_back();
+  }
+  for (std::size_t t = 0; t < window.shards.size(); ++t) {
+    TraceShard& dst = out_[t];
+    TraceShard& ws = window.shards[t];
     // open_seq -> reassembled deque index.  Windows partition time and
     // open_seq is assigned in creation order, so first appearances arrive
     // already in open_seq order: the deque reassembles in exact batch order
     // without a final sort.
-    std::unordered_map<std::uint64_t, std::size_t> by_seq;
-    bool first = true;
+    std::unordered_map<std::uint64_t, std::size_t>& by_seq = by_seq_[t];
+    std::deque<Connection>& conns = dst.table->connections();
+    dst.total_packets += ws.total_packets;
+    dst.total_wire_bytes += ws.total_wire_bytes;
+    dst.l3.merge(ws.l3);
+    dst.ip_proto_packets.merge(ws.ip_proto_packets);
+    dst.monitored_hosts.insert(ws.monitored_hosts.begin(), ws.monitored_hosts.end());
+    dst.lbnl_hosts.insert(ws.lbnl_hosts.begin(), ws.lbnl_hosts.end());
+    dst.remote_hosts.insert(ws.remote_hosts.begin(), ws.remote_hosts.end());
+    dst.detector.merge(ws.detector);
+    dst.registry.merge_dynamic_endpoints(ws.registry);
+    dst.quality.merge(ws.quality);
+    dst.load.merge(ws.load);
+    dst.metrics.merge(ws.metrics);
 
-    for (WindowShard& w : windows) {
-      if (t >= w.shards.size()) continue;
-      TraceShard& ws = w.shards[t];
-      if (first) {
-        dst.subnet_id = ws.subnet_id;
-        dst.load.trace_name = ws.load.trace_name;
-        first = false;
-      }
-      dst.total_packets += ws.total_packets;
-      dst.total_wire_bytes += ws.total_wire_bytes;
-      dst.l3.merge(ws.l3);
-      dst.ip_proto_packets.merge(ws.ip_proto_packets);
-      dst.monitored_hosts.insert(ws.monitored_hosts.begin(), ws.monitored_hosts.end());
-      dst.lbnl_hosts.insert(ws.lbnl_hosts.begin(), ws.lbnl_hosts.end());
-      dst.remote_hosts.insert(ws.remote_hosts.begin(), ws.remote_hosts.end());
-      dst.detector.merge(ws.detector);
-      dst.registry.merge_dynamic_endpoints(ws.registry);
-      dst.quality.merge(ws.quality);
-      dst.load.merge(ws.load);
-      dst.metrics.merge(ws.metrics);
-
-      // Upsert this window's connection deltas: a delta is the connection's
-      // cumulative state as of the window end, so the latest window's copy
-      // wins wholesale.
-      std::unordered_map<const Connection*, const Connection*> remap;
-      if (ws.table != nullptr) {
-        remap.reserve(ws.table->connections().size());
-        for (const Connection& c : ws.table->connections()) {
-          const auto [it, fresh] = by_seq.try_emplace(c.open_seq, conns.size());
-          if (fresh) {
-            conns.push_back(c);
-          } else {
-            conns[it->second] = c;
-          }
-          remap.emplace(&c, &conns[it->second]);
+    // Upsert this window's connection deltas: a delta is the connection's
+    // cumulative state as of the window end, so the latest window's copy
+    // wins wholesale.
+    std::unordered_map<const Connection*, const Connection*> remap;
+    if (ws.table != nullptr) {
+      remap.reserve(ws.table->connections().size());
+      for (const Connection& c : ws.table->connections()) {
+        const auto [it, fresh] = by_seq.try_emplace(c.open_seq, conns.size());
+        if (fresh) {
+          conns.push_back(c);
+        } else {
+          conns[it->second] = c;
         }
+        remap.emplace(&c, &conns[it->second]);
       }
-      remap_event_connections(ws.events, [&](const Connection* c) {
-        const auto it = remap.find(c);
-        if (it == remap.end()) {
-          throw std::logic_error(
-              "window event references a connection absent from its window's delta");
-        }
-        return it->second;
-      });
-      dst.events.merge(std::move(ws.events));
     }
+    remap_event_connections(ws.events, [&](const Connection* c) {
+      const auto it = remap.find(c);
+      if (it == remap.end()) {
+        throw std::logic_error(
+            "window event references a connection absent from its window's delta");
+      }
+      return it->second;
+    });
+    dst.events.merge(std::move(ws.events));
   }
-  return out;
+}
+
+std::vector<TraceShard> WindowFold::take() {
+  by_seq_.clear();
+  return std::move(out_);
+}
+
+std::vector<TraceShard> merge_window_shards(std::vector<WindowShard>&& windows,
+                                            const AnalyzerConfig& config) {
+  WindowFold fold(config);
+  for (WindowShard& w : windows) fold.add(std::move(w));
+  return fold.take();
 }
 
 std::string render_windowed_report(const std::vector<std::string>& window_paths,
                                    const DatasetSpec& spec, const AnalyzerConfig& config) {
-  std::vector<WindowShard> windows;
-  windows.reserve(window_paths.size());
-  for (std::size_t i = 0; i < window_paths.size(); ++i) {
-    WindowShard win = read_window_snapshot(window_paths[i]);
-    win.index = i;  // window order is the caller's path order
-    windows.push_back(std::move(win));
-  }
-  DatasetAnalysis analysis =
-      fold_shards(spec.name, merge_window_shards(std::move(windows), config), config);
+  // Window order is the caller's path order; each checkpoint is folded in
+  // and released before the next is decoded.
+  WindowFold fold(config);
+  for (const std::string& path : window_paths) fold.add(read_window_snapshot(path));
+  DatasetAnalysis analysis = fold_shards(spec.name, fold.take(), config);
   const report::ReportInput input{&spec, &analysis};
   return report::full_report({&input, 1});
 }

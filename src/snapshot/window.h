@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/incremental.h"
@@ -44,6 +45,27 @@ std::uint64_t write_window_snapshot(const std::string& path, const SnapshotMeta&
 // order; index/start/end are not part of the .esnap format — the caller
 // supplies window order, e.g. from sorted file names).
 WindowShard read_window_snapshot(const std::string& path);
+
+// The incremental form of merge_window_shards: windows are added one at a
+// time, in window order, so a caller can decode a checkpoint, fold it in
+// and drop it before decoding the next — peak memory is the accumulated
+// result plus one window, not every window at once.
+class WindowFold {
+ public:
+  explicit WindowFold(const AnalyzerConfig& config);
+
+  // Fold the next window in (consumes its events; connections are copied).
+  void add(WindowShard&& window);
+
+  // One TraceShard per trace seen, trace-index order.  Call once.
+  std::vector<TraceShard> take();
+
+ private:
+  AnalyzerConfig config_;
+  std::vector<TraceShard> out_;
+  // Per trace: open_seq -> reassembled connection deque index.
+  std::vector<std::unordered_map<std::uint64_t, std::size_t>> by_seq_;
+};
 
 // Fold window deltas (in window order) back into one TraceShard per trace,
 // byte-identical to a one-shot batch run over the same packets.  Consumes

@@ -5,8 +5,8 @@
 // windowed replay — IncrementalAnalyzer fed from a merged time-ordered
 // stream, rotating WindowShards at boundaries — merges back per trace
 // (snapshot/window.h) and folds to a DatasetAnalysis byte-identical to the
-// one-shot batch run, at 1 and 4 threads, directly and through the .esnap
-// checkpoint round-trip.  Also covered: FakeClock-paced replay (schedule
+// one-shot batch run, directly and through the .esnap checkpoint
+// round-trip.  Also covered: FakeClock-paced replay (schedule
 // arithmetic and analysis transparency), end-of-stream drain accounting
 // (flow.drained), retention tiering, the embedded HTTP server, a SIGTERM
 // drain of the real entrace_daemon binary, and a bounded-memory soak over
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -125,15 +126,14 @@ class DaemonTest : public ::testing::Test {
   // Drive a full windowed replay in exact-equality mode (evict/reclaim off),
   // optionally paced through a FakeClock and/or round-tripped through .esnap
   // window checkpoints, then merge + fold back to one DatasetAnalysis.
-  static WindowedRun windowed_run(std::size_t threads, double window_seconds,
-                                  bool via_disk, bool paced) {
+  static WindowedRun windowed_run(double window_seconds, bool via_disk, bool paced) {
     MergedPacketStream stream = merged_stream(materialized());
     std::vector<TraceMeta> metas;
     metas.reserve(stream.source_count());
     for (std::size_t i = 0; i < stream.source_count(); ++i) {
       metas.push_back(stream.source(i).meta());
     }
-    const AnalyzerConfig cfg = config(threads, 256);
+    const AnalyzerConfig cfg = config(1, 256);
     IncrementalOptions opts;
     opts.window_seconds = window_seconds;
     IncrementalAnalyzer analyzer(std::move(metas), cfg, opts);
@@ -157,8 +157,7 @@ class DaemonTest : public ::testing::Test {
     run.evicted = analyzer.evicted_total();
 
     if (via_disk) {
-      const fs::path dir = fs::temp_directory_path() /
-                           ("entrace_daemon_rt_" + std::to_string(threads));
+      const fs::path dir = fs::temp_directory_path() / "entrace_daemon_rt";
       fs::create_directories(dir);
       const snap::SnapshotMeta meta{small_spec().name, 0.004,
                                     static_cast<std::uint32_t>(stream.source_count())};
@@ -188,20 +187,17 @@ TEST_F(DaemonTest, WindowedReplayFoldsToBatchReport) {
   // Two window widths that divide nothing evenly: rotations land mid-flow,
   // mid-trace, and inside idle gaps.
   for (const double window : {span / 7.3, span / 23.0}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE("window=" + std::to_string(window) +
-                   " threads=" + std::to_string(threads));
-      const WindowedRun run = windowed_run(threads, window, false, false);
-      EXPECT_GE(run.windows, 2u);
-      EXPECT_EQ(run.evicted, 0u);  // exact mode: no time-driven eviction
-      EXPECT_EQ(run.report, batch_report());
-    }
+    SCOPED_TRACE("window=" + std::to_string(window));
+    const WindowedRun run = windowed_run(window, false, false);
+    EXPECT_GE(run.windows, 2u);
+    EXPECT_EQ(run.evicted, 0u);  // exact mode: no time-driven eviction
+    EXPECT_EQ(run.report, batch_report());
   }
 }
 
 TEST_F(DaemonTest, WindowCheckpointRoundTripFoldsToBatchReport) {
   const double span = merged_span();
-  const WindowedRun run = windowed_run(4, span / 11.0, true, false);
+  const WindowedRun run = windowed_run(span / 11.0, true, false);
   EXPECT_GE(run.windows, 2u);
   EXPECT_EQ(run.report, batch_report());
 }
@@ -221,7 +217,7 @@ TEST_F(DaemonTest, DrainClassifiesOpenFlowsAtEndOfStream) {
   ASSERT_NE(evicted, nullptr);
   EXPECT_EQ(evicted->counter.value(), 0u);  // batch never time-evicts
 
-  const WindowedRun windowed = windowed_run(1, merged_span() / 7.3, false, false);
+  const WindowedRun windowed = windowed_run(merged_span() / 7.3, false, false);
   EXPECT_EQ(windowed.drained, drained->counter.value());
 }
 
@@ -275,7 +271,7 @@ TEST_F(DaemonTest, PacedReplayPassThroughWhenSpeedupDisabled) {
 // Pacing is transparent to analysis: a windowed replay through a paced
 // source folds to the same report as the unpaced batch run.
 TEST_F(DaemonTest, PacedWindowedReplayFoldsToBatchReport) {
-  const WindowedRun run = windowed_run(2, merged_span() / 7.3, false, true);
+  const WindowedRun run = windowed_run(merged_span() / 7.3, false, true);
   EXPECT_EQ(run.report, batch_report());
 }
 
@@ -467,7 +463,7 @@ TEST_F(DaemonTest, DaemonBinarySigtermDrainWritesCheckpoint) {
 
   util::Subprocess child = util::Subprocess::spawn(
       {ENTRACE_DAEMON_BIN, "D3", "0.002", "--out", dir.string(), "--window", "60",
-       "--speedup", "30", "--retain", "4", "--threads", "2"});
+       "--speedup", "30", "--retain", "4"});
 
   // Wait until the daemon has demonstrably ingested (first checkpoint on
   // disk) so the SIGTERM lands mid-stream, then ask for a graceful drain.
@@ -505,16 +501,19 @@ TEST_F(DaemonTest, DaemonBinarySigtermDrainWritesCheckpoint) {
 
 // ---- the real daemon binary: /report vs aging race --------------------------
 
-// The fold-unlink race: /report used to snapshot the tier path list, then
-// read the files with no lock held — a rotation on the analysis thread could
-// fold those windows into a sketch and delete them mid-read, turning almost
-// every mid-run /report into a 500.  Aging and rendering now serialize on
-// the render lock (and the path list is re-read under it), so a live daemon
-// must answer 200 (or 404 before the first checkpoint) for every poll while
-// windows rotate and sketches fold underneath.
+// The fold-unlink race: a mid-run /report must never render a file that a
+// fold has just deleted.  The handler takes its path list from
+// report_paths() under the same lock the checkpoint path holds while it
+// applies folds (and so unlinks their inputs), so a live daemon must answer
+// 200 (or 404 before the first checkpoint) for every poll while windows
+// rotate and sketches fold underneath.  The same run checks that the fold
+// queue (retention.fold_backlog, retention.fold_seconds) is exported on
+// /status.json, /metrics and --metrics-out.
 TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
   const fs::path dir = fs::temp_directory_path() / "entrace_daemon_report_race";
+  const fs::path metrics_out = fs::temp_directory_path() / "entrace_daemon_report_race.json";
   fs::remove_all(dir);
+  fs::remove(metrics_out);
   fs::create_directories(dir);
   const std::uint16_t port = static_cast<std::uint16_t>(18000 + ::getpid() % 2000);
 
@@ -524,7 +523,7 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
   util::Subprocess child = util::Subprocess::spawn(
       {ENTRACE_DAEMON_BIN, "D3", "0.002", "--out", dir.string(), "--window", "30",
        "--speedup", "30", "--retain", "1", "--sketch-every", "2",
-       "--http-port", std::to_string(port)});
+       "--http-port", std::to_string(port), "--metrics-out", metrics_out.string()});
 
   const auto fetch = [&](const std::string& path) -> std::string {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -581,13 +580,48 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
     EXPECT_TRUE(status_json.find("\"tier1_sketches\":0,\"tier2_sketches\":0,") ==
                 std::string::npos)
         << "run too short to fold a sketch — widen the poll window\n" << status_json;
+    // The fold queue is exported on every surface.
+    for (const char* field : {"\"fold_backlog\":", "\"fold_seconds_p50\":",
+                              "\"fold_seconds_p99\":"}) {
+      EXPECT_NE(status_json.find(field), std::string::npos) << field << "\n" << status_json;
+    }
+  }
+  const std::string metrics = fetch("/metrics");
+  if (!metrics.empty()) {
+    for (const char* series :
+         {"retention_fold_backlog{", "retention_fold_seconds_bucket{",
+          "retention_fold_seconds_count{", "retention_fold_seconds_p50{",
+          "retention_fold_seconds_p99{"}) {
+      EXPECT_NE(metrics.find(series), std::string::npos) << series;
+    }
   }
 
   ::kill(child.pid(), SIGTERM);
   const std::optional<util::ExitStatus> status = child.wait_for(120.0);
   ASSERT_TRUE(status.has_value());
   EXPECT_TRUE(status->success());
+
+  // --metrics-out is written after the exit settle: it carries the fold
+  // series, counts the folds this run made, and no I/O error.
+  std::ifstream in(metrics_out);
+  ASSERT_TRUE(in.good()) << "no --metrics-out file at " << metrics_out;
+  const std::string written((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // The number after `"field": ` in metric `key`'s JSON object; -1 if absent.
+  const auto number_in = [&written](const std::string& key, const std::string& field) {
+    const std::size_t at = written.find("\"" + key + "\": {");
+    if (at == std::string::npos) return -1LL;
+    const std::string label = "\"" + field + "\": ";
+    const std::size_t f = written.find(label, at);
+    if (f == std::string::npos) return -1LL;
+    return std::stoll(written.substr(f + label.size()));
+  };
+  EXPECT_GE(number_in("retention.fold_backlog", "value"), 0) << written;
+  EXPECT_GE(number_in("retention.fold_seconds.p50", "value"), 0) << written;
+  EXPECT_GE(number_in("retention.fold_seconds.p99", "value"), 0) << written;
+  EXPECT_GT(number_in("retention.fold_seconds", "count"), 0) << "no fold timed\n" << written;
+  EXPECT_EQ(number_in("retention.io_errors", "value"), 0) << written;
   fs::remove_all(dir);
+  fs::remove(metrics_out);
 }
 
 // ---- the real daemon binary: strict flag parsing ----------------------------
@@ -605,7 +639,7 @@ TEST_F(DaemonTest, DaemonBinaryRejectsGarbageNumericFlags) {
       {"--retain", "-1"},          // sign must not wrap to SIZE_MAX
       {"--retain", "x"},           // garbage must not read as 0
       {"--retain", "4x"},          // trailing garbage rejected too
-      {"--threads", "-2"},
+      {"--batch", "-2"},
       {"--window", "abc"},
       {"--sketch-every", "1"},     // 0 (off) or >= 2; a 1-wide fold is a no-op
       {"--retain", "0", "--sketch-every", "0"},  // would retain no history at all

@@ -119,6 +119,21 @@ TEST(Histogram, MergeRequiresSameBounds) {
   EXPECT_THROW(a.merge(c), std::logic_error);
 }
 
+// p50/p99 on the daemon's /metrics come from bucket interpolation: the
+// first bucket starts at 0, and the overflow bucket reads as the last bound.
+TEST(Histogram, QuantileInterpolatesWithinBucket) {
+  obs::Histogram h({1.0, 2.0, 4.0});
+  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty
+  h.observe(0.5);
+  h.observe_n(1.5, 2);
+  h.observe(3.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.25), 1.0);  // rank 1: top of the first bucket
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.5);   // rank 2: halfway through (1, 2]
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);
+  h.observe(100.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 4.0);  // overflow reads as the last bound
+}
+
 TEST(Histogram, UnsortedBoundsRejected) {
   EXPECT_THROW(obs::Histogram({2.0, 1.0}), std::logic_error);
 }

@@ -7,10 +7,11 @@
 // capture's own timeline scaled by --speedup (PacedReplaySource) — and runs
 // the windowed incremental engine over it:
 //
-//   ingest batches -> IncrementalAnalyzer::feed (per-trace demux, threads)
+//   ingest batches -> IncrementalAnalyzer::feed (per-trace demux)
 //     -> rotate() at each --window boundary
 //     -> checkpoint the window as an ordinary .esnap (snapshot/window.h)
-//     -> age old checkpoints through the retention tiers (summary.jsonl)
+//     -> age old checkpoints through the retention tiers (summary.jsonl);
+//        sketch folds run on the retention manager's fold thread
 //
 // while serving observability over HTTP (--http-port):
 //   /metrics        Prometheus text (daemon.* operational metrics)
@@ -30,8 +31,8 @@
 //
 //   $ entrace_daemon [D0|..|D4] [scale] --out DIR [--window SEC] [--speedup X]
 //                    [--http-port P] [--retain K] [--sketch-every K] [--max-windows N]
-//                    [--threads N] [--repeat R] [--batch N] [--fake-clock]
-//                    [--exact] [--metrics-out file]
+//                    [--repeat R] [--batch N] [--fake-clock] [--exact]
+//                    [--metrics-out file]
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -67,8 +68,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [D0|D1|D2|D3|D4] [scale] --out DIR [--window SEC] [--speedup X]\n"
       "          [--http-port P] [--retain K] [--sketch-every K] [--max-windows N]\n"
-      "          [--threads N] [--repeat R] [--batch N] [--fake-clock] [--exact]\n"
-      "          [--metrics-out file]\n"
+      "          [--repeat R] [--batch N] [--fake-clock] [--exact] [--metrics-out file]\n"
       "  replays the dataset as a paced live stream, rotating and checkpointing\n"
       "  one .esnap window every SEC seconds of capture time; SIGTERM drains.\n"
       "  --retain K       tier-0: newest K full window checkpoints (0 = none;\n"
@@ -181,19 +181,22 @@ struct DaemonStatus {
   std::uint64_t evicted = 0;
   std::size_t tier0 = 0;
   std::uint64_t summarized = 0;       // windows aged to the headline tier
-  std::size_t pending_sketch = 0;     // aged windows awaiting a tier-1 fold
+  std::size_t fold_backlog = 0;       // aged windows no applied sketch covers
   std::size_t tier1_sketches = 0;
   std::size_t tier2_sketches = 0;
   std::uint64_t retention_bytes = 0;  // tracked disk across every tier
   std::uint64_t retention_io_errors = 0;
+  obs::Histogram fold_seconds{std::vector<double>{}};
   bool draining = false;
   std::string latest_window_json;  // empty until the first checkpoint
-  std::vector<std::string> report_paths;  // all retained tiers, oldest first
 };
 
-// /report renders can take seconds; cache the last render keyed by the
-// tier path list so repeated scrapes between checkpoints fold once, and
-// concurrent /report requests single-flight behind render_mu.
+// The RetentionManager takes one caller at a time: the event loop ages
+// windows and the HTTP workers list /report's files, all under `mu`.  The
+// same lock single-flights /report renders (they can take seconds) and
+// guards the last render, cached by its path list so repeated scrapes
+// between checkpoints fold once.  A render holds `mu` throughout, so no
+// fold can be applied — and no file unlinked — while it reads.
 struct ReportCache {
   std::mutex mu;
   std::vector<std::string> paths;
@@ -201,7 +204,68 @@ struct ReportCache {
   bool valid = false;
 };
 
-obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const DatasetSpec& spec,
+// Copy the manager's counters into the status.  Caller holds ReportCache::mu,
+// then st.mu.
+void publish_retention(DaemonStatus& st, const snapshot::RetentionManager& retention) {
+  st.tier0 = retention.tier0_count();
+  st.summarized = retention.summarized_count();
+  st.fold_backlog = retention.pending_count();
+  st.tier1_sketches = retention.tier1_sketch_count();
+  st.tier2_sketches = retention.tier2_sketch_count();
+  st.retention_bytes = retention.bytes_retained();
+  st.retention_io_errors = retention.io_errors();
+  st.fold_seconds = retention.fold_seconds();
+}
+
+// One registry for /metrics, /metrics.json and --metrics-out.  Caller
+// holds st.mu.
+obs::Registry status_metrics(const DaemonStatus& st) {
+  using obs::MetricClass;
+  obs::Registry reg;
+  reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested")->add(st.packets);
+  reg.counter("daemon.windows_rotated", MetricClass::kSemantic, "windows rotated")
+      ->add(st.windows);
+  reg.counter("daemon.flows_drained", MetricClass::kSemantic,
+              "flows classified by end-of-stream drains")
+      ->add(st.drained);
+  reg.counter("daemon.flows_evicted", MetricClass::kSemantic, "flows closed by idle eviction")
+      ->add(st.evicted);
+  reg.gauge("daemon.live_flows", MetricClass::kTiming, "live flow-table entries")
+      ->set(static_cast<double>(st.live_flows));
+  reg.gauge("daemon.stream_ts", MetricClass::kTiming, "latest capture timestamp ingested")
+      ->set(st.stream_ts);
+  reg.gauge("daemon.tier0_windows", MetricClass::kTiming, "full-resolution checkpoints kept")
+      ->set(static_cast<double>(st.tier0));
+  reg.counter("daemon.summarized_windows", MetricClass::kTiming,
+              "windows aged to the headline summary tier")
+      ->add(st.summarized);
+  reg.gauge("daemon.tier1_sketches", MetricClass::kTiming,
+            "tier-1 sketch files (K aged windows folded each)")
+      ->set(static_cast<double>(st.tier1_sketches));
+  reg.gauge("daemon.tier2_sketches", MetricClass::kTiming,
+            "tier-2 sketch files (K tier-1 sketches folded each)")
+      ->set(static_cast<double>(st.tier2_sketches));
+  reg.gauge("retention.bytes", MetricClass::kTiming,
+            "bytes retained across all tiers (checkpoints, sketches, summaries)")
+      ->set(static_cast<double>(st.retention_bytes));
+  reg.counter("retention.io_errors", MetricClass::kTiming,
+              "retention I/O failures (summary appends, removes, sketch folds)")
+      ->add(st.retention_io_errors);
+  reg.gauge("retention.fold_backlog", MetricClass::kTiming,
+            "aged windows that no applied sketch covers yet")
+      ->set(static_cast<double>(st.fold_backlog));
+  reg.histogram("retention.fold_seconds", MetricClass::kTiming, st.fold_seconds.bounds(),
+                "sketch fold wall time on the fold thread")
+      ->merge(st.fold_seconds);
+  reg.gauge("retention.fold_seconds.p50", MetricClass::kTiming, "median sketch fold time")
+      ->set(st.fold_seconds.quantile(0.5));
+  reg.gauge("retention.fold_seconds.p99", MetricClass::kTiming, "99th-percentile sketch fold time")
+      ->set(st.fold_seconds.quantile(0.99));
+  return reg;
+}
+
+obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache,
+                              snapshot::RetentionManager& retention, const DatasetSpec& spec,
                               const AnalyzerConfig& config, const std::string& path) {
   if (path == "/healthz") return {200, "text/plain; charset=utf-8", "ok\n"};
 
@@ -211,15 +275,13 @@ obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const Datase
     // answer covers the entire run, not just the newest keep_full windows.
     // The fold reads files and can take a while, so it runs outside the
     // status lock (and on an HTTP worker thread, so /healthz stays live).
-    // Lock order is cache.mu -> st.mu everywhere: the checkpoint path holds
-    // cache.mu while aging (folds delete their input files), and the path
-    // list is re-read under the same lock here, so a render can never race
-    // a fold that unlinks the files it is reading.
+    // Lock order is cache.mu -> st.mu everywhere.
     std::lock_guard<std::mutex> render_lock(cache.mu);
-    std::vector<std::string> paths;
+    const std::vector<std::string> paths = retention.report_paths();
     {
+      // report_paths() settles the manager: publish the folds it applied.
       std::lock_guard<std::mutex> lock(st.mu);
-      paths = st.report_paths;
+      publish_retention(st, retention);
     }
     if (paths.empty()) {
       return {404, "text/plain; charset=utf-8", "no window checkpointed yet\n"};
@@ -239,37 +301,7 @@ obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const Datase
 
   std::lock_guard<std::mutex> lock(st.mu);
   if (path == "/metrics" || path == "/metrics.json") {
-    using obs::MetricClass;
-    obs::Registry reg;
-    reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested")->add(st.packets);
-    reg.counter("daemon.windows_rotated", MetricClass::kSemantic, "windows rotated")
-        ->add(st.windows);
-    reg.counter("daemon.flows_drained", MetricClass::kSemantic,
-                "flows classified by end-of-stream drains")
-        ->add(st.drained);
-    reg.counter("daemon.flows_evicted", MetricClass::kSemantic, "flows closed by idle eviction")
-        ->add(st.evicted);
-    reg.gauge("daemon.live_flows", MetricClass::kTiming, "live flow-table entries")
-        ->set(static_cast<double>(st.live_flows));
-    reg.gauge("daemon.stream_ts", MetricClass::kTiming, "latest capture timestamp ingested")
-        ->set(st.stream_ts);
-    reg.gauge("daemon.tier0_windows", MetricClass::kTiming, "full-resolution checkpoints kept")
-        ->set(static_cast<double>(st.tier0));
-    reg.counter("daemon.summarized_windows", MetricClass::kTiming,
-                "windows aged to the headline summary tier")
-        ->add(st.summarized);
-    reg.gauge("daemon.tier1_sketches", MetricClass::kTiming,
-              "tier-1 sketch files (K aged windows folded each)")
-        ->set(static_cast<double>(st.tier1_sketches));
-    reg.gauge("daemon.tier2_sketches", MetricClass::kTiming,
-              "tier-2 sketch files (K tier-1 sketches folded each)")
-        ->set(static_cast<double>(st.tier2_sketches));
-    reg.gauge("retention.bytes", MetricClass::kTiming,
-              "bytes retained across all tiers (checkpoints, sketches, summaries)")
-        ->set(static_cast<double>(st.retention_bytes));
-    reg.counter("retention.io_errors", MetricClass::kTiming,
-                "retention I/O failures (summary appends, removes, sketch folds)")
-        ->add(st.retention_io_errors);
+    const obs::Registry reg = status_metrics(st);
     if (path == "/metrics") {
       return {200, "text/plain; version=0.0.4", obs::render_prometheus(reg)};
     }
@@ -288,11 +320,13 @@ obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache, const Datase
         << ",\"stream_ts\":" << st.stream_ts << ",\"live_flows\":" << st.live_flows
         << ",\"flows_drained\":" << st.drained << ",\"flows_evicted\":" << st.evicted
         << ",\"tier0_windows\":" << st.tier0 << ",\"summarized_windows\":" << st.summarized
-        << ",\"pending_sketch_windows\":" << st.pending_sketch
+        << ",\"fold_backlog\":" << st.fold_backlog
         << ",\"tier1_sketches\":" << st.tier1_sketches
         << ",\"tier2_sketches\":" << st.tier2_sketches
         << ",\"retention_bytes\":" << st.retention_bytes
         << ",\"retention_io_errors\":" << st.retention_io_errors
+        << ",\"fold_seconds_p50\":" << st.fold_seconds.quantile(0.5)
+        << ",\"fold_seconds_p99\":" << st.fold_seconds.quantile(0.99)
         << ",\"draining\":" << (st.draining ? "true" : "false") << "}\n";
     return {200, "application/json", out.str()};
   }
@@ -311,7 +345,6 @@ int main(int argc, char** argv) {
   std::uint64_t retain = 4;
   std::uint64_t sketch_every = 8;  // 0 disables the sketch tiers
   std::uint64_t max_windows = 0;   // 0 = until the stream ends
-  std::uint64_t threads = 0;
   std::uint64_t repeat = 1;
   std::uint64_t batch = 256;
   bool fake_clock = false, exact = false;
@@ -350,8 +383,6 @@ int main(int argc, char** argv) {
       uint_value(sketch_every);
     } else if (has_value("--max-windows")) {
       uint_value(max_windows);
-    } else if (has_value("--threads")) {
-      uint_value(threads);
     } else if (has_value("--repeat")) {
       uint_value(repeat);
     } else if (has_value("--batch")) {
@@ -436,7 +467,6 @@ int main(int argc, char** argv) {
   PacedReplaySource paced(*stream, clock, speedup);
 
   AnalyzerConfig config = default_config_for_model(model.site());
-  config.threads = static_cast<std::size_t>(threads);
   config.batch_size = static_cast<std::size_t>(batch);
   IncrementalOptions options;
   options.window_seconds = window_seconds;
@@ -472,20 +502,10 @@ int main(int argc, char** argv) {
 
   DaemonStatus status;
   ReportCache report_cache;
-  const auto publish_retention = [&]() {
-    // Caller holds status.mu.
-    status.tier0 = retention.tier0_count();
-    status.summarized = retention.summarized_count();
-    status.pending_sketch = retention.pending_count();
-    status.tier1_sketches = retention.tier1_sketch_count();
-    status.tier2_sketches = retention.tier2_sketch_count();
-    status.retention_bytes = retention.bytes_retained();
-    status.retention_io_errors = retention.io_errors();
-    status.report_paths = retention.report_paths();
-  };
   {
+    std::lock_guard<std::mutex> render_lock(report_cache.mu);
     std::lock_guard<std::mutex> lock(status.mu);
-    publish_retention();
+    publish_retention(status, retention);
   }
   std::unique_ptr<obs::HttpServer> http;
   if (serve_http) {
@@ -493,8 +513,8 @@ int main(int argc, char** argv) {
     // multi-second /report fold is in flight on the other worker.
     http = std::make_unique<obs::HttpServer>(
         static_cast<std::uint16_t>(http_port),
-        [&status, &report_cache, &spec, &config](const std::string& path) {
-          return handle_http(status, report_cache, spec, config, path);
+        [&status, &report_cache, &retention, &spec, &config](const std::string& path) {
+          return handle_http(status, report_cache, retention, spec, config, path);
         },
         /*workers=*/2);
     http->start();
@@ -506,15 +526,12 @@ int main(int argc, char** argv) {
     const std::string path = out_dir + "/" + snapshot::window_file_name(win.index);
     snapshot::WindowSummary summary = snapshot::summarize_window(win);
     summary.snapshot_bytes = snapshot::write_window_snapshot(path, snap_meta, win);
-    snapshot::AgeResult aged;
-    {
-      // Aging folds and deletes sketch inputs; hold the report-render lock so
-      // an in-flight /report never has files unlinked out from under it.  The
-      // cost is symmetric — a slow render delays this rotation — which is why
-      // /healthz and /metrics are served by the other pool worker.
-      std::lock_guard<std::mutex> render_lock(report_cache.mu);
-      aged = retention.add_window(summary, path);
-    }
+    // Applying a finished fold deletes its inputs; the render lock keeps
+    // that from happening under an in-flight /report.  The cost is
+    // symmetric — a slow render delays this rotation — which is why
+    // /healthz and /metrics are served by the other pool worker.
+    std::lock_guard<std::mutex> render_lock(report_cache.mu);
+    const snapshot::AgeResult aged = retention.add_window(summary, path);
     if (!aged.ok()) {
       std::fprintf(stderr, "entrace_daemon: retention hit %llu I/O error(s) aging window %llu\n",
                    static_cast<unsigned long long>(aged.io_errors),
@@ -523,7 +540,7 @@ int main(int argc, char** argv) {
     std::lock_guard<std::mutex> lock(status.mu);
     status.windows = analyzer.windows_rotated();
     status.latest_window_json = snapshot::to_json_line(summary);
-    publish_retention();
+    publish_retention(status, retention);
   };
 
   std::vector<PacketView> views(batch);
@@ -561,55 +578,41 @@ int main(int argc, char** argv) {
     status.draining = true;
   }
   if (analyzer.saw_packets()) checkpoint(analyzer.finish(merged_for_finish));
+  // Settle the manager — apply the running fold and run every due one — so
+  // the exit summary and --metrics-out count every fold and every I/O error
+  // it surfaced; the destructor then has nothing left to apply.
+  obs::Registry final_metrics;
   {
+    std::lock_guard<std::mutex> render_lock(report_cache.mu);
+    retention.report_paths();
     std::lock_guard<std::mutex> lock(status.mu);
+    publish_retention(status, retention);
     status.packets = packets;
     status.live_flows = analyzer.live_entries();
     status.drained = analyzer.drained_total();
     status.evicted = analyzer.evicted_total();
+    std::fprintf(
+        stderr,
+        "entrace_daemon: %s after %llu packets, %llu windows "
+        "(%zu full, %llu aged, %zu+%zu sketches, %llu bytes retained, %llu io errors), "
+        "%llu flows drained\n",
+        g_stop != 0 ? "drained on signal" : (source_drained ? "stream complete" : "window limit"),
+        static_cast<unsigned long long>(packets), static_cast<unsigned long long>(status.windows),
+        status.tier0, static_cast<unsigned long long>(status.summarized), status.tier1_sketches,
+        status.tier2_sketches, static_cast<unsigned long long>(status.retention_bytes),
+        static_cast<unsigned long long>(status.retention_io_errors),
+        static_cast<unsigned long long>(status.drained));
+    final_metrics = status_metrics(status);
   }
-  std::fprintf(stderr,
-               "entrace_daemon: %s after %llu packets, %llu windows "
-               "(%zu full, %llu aged, %zu+%zu sketches, %llu bytes retained, %llu io errors), "
-               "%llu flows drained\n",
-               g_stop != 0 ? "drained on signal" : (source_drained ? "stream complete" : "window limit"),
-               static_cast<unsigned long long>(packets),
-               static_cast<unsigned long long>(analyzer.windows_rotated()),
-               retention.tier0_count(),
-               static_cast<unsigned long long>(retention.summarized_count()),
-               retention.tier1_sketch_count(), retention.tier2_sketch_count(),
-               static_cast<unsigned long long>(retention.bytes_retained()),
-               static_cast<unsigned long long>(retention.io_errors()),
-               static_cast<unsigned long long>(analyzer.drained_total()));
+  if (http != nullptr) http->stop();
 
   if (!metrics_out.empty()) {
-    obs::Registry reg;
-    using obs::MetricClass;
-    reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested")->add(packets);
-    reg.counter("daemon.windows_rotated", MetricClass::kSemantic, "windows rotated")
-        ->add(analyzer.windows_rotated());
-    reg.counter("daemon.flows_drained", MetricClass::kSemantic,
-                "flows classified by end-of-stream drains")
-        ->add(analyzer.drained_total());
-    reg.counter("daemon.flows_evicted", MetricClass::kSemantic, "flows closed by idle eviction")
-        ->add(analyzer.evicted_total());
-    reg.gauge("daemon.tier1_sketches", MetricClass::kTiming,
-              "tier-1 sketch files at exit")
-        ->set(static_cast<double>(retention.tier1_sketch_count()));
-    reg.gauge("daemon.tier2_sketches", MetricClass::kTiming,
-              "tier-2 sketch files at exit")
-        ->set(static_cast<double>(retention.tier2_sketch_count()));
-    reg.gauge("retention.bytes", MetricClass::kTiming, "bytes retained across all tiers at exit")
-        ->set(static_cast<double>(retention.bytes_retained()));
-    reg.counter("retention.io_errors", MetricClass::kTiming, "retention I/O failures")
-        ->add(retention.io_errors());
     try {
-      obs::write_metrics_file(reg, metrics_out);
+      obs::write_metrics_file(final_metrics, metrics_out);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "--metrics-out: %s\n", e.what());
       return 1;
     }
   }
-  if (http != nullptr) http->stop();
   return 0;
 }
