@@ -13,10 +13,11 @@
 //      multi-process speedup of shard + merge over one process,
 //   3. a telemetry overhead study: analyze_dataset on D1 with
 //      AnalyzerConfig::collect_metrics on vs off (budget: <= 2%),
-//   4. an orchestration study: the fault-tolerant supervisor
-//      (src/orchestrate) on D0 at 0/10/20% per-attempt fault injection
-//      vs an in-process direct analysis — supervision overhead plus the
-//      wall-clock cost of crash/hang/truncate/corrupt recovery,
+//   4. an orchestration study: local-mode dispatch (src/cluster, one
+//      entrace_worker child per attempt) on D0 at 0/10/20% per-attempt
+//      network-fault injection vs an in-process direct analysis —
+//      dispatch overhead plus the wall-clock cost of refuse/disconnect/
+//      corrupt/hang recovery,
 //   5. a pipeline scaling study measuring analyze_dataset at 1, 2 and N
 //      threads against the seed's two-pass double-decode baseline.
 //
@@ -52,7 +53,6 @@
 #include "core/incremental.h"
 #include "snapshot/retention.h"
 #include "snapshot/window.h"
-#include "orchestrate/supervisor.h"
 #include "flow/flow_table.h"
 #include "net/decoder.h"
 #include "net/encoder.h"
@@ -737,12 +737,14 @@ void run_batch_study(double scale, int reps) {
 
 // ---- orchestration study ----------------------------------------------------
 
-// Cost of fault-tolerant supervision (src/orchestrate): a D0 fault-rate
-// sweep at 0% / 10% / 20% per-attempt injection (the rate split evenly
-// across crash/hang/truncate/corrupt) against an in-process direct
-// analysis.  The 0%-row's delta over direct is the pure orchestration
-// overhead (subprocess spawn + snapshot encode/decode + validation); the
-// injected rows show what recovery costs in retries and wall clock.
+// Cost of local-mode dispatch (entrace_orchestrate --workers): run_cluster
+// over 4 local slots, each attempt in a fresh entrace_worker child, in a
+// D0 fault-rate sweep at 0% / 10% / 20% per-attempt injection (the rate
+// split evenly across refuse/disconnect/corrupt/hang) against an
+// in-process direct analysis.  The 0%-row's delta over direct is the pure
+// dispatch overhead (child spawn + snapshot encode/stream/decode +
+// validation); the injected rows show what recovery costs in retries and
+// wall clock.
 struct OrchestrateRun {
   double fault_rate = 0.0;
   double seconds = 0.0;
@@ -768,10 +770,9 @@ void run_orchestrate_study() {
   const DatasetSpec spec = dataset_by_name("D0", scale);
   AnalyzerConfig config = default_config_for_model(model.site());
   config.threads = 1;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "entrace_bench_orch").string();
 
-  std::printf("---- orchestration overhead + recovery (D0, scale %.3f, 4 workers) ----\n", scale);
+  std::printf("---- orchestration overhead + recovery (D0, scale %.3f, 4 local slots) ----\n",
+              scale);
 
   const SyntheticTraceSourceSet sources(spec, model);
   const auto t0 = std::chrono::steady_clock::now();
@@ -787,26 +788,26 @@ void run_orchestrate_study() {
   std::printf("  direct (in-process, 1 thread): %6.2fs\n", g_orchestrate_study.direct_seconds);
 
   for (const double rate : {0.0, 0.1, 0.2}) {
-    orchestrate::OrchestratorConfig oc;
-    oc.dataset = spec.name;
-    oc.scale = scale;
-    oc.workers = 4;
-    oc.jobs = 8;  // more, smaller jobs: more per-attempt fault draws per run
-    oc.shard_binary = ENTRACE_SHARD_BIN;
-    oc.work_dir = dir;
-    oc.retry.max_attempts = 10;  // generous: every job must eventually succeed
-    oc.retry.base_delay = 0.02;
-    oc.attempt_deadline = 30.0 * std::max(scale / 0.01, 1.0);
-    oc.inject.crash = oc.inject.hang = rate / 4.0;
-    oc.inject.truncate = oc.inject.corrupt = rate / 4.0;
-    oc.inject.seed = 17;
+    cluster::ClusterConfig cc;
+    cc.dataset = spec.name;
+    cc.scale = scale;
+    cc.local_slots = 4;
+    cc.worker_binary = ENTRACE_WORKER_BIN;
+    cc.jobs = 8;  // more, smaller jobs: more per-attempt fault draws per run
+    cc.retry.max_attempts = 10;  // generous: every job must eventually succeed
+    cc.retry.base_delay = 0.02;
+    cc.retry.max_delay = 0.5;
+    cc.heartbeat_interval = 0.05;
+    cc.heartbeat_deadline = 2.0;  // injected hangs pay this per draw
+    cc.inject.refuse = cc.inject.disconnect = rate / 4.0;
+    cc.inject.corrupt = cc.inject.hang = rate / 4.0;
+    cc.inject.seed = 17;
     const auto t1 = std::chrono::steady_clock::now();
     orchestrate::OrchestrateResult result;
     try {
-      result = orchestrate::orchestrate(oc);
+      result = cluster::run_cluster(cc);
     } catch (const std::exception& e) {
       std::printf("  fault rate %.0f%%: measurement failed (%s)\n", rate * 100, e.what());
-      std::filesystem::remove_all(dir);
       return;
     }
     OrchestrateRun run;
@@ -829,7 +830,6 @@ void run_orchestrate_study() {
         run.complete ? "" : "  [INCOMPLETE]");
   }
   g_orchestrate_study.ok = !g_orchestrate_study.runs.empty();
-  std::filesystem::remove_all(dir);
 }
 
 // ---- cluster dispatch study -------------------------------------------------
@@ -1574,8 +1574,8 @@ int main(int argc, char** argv) {
   entrace::run_telemetry_overhead();
   entrace::run_batch_study(entrace::benchutil::env_scale(),
                            entrace::cli::env_int("ENTRACE_BENCH_REPS", 3));
-  // Spawns workers via fork+exec (async-signal-safe), so unlike the studies
-  // above it is fine to run after threads have existed.
+  // Spawns worker children via fork+exec (async-signal-safe), so unlike
+  // the studies above it is fine to run after threads have existed.
   entrace::run_orchestrate_study();
   // Loopback TCP workers on in-process threads (thread-safe by now: the
   // fork-based studies above have already finished).

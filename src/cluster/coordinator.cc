@@ -1,14 +1,18 @@
 #include "cluster/coordinator.h"
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "cluster/protocol.h"
@@ -16,8 +20,10 @@
 #include "snapshot/reader.h"
 #include "synth/model.h"
 #include "synth/synth_source.h"
+#include "util/cli.h"
 #include "util/net_io.h"
 #include "util/strings.h"
+#include "util/subprocess.h"
 
 namespace entrace::cluster {
 
@@ -33,12 +39,32 @@ constexpr auto kIdleTick = std::chrono::milliseconds(5);
 // recv chunk granularity; also the poll cap so stop conditions and
 // deadlines are rechecked at least this often.
 constexpr int kPollCapMs = 100;
+// How often a local slot looks for its child's port file.
+constexpr auto kPortFileTick = std::chrono::milliseconds(1);
 
 struct Endpoint {
   std::string host;
-  std::uint16_t port = 0;
-  std::string label;  // "host:port" for logs
+  std::uint16_t port = 0;  // 0 for a local slot: each attempt's child picks one
+  std::string label;       // "host:port" or "local-N", for logs
+  bool local = false;
 };
+
+// "host:port" with a port in [1, 65535]: the one parser behind both
+// parse_endpoints and the coordinator's own endpoint list.
+std::optional<Endpoint> parse_endpoint(std::string_view spec, std::string* error) {
+  const std::size_t colon = spec.rfind(':');
+  if (colon == std::string_view::npos || colon == 0 || colon + 1 >= spec.size()) {
+    *error = "endpoint '" + std::string(spec) + "' is not host:port";
+    return std::nullopt;
+  }
+  std::uint64_t port = 0;
+  if (!cli::parse_uint(std::string(spec.substr(colon + 1)), port) || port < 1 || port > 65535) {
+    *error = "endpoint '" + std::string(spec) + "' has a bad port";
+    return std::nullopt;
+  }
+  return Endpoint{std::string(spec.substr(0, colon)), static_cast<std::uint16_t>(port),
+                  std::string(spec)};
+}
 
 struct Job {
   std::size_t index = 0;
@@ -72,6 +98,7 @@ struct Metrics {
   obs::Counter* chunks_rx = nullptr;
   obs::Counter* jobs_done = nullptr;
   obs::Counter* jobs_failed = nullptr;
+  obs::Counter* retired = nullptr;
   obs::Gauge* backoff_seconds = nullptr;
   std::array<obs::Counter*, orchestrate::kWorkerFaultCount> faults{};
 
@@ -96,6 +123,8 @@ struct Metrics {
                              "jobs that delivered a validated snapshot");
     jobs_failed = reg->counter("cluster.jobs.failed", MetricClass::kTiming,
                                "jobs that exhausted their attempt budget");
+    retired = reg->counter("cluster.endpoints.retired", MetricClass::kTiming,
+                           "endpoints retired after genuinely refusing a connection");
     backoff_seconds = reg->gauge("cluster.backoff.seconds", MetricClass::kTiming,
                                  "total backoff delay scheduled before redispatches");
     for (std::size_t f = 1; f < orchestrate::kWorkerFaultCount; ++f) {
@@ -112,6 +141,12 @@ class Coordinator {
  public:
   Coordinator(const ClusterConfig& config, util::Clock& clock)
       : config_(config), clock_(clock), metrics_(config.metrics) {}
+  ~Coordinator() {
+    std::error_code ec;
+    if (!port_dir_.empty()) std::filesystem::remove_all(port_dir_, ec);
+  }
+  Coordinator(const Coordinator&) = delete;
+  Coordinator& operator=(const Coordinator&) = delete;
 
   orchestrate::OrchestrateResult run() {
     const double start = clock_.now();
@@ -143,22 +178,33 @@ class Coordinator {
   }
 
   void prepare() {
-    if (config_.endpoints.empty()) {
+    if (config_.endpoints.empty() && config_.local_slots == 0) {
       throw std::runtime_error("cluster: no worker endpoints configured");
     }
     for (const std::string& spec : config_.endpoints) {
-      const std::size_t colon = spec.rfind(':');
-      if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-        throw std::runtime_error("cluster: endpoint '" + spec + "' is not host:port");
-      }
-      char* end = nullptr;
-      const long port = std::strtol(spec.c_str() + colon + 1, &end, 10);
-      if (*end != '\0' || port < 1 || port > 65535) {
-        throw std::runtime_error("cluster: endpoint '" + spec + "' has a bad port");
-      }
-      endpoints_.push_back(
-          Endpoint{spec.substr(0, colon), static_cast<std::uint16_t>(port), spec});
+      std::string error;
+      std::optional<Endpoint> endpoint = parse_endpoint(spec, &error);
+      if (!endpoint.has_value()) throw std::runtime_error("cluster: " + error);
+      endpoints_.push_back(std::move(*endpoint));
     }
+    if (config_.local_slots > 0) {
+      std::error_code ec;
+      if (!std::filesystem::exists(config_.worker_binary, ec)) {
+        throw std::runtime_error("cluster: worker binary '" + config_.worker_binary +
+                                 "' does not exist");
+      }
+      // One private directory for the children's port files.
+      std::string pattern =
+          (std::filesystem::temp_directory_path(ec) / "entrace-slots-XXXXXX").string();
+      if (::mkdtemp(pattern.data()) == nullptr) {
+        throw std::runtime_error("cluster: cannot create a port-file directory");
+      }
+      port_dir_ = pattern;
+      for (std::size_t s = 0; s < config_.local_slots; ++s) {
+        endpoints_.push_back(Endpoint{"127.0.0.1", 0, "local-" + std::to_string(s), true});
+      }
+    }
+    active_endpoints_ = endpoints_.size();
 
     spec_ = dataset_by_name(config_.dataset, config_.scale);
     const EnterpriseModel model;
@@ -229,12 +275,63 @@ class Coordinator {
         continue;
       }
 
+      const NetFault injected = config_.inject.draw(index, attempt);
       std::string detail;
       AttemptStats stats;
       std::map<std::uint32_t, TraceShard> delivered;
       const WorkerFault fault =
-          attempt_job(endpoint, jobs_[index], attempt, detail, stats, delivered);
-      settle(endpoint, jobs_[index], attempt, fault, detail, stats, std::move(delivered));
+          attempt_job(endpoint, jobs_[index], attempt, injected, detail, stats, delivered);
+      // Only a genuine refusal says the endpoint is dead; an injected one
+      // exercises the retry path without retiring anything.
+      const bool refused =
+          fault == WorkerFault::kConnectRefused && injected != NetFault::kRefuseInject;
+      if (settle(endpoint, jobs_[index], attempt, fault, detail, stats, std::move(delivered),
+                 refused)) {
+        return;
+      }
+    }
+  }
+
+  // Spawn a local slot's worker child for one attempt and wait for the port
+  // it publishes (tmp+rename, so a file that exists is complete).  Silence
+  // before then is judged like any worker's silence: by the heartbeat
+  // deadline.
+  WorkerFault spawn_local_worker(const Endpoint& endpoint, util::Subprocess& child,
+                                 std::uint16_t& port, std::string& detail) {
+    const std::string port_file = port_dir_ + "/" + endpoint.label + ".port";
+    std::error_code ec;
+    std::filesystem::remove(port_file, ec);
+    std::vector<std::string> argv = {config_.worker_binary, "--once", "--port-file", port_file,
+                                     "--name", endpoint.label};
+    if (config_.verbose) argv.push_back("--verbose");
+    try {
+      child = util::Subprocess::spawn(argv);
+    } catch (const std::exception& e) {
+      detail = e.what();
+      return WorkerFault::kConnectRefused;
+    }
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(config_.heartbeat_deadline);
+    for (;;) {
+      std::uint64_t published = 0;
+      std::ifstream in(port_file);
+      std::string text;
+      if (in >> text && cli::parse_uint(text, published) && published >= 1 && published <= 65535) {
+        port = static_cast<std::uint16_t>(published);
+        return WorkerFault::kNone;
+      }
+      if (const std::optional<util::ExitStatus> status = child.poll()) {
+        detail = endpoint.label + " worker exited before publishing its port (" +
+                 (status->exited ? "exit code " + std::to_string(status->exit_code)
+                                 : "signal " + std::to_string(status->term_signal)) +
+                 ")";
+        return WorkerFault::kConnectRefused;
+      }
+      if (std::chrono::steady_clock::now() >= deadline) {
+        detail = endpoint.label + " worker published no port within the heartbeat deadline";
+        return WorkerFault::kHeartbeatTimeout;
+      }
+      std::this_thread::sleep_for(kPortFileTick);
     }
   }
 
@@ -242,15 +339,20 @@ class Coordinator {
   // dispatch, gather, validate.  Pure I/O — no shared state is touched
   // (job.lo/hi/index are immutable after prepare()).
   WorkerFault attempt_job(const Endpoint& endpoint, const Job& job, int attempt,
-                          std::string& detail, AttemptStats& stats,
+                          NetFault injected, std::string& detail, AttemptStats& stats,
                           std::map<std::uint32_t, TraceShard>& delivered) {
-    const NetInjectedFault injected = config_.inject.draw(job.index, attempt);
-
     std::string host = endpoint.host;
     std::uint16_t port = endpoint.port;
-    if (injected == NetInjectedFault::kRefuseInject) {
+    // A local slot's child for this attempt alone: declared before the
+    // connection, so it is SIGKILLed and reaped after the socket closes,
+    // however the attempt ends.
+    util::Subprocess child;
+    if (injected == NetFault::kRefuseInject) {
       host = "127.0.0.1";
       port = dead_port_;
+    } else if (endpoint.local) {
+      const WorkerFault fault = spawn_local_worker(endpoint, child, port, detail);
+      if (fault != WorkerFault::kNone) return fault;
     }
     std::string error;
     util::ScopedFd fd = util::tcp_connect(host, port, config_.connect_timeout, &error);
@@ -308,8 +410,7 @@ class Coordinator {
               msg.heartbeat_interval_ms =
                   static_cast<std::uint32_t>(config_.heartbeat_interval * 1000.0);
               msg.injected_fault = static_cast<std::uint8_t>(
-                  injected == NetInjectedFault::kRefuseInject ? NetInjectedFault::kNoInject
-                                                              : injected);
+                  injected == NetFault::kRefuseInject ? NetFault::kNoInject : injected);
               const std::vector<std::uint8_t> job_frame = msg.encode();
               if (!util::send_all(fd.get(), job_frame.data(), job_frame.size())) {
                 detail = "connection lost sending JOB";
@@ -424,10 +525,23 @@ class Coordinator {
     return WorkerFault::kNone;
   }
 
-  void settle(const Endpoint& endpoint, Job& job, int attempt, WorkerFault fault,
+  // Advance `job`'s state machine after an attempt.  True when `endpoint`
+  // retires: it genuinely refused the connection and another endpoint is
+  // still active, so the range goes back to the live ones instead of the
+  // dead endpoint burning one attempt of every job in turn.  The last
+  // active endpoint never retires, so every job still ends done or failed
+  // through its own budget.
+  bool settle(const Endpoint& endpoint, Job& job, int attempt, WorkerFault fault,
               const std::string& detail, const AttemptStats& stats,
-              std::map<std::uint32_t, TraceShard>&& delivered) {
+              std::map<std::uint32_t, TraceShard>&& delivered, bool refused) {
     std::lock_guard<std::mutex> lock(mu_);
+    const bool retire = refused && active_endpoints_ > 1;
+    if (retire) {
+      --active_endpoints_;
+      if (metrics_.retired != nullptr) metrics_.retired->add();
+      log("%s refused a connection; retired (%zu endpoints left)", endpoint.label.c_str(),
+          active_endpoints_);
+    }
     if (metrics_.connects != nullptr && stats.connected) metrics_.connects->add();
     if (metrics_.bytes_rx != nullptr) metrics_.bytes_rx->add(stats.bytes_rx);
     if (metrics_.frames_rx != nullptr) metrics_.frames_rx->add(stats.frames);
@@ -440,7 +554,7 @@ class Coordinator {
       if (metrics_.jobs_done != nullptr) metrics_.jobs_done->add();
       log("job %zu done on %s (attempt %d): traces [%zu, %zu)", job.index,
           endpoint.label.c_str(), attempt, job.lo, job.hi);
-      return;
+      return retire;
     }
 
     job.faults.push_back(fault);
@@ -462,6 +576,7 @@ class Coordinator {
       log("job %zu FAILED after %d attempts: %s (%s); traces [%zu, %zu) will be missing",
           job.index, attempt, to_string(fault), detail.c_str(), job.lo, job.hi);
     }
+    return retire;
   }
 
   orchestrate::OrchestrateResult finish() {
@@ -488,8 +603,8 @@ class Coordinator {
     }
 
     // The deterministic fold, in trace-index order (std::map iteration) —
-    // the exact path the supervisor and entrace_merge share, which is what
-    // makes the clustered report byte-identical to a direct run.
+    // the exact path analyze_dataset and entrace_merge share, which is what
+    // makes the dispatched report byte-identical to a direct run.
     const EnterpriseModel model;
     std::vector<TraceShard> shards;
     shards.reserve(shards_.size());
@@ -508,9 +623,11 @@ class Coordinator {
   snapshot::SnapshotMeta meta_;
   std::size_t trace_count_ = 0;
   std::vector<Endpoint> endpoints_;
+  std::string port_dir_;         // local slots' port files; removed with the coordinator
   std::uint16_t dead_port_ = 1;  // refuse-inject target; rebound in prepare()
 
-  std::mutex mu_;  // guards jobs_ states, shards_, fault_counts_, metrics
+  std::mutex mu_;  // guards jobs_ states, shards_, fault_counts_, metrics, active_endpoints_
+  std::size_t active_endpoints_ = 0;
   std::vector<Job> jobs_;
   std::map<std::uint32_t, TraceShard> shards_;
   orchestrate::WorkerFaultCounts fault_counts_;
@@ -522,16 +639,9 @@ bool parse_endpoints(const std::string& spec, std::vector<std::string>& out, std
   out.clear();
   for (const std::string_view part : split(spec, ',')) {
     if (part.empty()) continue;
-    const std::size_t colon = part.rfind(':');
-    if (colon == std::string_view::npos || colon == 0 || colon + 1 >= part.size()) {
-      if (error != nullptr) *error = "endpoint '" + std::string(part) + "' is not host:port";
-      return false;
-    }
-    char* end = nullptr;
-    const std::string port_text(part.substr(colon + 1));
-    const long port = std::strtol(port_text.c_str(), &end, 10);
-    if (*end != '\0' || port < 1 || port > 65535) {
-      if (error != nullptr) *error = "endpoint '" + std::string(part) + "' has a bad port";
+    std::string why;
+    if (!parse_endpoint(part, &why).has_value()) {
+      if (error != nullptr) *error = why;
       return false;
     }
     out.emplace_back(part);

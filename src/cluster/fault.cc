@@ -8,60 +8,61 @@
 
 namespace entrace::cluster {
 
-const char* to_string(NetInjectedFault fault) {
+const char* to_string(NetFault fault) {
   switch (fault) {
-    case NetInjectedFault::kNoInject:
+    case NetFault::kNoInject:
       return "none";
-    case NetInjectedFault::kRefuseInject:
+    case NetFault::kRefuseInject:
       return "refuse";
-    case NetInjectedFault::kDisconnectInject:
+    case NetFault::kDisconnectInject:
       return "disconnect";
-    case NetInjectedFault::kCorruptFrameInject:
+    case NetFault::kCorruptFrameInject:
       return "corrupt-frame";
-    case NetInjectedFault::kHangInject:
+    case NetFault::kHangInject:
       return "hang";
-    case NetInjectedFault::kNetFaultCount:
+    case NetFault::kNetFaultCount:
       break;
   }
   return "?";
 }
 
-orchestrate::WorkerFault expected_fault(NetInjectedFault injected) {
+orchestrate::WorkerFault expected_fault(NetFault injected) {
   switch (injected) {
-    case NetInjectedFault::kRefuseInject:
+    case NetFault::kRefuseInject:
       return orchestrate::WorkerFault::kConnectRefused;
-    case NetInjectedFault::kDisconnectInject:
+    case NetFault::kDisconnectInject:
       return orchestrate::WorkerFault::kDisconnect;
-    case NetInjectedFault::kCorruptFrameInject:
+    case NetFault::kCorruptFrameInject:
       return orchestrate::WorkerFault::kCorruptFrame;
-    case NetInjectedFault::kHangInject:
+    case NetFault::kHangInject:
       return orchestrate::WorkerFault::kHeartbeatTimeout;
-    case NetInjectedFault::kNoInject:
-    case NetInjectedFault::kNetFaultCount:
+    case NetFault::kNoInject:
+    case NetFault::kNetFaultCount:
       break;
   }
   return orchestrate::WorkerFault::kNone;
 }
 
-NetInjectedFault NetFaultInjection::draw(std::uint64_t job, int attempt) const {
-  if (!any() || attempt > attempt_limit) return NetInjectedFault::kNoInject;
-  // Same fork-per-(job, attempt) idiom as orchestrate::FaultInjection: the
-  // schedule is independent of dispatch order and endpoint count.
+NetFault NetFaultPlan::draw(std::uint64_t job, int attempt) const {
+  if (!any() || attempt > attempt_limit) return NetFault::kNoInject;
+  // One independent stream per (job, attempt), the corruptor's
+  // fork-per-trace idiom: the schedule is independent of dispatch order,
+  // endpoint count, and how many other jobs retried first.
   Rng rng = Rng(seed).fork(job).fork(static_cast<std::uint64_t>(attempt));
-  if (rng.bernoulli(refuse)) return NetInjectedFault::kRefuseInject;
-  if (rng.bernoulli(disconnect)) return NetInjectedFault::kDisconnectInject;
-  if (rng.bernoulli(corrupt)) return NetInjectedFault::kCorruptFrameInject;
-  if (rng.bernoulli(hang)) return NetInjectedFault::kHangInject;
-  return NetInjectedFault::kNoInject;
+  if (rng.bernoulli(refuse)) return NetFault::kRefuseInject;
+  if (rng.bernoulli(disconnect)) return NetFault::kDisconnectInject;
+  if (rng.bernoulli(corrupt)) return NetFault::kCorruptFrameInject;
+  if (rng.bernoulli(hang)) return NetFault::kHangInject;
+  return NetFault::kNoInject;
 }
 
-bool parse_net_inject_spec(const std::string& spec, NetFaultInjection& out, std::string* error) {
+bool parse_net_inject_spec(const std::string& spec, NetFaultPlan& out, std::string* error) {
   for (const std::string_view part : split(spec, ',')) {
     if (part.empty()) continue;
     const std::size_t eq = part.find('=');
     if (eq == std::string_view::npos) {
       if (error != nullptr) {
-        *error = "--net-inject entry '" + std::string(part) + "' is not key=probability";
+        *error = "--inject entry '" + std::string(part) + "' is not key=probability";
       }
       return false;
     }
@@ -71,7 +72,7 @@ bool parse_net_inject_spec(const std::string& spec, NetFaultInjection& out, std:
     const double p = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
       if (error != nullptr) {
-        *error = "--net-inject " + key + "=" + value + " is not a probability in [0, 1]";
+        *error = "--inject " + key + "=" + value + " is not a probability in [0, 1]";
       }
       return false;
     }
@@ -85,7 +86,7 @@ bool parse_net_inject_spec(const std::string& spec, NetFaultInjection& out, std:
       out.hang = p;
     } else {
       if (error != nullptr) {
-        *error = "--net-inject key '" + key + "' unknown (want refuse|disconnect|corrupt|hang)";
+        *error = "--inject key '" + key + "' unknown (want refuse|disconnect|corrupt|hang)";
       }
       return false;
     }

@@ -1,17 +1,15 @@
-// Deterministic network-fault injection for the cluster layer, mirroring
-// orchestrate/fault.h one hop further out: the supervisor injects process
-// faults (crash/hang/truncate/corrupt), the coordinator injects network
-// faults (refuse/disconnect/corrupt-frame/hang) — same seeded per-(job,
-// attempt) draw, so a given seed produces the same fault schedule on every
-// run regardless of worker count or dispatch order, and any schedule in
-// which every range eventually succeeds must yield a byte-identical report.
+// Deterministic network-fault injection for the cluster layer: the same
+// seeded per-(job, attempt) draw on every run regardless of worker count
+// or dispatch order, so any schedule in which every range eventually
+// succeeds must yield a byte-identical report.
 //
 // Faults are drawn centrally by the coordinator (never by workers rolling
 // their own dice): refuse is executed coordinator-side by dialing a port
 // that is known dead, the other three ride to the worker inside the JOB
 // message's injected_fault byte and are acted out there — drop the
 // connection mid-stream, flip a bit in an outgoing frame, or go silent
-// until the coordinator's heartbeat deadline fires.
+// until the coordinator's heartbeat deadline fires.  Remote endpoints and
+// local worker children act them out identically.
 #pragma once
 
 #include <climits>
@@ -22,9 +20,9 @@
 
 namespace entrace::cluster {
 
-// What the harness injects into a cluster job attempt.  Values are wire
-// bytes (JobMsg::injected_fault); kNetFaultCount bounds validation.
-enum class NetInjectedFault : std::uint8_t {
+// The network fault injected into one job attempt.  Values are wire bytes
+// (JobMsg::injected_fault); kNetFaultCount bounds validation.
+enum class NetFault : std::uint8_t {
   kNoInject = 0,
   kRefuseInject,       // coordinator dials a dead port instead of the worker
   kDisconnectInject,   // worker closes the connection mid-snapshot-stream
@@ -33,13 +31,14 @@ enum class NetInjectedFault : std::uint8_t {
   kNetFaultCount
 };
 
-const char* to_string(NetInjectedFault fault);
+const char* to_string(NetFault fault);
 
 // The WorkerFault the coordinator is expected to classify each injected
 // fault as (tests assert the per-fault counters line up with the draws).
-orchestrate::WorkerFault expected_fault(NetInjectedFault injected);
+orchestrate::WorkerFault expected_fault(NetFault injected);
 
-struct NetFaultInjection {
+// Which attempts get which NetFault: the seeded plan behind --inject.
+struct NetFaultPlan {
   // Independent per-attempt probabilities, evaluated in this order; the
   // first that fires wins.
   double refuse = 0.0;
@@ -55,12 +54,12 @@ struct NetFaultInjection {
 
   // The fault (or none) for attempt `attempt` (1-based) of job `job` —
   // a pure function of (seed, job, attempt).
-  NetInjectedFault draw(std::uint64_t job, int attempt) const;
+  NetFault draw(std::uint64_t job, int attempt) const;
 };
 
 // Parse "refuse=0.1,disconnect=0.1,corrupt=0.05,hang=0.05" (any subset,
 // each probability in [0, 1]).  False with *error set on unknown keys or
 // out-of-range values; probabilities not named stay 0.
-bool parse_net_inject_spec(const std::string& spec, NetFaultInjection& out, std::string* error);
+bool parse_net_inject_spec(const std::string& spec, NetFaultPlan& out, std::string* error);
 
 }  // namespace entrace::cluster

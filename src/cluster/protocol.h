@@ -137,7 +137,7 @@ struct JobMsg {
   std::uint32_t hi = 0;
   std::uint32_t threads = 1;         // analysis threads on the worker
   std::uint32_t heartbeat_interval_ms = 0;
-  std::uint8_t injected_fault = 0;   // cluster::NetInjectedFault, drawn centrally
+  std::uint8_t injected_fault = 0;   // cluster::NetFault, drawn centrally
 
   std::vector<std::uint8_t> encode() const;
   static JobMsg decode(const Frame& frame);

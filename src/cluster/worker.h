@@ -8,10 +8,10 @@
 //                              -> stream SNAPSHOT chunks -> send DONE }*
 //   ... until the peer closes (or a fault injection ends the connection).
 //
-// The analysis runs on its own thread while the connection thread keeps
-// sending HEARTBEAT frames on the JOB's requested interval, so liveness
-// signaling is independent of how long the analysis takes — a loaded
-// worker is slow, not dead, and the coordinator can tell the difference.
+// The analysis runs on the connection thread while a helper thread sends
+// HEARTBEAT frames on the JOB's requested interval, so liveness signaling
+// is independent of how long the analysis takes — a loaded worker is
+// slow, not dead, and the coordinator can tell the difference.
 //
 // The .esnap bytes are encoded in memory (SnapshotWriter's stream-sink
 // mode) and chunked at kSnapshotChunkSize; DONE carries the total length

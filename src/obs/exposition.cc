@@ -184,8 +184,7 @@ void write_metrics_file(const Registry& reg, const std::string& path, bool inclu
   const bool json = path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   // Write-then-rename so a killed process never leaves a half-written file
   // under the destination name (same crash-safety contract as
-  // snapshot::SnapshotWriter; scrapers and the orchestration supervisor
-  // read these paths).
+  // snapshot::SnapshotWriter; scrapers read these paths).
   const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);

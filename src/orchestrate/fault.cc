@@ -1,11 +1,5 @@
 #include "orchestrate/fault.h"
 
-#include <cstdlib>
-#include <vector>
-
-#include "util/rng.h"
-#include "util/strings.h"
-
 namespace entrace::orchestrate {
 
 const char* to_string(WorkerFault fault) {
@@ -14,8 +8,6 @@ const char* to_string(WorkerFault fault) {
       return "none";
     case WorkerFault::kCrash:
       return "crash";
-    case WorkerFault::kTimeoutKill:
-      return "timeout-kill";
     case WorkerFault::kTruncatedSnapshot:
       return "truncated-snapshot";
     case WorkerFault::kSnapshotRejected:
@@ -34,99 +26,6 @@ const char* to_string(WorkerFault fault) {
       break;
   }
   return "?";
-}
-
-const char* to_string(InjectedFault fault) {
-  switch (fault) {
-    case InjectedFault::kNoInject:
-      return "none";
-    case InjectedFault::kCrashInject:
-      return "crash";
-    case InjectedFault::kHangInject:
-      return "hang";
-    case InjectedFault::kTruncateInject:
-      return "truncate";
-    case InjectedFault::kCorruptInject:
-      return "corrupt";
-  }
-  return "?";
-}
-
-InjectedFault FaultInjection::draw(std::uint64_t job, int attempt) const {
-  if (!any() || attempt > attempt_limit) return InjectedFault::kNoInject;
-  // One independent stream per (job, attempt), exactly the corruptor's
-  // fork-per-trace idiom: the schedule does not depend on dispatch order,
-  // worker count, or how many other jobs retried first.
-  Rng rng = Rng(seed).fork(job).fork(static_cast<std::uint64_t>(attempt));
-  if (rng.bernoulli(crash)) return InjectedFault::kCrashInject;
-  if (rng.bernoulli(hang)) return InjectedFault::kHangInject;
-  if (rng.bernoulli(truncate)) return InjectedFault::kTruncateInject;
-  if (rng.bernoulli(corrupt)) return InjectedFault::kCorruptInject;
-  return InjectedFault::kNoInject;
-}
-
-bool parse_inject_spec(const std::string& spec, FaultInjection& out, std::string* error) {
-  for (const std::string_view part : split(spec, ',')) {
-    if (part.empty()) continue;
-    const std::size_t eq = part.find('=');
-    if (eq == std::string_view::npos) {
-      if (error != nullptr) {
-        *error = "--inject entry '" + std::string(part) + "' is not key=probability";
-      }
-      return false;
-    }
-    const std::string key(part.substr(0, eq));
-    const std::string value(part.substr(eq + 1));
-    char* end = nullptr;
-    const double p = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-      if (error != nullptr) {
-        *error = "--inject " + key + "=" + value + " is not a probability in [0, 1]";
-      }
-      return false;
-    }
-    if (key == "crash") {
-      out.crash = p;
-    } else if (key == "hang") {
-      out.hang = p;
-    } else if (key == "truncate") {
-      out.truncate = p;
-    } else if (key == "corrupt") {
-      out.corrupt = p;
-    } else {
-      if (error != nullptr) {
-        *error = "--inject key '" + key + "' unknown (want crash|hang|truncate|corrupt)";
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-void truncate_snapshot_bytes(std::vector<std::uint8_t>& bytes, const FaultInjection& config,
-                             std::uint64_t job, int attempt) {
-  if (bytes.size() <= snapshot::kHeaderSize + 1) {
-    bytes.clear();
-    return;
-  }
-  // Cut anywhere strictly inside the section stream.  Wherever the cut
-  // lands — mid-payload, mid-frame, or exactly on a section boundary (which
-  // removes the end marker) — the reader reports a Kind::kTruncated error.
-  // Separate stream id (1) from the draw stream so the cut offset is
-  // independent of which fault was drawn.
-  Rng rng = Rng(config.seed).fork(job).fork(static_cast<std::uint64_t>(attempt)).fork(1);
-  const std::uint64_t lo = snapshot::kHeaderSize + 1;
-  const std::uint64_t hi = bytes.size() - 1;
-  bytes.resize(static_cast<std::size_t>(rng.uniform_int(lo, hi)));
-}
-
-void corrupt_snapshot_bytes(std::vector<std::uint8_t>& bytes) {
-  // Flip one bit of the file's final byte: the end section's CRC trailer.
-  // Every byte of the file is still present, so the reader fails the end
-  // section's CRC check — a clean Kind::kMalformed rejection, never
-  // mistaken for truncation.
-  if (bytes.empty()) return;
-  bytes.back() ^= 0x01;
 }
 
 WorkerFault classify_snapshot_error(const snapshot::SnapshotError& error) {

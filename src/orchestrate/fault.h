@@ -1,44 +1,30 @@
-// Worker-fault taxonomy and the deterministic fault-injection harness for
-// the shard orchestration layer.
+// Worker-fault taxonomy of the dispatch layer.
 //
-// The supervisor (supervisor.h) classifies every failed worker attempt
-// into one WorkerFault, mirroring the per-packet anomaly taxonomy
-// (net/anomaly.h) one level up the stack: packets get AnomalyKinds, worker
-// attempts get WorkerFaults, and both are counted, merged, and reported
-// rather than crashing the run.
-//
-// FaultInjection makes the supervisor's failure handling testable the same
-// way synth/corruptor.h makes the decode path testable: faults are drawn
-// from an Rng stream forked per (job, attempt), so a given seed produces
-// the exact same fault schedule on every run — and a schedule in which
-// every job eventually succeeds must produce a byte-identical merged
-// report (the orchestrate test suite's core assertion).
+// The cluster coordinator (cluster/coordinator.h) classifies every failed
+// job attempt into one WorkerFault, mirroring the per-packet anomaly
+// taxonomy (net/anomaly.h) one level up the stack: packets get
+// AnomalyKinds, worker attempts get WorkerFaults, and both are counted,
+// merged, and reported rather than crashing the run.  Retry budgets,
+// per-fault counters and the coverage manifest treat every kind alike, so
+// a dead TCP peer and a dead local child are the same event.
 #pragma once
 
 #include <array>
-#include <climits>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "snapshot/format.h"
 
 namespace entrace::orchestrate {
 
-// What the supervisor observed about a failed worker attempt.
+// What the coordinator observed about a failed job attempt.
 enum class WorkerFault : std::uint8_t {
   kNone = 0,           // attempt succeeded
-  kCrash,              // nonzero exit or died on a signal we did not send
-  kTimeoutKill,        // exceeded the attempt deadline; supervisor SIGKILLed it
-  kTruncatedSnapshot,  // exit 0 but the snapshot is missing or cut short
-  kSnapshotRejected,   // exit 0 but the snapshot failed CRC/structural validation
+  kCrash,              // the worker answered ERROR: its analysis died on the job
+  kTruncatedSnapshot,  // DONE declares more snapshot bytes than arrived, or the image is cut short
+  kSnapshotRejected,   // snapshot failed CRC/structural validation
   kWrongTraceRange,    // snapshot decodes but covers the wrong dataset slice
-  // Network fault kinds, observed by the cluster coordinator (cluster/
-  // coordinator.h) rather than the process supervisor.  They live in the
-  // same taxonomy so retry budgets, per-fault counters, and coverage
-  // manifests treat a dead TCP peer exactly like a dead child process.
   kConnectRefused,     // endpoint unreachable: dial failed or timed out
-  kDisconnect,         // connection dropped mid-stream before DONE
+  kDisconnect,         // connection dropped mid-stream before DONE (a crashed child lands here)
   kCorruptFrame,       // frame failed CRC/structural validation
   kHeartbeatTimeout,   // worker stopped sending frames past the deadline
   kCount
@@ -61,55 +47,6 @@ struct WorkerFaultCounts {
     return sum;
   }
 };
-
-// What the harness injects into an attempt.  kCrashInject / kHangInject are
-// delivered to the worker as an entrace_shard --inject-fault flag (the
-// worker _exits mid-write / stalls until the deadline); kTruncateInject /
-// kCorruptInject are applied by the supervisor to the produced snapshot
-// bytes after a clean exit, the same post-hoc byte surgery the wire
-// corruptor performs on packets.
-enum class InjectedFault : std::uint8_t {
-  kNoInject = 0,
-  kCrashInject,
-  kHangInject,
-  kTruncateInject,
-  kCorruptInject,
-};
-
-const char* to_string(InjectedFault fault);
-
-struct FaultInjection {
-  // Independent per-attempt probabilities, evaluated in this order; the
-  // first that fires wins (so with every probability 1.0 an attempt crashes).
-  double crash = 0.0;
-  double hang = 0.0;
-  double truncate = 0.0;
-  double corrupt = 0.0;
-  std::uint64_t seed = 1;
-  // Inject only into the first `attempt_limit` attempts of each job.  The
-  // default never stops injecting; tests set 1 to mean "first attempt
-  // always faults, retry always recovers".
-  int attempt_limit = INT32_MAX;
-
-  bool any() const { return crash > 0 || hang > 0 || truncate > 0 || corrupt > 0; }
-
-  // The fault (or none) for attempt `attempt` (1-based) of job `job` —
-  // a pure function of (seed, job, attempt).
-  InjectedFault draw(std::uint64_t job, int attempt) const;
-};
-
-// Parse "crash=0.2,hang=0.1,truncate=0.05,corrupt=0.05" (any subset of the
-// four keys, each probability in [0, 1]).  False with *error set on
-// unknown keys or out-of-range values; probabilities not named stay 0.
-bool parse_inject_spec(const std::string& spec, FaultInjection& out, std::string* error);
-
-// Corrupt snapshot bytes in place for the two supervisor-applied faults.
-// Deterministic per (seed, job, attempt); both guarantee the reader
-// rejects the result (truncate cuts the file short of its end marker,
-// corrupt flips a bit inside the end section's CRC trailer).
-void truncate_snapshot_bytes(std::vector<std::uint8_t>& bytes, const FaultInjection& config,
-                             std::uint64_t job, int attempt);
-void corrupt_snapshot_bytes(std::vector<std::uint8_t>& bytes);
 
 // Map a snapshot decode failure onto the worker-fault taxonomy.
 WorkerFault classify_snapshot_error(const snapshot::SnapshotError& error);

@@ -80,8 +80,8 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 // detected at, and what() always names it.  `kind` separates the two ways
 // a snapshot can be bad — cut short (a worker died mid-write; the bytes
 // that exist may be fine) versus malformed (framing/CRC/enum damage in
-// bytes that are all present) — because a supervisor retries and accounts
-// for them as different worker faults (src/orchestrate).
+// bytes that are all present) — because the dispatch coordinator retries
+// and accounts for them as different worker faults (orchestrate/fault.h).
 class SnapshotError : public std::runtime_error {
  public:
   enum class Kind : std::uint8_t {

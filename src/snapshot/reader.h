@@ -45,7 +45,7 @@ Snapshot decode_snapshot(std::span<const std::uint8_t> bytes);
 // metadata, wrong shard count, wrong first/last index, or a gap in the
 // index sequence).  A snapshot that merely *decodes* is not enough to skip
 // work or to accept a worker's result: entrace_shard --resume and the
-// orchestration supervisor both require the file to cover the exact
+// cluster coordinator both require the snapshot to cover the exact
 // requested slice, and this is the single definition of "covers".
 std::string describe_range_mismatch(const Snapshot& snap, const SnapshotMeta& expected,
                                     std::size_t lo, std::size_t hi);

@@ -11,7 +11,7 @@
 // atomically renames it onto `path` after the end marker is flushed.  A
 // worker killed at any point therefore leaves either nothing at the
 // destination name or a complete, validated snapshot — never a
-// destination-named partial that --resume or a supervisor must re-inspect
+// destination-named partial that --resume must re-inspect
 // (the .tmp may survive a hard kill; it is overwritten by the next
 // attempt).  The reader's missing-end-marker rejection stays as the second
 // line of defense for files that arrive by other routes.

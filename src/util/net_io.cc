@@ -58,7 +58,7 @@ int poll_in(int fd, int timeout_ms) {
 
 ScopedFd tcp_listen(std::uint16_t port, std::uint16_t* bound_port, std::string* error,
                     int backlog) {
-  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) {
     if (error != nullptr) *error = std::string("socket() failed: ") + std::strerror(errno);
     return {};
@@ -99,7 +99,7 @@ ScopedFd tcp_connect(const std::string& host, std::uint16_t port, double timeout
     return {};
   }
 
-  ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  ScopedFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
   if (!fd.valid()) {
     if (error != nullptr) *error = std::string("socket() failed: ") + std::strerror(errno);
     return {};

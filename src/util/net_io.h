@@ -18,7 +18,10 @@
 // and listens on loopback (port 0 = kernel-assigned; the returned port is
 // how tests avoid collisions), tcp_connect does a bounded-time connect via
 // the nonblocking + poll idiom so a dead host costs a timeout, not a hang.
-// ScopedFd is the RAII guard that makes every early return leak-free.
+// Both create close-on-exec sockets, so a child the caller spawns (the
+// coordinator's per-attempt local workers) never holds another
+// connection open.  ScopedFd is the RAII guard that makes every early
+// return leak-free.
 #pragma once
 
 #include <cstddef>

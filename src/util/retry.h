@@ -6,7 +6,7 @@
 // retrying job J after its A-th failed attempt is the same on every run and
 // on every machine, which keeps orchestrated runs reproducible — a property
 // the rest of the pipeline (dataset generation, fault injection, shard
-// folds) already guarantees, and which the supervisor's determinism
+// folds) already guarantees, and which the dispatch engine's determinism
 // contract depends on.  Jitter is still real jitter *across jobs*: each
 // (job, attempt) pair draws from its own forked Rng stream, so a fleet of
 // failed workers does not retry in lockstep.

@@ -1,14 +1,17 @@
-// Minimal subprocess supervision: fork/exec a child, poll or wait for its
-// exit status, and kill it when a wall-clock deadline expires.
+// Minimal subprocess ownership: fork/exec a child, poll or wait for its
+// exit status, and kill it without leaking a zombie.
 //
-// This is the process-level analogue of ThreadPool: the orchestration layer
-// (src/orchestrate) dispatches entrace_shard workers through it and needs
-// exactly three things a popen()-style API does not give — non-blocking
-// status polls so one supervisor thread can multiplex N children, the
-// distinction between "exited with code" and "died on signal" (a crashed
-// worker and a deadline kill are different faults), and a kill that cannot
-// leak a zombie.  stdout/stderr are inherited; workers talk to the
-// supervisor through files (.esnap snapshots), not pipes.
+// This is the process-level analogue of ThreadPool.  The cluster
+// coordinator's local slots (cluster/coordinator.h) run every job attempt
+// in a fresh entrace_worker child owned by one of these, scoped to the
+// attempt: whatever way the attempt ends, the destructor SIGKILLs and reaps
+// the child, so none outlives its attempt.  Tests use the same type to
+// drive the real tool binaries.  What a popen()-style API does not give:
+// non-blocking status polls (a child that exits before it publishes its
+// port is noticed at once), the distinction between "exited with code" and
+// "died on signal", and a kill that cannot leak a zombie.  stdout/stderr
+// are inherited; a worker child talks to the coordinator over TCP, not
+// pipes.
 #pragma once
 
 #include <optional>

@@ -11,12 +11,16 @@
 //              fuzz asserts no single-byte corruption ever yields the
 //              original frame sequence silently.
 //
-//   dispatch   run_cluster over loopback workers produces a report
-//              byte-identical to a direct single-process run: clean, per
-//              injected network-fault kind (refuse / disconnect / corrupt
-//              frame / hang), and under a mixed fault schedule — while an
-//              exhausted retry budget degrades to the CoverageManifest +
-//              PARTIAL banner, never a crash or a torn fold.
+//   dispatch   run_cluster produces a report byte-identical to a direct
+//              single-process run: clean, per injected network-fault kind
+//              (refuse / disconnect / corrupt frame / hang), and under a
+//              mixed fault schedule — while an exhausted retry budget
+//              degrades to the CoverageManifest + PARTIAL banner, never a
+//              crash or a torn fold.  Each case runs on both fleet inputs:
+//              in-process worker threads over loopback TCP, and local slots
+//              that spawn an entrace_worker child per attempt, after which
+//              no child may be left behind.  A dead endpoint retires
+//              instead of burning every job's budget.
 //
 //   http       the observability server survives hostile clients: oversized
 //              request lines answer 400, empty connections and mid-request
@@ -28,8 +32,10 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -67,7 +73,7 @@ namespace fs = std::filesystem;
 using cluster::Frame;
 using cluster::FrameDecoder;
 using cluster::MsgType;
-using cluster::NetInjectedFault;
+using cluster::NetFault;
 using cluster::ProtocolError;
 
 // ---- codec: fragmentation invariance ----------------------------------------
@@ -83,7 +89,7 @@ cluster::JobMsg sample_job() {
   job.hi = 11;
   job.threads = 2;
   job.heartbeat_interval_ms = 100;
-  job.injected_fault = static_cast<std::uint8_t>(NetInjectedFault::kDisconnectInject);
+  job.injected_fault = static_cast<std::uint8_t>(NetFault::kDisconnectInject);
   return job;
 }
 
@@ -138,7 +144,7 @@ TEST(ClusterCodecTest, EveryMessageRoundTripsByteAtATime) {
   EXPECT_EQ(job.hi, 11u);
   EXPECT_EQ(job.threads, 2u);
   EXPECT_EQ(job.heartbeat_interval_ms, 100u);
-  EXPECT_EQ(job.injected_fault, static_cast<std::uint8_t>(NetInjectedFault::kDisconnectInject));
+  EXPECT_EQ(job.injected_fault, static_cast<std::uint8_t>(NetFault::kDisconnectInject));
   EXPECT_EQ(cluster::HeartbeatMsg::decode(frames[2]).job_id, 42u);
   const cluster::SnapshotChunkMsg rt = cluster::SnapshotChunkMsg::decode(frames[3]);
   EXPECT_EQ(rt.offset, chunk.offset);
@@ -336,7 +342,7 @@ TEST(ClusterCodecTest, SnapshotSurvivesArbitraryChunkSlicing) {
 // ---- fault harness + endpoint parsing ---------------------------------------
 
 TEST(NetFaultInjectionTest, ParsesSpecStrings) {
-  cluster::NetFaultInjection inject;
+  cluster::NetFaultPlan inject;
   std::string error;
   EXPECT_TRUE(cluster::parse_net_inject_spec("refuse=0.1,disconnect=0.2,corrupt=0.05,hang=0.01",
                                              inject, &error));
@@ -346,7 +352,7 @@ TEST(NetFaultInjectionTest, ParsesSpecStrings) {
   EXPECT_EQ(inject.hang, 0.01);
   EXPECT_TRUE(inject.any());
 
-  cluster::NetFaultInjection bad;
+  cluster::NetFaultPlan bad;
   EXPECT_FALSE(cluster::parse_net_inject_spec("explode=0.5", bad, &error));
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(cluster::parse_net_inject_spec("refuse=1.5", bad, &error));
@@ -355,16 +361,16 @@ TEST(NetFaultInjectionTest, ParsesSpecStrings) {
 }
 
 TEST(NetFaultInjectionTest, DrawIsSeededPerJobAttemptAndBounded) {
-  cluster::NetFaultInjection f;
+  cluster::NetFaultPlan f;
   f.refuse = 1.0;
-  EXPECT_EQ(f.draw(0, 1), NetInjectedFault::kRefuseInject);
-  EXPECT_EQ(f.draw(9, 4), NetInjectedFault::kRefuseInject);
+  EXPECT_EQ(f.draw(0, 1), NetFault::kRefuseInject);
+  EXPECT_EQ(f.draw(9, 4), NetFault::kRefuseInject);
 
   f.attempt_limit = 1;  // only the first attempt of each job faults
-  EXPECT_EQ(f.draw(0, 1), NetInjectedFault::kRefuseInject);
-  EXPECT_EQ(f.draw(0, 2), NetInjectedFault::kNoInject);
+  EXPECT_EQ(f.draw(0, 1), NetFault::kRefuseInject);
+  EXPECT_EQ(f.draw(0, 2), NetFault::kNoInject);
 
-  cluster::NetFaultInjection mixed;
+  cluster::NetFaultPlan mixed;
   mixed.refuse = mixed.disconnect = mixed.corrupt = mixed.hang = 0.25;
   mixed.seed = 42;
   for (std::uint64_t job = 0; job < 16; ++job) {
@@ -375,15 +381,11 @@ TEST(NetFaultInjectionTest, DrawIsSeededPerJobAttemptAndBounded) {
 
 TEST(NetFaultInjectionTest, ExpectedFaultMapsIntoTheWorkerTaxonomy) {
   using orchestrate::WorkerFault;
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kNoInject), WorkerFault::kNone);
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kRefuseInject),
-            WorkerFault::kConnectRefused);
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kDisconnectInject),
-            WorkerFault::kDisconnect);
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kCorruptFrameInject),
-            WorkerFault::kCorruptFrame);
-  EXPECT_EQ(cluster::expected_fault(NetInjectedFault::kHangInject),
-            WorkerFault::kHeartbeatTimeout);
+  EXPECT_EQ(cluster::expected_fault(NetFault::kNoInject), WorkerFault::kNone);
+  EXPECT_EQ(cluster::expected_fault(NetFault::kRefuseInject), WorkerFault::kConnectRefused);
+  EXPECT_EQ(cluster::expected_fault(NetFault::kDisconnectInject), WorkerFault::kDisconnect);
+  EXPECT_EQ(cluster::expected_fault(NetFault::kCorruptFrameInject), WorkerFault::kCorruptFrame);
+  EXPECT_EQ(cluster::expected_fault(NetFault::kHangInject), WorkerFault::kHeartbeatTimeout);
 }
 
 TEST(ClusterConfigTest, ParsesEndpointLists) {
@@ -397,18 +399,44 @@ TEST(ClusterConfigTest, ParsesEndpointLists) {
   EXPECT_FALSE(cluster::parse_endpoints("127.0.0.1", endpoints, &error));
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(cluster::parse_endpoints("127.0.0.1:notaport", endpoints, &error));
+  EXPECT_FALSE(cluster::parse_endpoints("127.0.0.1:70000", endpoints, &error));
+  EXPECT_FALSE(cluster::parse_endpoints("127.0.0.1:0", endpoints, &error));
+  EXPECT_FALSE(cluster::parse_endpoints("127.0.0.1:+80", endpoints, &error));
   EXPECT_FALSE(cluster::parse_endpoints("", endpoints, &error));
+}
+
+// Configuration errors are the only thing run_cluster throws for, and the
+// coordinator judges endpoints with the same parser as parse_endpoints.
+TEST(ClusterConfigTest, RunClusterRejectsBadConfiguration) {
+  cluster::ClusterConfig none;
+  EXPECT_THROW(cluster::run_cluster(none), std::runtime_error);
+
+  for (const char* bad : {"127.0.0.1", "127.0.0.1:70000", "127.0.0.1:0", ":80"}) {
+    cluster::ClusterConfig config;
+    config.endpoints = {bad};
+    EXPECT_THROW(cluster::run_cluster(config), std::runtime_error) << bad;
+  }
+
+  cluster::ClusterConfig missing_binary;
+  missing_binary.local_slots = 2;
+  missing_binary.worker_binary = "/no/such/entrace_worker";
+  EXPECT_THROW(cluster::run_cluster(missing_binary), std::runtime_error);
 }
 
 // ---- cluster dispatch over loopback workers ---------------------------------
 
-// In-process worker fleet: each WorkerServer owns a real loopback socket and
-// runs serve() on its own thread, so sanitizers see both sides of every
-// connection.  The separate WorkerBinaryServesACoordinator test covers the
-// actual entrace_worker executable.
+// The dispatch engine's two fleet inputs.  kThreads: in-process
+// WorkerServers, each owning a real loopback socket and running serve() on
+// its own thread, so sanitizers see both sides of every connection.
+// kChildren: local slots, where every attempt spawns a fresh entrace_worker
+// child that is SIGKILLed and reaped when the attempt ends.  The separate
+// WorkerBinaryServesACoordinator test covers a long-lived worker process.
 class WorkerFleet {
  public:
-  explicit WorkerFleet(std::size_t n) {
+  enum class Kind { kThreads, kChildren };
+
+  WorkerFleet(Kind kind, std::size_t n) : kind_(kind), n_(n) {
+    if (kind == Kind::kChildren) return;
     for (std::size_t i = 0; i < n; ++i) {
       cluster::WorkerConfig config;
       config.name = "w" + std::to_string(i);
@@ -425,13 +453,56 @@ class WorkerFleet {
     for (auto& thread : threads_) thread.join();
   }
 
-  const std::vector<std::string>& endpoints() const { return endpoints_; }
+  // Point `config` at this fleet.
+  void apply(cluster::ClusterConfig& config) const {
+    if (kind_ == Kind::kChildren) {
+      config.local_slots = n_;
+      config.worker_binary = ENTRACE_WORKER_BIN;
+    } else {
+      config.endpoints = endpoints_;
+    }
+  }
+
+  bool children() const { return kind_ == Kind::kChildren; }
+  std::string name() const {
+    return std::to_string(n_) + (children() ? " local children" : " worker threads");
+  }
 
  private:
+  Kind kind_;
+  std::size_t n_;
   std::vector<std::unique_ptr<cluster::WorkerServer>> servers_;
   std::vector<std::string> endpoints_;
   std::vector<std::thread> threads_;
 };
+
+struct FleetShape {
+  WorkerFleet::Kind kind;
+  std::size_t workers;
+};
+constexpr FleetShape kThreads1{WorkerFleet::Kind::kThreads, 1};
+constexpr FleetShape kThreads2{WorkerFleet::Kind::kThreads, 2};
+constexpr FleetShape kChildren1{WorkerFleet::Kind::kChildren, 1};
+constexpr FleetShape kChildren2{WorkerFleet::Kind::kChildren, 2};
+constexpr FleetShape kChildren4{WorkerFleet::Kind::kChildren, 4};
+
+// Every local child was SIGKILLed and reaped when its attempt ended: this
+// process has no child left, running or zombie.
+void expect_no_children() {
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+// A loopback port that was bound once and released: dialling it is a
+// genuine ECONNREFUSED.
+std::string dead_endpoint() {
+  std::uint16_t port = 0;
+  std::string error;
+  const util::ScopedFd probe = util::tcp_listen(0, &port, &error);
+  EXPECT_TRUE(probe.valid()) << error;
+  return "127.0.0.1:" + std::to_string(port);
+}
 
 class ClusterTest : public ::testing::Test {
  protected:
@@ -472,7 +543,7 @@ class ClusterTest : public ::testing::Test {
     cluster::ClusterConfig config;
     config.dataset = "D0";
     config.scale = scale;
-    config.endpoints = fleet.endpoints();
+    fleet.apply(config);
     config.heartbeat_interval = 0.05;
     config.heartbeat_deadline = 10.0;  // generous: only hang tests shorten it
     return config;
@@ -480,66 +551,75 @@ class ClusterTest : public ::testing::Test {
 };
 
 TEST_F(ClusterTest, CleanRunMatchesDirectReport) {
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE(std::to_string(workers) + " workers");
-    WorkerFleet fleet(workers);
+  for (const FleetShape shape : {kThreads1, kThreads2, kChildren1, kChildren4}) {
+    WorkerFleet fleet(shape.kind, shape.workers);
+    SCOPED_TRACE(fleet.name());
     const cluster::ClusterConfig config = base_config(fleet);
     const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
     EXPECT_TRUE(result.complete);
     EXPECT_TRUE(result.manifest.missing.empty());
-    EXPECT_EQ(result.attempts, workers);  // jobs default to one per endpoint
+    EXPECT_EQ(result.retries, 0u);
+    EXPECT_EQ(result.attempts, shape.workers);  // jobs default to one per endpoint
     EXPECT_EQ(orchestrate::render_report(result), direct_report());
+    if (fleet.children()) expect_no_children();
   }
 }
 
 TEST_F(ClusterTest, EveryNetworkFaultKindIsRecoveredByRetry) {
   struct Case {
     const char* name;
-    void (*arm)(cluster::NetFaultInjection&);
+    void (*arm)(cluster::NetFaultPlan&);
     orchestrate::WorkerFault expected;
   };
   const Case cases[] = {
-      {"refuse", [](cluster::NetFaultInjection& f) { f.refuse = 1.0; },
+      {"refuse", [](cluster::NetFaultPlan& f) { f.refuse = 1.0; },
        orchestrate::WorkerFault::kConnectRefused},
-      {"disconnect", [](cluster::NetFaultInjection& f) { f.disconnect = 1.0; },
+      {"disconnect", [](cluster::NetFaultPlan& f) { f.disconnect = 1.0; },
        orchestrate::WorkerFault::kDisconnect},
-      {"corrupt", [](cluster::NetFaultInjection& f) { f.corrupt = 1.0; },
+      {"corrupt", [](cluster::NetFaultPlan& f) { f.corrupt = 1.0; },
        orchestrate::WorkerFault::kCorruptFrame},
-      {"hang", [](cluster::NetFaultInjection& f) { f.hang = 1.0; },
+      {"hang", [](cluster::NetFaultPlan& f) { f.hang = 1.0; },
        orchestrate::WorkerFault::kHeartbeatTimeout},
   };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    WorkerFleet fleet(2);
-    cluster::ClusterConfig config = base_config(fleet, kFaultScale);
-    c.arm(config.inject);
-    config.inject.attempt_limit = 1;  // fault every first attempt, then heal
-    config.heartbeat_deadline = kHangDeadline;
-    config.retry.max_attempts = 3;
-    config.retry.base_delay = 0.01;
-    config.retry.max_delay = 0.05;
+  for (const FleetShape shape : {kThreads2, kChildren2}) {
+    for (const Case& c : cases) {
+      WorkerFleet fleet(shape.kind, shape.workers);
+      SCOPED_TRACE(fleet.name() + ", " + c.name);
+      cluster::ClusterConfig config = base_config(fleet, kFaultScale);
+      c.arm(config.inject);
+      config.inject.attempt_limit = 1;  // fault every first attempt, then heal
+      config.heartbeat_deadline = kHangDeadline;
+      config.retry.max_attempts = 3;
+      config.retry.base_delay = 0.01;
+      config.retry.max_delay = 0.05;
 
-    obs::Registry metrics;
-    config.metrics = &metrics;
-    const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
+      obs::Registry metrics;
+      config.metrics = &metrics;
+      const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
 
-    EXPECT_TRUE(result.complete);
-    EXPECT_EQ(result.fault_counts[c.expected], 2u) << "one injected fault per job";
-    EXPECT_EQ(result.retries, 2u);
-    EXPECT_EQ(orchestrate::render_report(result), direct_fault_report());
+      EXPECT_TRUE(result.complete);
+      EXPECT_EQ(result.fault_counts[c.expected], 2u) << "one injected fault per job";
+      EXPECT_EQ(result.fault_counts.total_faults(), 2u);
+      EXPECT_EQ(result.retries, 2u);
+      for (const orchestrate::JobOutcome& job : result.jobs) EXPECT_EQ(job.attempts, 2);
+      EXPECT_EQ(orchestrate::render_report(result), direct_fault_report());
 
-    std::string metric_name = std::string("cluster.fault.") + orchestrate::to_string(c.expected);
-    std::replace(metric_name.begin(), metric_name.end(), '-', '_');
-    const obs::Metric* counter = metrics.find(metric_name);
-    ASSERT_NE(counter, nullptr) << metric_name;
-    EXPECT_EQ(counter->counter.value(), 2u);
+      std::string metric_name =
+          std::string("cluster.fault.") + orchestrate::to_string(c.expected);
+      std::replace(metric_name.begin(), metric_name.end(), '-', '_');
+      const obs::Metric* counter = metrics.find(metric_name);
+      ASSERT_NE(counter, nullptr) << metric_name;
+      EXPECT_EQ(counter->counter.value(), 2u);
+      // A silent child is killed at the deadline, a disconnected one reaped.
+      if (fleet.children()) expect_no_children();
+    }
   }
 }
 
 TEST_F(ClusterTest, MixedFaultScheduleIsByteIdenticalAcrossWorkerCounts) {
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE(std::to_string(workers) + " workers");
-    WorkerFleet fleet(workers);
+  for (const FleetShape shape : {kThreads1, kThreads2, kChildren1, kChildren4}) {
+    WorkerFleet fleet(shape.kind, shape.workers);
+    SCOPED_TRACE(fleet.name());
     cluster::ClusterConfig config = base_config(fleet, kFaultScale);
     config.jobs = 4;
     config.inject.refuse = config.inject.disconnect = config.inject.corrupt = 0.2;
@@ -553,28 +633,160 @@ TEST_F(ClusterTest, MixedFaultScheduleIsByteIdenticalAcrossWorkerCounts) {
     const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
     EXPECT_TRUE(result.complete);
     EXPECT_EQ(orchestrate::render_report(result), direct_fault_report())
-        << workers << " workers, " << result.retries << " retries, "
-        << result.fault_counts.total_faults() << " faults";
+        << result.retries << " retries, " << result.fault_counts.total_faults() << " faults";
+    if (fleet.children()) expect_no_children();
   }
 }
 
 TEST_F(ClusterTest, ExhaustedBudgetDegradesToAccurateManifest) {
-  WorkerFleet fleet(2);
-  cluster::ClusterConfig config = base_config(fleet, kFaultScale);
-  config.inject.refuse = 1.0;  // every attempt of every job refused, forever
-  config.retry.max_attempts = 2;
-  config.retry.base_delay = 0.01;
-  config.retry.max_delay = 0.02;
+  for (const FleetShape shape : {kThreads2, kChildren2}) {
+    WorkerFleet fleet(shape.kind, shape.workers);
+    SCOPED_TRACE(fleet.name());
+    cluster::ClusterConfig config = base_config(fleet, kFaultScale);
+    config.inject.refuse = 1.0;  // every attempt of every job refused, forever
+    config.retry.max_attempts = 2;
+    config.retry.base_delay = 0.01;
+    config.retry.max_delay = 0.02;
 
+    const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
+    EXPECT_FALSE(result.complete);
+    EXPECT_EQ(result.manifest.missing.size(), trace_count(kFaultScale));
+    EXPECT_EQ(result.shards_folded, 0u);
+    EXPECT_EQ(result.attempts, 4u);  // 2 jobs x max_attempts
+    EXPECT_EQ(result.fault_counts[orchestrate::WorkerFault::kConnectRefused], 4u);
+    for (const orchestrate::JobOutcome& job : result.jobs) {
+      EXPECT_EQ(job.state, orchestrate::JobState::kFailed);
+    }
+
+    const std::string report = orchestrate::render_report(result);
+    EXPECT_NE(report.find("PARTIAL RESULTS"), std::string::npos);
+    EXPECT_NE(report.find("Coverage manifest"), std::string::npos);
+    EXPECT_NE(report.find("report body is omitted"), std::string::npos);
+  }
+}
+
+TEST_F(ClusterTest, PartialManifestNamesExactlyTheFailedJobRanges) {
+  // Find a seed whose 50% refuse schedule fails some jobs and spares others
+  // (draw() is pure, so this scan is deterministic and instant).
+  cluster::NetFaultPlan probe;
+  probe.refuse = 0.5;
+  std::uint64_t seed = 0;
+  for (std::uint64_t s = 1; s < 64 && seed == 0; ++s) {
+    probe.seed = s;
+    int refused = 0;
+    for (std::uint64_t job = 0; job < 4; ++job) {
+      if (probe.draw(job, 1) == NetFault::kRefuseInject) ++refused;
+    }
+    if (refused > 0 && refused < 4) seed = s;
+  }
+  ASSERT_NE(seed, 0u);
+
+  WorkerFleet fleet(kChildren2.kind, kChildren2.workers);
+  cluster::ClusterConfig config = base_config(fleet, kFaultScale);
+  config.jobs = 4;
+  config.retry.max_attempts = 1;
+  config.inject.refuse = 0.5;
+  config.inject.seed = seed;
   const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
   EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.manifest.missing.size(), trace_count(kFaultScale));
-  EXPECT_EQ(result.attempts, 4u);  // 2 jobs x max_attempts
-  EXPECT_EQ(result.fault_counts[orchestrate::WorkerFault::kConnectRefused], 4u);
 
+  std::vector<std::uint32_t> expected_missing;
+  std::size_t covered = 0;
+  for (const orchestrate::JobOutcome& job : result.jobs) {
+    if (job.state == orchestrate::JobState::kFailed) {
+      for (std::size_t t = job.lo; t < job.hi; ++t) {
+        expected_missing.push_back(static_cast<std::uint32_t>(t));
+      }
+    } else {
+      EXPECT_EQ(job.state, orchestrate::JobState::kDone);
+      covered += job.hi - job.lo;
+    }
+  }
+  EXPECT_FALSE(expected_missing.empty());
+  EXPECT_GT(covered, 0u);
+  EXPECT_EQ(result.manifest.missing, expected_missing);
+  EXPECT_EQ(result.shards_folded, covered);
   const std::string report = orchestrate::render_report(result);
-  EXPECT_NE(report.find("PARTIAL RESULTS"), std::string::npos);
-  EXPECT_NE(report.find("Coverage manifest"), std::string::npos);
+  EXPECT_EQ(report.find("!!"), 0u) << "partial report must lead with the banner";
+  expect_no_children();
+}
+
+TEST_F(ClusterTest, RecordsClusterMetrics) {
+  WorkerFleet fleet(kChildren2.kind, kChildren2.workers);
+  obs::Registry metrics;
+  cluster::ClusterConfig config = base_config(fleet, kFaultScale);
+  config.jobs = 2;
+  config.retry.max_attempts = 3;
+  config.retry.base_delay = 0.01;
+  config.inject.refuse = 1.0;
+  config.inject.attempt_limit = 1;
+  config.metrics = &metrics;
+  const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
+  ASSERT_TRUE(result.complete);
+  using obs::MetricClass;
+  EXPECT_EQ(metrics.counter("cluster.attempts", MetricClass::kTiming)->value(), result.attempts);
+  EXPECT_EQ(metrics.counter("cluster.reconnects", MetricClass::kTiming)->value(),
+            result.retries);
+  EXPECT_EQ(metrics.counter("cluster.connects", MetricClass::kTiming)->value(), 2u);
+  EXPECT_EQ(metrics.counter("cluster.jobs.done", MetricClass::kTiming)->value(), 2u);
+  EXPECT_EQ(metrics.counter("cluster.fault.connect_refused", MetricClass::kTiming)->value(), 2u);
+  EXPECT_GT(metrics.counter("cluster.bytes.rx", MetricClass::kTiming)->value(), 0u);
+  EXPECT_GT(metrics.gauge("cluster.backoff.seconds", MetricClass::kTiming)->value(), 0.0);
+  EXPECT_GT(metrics.gauge("stage.cluster.seconds", MetricClass::kTiming)->value(), 0.0);
+  // Injected refusals exercise the retry path; they retire nothing.
+  EXPECT_EQ(metrics.counter("cluster.endpoints.retired", MetricClass::kTiming)->value(), 0u);
+}
+
+// A genuinely dead endpoint retires at its first refusal instead of burning
+// one attempt of every job in turn; the live endpoint finishes the run.
+TEST_F(ClusterTest, DeadEndpointRetiresInsteadOfDrainingBudgets) {
+  WorkerFleet fleet(kThreads1.kind, kThreads1.workers);
+  obs::Registry metrics;
+  cluster::ClusterConfig config = base_config(fleet, kFaultScale);
+  config.endpoints.push_back(dead_endpoint());
+  config.jobs = 8;
+  config.retry.max_attempts = 3;
+  config.retry.base_delay = 0.01;
+  config.retry.max_delay = 0.02;
+  config.metrics = &metrics;
+
+  const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
+  EXPECT_TRUE(result.complete);
+  EXPECT_EQ(result.manifest.covered(), trace_count(kFaultScale));
+  const std::uint64_t refused = result.fault_counts[orchestrate::WorkerFault::kConnectRefused];
+  EXPECT_LE(refused, 1u);
+  EXPECT_EQ(result.fault_counts.total_faults(), refused);
+  EXPECT_EQ(result.attempts, 8u + refused);
+  EXPECT_EQ(metrics.counter("cluster.endpoints.retired", obs::MetricClass::kTiming)->value(),
+            refused);
+  EXPECT_EQ(orchestrate::render_report(result), direct_fault_report());
+}
+
+// With every endpoint dead, the last active one never retires: each job
+// still ends failed through its own budget, and the run degrades to
+// PARTIAL promptly instead of hanging.
+TEST_F(ClusterTest, AllEndpointsDeadDegradesToPartialPromptly) {
+  cluster::ClusterConfig config;
+  config.dataset = "D0";
+  config.scale = kFaultScale;
+  config.endpoints = {dead_endpoint(), dead_endpoint()};
+  config.jobs = 8;
+  config.retry.max_attempts = 3;
+  config.retry.base_delay = 0.01;
+  config.retry.max_delay = 0.02;
+  obs::Registry metrics;
+  config.metrics = &metrics;
+
+  const auto start = std::chrono::steady_clock::now();
+  const orchestrate::OrchestrateResult result = cluster::run_cluster(config);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.manifest.missing.size(), trace_count(kFaultScale));
+  EXPECT_EQ(result.attempts, 8u * 3u);
+  EXPECT_EQ(result.fault_counts[orchestrate::WorkerFault::kConnectRefused], 8u * 3u);
+  EXPECT_EQ(metrics.counter("cluster.endpoints.retired", obs::MetricClass::kTiming)->value(),
+            1u);
+  EXPECT_NE(orchestrate::render_report(result).find("PARTIAL RESULTS"), std::string::npos);
 }
 
 TEST_F(ClusterTest, WorkerBinaryServesACoordinator) {

@@ -1,35 +1,44 @@
-// Fault-tolerant orchestration suite (CTest label "orchestrate", also run
-// under ASan+UBSan via `ctest --preset orchestrate-asan`).
+// Dispatch-support suite (CTest label "orchestrate", also run under
+// ASan+UBSan via `ctest --preset orchestrate-asan`).
 //
-// The layer's contract, pinned down here:
+// The pieces the dispatch engine (src/cluster, pinned by the cluster
+// suite) stands on, and the tools around it:
 //   1. Retry policy: attempt budgets and seeded-jitter exponential backoff
 //      are pure functions of (seed, job, attempt) — unit-tested with a
 //      FakeClock, no sleeping.
-//   2. Supervision: every injected worker fault kind (crash, hang,
-//      truncated snapshot, CRC reject) is classified correctly and
-//      recovered by retry.
-//   3. Determinism: for any fault schedule in which every job eventually
-//      succeeds, the orchestrated report is byte-identical to a direct
-//      single-process run — at 1 worker and at 4.
-//   4. Graceful degradation: an exhausted attempt budget yields a coverage
-//      manifest naming exactly the missing traces, and the run completes
-//      instead of dying.
-//   5. Crash safety: .esnap and metrics files appear atomically (tmp +
+//   2. Subprocess ownership: exit code vs signal, exec failure, timed
+//      waits, and a kill that reaps — what a local slot's per-attempt
+//      worker child relies on.
+//   3. Snapshot fault classification: a truncated image and a corrupted
+//      one map onto distinct worker faults.
+//   4. Crash safety: .esnap and metrics files appear atomically (tmp +
 //      rename); an abandoned writer leaves no final file behind.
+//   5. The tools: entrace_orchestrate end to end (local slots found next to
+//      the binary, the report on stdout under faults, --metrics-out, exit
+//      codes), a --once entrace_worker stops when its spawner dies,
+//      entrace_merge --allow-partial degrades to the coverage manifest, and
+//      entrace_orchestrate / entrace_worker / entrace_shard reject garbage
+//      numeric flags with exit 2.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
 #include "core/report.h"
 #include "obs/exposition.h"
 #include "orchestrate/fault.h"
-#include "orchestrate/supervisor.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
 #include "synth/synth_source.h"
@@ -40,8 +49,6 @@ namespace entrace {
 namespace {
 
 namespace snap = entrace::snapshot;
-using orchestrate::FaultInjection;
-using orchestrate::InjectedFault;
 using orchestrate::WorkerFault;
 
 // ---------------------------------------------------------------- retry --
@@ -131,135 +138,24 @@ TEST(SubprocessTest, WaitForTimesOutWithoutReaping) {
   p.kill_and_wait();
 }
 
-// ------------------------------------------------------ fault injection --
-
-TEST(FaultInjectionTest, ParsesSpecStrings) {
-  FaultInjection f;
-  std::string error;
-  ASSERT_TRUE(orchestrate::parse_inject_spec("crash=0.2,hang=0.1,truncate=0.05,corrupt=1", f,
-                                             &error))
-      << error;
-  EXPECT_DOUBLE_EQ(f.crash, 0.2);
-  EXPECT_DOUBLE_EQ(f.hang, 0.1);
-  EXPECT_DOUBLE_EQ(f.truncate, 0.05);
-  EXPECT_DOUBLE_EQ(f.corrupt, 1.0);
-
-  FaultInjection subset;
-  ASSERT_TRUE(orchestrate::parse_inject_spec("hang=0.5", subset, &error)) << error;
-  EXPECT_DOUBLE_EQ(subset.crash, 0.0);
-  EXPECT_DOUBLE_EQ(subset.hang, 0.5);
-
-  EXPECT_FALSE(orchestrate::parse_inject_spec("explode=0.5", subset, &error));
-  EXPECT_FALSE(orchestrate::parse_inject_spec("crash=1.5", subset, &error));
-  EXPECT_FALSE(orchestrate::parse_inject_spec("crash", subset, &error));
-}
-
-TEST(FaultInjectionTest, DrawIsSeededPerJobAttempt) {
-  FaultInjection f;
-  f.crash = 1.0;
-  EXPECT_EQ(f.draw(0, 1), InjectedFault::kCrashInject);
-  EXPECT_EQ(f.draw(7, 3), InjectedFault::kCrashInject);
-
-  f.attempt_limit = 1;  // only the first attempt of each job faults
-  EXPECT_EQ(f.draw(0, 1), InjectedFault::kCrashInject);
-  EXPECT_EQ(f.draw(0, 2), InjectedFault::kNoInject);
-
-  // A mixed schedule is a pure function of (seed, job, attempt).
-  FaultInjection mixed;
-  mixed.crash = mixed.hang = mixed.truncate = mixed.corrupt = 0.25;
-  mixed.seed = 42;
-  for (std::uint64_t job = 0; job < 8; ++job) {
-    EXPECT_EQ(mixed.draw(job, 1), mixed.draw(job, 1)) << "job " << job;
-  }
-}
-
-// ------------------------------------------------------------- fixtures --
-
-class OrchestrateTest : public ::testing::Test {
- protected:
-  static const EnterpriseModel& model() {
-    static const EnterpriseModel m;
-    return m;
-  }
-  // D0 at a small scale: the byte-identity tests analyze it several times
-  // (once directly, once per orchestrated attempt).
-  static constexpr double kScale = 0.004;
-  // Tests that involve hang injection pay the full attempt deadline per
-  // hang, and that deadline must comfortably exceed an honest worker's
-  // runtime even under ASan on a loaded machine — so they run an even
-  // smaller scale, keeping kHangDeadline short AND safe.
-  static constexpr double kFaultScale = 0.002;
-  static constexpr double kHangDeadline = 10.0;
-
-  static std::size_t trace_count() {
-    static const std::size_t n =
-        SyntheticTraceSourceSet(dataset_by_name("D0", kScale), model()).size();
-    return n;
-  }
-
-  static std::string temp_path(const std::string& name) {
-    return (std::filesystem::temp_directory_path() / name).string();
-  }
-
-  // The single-process reference: same dataset, same fold, same renderer.
-  static std::string direct_report_at(double scale) {
-    const DatasetSpec spec = dataset_by_name("D0", scale);
-    const SyntheticTraceSourceSet sources(spec, model());
-    const AnalyzerConfig config = default_config_for_model(model().site());
-    std::vector<TraceShard> shards = analyze_trace_shards(sources, config, 0, sources.size());
-    DatasetAnalysis analysis = fold_shards(spec.name, std::move(shards), config);
-    const report::ReportInput input{&spec, &analysis};
-    const std::vector<report::ReportInput> inputs{input};
-    return report::full_report(inputs);
-  }
-  static const std::string& direct_report() {
-    static const std::string text = direct_report_at(kScale);
-    return text;
-  }
-  static const std::string& direct_fault_report() {
-    static const std::string text = direct_report_at(kFaultScale);
-    return text;
-  }
-
-  static orchestrate::OrchestratorConfig base_config(const std::string& work_name,
-                                                     double scale = kScale) {
-    orchestrate::OrchestratorConfig config;
-    config.dataset = "D0";
-    config.scale = scale;
-    config.shard_binary = ENTRACE_SHARD_BIN;
-    config.work_dir = temp_path(work_name);
-    config.workers = 2;
-    config.attempt_deadline = 60.0;  // generous: only hang tests shorten it
-    return config;
-  }
-
-  static std::string read_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-  }
-};
+// -------------------------------------------- snapshot fault classification --
 
 // A valid snapshot image to mutilate (one empty shard is enough structure).
 std::vector<std::uint8_t> small_snapshot_image() {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "entrace_orch_img.esnap").string();
-  snap::SnapshotWriter writer(path, {"D0", 0.004, 22});
+  std::ostringstream out(std::ios::binary);
+  snap::SnapshotWriter writer(out, {"D0", 0.004, 22});
   writer.add_shard(0, TraceShard{});
   writer.close();
-  std::ifstream in(path, std::ios::binary);
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-  in.close();
-  std::filesystem::remove(path);
-  return bytes;
+  const std::string image = std::move(out).str();
+  return {image.begin(), image.end()};
 }
 
 TEST(FaultInjectionTest, TruncationClassifiesAsTruncatedSnapshot) {
   std::vector<std::uint8_t> bytes = small_snapshot_image();
-  const std::size_t original = bytes.size();
-  FaultInjection f;
-  orchestrate::truncate_snapshot_bytes(bytes, f, /*job=*/0, /*attempt=*/1);
-  ASSERT_LT(bytes.size(), original);
+  ASSERT_GT(bytes.size(), snap::kHeaderSize + 2);
+  // Cut strictly inside the section stream: wherever the cut lands, the
+  // end marker is gone and the reader reports truncation.
+  bytes.resize(snap::kHeaderSize + (bytes.size() - snap::kHeaderSize) / 2);
   try {
     snap::decode_snapshot(bytes);
     FAIL() << "truncated snapshot must not decode";
@@ -271,7 +167,9 @@ TEST(FaultInjectionTest, TruncationClassifiesAsTruncatedSnapshot) {
 
 TEST(FaultInjectionTest, CorruptionClassifiesAsSnapshotRejected) {
   std::vector<std::uint8_t> bytes = small_snapshot_image();
-  orchestrate::corrupt_snapshot_bytes(bytes);
+  // Flip one bit of the final byte, the end section's CRC trailer: every
+  // byte is still present, so this is a rejection, never truncation.
+  bytes.back() ^= 0x01;
   try {
     snap::decode_snapshot(bytes);
     FAIL() << "corrupted snapshot must not decode";
@@ -324,158 +222,256 @@ TEST(AtomicEmissionTest, MetricsFileLeavesNoTmp) {
   std::filesystem::remove(path);
 }
 
-// ----------------------------------------------------------- supervision --
+// ---------------------------------------------------------------- tools --
 
-TEST_F(OrchestrateTest, CleanRunMatchesDirectReport) {
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    orchestrate::OrchestratorConfig config =
-        base_config("entrace_orch_clean_" + std::to_string(workers));
-    config.workers = workers;
-    const orchestrate::OrchestrateResult result = orchestrate::orchestrate(config);
-    EXPECT_TRUE(result.complete);
-    EXPECT_EQ(result.retries, 0u);
-    EXPECT_EQ(result.attempts, result.jobs.size());
-    EXPECT_EQ(orchestrate::render_report(result), direct_report()) << workers << " workers";
+std::string temp_path(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// Run `argv` with its stdout captured in `out` (stderr discarded).  The
+// exit code, or -1 when it did not exit normally within two minutes.
+int run_tool(const std::vector<std::string>& argv, std::string& out) {
+  const std::string out_path = temp_path("entrace_orch_stdout_" + std::to_string(::getpid()));
+  std::string command;
+  for (const std::string& arg : argv) command += "'" + arg + "' ";
+  command += "> '" + out_path + "' 2>/dev/null";
+  util::Subprocess shell = util::Subprocess::spawn({"/bin/sh", "-c", command});
+  const std::optional<util::ExitStatus> status = shell.wait_for(120.0);
+  out = read_file(out_path);
+  std::filesystem::remove(out_path);
+  return status.has_value() && status->exited ? status->exit_code : -1;
+}
+
+// D0 at a small scale: every run below analyzes it once per attempt.
+constexpr const char* kScale = "0.002";
+
+const std::string& direct_report() {
+  static const std::string text = [] {
+    const EnterpriseModel model;
+    const DatasetSpec spec = dataset_by_name("D0", std::stod(kScale));
+    const SyntheticTraceSourceSet sources(spec, model);
+    const AnalyzerConfig config = default_config_for_model(model.site());
+    std::vector<TraceShard> shards = analyze_trace_shards(sources, config, 0, sources.size());
+    DatasetAnalysis analysis = fold_shards(spec.name, std::move(shards), config);
+    const report::ReportInput input{&spec, &analysis};
+    return report::full_report({&input, 1});
+  }();
+  return text;
+}
+
+// entrace_orchestrate with no --cluster runs local slots, each attempt in
+// an entrace_worker child found next to the tool; the report on stdout is
+// the direct run's.
+TEST(OrchestrateTest, CleanRunMatchesDirectReport) {
+  std::string out;
+  EXPECT_EQ(run_tool({ENTRACE_ORCHESTRATE_BIN, "D0", kScale, "--workers", "2", "--jobs", "4"}, out),
+            0);
+  EXPECT_EQ(out, direct_report());
+}
+
+// Every `name` counter in a --metrics-out JSON file holds its `value`.
+void expect_counters(const std::string& metrics,
+                     const std::vector<std::pair<std::string, int>>& counters) {
+  for (const auto& [name, value] : counters) {
+    EXPECT_NE(metrics.find("\"" + name + "\": {\"class\": \"timing\", \"kind\": \"counter\", " +
+                           "\"value\": " + std::to_string(value) + "}"),
+              std::string::npos)
+        << name << " != " << value;
   }
 }
 
-TEST_F(OrchestrateTest, EveryInjectedFaultKindIsRecoveredByRetry) {
-  struct Case {
-    const char* name;
-    void (*set)(FaultInjection&);
-    WorkerFault expect;
+// --metrics-out carries the run's cluster.* counters: every job's first
+// attempt refused by injection, then retried once.
+TEST(OrchestrateTest, RecordsOrchestrationMetrics) {
+  const std::string metrics_path = temp_path("entrace_orch_metrics_out.json");
+  std::filesystem::remove(metrics_path);
+  std::string out;
+  EXPECT_EQ(run_tool({ENTRACE_ORCHESTRATE_BIN, "D0", kScale, "--workers", "2", "--jobs", "2",
+                      "--inject", "refuse=1", "--inject-attempts", "1", "--backoff", "0.01",
+                      "--metrics-out", metrics_path},
+                     out),
+            0);
+  expect_counters(read_file(metrics_path), {{"cluster.attempts", 4},
+                                            {"cluster.reconnects", 2},
+                                            {"cluster.jobs.done", 2},
+                                            {"cluster.fault.connect_refused", 2},
+                                            {"cluster.endpoints.retired", 0}});
+  std::filesystem::remove(metrics_path);
+}
+
+// How many live processes carry `needle` in their command line.
+int processes_naming(const std::string& needle) {
+  int count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    std::ifstream in(entry.path() / "cmdline", std::ios::binary);
+    const std::string cmdline{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    if (cmdline.find(needle) != std::string::npos) ++count;
+  }
+  return count;
+}
+
+// Each network fault kind on its own, injected through the tool's --inject
+// into every job's first attempt: each job retries once, the report is the
+// direct run's, and the fault lands in its own cluster.fault.* counter.
+// The tool runs with a private TMPDIR, where its per-attempt port files
+// live: nothing may be left there, and no worker child naming it may
+// outlive the run — a hung child is killed at the deadline.
+TEST(OrchestrateTest, EveryInjectedFaultKindIsRecoveredByRetry) {
+  const std::pair<const char*, const char*> kinds[] = {{"refuse", "connect_refused"},
+                                                       {"disconnect", "disconnect"},
+                                                       {"corrupt", "corrupt_frame"},
+                                                       {"hang", "heartbeat_timeout"}};
+  const std::string tmp = temp_path("entrace_orch_kinds_" + std::to_string(::getpid()));
+  const std::string metrics_path = tmp + ".json";
+  for (const auto& [kind, fault] : kinds) {
+    SCOPED_TRACE(kind);
+    std::filesystem::remove_all(tmp);
+    std::filesystem::create_directory(tmp);
+    std::filesystem::remove(metrics_path);
+    std::string out;
+    EXPECT_EQ(run_tool({"/usr/bin/env", "TMPDIR=" + tmp, ENTRACE_ORCHESTRATE_BIN, "D0", kScale,
+                        "--workers", "2", "--jobs", "2", "--inject", std::string(kind) + "=1",
+                        "--inject-attempts", "1", "--backoff", "0.01", "--hb-timeout", "2",
+                        "--metrics-out", metrics_path},
+                       out),
+              0);
+    EXPECT_EQ(out, direct_report());
+    expect_counters(read_file(metrics_path), {{"cluster.attempts", 4},
+                                              {"cluster.reconnects", 2},
+                                              {"cluster.jobs.done", 2},
+                                              {std::string("cluster.fault.") + fault, 2}});
+    EXPECT_TRUE(std::filesystem::is_empty(tmp)) << "port-file directory left behind";
+    EXPECT_EQ(processes_naming(tmp), 0) << "a worker child outlived the run";
+  }
+  std::filesystem::remove_all(tmp);
+  std::filesystem::remove(metrics_path);
+}
+
+// The tool under every network fault kind at once, at 1 and 4 local
+// slots: same bytes as the direct run.  (Seed 4 draws 15 faults over 4
+// jobs, each kind at least once, two hangs among them.  That no worker
+// child outlives its attempt is pinned by the cluster suite.)
+TEST(OrchestrateTest, MixedFaultScheduleIsByteIdenticalAtOneAndFourWorkers) {
+  for (const char* workers : {"1", "4"}) {
+    SCOPED_TRACE(std::string(workers) + " workers");
+    std::string out;
+    EXPECT_EQ(run_tool({ENTRACE_ORCHESTRATE_BIN, "D0", kScale, "--workers", workers, "--jobs", "4",
+                        "--inject", "refuse=0.2,disconnect=0.2,corrupt=0.2,hang=0.1", "--seed",
+                        "4", "--retries", "8", "--backoff", "0.01", "--hb-timeout", "2"},
+                       out),
+              0);
+    EXPECT_EQ(out, direct_report());
+  }
+}
+
+// Every attempt refused: the tool still prints the PARTIAL banner and a
+// manifest naming every trace, and exits 1 — or 0 with --allow-partial.
+TEST(OrchestrateTest, ExhaustedBudgetDegradesToAccurateManifest) {
+  const std::vector<std::string> argv = {ENTRACE_ORCHESTRATE_BIN, "D0", kScale, "--workers", "2",
+                                         "--inject", "refuse=1", "--retries", "1",
+                                         "--backoff", "0.01"};
+  std::string out;
+  EXPECT_EQ(run_tool(argv, out), 1);
+  EXPECT_EQ(out.find("!!"), 0u);
+  EXPECT_NE(out.find("Coverage manifest"), std::string::npos);
+  EXPECT_NE(out.find("0-21"), std::string::npos) << "D0's 22 traces must all be missing";
+
+  std::vector<std::string> allow = argv;
+  allow.push_back("--allow-partial");
+  std::string partial;
+  EXPECT_EQ(run_tool(allow, partial), 0);
+  EXPECT_EQ(partial, out);
+}
+
+// True once `pid` has exited: gone from /proc, or a zombie its new parent
+// has not reaped yet.
+bool process_exited(int pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  if (!std::getline(in, stat)) return true;
+  const std::size_t paren = stat.rfind(')');
+  return paren == std::string::npos || paren + 2 >= stat.size() || stat[paren + 2] == 'Z' ||
+         stat[paren + 2] == 'X';
+}
+
+// A --once worker whose spawner dies before dialling it stops instead of
+// waiting in accept() forever.  The shell spawns the worker, records its
+// pid, and becomes `sleep`, so the worker's parent lives until the kill.
+TEST(OrchestrateTest, OnceWorkerStopsWhenItsSpawnerDies) {
+  const std::string pid_file = temp_path("entrace_orch_once_" + std::to_string(::getpid()));
+  const std::string port_file = pid_file + ".port";
+  std::filesystem::remove(pid_file);
+  std::filesystem::remove(port_file);
+  util::Subprocess spawner = util::Subprocess::spawn(
+      {"/bin/sh", "-c",
+       std::string("'") + ENTRACE_WORKER_BIN + "' --once --port-file '" + port_file +
+           "' & echo $! > '" + pid_file + "'; exec sleep 60"});
+  // The port file appears only after the worker armed its parent-death
+  // signal.
+  for (int i = 0; i < 1000 && !std::filesystem::exists(port_file); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(std::filesystem::exists(port_file));
+  int worker = 0;
+  std::ifstream(pid_file) >> worker;
+  ASSERT_GT(worker, 0);
+
+  spawner.kill_and_wait();
+  bool exited = false;
+  for (int i = 0; i < 1000 && !exited; ++i) {
+    exited = process_exited(worker);
+    if (!exited) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(exited) << "worker " << worker << " outlived its spawner";
+  if (!exited) ::kill(worker, SIGKILL);
+  std::filesystem::remove(pid_file);
+  std::filesystem::remove(port_file);
+}
+
+// Every numeric flag of the dispatch tools is parsed strictly: a bad value
+// is a usage error (exit 2), never a silent default, a wrapped integer, or
+// a port taken modulo 65536.
+TEST(OrchestrateTest, BinariesRejectGarbageNumericFlags) {
+  const std::string esnap = temp_path("entrace_orch_badflags.esnap");
+  std::filesystem::remove(esnap);
+  const std::vector<std::vector<std::string>> bad_invocations = {
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--workers", "abc"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--retries", "-1"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--jobs", "4x"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--shard-threads", "-2"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--inject-attempts", "99999999999"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--backoff", "-0.5"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-timeout", "0"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--seed", "x"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--cluster", "127.0.0.1:70000"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--inject", "crash=0.5"},
+      {ENTRACE_WORKER_BIN, "--once", "--port", "70000"},  // must not bind 70000 % 65536
+      {ENTRACE_WORKER_BIN, "--once", "--port", "abc"},    // must not read as port 0
+      {ENTRACE_WORKER_BIN, "--once", "--port", "-1"},
+      {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--threads", "x"},
+      {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--threads", "-1"},
   };
-  const Case cases[] = {
-      {"crash", [](FaultInjection& f) { f.crash = 1.0; }, WorkerFault::kCrash},
-      {"hang", [](FaultInjection& f) { f.hang = 1.0; }, WorkerFault::kTimeoutKill},
-      {"truncate", [](FaultInjection& f) { f.truncate = 1.0; }, WorkerFault::kTruncatedSnapshot},
-      {"corrupt", [](FaultInjection& f) { f.corrupt = 1.0; }, WorkerFault::kSnapshotRejected},
-  };
-  for (const Case& c : cases) {
-    orchestrate::OrchestratorConfig config =
-        base_config(std::string("entrace_orch_kind_") + c.name, kFaultScale);
-    config.jobs = 2;
-    config.retry.max_attempts = 3;
-    config.retry.base_delay = 0.01;
-    config.inject.attempt_limit = 1;  // first attempt always faults, retry recovers
-    c.set(config.inject);
-    if (c.expect == WorkerFault::kTimeoutKill) config.attempt_deadline = kHangDeadline;
-    const orchestrate::OrchestrateResult result = orchestrate::orchestrate(config);
-    EXPECT_TRUE(result.complete) << c.name;
-    EXPECT_EQ(result.fault_counts[c.expect], 2u) << c.name;
-    EXPECT_EQ(result.fault_counts.total_faults(), 2u) << c.name;
-    for (const orchestrate::JobOutcome& job : result.jobs) {
-      EXPECT_EQ(job.attempts, 2) << c.name;
-    }
-    EXPECT_EQ(orchestrate::render_report(result), direct_fault_report()) << c.name;
+  for (const std::vector<std::string>& argv : bad_invocations) {
+    std::string label;
+    for (const std::string& a : argv) label += a + " ";
+    SCOPED_TRACE(label);
+    util::Subprocess child = util::Subprocess::spawn(argv);
+    const std::optional<util::ExitStatus> status = child.wait_for(30.0);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_TRUE(status->exited);
+    EXPECT_EQ(status->exit_code, 2);  // usage error, not a silent run
   }
-}
-
-TEST_F(OrchestrateTest, MixedFaultScheduleIsByteIdenticalAtOneAndFourWorkers) {
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    orchestrate::OrchestratorConfig config =
-        base_config("entrace_orch_mixed_" + std::to_string(workers), kFaultScale);
-    config.workers = workers;
-    config.jobs = 4;
-    config.retry.max_attempts = 9;
-    config.retry.base_delay = 0.01;
-    config.attempt_deadline = kHangDeadline;
-    config.inject.crash = config.inject.hang = 0.2;
-    config.inject.truncate = config.inject.corrupt = 0.2;
-    config.inject.seed = 9;
-    const orchestrate::OrchestrateResult result = orchestrate::orchestrate(config);
-    ASSERT_TRUE(result.complete) << workers << " workers";
-    EXPECT_EQ(orchestrate::render_report(result), direct_fault_report())
-        << workers << " workers";
-  }
-}
-
-TEST_F(OrchestrateTest, ExhaustedBudgetDegradesToAccurateManifest) {
-  orchestrate::OrchestratorConfig config = base_config("entrace_orch_exhaust");
-  config.jobs = 4;
-  config.retry.max_attempts = 1;  // zero retries
-  config.inject.crash = 1.0;
-  const orchestrate::OrchestrateResult result = orchestrate::orchestrate(config);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.manifest.missing.size(), trace_count());
-  EXPECT_EQ(result.shards_folded, 0u);
-  for (const orchestrate::JobOutcome& job : result.jobs) {
-    EXPECT_EQ(job.state, orchestrate::JobState::kFailed);
-    EXPECT_EQ(job.attempts, 1);
-  }
-  const std::string report = orchestrate::render_report(result);
-  EXPECT_NE(report.find("PARTIAL RESULTS"), std::string::npos);
-  EXPECT_NE(report.find("Coverage manifest"), std::string::npos);
-  EXPECT_NE(report.find("report body is omitted"), std::string::npos);
-}
-
-TEST_F(OrchestrateTest, PartialManifestNamesExactlyTheFailedJobRanges) {
-  // Find a seed whose 50% crash schedule fails some jobs and spares others
-  // (draw() is pure, so this scan is deterministic and instant).
-  FaultInjection probe;
-  probe.crash = 0.5;
-  std::uint64_t seed = 0;
-  for (std::uint64_t s = 1; s < 64 && seed == 0; ++s) {
-    probe.seed = s;
-    int crashed = 0;
-    for (std::uint64_t job = 0; job < 4; ++job) {
-      if (probe.draw(job, 1) == InjectedFault::kCrashInject) ++crashed;
-    }
-    if (crashed > 0 && crashed < 4) seed = s;
-  }
-  ASSERT_NE(seed, 0u);
-
-  orchestrate::OrchestratorConfig config = base_config("entrace_orch_partial");
-  config.jobs = 4;
-  config.retry.max_attempts = 1;
-  config.inject.crash = 0.5;
-  config.inject.seed = seed;
-  const orchestrate::OrchestrateResult result = orchestrate::orchestrate(config);
-  EXPECT_FALSE(result.complete);
-
-  std::vector<std::uint32_t> expected_missing;
-  std::size_t covered = 0;
-  for (const orchestrate::JobOutcome& job : result.jobs) {
-    if (job.state == orchestrate::JobState::kFailed) {
-      for (std::size_t t = job.lo; t < job.hi; ++t) {
-        expected_missing.push_back(static_cast<std::uint32_t>(t));
-      }
-    } else {
-      EXPECT_EQ(job.state, orchestrate::JobState::kDone);
-      covered += job.hi - job.lo;
-    }
-  }
-  EXPECT_FALSE(expected_missing.empty());
-  EXPECT_GT(covered, 0u);
-  EXPECT_EQ(result.manifest.missing, expected_missing);
-  EXPECT_EQ(result.shards_folded, covered);
-  const std::string report = orchestrate::render_report(result);
-  EXPECT_EQ(report.find("!!"), 0u) << "partial report must lead with the banner";
-}
-
-TEST_F(OrchestrateTest, RecordsOrchestrationMetrics) {
-  obs::Registry metrics;
-  orchestrate::OrchestratorConfig config = base_config("entrace_orch_metrics");
-  config.jobs = 2;
-  config.retry.max_attempts = 3;
-  config.retry.base_delay = 0.01;
-  config.inject.crash = 1.0;
-  config.inject.attempt_limit = 1;
-  config.metrics = &metrics;
-  const orchestrate::OrchestrateResult result = orchestrate::orchestrate(config);
-  ASSERT_TRUE(result.complete);
-  using obs::MetricClass;
-  EXPECT_EQ(metrics.counter("orchestrate.attempts", MetricClass::kTiming)->value(),
-            result.attempts);
-  EXPECT_EQ(metrics.counter("orchestrate.retries", MetricClass::kTiming)->value(),
-            result.retries);
-  EXPECT_EQ(metrics.counter("orchestrate.jobs.done", MetricClass::kTiming)->value(), 2u);
-  EXPECT_EQ(metrics.counter("orchestrate.fault.crash", MetricClass::kTiming)->value(), 2u);
-  EXPECT_GT(metrics.gauge("orchestrate.backoff.seconds", MetricClass::kTiming)->value(), 0.0);
+  // No shard invocation above may have gotten far enough to write a file.
+  EXPECT_FALSE(std::filesystem::exists(esnap));
 }
 
 // The merge tool's partial mode, driven through the real binaries.
-TEST_F(OrchestrateTest, MergeAllowPartialAcceptsIncompleteShardSet) {
+TEST(OrchestrateTest, MergeAllowPartialAcceptsIncompleteShardSet) {
   const std::string shard_path = temp_path("entrace_orch_merge_part.esnap");
   const std::string out_path = temp_path("entrace_orch_merge_part.txt");
   {

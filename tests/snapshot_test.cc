@@ -11,6 +11,8 @@
 //      SnapshotError naming the byte offset — never misdecoded.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -49,8 +51,11 @@ class SnapshotTest : public ::testing::Test {
     return {spec().name, 0.004, static_cast<std::uint32_t>(sources().size())};
   }
 
+  // Per process: ctest runs these tests concurrently, one process each, and
+  // a shared name let one test unlink the file another was still writing.
   static std::string temp_path(const std::string& name) {
-    return (std::filesystem::temp_directory_path() / name).string();
+    return (std::filesystem::temp_directory_path() / (std::to_string(::getpid()) + "-" + name))
+        .string();
   }
 
   // Analyze traces [lo, hi) and snapshot them to a file, shard-tool style.

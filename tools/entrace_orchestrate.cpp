@@ -1,47 +1,39 @@
-// entrace_orchestrate: fault-tolerant front end over the entrace_shard /
-// entrace_merge pipeline.
+// entrace_orchestrate: fault-tolerant dispatch front end over the cluster
+// coordinator (src/cluster).
 //
-// Partitions a dataset's traces into jobs, dispatches them to worker
-// subprocesses, and survives the ways workers actually fail: crashes,
-// hangs (deadline-killed), truncated snapshots, CRC rejects, and
-// wrong-range output all land in a retry loop with seeded-jitter
-// exponential backoff (src/orchestrate).  For any fault schedule in which
-// every job eventually succeeds, the report printed here is byte-identical
-// to a direct single-process run.  When a job exhausts its attempt budget
-// the run degrades gracefully instead of dying: with --allow-partial it
-// exits 0 and brands the report PARTIAL with a coverage manifest naming
-// the missing traces.
+// Partitions a dataset's traces into jobs and runs them on entrace_worker
+// processes: --workers N local slots, each attempt in a fresh child that is
+// SIGKILLed and reaped when the attempt ends, and/or --cluster endpoints
+// (long-lived workers, e.g. on other hosts).  Every worker streams its
+// .esnap bytes back in CRC-framed chunks while heartbeating, and the
+// coordinator survives the ways workers actually fail: refused connects,
+// mid-stream disconnects (a crashed child), corrupt frames, silence past
+// the heartbeat deadline, and snapshots that fail validation all land in a
+// retry loop with seeded-jitter exponential backoff.  For any fault
+// schedule in which every job eventually succeeds, the report printed here
+// is byte-identical to a direct single-process run.  When a job exhausts
+// its attempt budget the run degrades gracefully instead of dying: with
+// --allow-partial it exits 0 and brands the report PARTIAL with a coverage
+// manifest naming the missing traces.
 //
-// --inject drives the built-in deterministic fault harness (per-attempt
-// probabilities, seeded per job attempt) — the same knob the orchestrate
-// test suite and bench study use:
+// --inject drives the built-in deterministic network-fault harness
+// (per-attempt probabilities, seeded per job attempt) — the same knob the
+// cluster test suite and bench study use:
 //
-//   $ entrace_orchestrate D0 0.01 --workers 4 --retries 3 ..
-//       --inject crash=0.2,hang=0.05,truncate=0.1,corrupt=0.1 > report.txt
-//
-// --cluster switches from subprocess workers to network workers
-// (src/cluster): jobs are dispatched over TCP to entrace_worker endpoints
-// and the .esnap bytes stream back in CRC-framed chunks, with the same
-// retry/fault/partial semantics.  --cluster-workers spawns N loopback
-// workers locally (tests, bench) and tears them down afterwards:
-//
-//   $ entrace_orchestrate D0 0.01 --cluster-workers 2 ..
-//       --net-inject refuse=0.1,disconnect=0.1 > report.txt
+//   $ entrace_orchestrate D0 0.01 --workers 4 --retries 8 --hb-timeout 2 ..
+//       --inject refuse=0.05,disconnect=0.05,corrupt=0.05,hang=0.05 > report.txt
 //   $ entrace_orchestrate D0 0.01 --cluster 10.0.0.5:7461,10.0.0.6:7461
-#include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/coordinator.h"
 #include "obs/exposition.h"
-#include "orchestrate/supervisor.h"
 #include "util/cli.h"
-#include "util/subprocess.h"
 
 using namespace entrace;
 
@@ -51,34 +43,27 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [D0|D1|D2|D3|D4] [scale]\n"
+      "  [--workers N]         local worker slots, a fresh child per attempt\n"
+      "                        (default 2 without --cluster, else 0)\n"
+      "  [--cluster H:P,...]   also dispatch to these entrace_worker endpoints\n"
       "  [--jobs N]            trace-range partitions (default: one per worker)\n"
-      "  [--workers N]         concurrent worker subprocesses (default 2)\n"
-      "  [--shard-threads N]   --threads per worker (default 1)\n"
+      "  [--shard-threads N]   analysis threads per worker (default 1)\n"
       "  [--retries K]         retries per job after the first attempt (default 2)\n"
-      "  [--deadline S]        per-attempt wall-clock deadline, seconds (default 120)\n"
       "  [--backoff S]         base retry delay, seconds (default 0.05)\n"
       "  [--seed S]            fault-injection + backoff-jitter seed (default 1)\n"
-      "  [--inject SPEC]       crash=P,hang=P,truncate=P,corrupt=P per-attempt faults\n"
+      "  [--inject SPEC]       refuse=P,disconnect=P,corrupt=P,hang=P per-attempt faults\n"
       "  [--inject-attempts N] inject only into each job's first N attempts\n"
+      "  [--hb-interval S]     worker heartbeat cadence, seconds (default 0.1)\n"
+      "  [--hb-timeout S]      silence deadline before a worker is hung (default 5)\n"
       "  [--allow-partial]     exit 0 with a PARTIAL report when jobs exhaust retries\n"
-      "  [--work-dir DIR]      where per-job .esnap files live (default: ./orchestrate.work)\n"
-      "  [--keep-files]        keep the per-job .esnap files after the fold\n"
-      "  [--shard-bin PATH]    entrace_shard binary (default: next to this binary)\n"
-      "  [--metrics-out FILE]  write orchestration metrics (.json or .prom)\n"
-      "  [--verbose]           per-event progress on stderr\n"
-      "cluster mode (network workers instead of subprocesses):\n"
-      "  [--cluster H:P,...]     dispatch to these entrace_worker endpoints\n"
-      "  [--cluster-workers N]   spawn N loopback workers and use them\n"
-      "  [--worker-bin PATH]     entrace_worker binary (default: next to this binary)\n"
-      "  [--net-inject SPEC]     refuse=P,disconnect=P,corrupt=P,hang=P per-attempt faults\n"
-      "  [--net-inject-attempts N] inject only into each job's first N attempts\n"
-      "  [--hb-interval S]       worker heartbeat cadence, seconds (default 0.1)\n"
-      "  [--hb-timeout S]        silence deadline before a worker is hung (default 5)\n",
+      "  [--worker-bin PATH]   entrace_worker binary (default: next to this binary)\n"
+      "  [--metrics-out FILE]  write cluster.* metrics (.json or .prom)\n"
+      "  [--verbose]           per-event progress on stderr\n",
       argv0);
   return 2;
 }
 
-// The worker binaries ship next to this one; fall back to argv[0]'s
+// The worker binary ships next to this one; fall back to argv[0]'s
 // directory when /proc/self/exe is unavailable.
 std::string sibling_binary(const char* argv0, const char* name) {
   std::error_code ec;
@@ -87,136 +72,84 @@ std::string sibling_binary(const char* argv0, const char* name) {
   return (self.parent_path() / name).string();
 }
 
-// Spawn N loopback entrace_worker processes, discover their
-// kernel-assigned ports through --port-file, and return the endpoints.
-// Throws on spawn or discovery failure; `spawned` always holds whatever
-// was launched so the caller's teardown reaps it.
-std::vector<std::string> spawn_loopback_workers(const std::string& worker_bin,
-                                                const std::string& work_dir, std::size_t count,
-                                                bool verbose,
-                                                std::vector<util::Subprocess>& spawned) {
-  std::filesystem::create_directories(work_dir);
-  std::vector<std::string> port_files;
-  for (std::size_t w = 0; w < count; ++w) {
-    const std::string port_file =
-        (std::filesystem::path(work_dir) / ("worker_" + std::to_string(w) + ".port")).string();
-    std::error_code ec;
-    std::filesystem::remove(port_file, ec);
-    std::vector<std::string> argv = {worker_bin, "--port-file", port_file, "--name",
-                                     "w" + std::to_string(w)};
-    if (verbose) argv.push_back("--verbose");
-    spawned.push_back(util::Subprocess::spawn(argv));
-    port_files.push_back(port_file);
-  }
-
-  std::vector<std::string> endpoints;
-  for (std::size_t w = 0; w < count; ++w) {
-    // The port file appears via rename, so a file that exists is complete.
-    for (int tick = 0;; ++tick) {
-      if (std::filesystem::exists(port_files[w])) break;
-      if (!spawned[w].running()) {
-        throw std::runtime_error("worker " + std::to_string(w) + " exited before binding");
-      }
-      if (tick >= 1000) {
-        throw std::runtime_error("worker " + std::to_string(w) + " never published its port");
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    std::FILE* f = std::fopen(port_files[w].c_str(), "r");
-    unsigned port = 0;
-    if (f == nullptr || std::fscanf(f, "%u", &port) != 1 || port == 0 || port > 65535) {
-      if (f != nullptr) std::fclose(f);
-      throw std::runtime_error("bad port file " + port_files[w]);
-    }
-    std::fclose(f);
-    endpoints.push_back("127.0.0.1:" + std::to_string(port));
-  }
-  return endpoints;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  orchestrate::OrchestratorConfig config;
+  cluster::ClusterConfig config;
   config.retry.max_attempts = 3;  // --retries 2
-  config.work_dir = "orchestrate.work";
   bool allow_partial = false;
-  std::string metrics_out;
-  std::string cluster_spec;
-  std::size_t cluster_workers = 0;
-  std::string worker_bin;
-  cluster::NetFaultInjection net_inject;
-  double hb_interval = 0.1, hb_timeout = 5.0;
+  std::string metrics_out, cluster_spec;
+  std::uint64_t workers = 2, retries = 2, seed = 1;
+  bool workers_set = false, parse_error = false;
   std::vector<const char*> positionals;
 
   for (int i = 1; i < argc; ++i) {
-    const auto flag_value = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) != 0) return nullptr;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(usage(argv[0]));
-      }
-      return argv[++i];
+    const auto has_value = [&](const char* flag) {
+      return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
     };
-    if (const char* v = flag_value("--jobs")) {
-      config.jobs = static_cast<std::size_t>(std::atoi(v));
-    } else if (const char* v = flag_value("--workers")) {
-      config.workers = static_cast<std::size_t>(std::atoi(v));
-    } else if (const char* v = flag_value("--shard-threads")) {
-      config.shard_threads = static_cast<std::size_t>(std::atoi(v));
-    } else if (const char* v = flag_value("--retries")) {
-      config.retry.max_attempts = std::atoi(v) + 1;
-    } else if (const char* v = flag_value("--deadline")) {
-      config.attempt_deadline = std::strtod(v, nullptr);
-    } else if (const char* v = flag_value("--backoff")) {
-      config.retry.base_delay = std::strtod(v, nullptr);
-    } else if (const char* v = flag_value("--seed")) {
-      const std::uint64_t seed = std::strtoull(v, nullptr, 10);
+    // Strict flag-value parsing: std::atoi here would run "--workers abc"
+    // as 0 workers and "--retries -1" as a wrapped budget — both silently.
+    const auto uint_value = [&](std::uint64_t& out, std::uint64_t max = INT_MAX) {
+      if (!cli::parse_uint(argv[++i], out) || out > max) {
+        std::fprintf(stderr, "%s: '%s' is not an integer in [0, %llu]\n", argv[i - 1], argv[i],
+                     static_cast<unsigned long long>(max));
+        parse_error = true;
+      }
+    };
+    const auto seconds_value = [&](double& out, bool positive) {
+      if (!cli::parse_nonneg_double(argv[++i], out) || (positive && out <= 0.0)) {
+        std::fprintf(stderr, "%s: '%s' is not a %s number of seconds\n", argv[i - 1], argv[i],
+                     positive ? "positive" : "non-negative");
+        parse_error = true;
+      }
+    };
+    std::uint64_t n = 0;
+    if (has_value("--workers")) {
+      uint_value(workers);
+      workers_set = true;
+    } else if (has_value("--cluster")) {
+      cluster_spec = argv[++i];
+    } else if (has_value("--jobs")) {
+      uint_value(n);
+      config.jobs = static_cast<std::size_t>(n);
+    } else if (has_value("--shard-threads")) {
+      uint_value(n);
+      config.shard_threads = static_cast<std::size_t>(n);
+    } else if (has_value("--retries")) {
+      uint_value(retries, INT_MAX - 1);
+      config.retry.max_attempts = static_cast<int>(retries) + 1;
+    } else if (has_value("--backoff")) {
+      seconds_value(config.retry.base_delay, false);
+    } else if (has_value("--seed")) {
+      uint_value(seed, UINT64_MAX);
       config.inject.seed = seed;
       config.retry.seed = seed;
-      net_inject.seed = seed;
-    } else if (const char* v = flag_value("--cluster")) {
-      cluster_spec = v;
-    } else if (const char* v = flag_value("--cluster-workers")) {
-      cluster_workers = static_cast<std::size_t>(std::atoi(v));
-    } else if (const char* v = flag_value("--worker-bin")) {
-      worker_bin = v;
-    } else if (const char* v = flag_value("--net-inject")) {
+    } else if (has_value("--inject")) {
       std::string error;
-      if (!cluster::parse_net_inject_spec(v, net_inject, &error)) {
-        std::fprintf(stderr, "--net-inject: %s\n", error.c_str());
-        return usage(argv[0]);
+      if (!cluster::parse_net_inject_spec(argv[++i], config.inject, &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        parse_error = true;
       }
-    } else if (const char* v = flag_value("--net-inject-attempts")) {
-      net_inject.attempt_limit = std::atoi(v);
-    } else if (const char* v = flag_value("--hb-interval")) {
-      hb_interval = std::strtod(v, nullptr);
-    } else if (const char* v = flag_value("--hb-timeout")) {
-      hb_timeout = std::strtod(v, nullptr);
-    } else if (const char* v = flag_value("--inject")) {
-      std::string error;
-      if (!orchestrate::parse_inject_spec(v, config.inject, &error)) {
-        std::fprintf(stderr, "--inject: %s\n", error.c_str());
-        return usage(argv[0]);
-      }
-    } else if (const char* v = flag_value("--inject-attempts")) {
-      config.inject.attempt_limit = std::atoi(v);
-    } else if (const char* v = flag_value("--work-dir")) {
-      config.work_dir = v;
-    } else if (const char* v = flag_value("--shard-bin")) {
-      config.shard_binary = v;
-    } else if (const char* v = flag_value("--metrics-out")) {
-      metrics_out = v;
+    } else if (has_value("--inject-attempts")) {
+      uint_value(n);
+      config.inject.attempt_limit = static_cast<int>(n);
+    } else if (has_value("--hb-interval")) {
+      seconds_value(config.heartbeat_interval, true);
+    } else if (has_value("--hb-timeout")) {
+      seconds_value(config.heartbeat_deadline, true);
+    } else if (has_value("--worker-bin")) {
+      config.worker_binary = argv[++i];
+    } else if (has_value("--metrics-out")) {
+      metrics_out = argv[++i];
     } else if (std::strcmp(argv[i], "--allow-partial") == 0) {
       allow_partial = true;
-    } else if (std::strcmp(argv[i], "--keep-files") == 0) {
-      config.keep_files = true;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       config.verbose = true;
     } else {
       positionals.push_back(argv[i]);
     }
   }
+  if (parse_error) return usage(argv[0]);
 
   cli::DatasetArgs dataset{config.dataset, config.scale};
   std::string error;
@@ -227,56 +160,30 @@ int main(int argc, char** argv) {
   }
   config.dataset = dataset.name;
   config.scale = dataset.scale;
-  if (config.shard_binary.empty()) config.shard_binary = sibling_binary(argv[0], "entrace_shard");
+  if (!cluster_spec.empty() && !cluster::parse_endpoints(cluster_spec, config.endpoints, &error)) {
+    std::fprintf(stderr, "--cluster: %s\n", error.c_str());
+    return usage(argv[0]);
+  }
+  config.local_slots = workers_set || cluster_spec.empty() ? static_cast<std::size_t>(workers) : 0;
+  if (config.worker_binary.empty()) {
+    config.worker_binary = sibling_binary(argv[0], "entrace_worker");
+  }
 
   obs::Registry metrics;
   config.metrics = &metrics;
 
-  const bool cluster_mode = !cluster_spec.empty() || cluster_workers > 0;
-  const char* mode = cluster_mode ? "cluster" : "orchestrate";
   orchestrate::OrchestrateResult result;
-  std::vector<util::Subprocess> spawned;
   try {
-    if (cluster_mode) {
-      cluster::ClusterConfig cc;
-      cc.dataset = config.dataset;
-      cc.scale = config.scale;
-      cc.jobs = config.jobs;
-      cc.shard_threads = config.shard_threads;
-      cc.retry = config.retry;
-      cc.inject = net_inject;
-      cc.heartbeat_interval = hb_interval;
-      cc.heartbeat_deadline = hb_timeout;
-      cc.metrics = &metrics;
-      cc.verbose = config.verbose;
-      if (!cluster_spec.empty()) {
-        std::string eperr;
-        if (!cluster::parse_endpoints(cluster_spec, cc.endpoints, &eperr)) {
-          std::fprintf(stderr, "--cluster: %s\n", eperr.c_str());
-          return usage(argv[0]);
-        }
-      }
-      if (cluster_workers > 0) {
-        if (worker_bin.empty()) worker_bin = sibling_binary(argv[0], "entrace_worker");
-        const std::vector<std::string> local = spawn_loopback_workers(
-            worker_bin, config.work_dir, cluster_workers, config.verbose, spawned);
-        cc.endpoints.insert(cc.endpoints.end(), local.begin(), local.end());
-      }
-      result = cluster::run_cluster(cc);
-      for (util::Subprocess& worker : spawned) worker.kill_and_wait();
-    } else {
-      result = orchestrate::orchestrate(config);
-    }
+    result = cluster::run_cluster(config);
   } catch (const std::exception& e) {
-    for (util::Subprocess& worker : spawned) worker.kill_and_wait();
-    std::fprintf(stderr, "%s: %s\n", mode, e.what());
+    std::fprintf(stderr, "orchestrate: %s\n", e.what());
     return 2;
   }
 
   std::fprintf(stderr,
-               "%s: %zu jobs, %llu attempts (%llu retries), %llu faults; "
+               "orchestrate: %zu jobs, %llu attempts (%llu retries), %llu faults; "
                "%zu of %u traces covered\n",
-               mode, result.jobs.size(), static_cast<unsigned long long>(result.attempts),
+               result.jobs.size(), static_cast<unsigned long long>(result.attempts),
                static_cast<unsigned long long>(result.retries),
                static_cast<unsigned long long>(result.fault_counts.total_faults()),
                result.manifest.covered(), result.manifest.trace_count);
@@ -296,7 +203,7 @@ int main(int argc, char** argv) {
 
   if (!result.complete && !allow_partial) {
     std::fprintf(stderr,
-                 "%s: incomplete run (missing traces %s) and --allow-partial not set\n", mode,
+                 "orchestrate: incomplete run (missing traces %s) and --allow-partial not set\n",
                  result.manifest.missing_ranges().c_str());
     return 1;
   }
