@@ -22,7 +22,8 @@
 //      threads against the seed's two-pass double-decode baseline.
 //
 // All of these write into BENCH_pipeline.json (the scaling study holds the
-// pen).  Pass --scaling-only to skip the google-benchmark suite,
+// pen).  --smoke runs only a tiny harness self-check (run_smoke).  Pass
+// --scaling-only to skip the google-benchmark suite,
 // --snapshot-only to stop after the snapshot study, --memory-only to stop
 // right after the memory study.  Knobs: ENTRACE_MEM_SCALE (D1 scale for
 // the memory study), ENTRACE_MEM_SLICES (regeneration slices),
@@ -649,90 +650,41 @@ void run_telemetry_overhead() {
               static_cast<unsigned long long>(packets));
 }
 
-// ---- batch-vs-scalar study --------------------------------------------------
+// ---- harness smoke -----------------------------------------------------------
 
-// One interleaved batch-vs-scalar measurement: analyze_dataset with
-// config.batch_size <= 1 (the scalar reference loop) against the batched
-// pipeline at several batch sizes, alternating configurations within every
-// repetition so load drift hits all of them equally.  Stage attribution
-// comes from the analyzer's own obs::stage_timer recordings
-// (stage.batch.{source,decode,tally,flow}.seconds, folded across shards).
-struct BatchRun {
-  std::size_t batch_size = 0;
-  double seconds = 0.0;
-  double pps = 0.0;
-  double source_s = 0.0, decode_s = 0.0, tally_s = 0.0, flow_s = 0.0;
-};
-
-struct BatchStudy {
-  double scale = 0.0;
-  int reps = 0;
-  std::uint64_t packets = 0;
-  BatchRun scalar;
-  std::vector<BatchRun> sweep;
-  bool ok = false;
-};
-
-BatchStudy g_batch_study;  // picked up by the JSON writer
-
-double stage_gauge(const obs::Registry& reg, const char* name) {
-  const obs::Metric* m = reg.find(name);
-  return m != nullptr && m->kind == obs::MetricKind::kGauge ? m->gauge.value() : 0.0;
-}
-
-void run_batch_study(double scale, int reps) {
+// --smoke (CTest label "bench-smoke") keeps the harness from rotting: one
+// tiny analyze_dataset over D3 that checks the packet count and the stage
+// timers the studies read (stage.batch.{source,decode,tally,flow}), without
+// writing BENCH_pipeline.json.
+bool run_smoke() {
   EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D3", scale);
-  const TraceSet set = generate_dataset(spec, model);
+  const TraceSet set = generate_dataset(dataset_by_name("D3", 0.002), model);
+  const DatasetAnalysis a = analyze_dataset(set, default_config_for_model(model.site()));
   const std::uint64_t packets = set.total_packets();
-  AnalyzerConfig config = default_config_for_model(model.site());
-  config.threads = 1;
-
-  std::vector<std::size_t> sizes = {1, 16, 64, 256, 1024};
-  std::vector<BatchRun> runs(sizes.size());
-  for (std::size_t i = 0; i < sizes.size(); ++i) runs[i].batch_size = sizes[i];
-
-  std::printf("---- batch vs scalar (D3, scale %.3f, %llu packets, interleaved best of %d) ----\n",
-              scale, static_cast<unsigned long long>(packets), reps);
-  // Interleave: every rep visits every configuration once before any
-  // configuration repeats, so a slow machine moment cannot flatter one side.
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      config.batch_size = sizes[i];
-      const auto start = std::chrono::steady_clock::now();
-      const DatasetAnalysis a = analyze_dataset(set, config);
-      const double s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      benchmark::DoNotOptimize(a.total_packets);
-      if (r == 0 || s < runs[i].seconds) {
-        runs[i].seconds = s;
-        runs[i].source_s = stage_gauge(a.metrics, "stage.batch.source.seconds");
-        runs[i].decode_s = stage_gauge(a.metrics, "stage.batch.decode.seconds");
-        runs[i].tally_s = stage_gauge(a.metrics, "stage.batch.tally.seconds");
-        runs[i].flow_s = stage_gauge(a.metrics, "stage.batch.flow.seconds");
-      }
+  if (packets == 0 || a.quality.packets_seen != packets) {
+    std::fprintf(stderr, "smoke: analyzed %llu of %llu packets\n",
+                 static_cast<unsigned long long>(a.quality.packets_seen),
+                 static_cast<unsigned long long>(packets));
+    return false;
+  }
+  const auto counter = [&a](const std::string& name) -> std::uint64_t {
+    const obs::Metric* m = a.metrics.find(name);
+    return m != nullptr && m->kind == obs::MetricKind::kCounter ? m->counter.value() : 0;
+  };
+  for (const char* stage : {"source", "decode", "tally", "flow"}) {
+    if (counter(std::string("stage.batch.") + stage + ".runs") == 0) {
+      std::fprintf(stderr, "smoke: stage.batch.%s was not timed\n", stage);
+      return false;
     }
   }
-  for (BatchRun& r : runs) {
-    r.pps = r.seconds > 0 ? static_cast<double>(packets) / r.seconds : 0.0;
+  if (counter("stage.batch.decode.items") != packets) {
+    std::fprintf(stderr, "smoke: stage.batch.decode counted %llu of %llu packets\n",
+                 static_cast<unsigned long long>(counter("stage.batch.decode.items")),
+                 static_cast<unsigned long long>(packets));
+    return false;
   }
-
-  g_batch_study.scale = scale;
-  g_batch_study.reps = reps;
-  g_batch_study.packets = packets;
-  g_batch_study.scalar = runs.front();
-  g_batch_study.sweep.assign(runs.begin() + 1, runs.end());
-  g_batch_study.ok = true;
-
-  std::printf("  %-12s %8.3fs  %12.0f pps  (scalar reference loop)\n", "scalar",
-              runs.front().seconds, runs.front().pps);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    const BatchRun& r = runs[i];
-    std::printf(
-        "  batch@%-6zu %8.3fs  %12.0f pps  (%.2fx vs scalar; stages src %.3f dec %.3f tly %.3f flw %.3f)\n",
-        r.batch_size, r.seconds, r.pps, runs.front().seconds / r.seconds, r.source_s,
-        r.decode_s, r.tally_s, r.flow_s);
-  }
+  std::printf("smoke ok: %llu packets\n", static_cast<unsigned long long>(packets));
+  return true;
 }
 
 // ---- orchestration study ----------------------------------------------------
@@ -1030,8 +982,8 @@ void run_daemon_study() {
   std::printf(
       "---- daemon steady state (D3, scale %.3f, %llu packets, interleaved best of %d) ----\n",
       scale, static_cast<unsigned long long>(packets), reps);
-  // Interleave reps across window configurations, same rationale as the
-  // batch study: load drift must not land entirely on one configuration.
+  // Interleave reps across window configurations: load drift must not land
+  // entirely on one configuration.
   for (int r = 0; r < reps; ++r) {
     for (DaemonRun& out : runs) {
       std::filesystem::remove_all(dir);
@@ -1350,33 +1302,6 @@ void run_pipeline_scaling() {
     }
     std::fprintf(json, "  ],\n");
     std::fprintf(json, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
-    // Batch-vs-scalar study (see run_batch_study): interleaved reps, stage
-    // seconds from the analyzer's obs::stage_timer.
-    if (g_batch_study.ok) {
-      std::fprintf(json,
-                   "  \"batch\": {\n    \"dataset\": \"D3\",\n    \"scale\": %.4f,\n"
-                   "    \"reps\": %d,\n    \"interleaved\": true,\n    \"packets\": %llu,\n",
-                   g_batch_study.scale, g_batch_study.reps,
-                   static_cast<unsigned long long>(g_batch_study.packets));
-      std::fprintf(json,
-                   "    \"scalar\": {\"batch_size\": 1, \"seconds\": %.6f, \"pps\": %.1f},\n",
-                   g_batch_study.scalar.seconds, g_batch_study.scalar.pps);
-      std::fprintf(json, "    \"sweep\": [\n");
-      for (std::size_t i = 0; i < g_batch_study.sweep.size(); ++i) {
-        const BatchRun& r = g_batch_study.sweep[i];
-        std::fprintf(json,
-                     "      {\"batch_size\": %zu, \"seconds\": %.6f, \"pps\": %.1f, "
-                     "\"speedup_vs_scalar\": %.3f, \"stages\": {\"source\": %.6f, "
-                     "\"decode\": %.6f, \"tally\": %.6f, \"flow\": %.6f}}%s\n",
-                     r.batch_size, r.seconds, r.pps,
-                     g_batch_study.scalar.seconds > 0 && r.seconds > 0
-                         ? g_batch_study.scalar.seconds / r.seconds
-                         : 0.0,
-                     r.source_s, r.decode_s, r.tally_s, r.flow_s,
-                     i + 1 < g_batch_study.sweep.size() ? "," : "");
-      }
-      std::fprintf(json, "    ]\n  },\n");
-    }
     // Peak-RSS study results (see run_memory_study; empty on platforms
     // without fork/getrusage).
     std::fprintf(json, "  \"memory\": [\n");
@@ -1537,20 +1462,7 @@ void run_pipeline_scaling() {
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      // Harness self-test (CTest label "bench-smoke"): a tiny interleaved
-      // batch-vs-scalar pass that exercises generation, the scalar
-      // reference loop, the batched pipeline, and the stage timers without
-      // writing BENCH_pipeline.json (only run_pipeline_scaling holds the
-      // JSON pen, and it does not run in smoke mode).
-      entrace::run_batch_study(0.002, 1);
-      if (!entrace::g_batch_study.ok || entrace::g_batch_study.packets == 0) {
-        std::fprintf(stderr, "smoke: batch study produced no packets\n");
-        return 1;
-      }
-      std::printf("smoke ok\n");
-      return 0;
-    }
+    if (std::strcmp(argv[i], "--smoke") == 0) return entrace::run_smoke() ? 0 : 1;
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--cluster-only") == 0) {
@@ -1572,8 +1484,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--snapshot-only") == 0) return 0;
   }
   entrace::run_telemetry_overhead();
-  entrace::run_batch_study(entrace::benchutil::env_scale(),
-                           entrace::cli::env_int("ENTRACE_BENCH_REPS", 3));
   // Spawns worker children via fork+exec (async-signal-safe), so unlike
   // the studies above it is fine to run after threads have existed.
   entrace::run_orchestrate_study();

@@ -1,8 +1,9 @@
 // trace_inspector: a conn.log-style tool over pcap files — stream a capture
 // (or generate a demo one), print per-connection summaries and per-app
 // tallies.  Demonstrates using the library on externally captured traces:
-// the file is analyzed straight off disk through PcapFileSource, one packet
-// in memory at a time, so captures far bigger than RAM inspect fine.
+// the file is analyzed straight off disk through PcapFileSource, one batch
+// of records in memory at a time, so captures far bigger than RAM inspect
+// fine.
 //
 //   $ ./trace_inspector file.pcap          # inspect an existing pcap
 //   $ ./trace_inspector --demo out.pcap    # write + inspect a demo capture

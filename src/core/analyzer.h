@@ -16,8 +16,9 @@
 // The datasets are sets of independently captured per-subnet traces, so
 // the pipeline shards at trace granularity: each thread-pool job opens its
 // own source and runs the whole decode -> tallies -> scanner-observation
-// -> flow -> application chain as one fused pass (a single decode per
-// packet) with private state, and the shards fold on the caller's thread
+// -> flow -> application chain as one fused pass over zero-copy batches
+// (a single decode per packet; there is no scalar packet-at-a-time path)
+// with private state, and the shards fold on the caller's thread
 // in trace-index order — results are bit-identical for every thread count
 // and for every source kind that yields the same packet stream.  Scanner
 // *identification* needs the global cross-trace view, so the
@@ -67,13 +68,14 @@ struct AnalyzerConfig {
   // Off disables all collection (no registry lookups, no histogram on the
   // hot loop) — the toggle the bench overhead study flips.
   bool collect_metrics = true;
-  // Packets pulled, decoded, tallied and flow-processed per batch.  Results
-  // are byte-identical for every value: the stage loops only regroup work
-  // that is order-independent across stages (tallies are additive, flow
-  // processing preserves packet order).  <= 1 selects the scalar
-  // packet-at-a-time loop, kept as the equivalence reference.
-  std::size_t batch_size = 256;
 };
+
+// Packets pulled per next_batch() call by analyze_trace and the daemon's
+// ingest loop.  Results depend neither on it nor on where a source cuts a
+// short batch: the stage loops only regroup work that is order-independent
+// across stages (tallies are additive, flow processing preserves packet
+// order).  The golden digests (tests/golden/reports.txt) pin the results.
+inline constexpr std::size_t kBatchSize = 256;
 
 // IP packets tallied by transport protocol number.  A flat 256-entry array
 // instead of a std::map: the increment sits in the per-packet hot loop and
@@ -202,9 +204,9 @@ struct TraceShard {
   obs::Registry metrics;
 };
 
-// One fused streaming pass over a trace source: pull -> decode -> tallies
-// -> scanner observation -> flow table -> protocol dispatch, with a single
-// decode_packet call per packet.  Fills `shard` (which must be fresh).
+// One fused streaming pass over a trace source: batched pull -> decode ->
+// tallies -> scanner observation -> flow table -> protocol dispatch, with a
+// single decode per packet.  Fills `shard` (which must be fresh).
 void analyze_trace(PacketSource& source, const AnalyzerConfig& config, TraceShard& shard);
 
 // Analyze traces [begin, end) of the set — one shard per trace, in trace-

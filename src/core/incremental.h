@@ -35,9 +35,10 @@
 // registry.
 //
 // analyze_trace() in core/analyzer.cc is now a thin wrapper: one
-// TraceStream fed to exhaustion and finished in place (finish_batch moves
-// state out without the windowed copy step), so batch and windowed runs
-// share one engine and cannot drift.
+// TraceStream fed batches to exhaustion and finished in place
+// (finish_batch moves state out without the windowed copy step), so batch
+// and windowed runs share one engine and one packet path, feed(), and
+// cannot drift.
 #pragma once
 
 #include <array>
@@ -138,13 +139,9 @@ class TraceStream {
   TraceStream(const TraceStream&) = delete;
   TraceStream& operator=(const TraceStream&) = delete;
 
-  // Batched hot path: decode -> tally -> flow staged loops over the views
+  // The packet path: decode -> tally -> flow staged loops over the views
   // (which must stay valid for the duration of the call only).
   void feed(const PacketView* views, std::size_t n);
-
-  // Scalar reference path — one decode_packet per packet, kept verbatim
-  // from the original analyze_trace as the equivalence oracle.
-  void feed_packet(const RawPacket& pkt);
 
   // ---- windowed operation ---------------------------------------------------
   // Harvest the current window as a self-contained TraceShard delta and
@@ -173,8 +170,6 @@ class TraceStream {
   void finish_batch(PacketSource& source, TraceShard& shard, double source_seconds,
                     std::uint64_t source_batches);
 
-  double last_ts() const { return last_ts_; }
-  std::uint64_t packets_seen() const { return totals_.quality.packets_seen + quality_.packets_seen; }
   std::size_t live_entries() const { return table_->live_entries(); }
   const FlowStats& flow_stats() const { return table_->stats(); }
 
@@ -200,7 +195,6 @@ class TraceStream {
   detail::HostSeenCache host_cache_;
   detail::PairSeenCache pair_cache_;
   TraceTotals totals_;     // cumulative (excludes the current window until rotate)
-  double last_ts_ = 0.0;
 
   // Window-fresh accumulators.
   std::uint64_t win_packets_ = 0;
@@ -222,7 +216,6 @@ class TraceStream {
 
   // Stage timing (timing class; recorded at finish).
   double decode_s_ = 0.0, tally_s_ = 0.0, flow_s_ = 0.0;
-  bool used_batch_ = false;  // any feed() ran => record batch.* stages
 };
 
 // One completed window across every trace of the stream set.
@@ -281,7 +274,6 @@ class IncrementalAnalyzer {
   std::uint64_t evicted_total() const;
 
  private:
-  AnalyzerConfig config_;
   IncrementalOptions options_;
   std::vector<std::unique_ptr<TraceStream>> streams_;
   std::vector<std::vector<PacketView>> buffers_;  // per-trace demux, reused

@@ -11,7 +11,8 @@ namespace {
 
 // Sanity cap on caplen: no sane Ethernet capture has records this large, so
 // a bigger value means the record header itself is garbage and the stream
-// position can no longer be trusted.
+// position can no longer be trusted.  Also libpcap's MAXIMUM_SNAPLEN, the
+// snaplen it substitutes for a bogus one (0 or above the cap).
 constexpr std::uint32_t kMaxCapLen = 256 * 1024;
 
 std::string hex32(std::uint32_t v) {
@@ -65,7 +66,13 @@ std::string PcapReader::init(const std::string& path) {
            ")";
   }
   snaplen_ = read_u32(hdr.data() + 16);
+  if (snaplen_ == 0 || snaplen_ > kMaxCapLen) snaplen_ = kMaxCapLen;
   link_type_ = read_u32(hdr.data() + 20);
+  if (link_type_ != pcapfmt::kLinkTypeEthernet) {
+    return "PcapReader: unsupported link type " + std::to_string(link_type_) +
+           " at offset 20 in " + path + " (expected " +
+           std::to_string(pcapfmt::kLinkTypeEthernet) + ", Ethernet)";
+  }
   offset_ = hdr.size();
   return "";
 }
@@ -113,6 +120,9 @@ std::optional<RawPacket> PcapReader::next() {
     // Salvage the partial capture; downstream sees it as extra truncation.
     pkt.data.resize(body_got);
   }
+  // Bytes past the header's snaplen are not part of the capture, whoever
+  // reads the file (Trace::load or PcapFileSource).
+  if (pkt.data.size() > snaplen_) pkt.data.resize(snaplen_);
   return pkt;
 }
 

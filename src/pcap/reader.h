@@ -9,7 +9,10 @@
 //    cut off by EOF is salvaged (the partial bytes are returned as a
 //    snap-style truncated capture) and counted in anomalies().
 // In both modes every corrupt-record condition is classified into
-// anomalies() so callers can account for what the file actually contained.
+// anomalies() so callers can account for what the file actually contained,
+// and next() clips every record to the global header's snaplen (a snaplen
+// of 0 reads as 262,144, libpcap's rule for a bogus one).  Only Ethernet
+// captures (link type 1) are accepted.
 #pragma once
 
 #include <cstdio>
@@ -25,8 +28,8 @@ namespace entrace {
 class PcapReader {
  public:
   // Throws std::runtime_error on open failure or a bad global header.
-  // Error messages name the file, the byte offset, and (for bad magic) the
-  // observed magic value.
+  // Error messages name the file, the byte offset, and (for bad magic or
+  // a non-Ethernet link type) the observed value.
   explicit PcapReader(const std::string& path);
   ~PcapReader();
 

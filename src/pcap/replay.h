@@ -33,12 +33,6 @@ class PacedReplaySource final : public PacketSource {
   double slept_seconds() const { return slept_; }
 
  protected:
-  const RawPacket* pull() override {
-    const RawPacket* pkt = inner_->next();
-    if (pkt != nullptr) pace_to(pkt->ts);
-    return pkt;
-  }
-
   std::size_t pull_batch(PacketView* out, std::size_t n) override {
     const std::size_t got = inner_->next_batch(out, n);
     if (got != 0) pace_to(out[got - 1].ts);

@@ -476,13 +476,6 @@ void RetentionManager::recover_scan() {
   age_tier0(scrap);
 }
 
-std::vector<std::string> RetentionManager::tier0_paths() const {
-  std::vector<std::string> paths;
-  paths.reserve(tier0_.size());
-  for (const Tier0Entry& e : tier0_) paths.push_back(e.path);
-  return paths;
-}
-
 std::vector<std::string> RetentionManager::report_paths() {
   if (fold_thread_.joinable()) {
     AgeResult scrap;

@@ -161,9 +161,6 @@ class RetentionManager {
 
   std::size_t tier0_count() const { return tier0_.size(); }
 
-  // Paths of the retained tier-0 checkpoints, oldest first.
-  std::vector<std::string> tier0_paths() const;
-
   // All retained .esnap files in window-chronological order: tier-2
   // sketches, tier-1 sketches, aged-but-unfolded windows, then tier-0.
   // Feeding this list to render_windowed_report folds the *entire* retained

@@ -85,10 +85,9 @@ class DaemonTest : public ::testing::Test {
     static const TraceSet traces = generate_dataset(small_spec(), model());
     return traces;
   }
-  static AnalyzerConfig config(std::size_t threads, std::size_t batch_size) {
+  static AnalyzerConfig config(std::size_t threads) {
     AnalyzerConfig c = default_config_for_model(model().site());
     c.threads = threads;
-    c.batch_size = batch_size;
     return c;
   }
   static std::string report_of(const DatasetAnalysis& analysis) {
@@ -100,7 +99,7 @@ class DaemonTest : public ::testing::Test {
   // The equivalence reference: one-shot batch run over the same packets.
   static const std::string& batch_report() {
     static const std::string r =
-        report_of(analyze_dataset(materialized(), config(1, 256)));
+        report_of(analyze_dataset(materialized(), config(1)));
     return r;
   }
   // Wall span of the merged timeline (window widths derive from it so the
@@ -133,7 +132,7 @@ class DaemonTest : public ::testing::Test {
     for (std::size_t i = 0; i < stream.source_count(); ++i) {
       metas.push_back(stream.source(i).meta());
     }
-    const AnalyzerConfig cfg = config(1, 256);
+    const AnalyzerConfig cfg = config(1);
     IncrementalOptions opts;
     opts.window_seconds = window_seconds;
     IncrementalAnalyzer analyzer(std::move(metas), cfg, opts);
@@ -208,7 +207,7 @@ TEST_F(DaemonTest, WindowCheckpointRoundTripFoldsToBatchReport) {
 // count surfaces as the flow.drained semantic counter and must agree between
 // the batch path and the windowed path (both drain exactly once, at finish).
 TEST_F(DaemonTest, DrainClassifiesOpenFlowsAtEndOfStream) {
-  const DatasetAnalysis batch = analyze_dataset(materialized(), config(1, 256));
+  const DatasetAnalysis batch = analyze_dataset(materialized(), config(1));
   const obs::Metric* drained = batch.metrics.find("flow.drained");
   ASSERT_NE(drained, nullptr);
   EXPECT_GT(drained->counter.value(), 0u);
@@ -639,7 +638,7 @@ TEST_F(DaemonTest, DaemonBinaryRejectsGarbageNumericFlags) {
       {"--retain", "-1"},          // sign must not wrap to SIZE_MAX
       {"--retain", "x"},           // garbage must not read as 0
       {"--retain", "4x"},          // trailing garbage rejected too
-      {"--batch", "-2"},
+      {"--batch", "256"},          // a removed flag is a usage error too
       {"--window", "abc"},
       {"--sketch-every", "1"},     // 0 (off) or >= 2; a 1-wide fold is a no-op
       {"--retain", "0", "--sketch-every", "0"},  // would retain no history at all
@@ -677,7 +676,7 @@ TEST_F(DaemonTest, SoakEvictReclaimRetentionStaysBounded) {
   for (std::size_t i = 0; i < stream.source_count(); ++i) {
     metas.push_back(stream.source(i).meta());
   }
-  const AnalyzerConfig cfg = config(2, 256);
+  const AnalyzerConfig cfg = config(2);
   IncrementalOptions opts;
   opts.window_seconds = merged_span() / 64.0;
   opts.evict = true;

@@ -20,13 +20,19 @@
 // A deliberate behaviour change updates the golden file: on a mismatch the
 // test writes the new report and metrics to temp files (for diffing) and
 // prints the replacement line.  CHANGES.md must say why the line moved.
+//
+// The suite also pins the one packet path's regrouping contract: however a
+// source cuts its batches, analyze_dataset renders the same bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -111,12 +117,9 @@ TEST_P(GoldenTest, StreamedReportMatchesDigest) {
   const std::string name = GetParam();
   const DatasetSpec spec = dataset_by_name(name, kScale);
   const SyntheticTraceSourceSet sources(spec, model());
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
-    SCOPED_TRACE("batch_size=" + std::to_string(batch));
-    AnalyzerConfig config = default_config_for_model(model().site());
-    config.batch_size = batch;
-    expect_golden(name, render(spec, analyze_dataset(sources, config)));
-  }
+  const DatasetAnalysis analysis =
+      analyze_dataset(sources, default_config_for_model(model().site()));
+  expect_golden(name, render(spec, analysis));
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, GoldenTest,
@@ -135,11 +138,94 @@ TEST(GoldenCorruptTest, CorruptedD0MatchesDigest) {
   cc.seed = 42;
   cc.rate = 0.1;
   corrupt_dataset(traces, cc);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
-    SCOPED_TRACE("batch_size=" + std::to_string(batch));
-    AnalyzerConfig config = default_config_for_model(model().site());
-    config.batch_size = batch;
-    expect_golden("D0-corrupt-42", render(spec, analyze_dataset(traces, config)));
+  const DatasetAnalysis analysis =
+      analyze_dataset(traces, default_config_for_model(model().site()));
+  expect_golden("D0-corrupt-42", render(spec, analysis));
+}
+
+// ---- batch regrouping ---------------------------------------------------------
+
+// Caps every batch of the wrapped source at `cap` views.  Sources may
+// return short batches anywhere (slice refills, merged-stream head
+// exhaustion), so analyze_trace must render the same bytes for any
+// grouping: 1 is packet-at-a-time, 7 divides no trace or slice evenly.
+class CappedSource final : public PacketSource {
+ public:
+  CappedSource(std::unique_ptr<PacketSource> inner, std::size_t cap)
+      : inner_(std::move(inner)), cap_(cap) {}
+
+  const TraceMeta& meta() const override { return inner_->meta(); }
+  const AnomalyCounts& anomalies() const override { return inner_->anomalies(); }
+
+ protected:
+  std::size_t pull_batch(PacketView* out, std::size_t n) override {
+    return inner_->next_batch(out, std::min(n, cap_));
+  }
+
+ private:
+  std::unique_ptr<PacketSource> inner_;
+  std::size_t cap_;
+};
+
+class CappedSourceSet final : public TraceSourceSet {
+ public:
+  CappedSourceSet(const TraceSourceSet& inner, std::size_t cap) : inner_(inner), cap_(cap) {}
+
+  const std::string& dataset_name() const override { return inner_.dataset_name(); }
+  std::size_t size() const override { return inner_.size(); }
+  std::unique_ptr<PacketSource> open(std::size_t index) const override {
+    return std::make_unique<CappedSource>(inner_.open(index), cap_);
+  }
+
+ private:
+  const TraceSourceSet& inner_;
+  std::size_t cap_;
+};
+
+constexpr std::array<std::size_t, 2> kCaps = {1, 7};
+
+DatasetSpec regroup_spec() {
+  DatasetSpec spec = dataset_d3(kScale);
+  spec.monitored_subnets = {4, 15, 20};
+  return spec;
+}
+
+TEST(BatchRegroupingTest, CappedBatchesRenderDefaultReport) {
+  const DatasetSpec spec = regroup_spec();
+  const SyntheticTraceSourceSet sources(spec, model(), {3});
+  const AnalyzerConfig config = default_config_for_model(model().site());
+  const Rendered want = render(spec, analyze_dataset(sources, config));
+  for (const std::size_t cap : kCaps) {
+    SCOPED_TRACE("cap=" + std::to_string(cap));
+    const Rendered got = render(spec, analyze_dataset(CappedSourceSet(sources, cap), config));
+    EXPECT_EQ(got.report, want.report);
+    EXPECT_EQ(got.metrics, want.metrics);
+  }
+}
+
+// The decode stage pre-validates capture bounds before its in-place field
+// loads; corrupted captures are where that validation earns its keep.  Every
+// grouping must reproduce the default run's report and exact anomaly
+// taxonomy across 8 corruption seeds.
+TEST(BatchRegroupingTest, CorruptedCappedBatchesKeepReportAndTaxonomy) {
+  const DatasetSpec spec = regroup_spec();
+  const TraceSet clean = generate_dataset(spec, model());
+  const AnalyzerConfig config = default_config_for_model(model().site());
+  for (const std::uint64_t seed : {1, 2, 3, 5, 8, 13, 21, 34}) {
+    TraceSet corrupted = clean;
+    CorruptionConfig cc;
+    cc.seed = seed;
+    cc.rate = 0.1;
+    corrupt_dataset(corrupted, cc);
+    const MemoryTraceSourceSet sources(corrupted);
+    const DatasetAnalysis want = analyze_dataset(sources, config);
+    for (const std::size_t cap : kCaps) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " cap=" + std::to_string(cap));
+      const DatasetAnalysis got = analyze_dataset(CappedSourceSet(sources, cap), config);
+      EXPECT_EQ(got.quality.anomalies.as_map(), want.quality.anomalies.as_map());
+      EXPECT_EQ(got.quality, want.quality);
+      EXPECT_EQ(render(spec, got).report, render(spec, want).report);
+    }
   }
 }
 

@@ -1,8 +1,12 @@
 // Tests for the pcap file format implementation and trace containers.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "net/encoder.h"
 #include "pcap/format.h"
@@ -28,6 +32,18 @@ RawPacket sample_packet(double ts, std::size_t payload) {
   return pkt;
 }
 
+// Overwrites one little-endian u32 of a written file (a global-header
+// field: snaplen at offset 16, link type at 20).
+void patch_u32le(const std::string& path, long offset, std::uint32_t v) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr) << path;
+  const std::uint8_t b[4] = {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 8),
+                             static_cast<std::uint8_t>(v >> 16), static_cast<std::uint8_t>(v >> 24)};
+  std::fseek(f, offset, SEEK_SET);
+  std::fwrite(b, 1, 4, f);
+  std::fclose(f);
+}
+
 TEST(Pcap, WriteReadRoundTrip) {
   const std::string path = temp_path("entrace_roundtrip.pcap");
   {
@@ -50,17 +66,37 @@ TEST(Pcap, WriteReadRoundTrip) {
   std::remove(path.c_str());
 }
 
+// The header's snaplen binds the reader, not only the writer: records
+// longer than it are clipped on read, and a snaplen of 0 reads as libpcap's
+// 262,144 instead of clipping every packet to nothing.
 TEST(Pcap, SnaplenTruncatesButKeepsWireLen) {
   const std::string path = temp_path("entrace_snap.pcap");
-  {
-    PcapWriter writer(path, 68);
-    writer.write(sample_packet(0.0, 1000));
+  const std::size_t frame = sample_packet(0, 1000).data.size();
+  struct Case {
+    std::uint32_t written;  // the writer's snaplen
+    std::uint32_t header;   // then patched into the global header
+    std::uint32_t snaplen;  // what the reader reports
+    std::size_t captured;   // bytes the reader returns
+  };
+  const std::vector<Case> cases = {
+      {68, 68, 68, 68},             // the writer clipped
+      {1500, 68, 68, 68},           // the reader clips
+      {1500, 0, 262144, frame},     // 0 is bogus: nothing is clipped
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("written " + std::to_string(c.written) + ", header " + std::to_string(c.header));
+    {
+      PcapWriter writer(path, c.written);
+      writer.write(sample_packet(0.0, 1000));
+    }
+    patch_u32le(path, 16, c.header);
+    PcapReader reader(path);
+    EXPECT_EQ(reader.snaplen(), c.snaplen);
+    auto p = reader.next();
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->data.size(), c.captured);
+    EXPECT_EQ(p->wire_len, frame);
   }
-  PcapReader reader(path);
-  auto p = reader.next();
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->data.size(), 68u);
-  EXPECT_EQ(p->wire_len, sample_packet(0, 1000).data.size());
   std::remove(path.c_str());
 }
 
@@ -145,24 +181,43 @@ TEST(Pcap, ShortGlobalHeaderErrorNamesByteCount) {
 
 TEST(Pcap, BadMagicErrorNamesOffsetAndObservedValue) {
   const std::string path = temp_path("entrace_badmagic.pcap");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  const char junk[24] = "not a pcap file at all";
-  std::fwrite(junk, 1, sizeof(junk), f);
-  std::fclose(f);
-  try {
-    PcapReader reader(path);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
-    // 'n','o','t',' ' read little-endian is 0x20746F6E.
-    EXPECT_NE(what.find("0x20746F6E"), std::string::npos) << what;
-    EXPECT_NE(what.find("offset 0"), std::string::npos) << what;
+  const auto write_junk = [&path] {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    const char junk[24] = "not a pcap file at all";
+    std::fwrite(junk, 1, sizeof(junk), f);
+    std::fclose(f);
+  };
+  // A valid header whose link type is 802.11 (105), not Ethernet (1).
+  const auto write_wifi = [&path] {
+    { PcapWriter writer(path, 1500); }
+    patch_u32le(path, 20, 105);
+  };
+  struct Case {
+    std::function<void()> write;
+    std::vector<std::string> expected;  // substrings of the error message
+  };
+  const std::vector<Case> cases = {
+      // 'n','o','t',' ' read little-endian is 0x20746F6E.
+      {write_junk, {"bad magic", "0x20746F6E", "offset 0"}},
+      {write_wifi, {"link type 105", "offset 20"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expected.front());
+    c.write();
+    try {
+      PcapReader reader(path);
+      FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      for (const std::string& want : c.expected) {
+        EXPECT_NE(what.find(want), std::string::npos) << what;
+      }
+    }
+    // The non-throwing factory reports the same message instead of throwing.
+    std::string error;
+    EXPECT_EQ(PcapReader::open(path, &error), nullptr);
+    EXPECT_NE(error.find(c.expected.front()), std::string::npos) << error;
   }
-  // The non-throwing factory reports the same message instead of throwing.
-  std::string error;
-  EXPECT_EQ(PcapReader::open(path, &error), nullptr);
-  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 
@@ -322,24 +377,39 @@ TEST(MergedPacketStream, InterleavesTracesInTimestampOrder) {
 
 TEST(MergedPacketStream, EqualTimestampsKeepSourceOrder) {
   // Ties resolve by source index (the stable order the old merged() kept),
-  // and each returned pointer must stay valid until the next pull.
+  // one packet at a time (next()) and within a multi-view batch alike.
   Trace a, b;
   a.packets.push_back(sample_packet(1.0, 16));
   a.packets.push_back(sample_packet(2.0, 16));
   b.packets.push_back(sample_packet(1.0, 48));
   b.packets.push_back(sample_packet(2.0, 48));
-
-  std::vector<std::unique_ptr<PacketSource>> sources;
-  sources.push_back(std::make_unique<MemoryTraceSource>(b));  // source 0: the 48s
-  sources.push_back(std::make_unique<MemoryTraceSource>(a));  // source 1: the 16s
-  MergedPacketStream stream{std::move(sources)};
-
-  std::vector<std::size_t> sizes;
-  while (const RawPacket* pkt = stream.next()) sizes.push_back(pkt->data.size());
+  const auto open_stream = [&a, &b] {
+    std::vector<std::unique_ptr<PacketSource>> sources;
+    sources.push_back(std::make_unique<MemoryTraceSource>(b));  // source 0: the 48s
+    sources.push_back(std::make_unique<MemoryTraceSource>(a));  // source 1: the 16s
+    return MergedPacketStream{std::move(sources)};
+  };
   const std::size_t s16 = sample_packet(0, 16).data.size();
   const std::size_t s48 = sample_packet(0, 48).data.size();
   const std::vector<std::size_t> expected{s48, s16, s48, s16};
+
+  MergedPacketStream one = open_stream();
+  std::vector<std::size_t> sizes;
+  while (const RawPacket* pkt = one.next()) sizes.push_back(pkt->data.size());
   EXPECT_EQ(sizes, expected);
+
+  MergedPacketStream batched = open_stream();
+  sizes.clear();
+  std::vector<std::uint32_t> attributed;
+  std::array<PacketView, 8> views;
+  while (const std::size_t got = batched.next_batch(views.data(), views.size())) {
+    for (std::size_t i = 0; i < got; ++i) {
+      sizes.push_back(views[i].data.size());
+      attributed.push_back(views[i].source);
+    }
+  }
+  EXPECT_EQ(sizes, expected);
+  EXPECT_EQ(attributed, (std::vector<std::uint32_t>{0, 1, 0, 1}));
 }
 
 TEST(MergedPacketStream, StreamsPcapFilesWithoutLoadingThem) {

@@ -58,7 +58,6 @@ class RetentionTest : public ::testing::Test {
   static AnalyzerConfig config() {
     AnalyzerConfig c = default_config_for_model(model().site());
     c.threads = 1;
-    c.batch_size = 256;
     return c;
   }
   static snap::SnapshotMeta snap_meta() {

@@ -9,11 +9,15 @@
 // end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -55,10 +59,17 @@ TEST_F(StreamingTest, MemoryTraceSourceIsZeroCopy) {
   EXPECT_EQ(source.meta().name, trace.name);
   EXPECT_EQ(source.meta().subnet_id, trace.subnet_id);
   EXPECT_EQ(source.meta().snaplen, trace.snaplen);
-  for (std::size_t i = 0; i < trace.packets.size(); ++i) {
-    ASSERT_EQ(source.next(), &trace.packets[i]);  // pointer into the trace itself
+  // Every view aliases the trace's own packet bytes.
+  std::array<PacketView, 7> views;
+  std::size_t i = 0;
+  while (const std::size_t got = source.next_batch(views.data(), views.size())) {
+    for (std::size_t k = 0; k < got; ++k, ++i) {
+      ASSERT_LT(i, trace.packets.size());
+      ASSERT_EQ(views[k].data.data(), trace.packets[i].data.data()) << "packet " << i;
+      ASSERT_EQ(views[k].data.size(), trace.packets[i].data.size()) << "packet " << i;
+    }
   }
-  EXPECT_EQ(source.next(), nullptr);
+  EXPECT_EQ(i, trace.packets.size());
 }
 
 TEST_F(StreamingTest, SyntheticSourceReproducesMaterializedTraceExactly) {
@@ -86,27 +97,49 @@ TEST_F(StreamingTest, SyntheticSourceReproducesMaterializedTraceExactly) {
   }
 }
 
+// Both readers of a capture file keep the same bytes, including when the
+// global header's snaplen is 0 (read as 262,144) or smaller than what the
+// records carry (68: both clip).
 TEST_F(StreamingTest, PcapFileSourceMatchesLoadedTrace) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "entrace_stream_eq.pcap").string();
-  materialized().traces.front().save(path);
+  const Trace& trace = materialized().traces.front();
+  const std::uint32_t saved = trace.snaplen;
+  // {snaplen written into the header, snaplen both readers apply}
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>> cases = {
+      {saved, saved}, {0, 262144}, {68, 68}};
+  for (const auto& [header_snaplen, snaplen] : cases) {
+    SCOPED_TRACE("header snaplen " + std::to_string(header_snaplen));
+    trace.save(path);
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(16);  // the global header's little-endian snaplen field
+      const char le[4] = {static_cast<char>(header_snaplen), static_cast<char>(header_snaplen >> 8),
+                          static_cast<char>(header_snaplen >> 16),
+                          static_cast<char>(header_snaplen >> 24)};
+      f.write(le, sizeof(le));
+    }
 
-  std::string error;
-  const auto loaded = Trace::try_load(path, "t", 4, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
+    std::string error;
+    const auto loaded = Trace::try_load(path, "t", 4, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
 
-  PcapFileSource source(path, "t", 4);
-  EXPECT_EQ(source.meta().snaplen, loaded->snaplen);
-  std::size_t i = 0;
-  while (const RawPacket* pkt = source.next()) {
-    ASSERT_LT(i, loaded->packets.size());
-    ASSERT_EQ(pkt->ts, loaded->packets[i].ts);
-    ASSERT_EQ(pkt->wire_len, loaded->packets[i].wire_len);
-    ASSERT_EQ(pkt->data, loaded->packets[i].data);
-    ++i;
+    PcapFileSource source(path, "t", 4);
+    EXPECT_EQ(loaded->snaplen, snaplen);
+    EXPECT_EQ(source.meta().snaplen, snaplen);
+    std::size_t i = 0;
+    while (const RawPacket* pkt = source.next()) {
+      ASSERT_LT(i, loaded->packets.size());
+      ASSERT_EQ(pkt->ts, loaded->packets[i].ts);
+      ASSERT_EQ(pkt->wire_len, loaded->packets[i].wire_len);
+      ASSERT_EQ(pkt->data, loaded->packets[i].data);
+      ASSERT_EQ(pkt->data.size(),
+                std::min<std::size_t>(trace.packets[i].data.size(), snaplen));
+      ++i;
+    }
+    EXPECT_EQ(i, loaded->packets.size());
+    EXPECT_EQ(source.anomalies(), loaded->file_anomalies);
   }
-  EXPECT_EQ(i, loaded->packets.size());
-  EXPECT_EQ(source.anomalies(), loaded->file_anomalies);
   std::filesystem::remove(path);
 }
 
@@ -218,14 +251,20 @@ TEST_F(StreamingTest, MemorySourceSetAnalysisEqualsMaterializedPath) {
 }
 
 TEST_F(StreamingTest, SyntheticSourceSetAnalysisEqualsMaterializedPath) {
-  const SyntheticTraceSourceSet sources(small_spec(), model(), {3});
-  ASSERT_EQ(sources.size(), materialized().traces.size());
   const DatasetAnalysis direct = analyze_dataset(materialized(), config(1));
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const DatasetAnalysis streamed = analyze_dataset(sources, config(threads));
-    expect_identical_analyses(streamed, direct);
-    expect_identical_reports(small_spec(), streamed, direct);
+  // slices=3 divides nothing evenly, so batches straddle slice refills;
+  // double_buffer covers both the inline and the producer-thread
+  // regeneration paths.
+  for (const bool double_buffer : {true, false}) {
+    const SyntheticTraceSourceSet sources(small_spec(), model(), {3, double_buffer});
+    ASSERT_EQ(sources.size(), materialized().traces.size());
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("double_buffer=" + std::to_string(double_buffer) +
+                   " threads=" + std::to_string(threads));
+      const DatasetAnalysis streamed = analyze_dataset(sources, config(threads));
+      expect_identical_analyses(streamed, direct);
+      expect_identical_reports(small_spec(), streamed, direct);
+    }
   }
 }
 
