@@ -906,8 +906,9 @@ void run_cluster_study() {
 
 // Continuous-operation cost of the windowed engine (core/incremental.h) in
 // the daemon's own loop shape: merged time-ordered replay -> feed -> rotate
-// at window boundaries -> .esnap checkpoint -> retention aging, with flow
-// eviction and slot reclaim on.  Swept over window counts (coarse to fine
+// at window boundaries -> .esnap checkpoint -> tiered retention at the
+// daemon's defaults (keep 4, K 8; sketch folds on the fold thread), with
+// flow eviction and slot reclaim on.  Swept over window counts (coarse to fine
 // rotation) with reps interleaved across configurations; per configuration:
 // sustained ingest pps (best rep), the peak resident set sampled at each
 // rotation, and the rotation stall — the wall pause a rotate + checkpoint +
@@ -998,9 +999,9 @@ void run_daemon_study() {
       opts.evict = true;
       opts.reclaim = true;
       IncrementalAnalyzer analyzer(std::move(metas), config, opts);
-      snapshot::RetentionManager retention(dir, 4);
       const snapshot::SnapshotMeta meta{spec.name, scale,
                                         static_cast<std::uint32_t>(set.traces.size())};
+      snapshot::RetentionManager retention(dir, snapshot::RetentionOptions{4, 8}, config, meta);
 
       using clock = std::chrono::steady_clock;
       double stall_total = 0.0, stall_max = 0.0;
@@ -1031,6 +1032,7 @@ void run_daemon_study() {
       }
       checkpoint(analyzer.finish(&stream));
       const double seconds = std::chrono::duration<double>(clock::now() - t0).count();
+      retention.report_paths();  // settle trailing background folds before counting
 
       if (r == 0 || seconds < out.seconds) {
         out.windows = analyzer.windows_rotated();
@@ -1063,173 +1065,6 @@ void run_daemon_study() {
   g_daemon_study.packets = packets;
   g_daemon_study.runs = runs;
   g_daemon_study.ok = true;
-}
-
-// ---- retention tiering study ------------------------------------------------
-
-// What the sketch tiers cost at the daemon's default geometry: the same
-// ~128-window replay aged through keep_full 4 with sketching on
-// (sketch_every 8 — tier-1/2 folds run inside the rotation path) versus
-// off (summary-only aging, the pre-sketch scheme).  Per mode: sustained
-// ingest pps, the rotation stall the fold inflicts (max and mean), fold
-// count, and the peak bytes retained on disk across the run — the number
-// that shows sketching buys full-history /report coverage for bounded disk.
-struct RetentionRun {
-  bool sketches = false;
-  std::uint64_t windows = 0;
-  double seconds = 0.0;
-  double pps = 0.0;
-  double max_stall_s = 0.0;
-  double mean_stall_s = 0.0;
-  std::uint64_t folds = 0;
-  std::uint64_t peak_retained_bytes = 0;
-  std::uint64_t final_retained_bytes = 0;
-  std::uint64_t final_esnap_files = 0;
-};
-
-struct RetentionStudy {
-  double scale = 0.0;
-  int reps = 0;
-  std::uint64_t packets = 0;
-  std::size_t keep_full = 0;
-  std::size_t sketch_every = 0;
-  std::vector<RetentionRun> runs;
-  bool ok = false;
-};
-
-RetentionStudy g_retention_study;  // picked up by the JSON writer
-
-void run_retention_study() {
-  const double scale = env_double("ENTRACE_DAEMON_SCALE", 0.02);
-  const int reps = env_int("ENTRACE_BENCH_REPS", 3);
-  EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name("D3", scale);
-  const TraceSet set = generate_dataset(spec, model);
-  const std::uint64_t packets = set.total_packets();
-  AnalyzerConfig config = default_config_for_model(model.site());
-  config.threads = 1;  // serial: fold stalls are not hidden by idle workers
-
-  double span = 0.0;
-  {
-    const MergedPacketStream probe = merged_stream(set);
-    double lo = 1e300, hi = -1e300;
-    for (std::size_t i = 0; i < probe.source_count(); ++i) {
-      const TraceMeta& m = probe.source(i).meta();
-      lo = std::min(lo, m.start_ts);
-      hi = std::max(hi, m.start_ts + m.duration);
-    }
-    span = hi - lo;
-  }
-  if (span <= 0.0 || packets == 0) return;
-
-  constexpr std::size_t kKeepFull = 4;
-  constexpr std::size_t kSketchEvery = 8;
-  constexpr std::size_t kTargetWindows = 128;
-  std::vector<RetentionRun> runs(2);
-  runs[0].sketches = false;
-  runs[1].sketches = true;
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "entrace_bench_retention").string();
-
-  std::printf(
-      "---- retention tiering (D3, scale %.3f, %llu packets, ~%zu windows, retain %zu, "
-      "sketch-every %zu, interleaved best of %d) ----\n",
-      scale, static_cast<unsigned long long>(packets), kTargetWindows, kKeepFull, kSketchEvery,
-      reps);
-  for (int r = 0; r < reps; ++r) {
-    for (RetentionRun& out : runs) {
-      std::filesystem::remove_all(dir);
-      std::filesystem::create_directories(dir);
-      MergedPacketStream stream = merged_stream(set);
-      std::vector<TraceMeta> metas;
-      for (std::size_t s = 0; s < stream.source_count(); ++s) {
-        metas.push_back(stream.source(s).meta());
-      }
-      IncrementalOptions opts;
-      opts.window_seconds = span / static_cast<double>(kTargetWindows);
-      opts.evict = true;
-      opts.reclaim = true;
-      IncrementalAnalyzer analyzer(std::move(metas), config, opts);
-      const snapshot::SnapshotMeta meta{spec.name, scale,
-                                        static_cast<std::uint32_t>(set.traces.size())};
-      std::unique_ptr<snapshot::RetentionManager> retention;
-      if (out.sketches) {
-        snapshot::RetentionOptions ropts;
-        ropts.keep_full = kKeepFull;
-        ropts.sketch_every = kSketchEvery;
-        retention = std::make_unique<snapshot::RetentionManager>(dir, ropts, config, meta);
-      } else {
-        retention = std::make_unique<snapshot::RetentionManager>(dir, kKeepFull);
-      }
-
-      using clock = std::chrono::steady_clock;
-      double stall_total = 0.0, stall_max = 0.0;
-      std::uint64_t peak_bytes = 0;
-      const auto checkpoint = [&](WindowShard&& w) {
-        const auto s0 = clock::now();
-        const std::string path = dir + "/" + snapshot::window_file_name(w.index);
-        snapshot::WindowSummary sum = snapshot::summarize_window(w);
-        sum.snapshot_bytes = snapshot::write_window_snapshot(path, meta, w);
-        retention->add_window(sum, path);
-        const double stall = std::chrono::duration<double>(clock::now() - s0).count();
-        stall_total += stall;
-        stall_max = std::max(stall_max, stall);
-        peak_bytes = std::max(peak_bytes, retention->bytes_retained());
-      };
-
-      std::vector<PacketView> views(256);
-      const auto t0 = clock::now();
-      for (;;) {
-        const std::size_t got = stream.next_batch(views.data(), views.size());
-        if (got == 0) break;
-        analyzer.feed(views.data(), got);
-        while (analyzer.window_complete()) checkpoint(analyzer.rotate());
-      }
-      checkpoint(analyzer.finish(&stream));
-      const double seconds = std::chrono::duration<double>(clock::now() - t0).count();
-      retention->report_paths();  // settle trailing background folds before counting
-
-      if (r == 0 || seconds < out.seconds) {
-        out.windows = analyzer.windows_rotated();
-        out.seconds = seconds;
-        out.pps = seconds > 0 ? static_cast<double>(packets) / seconds : 0.0;
-        out.max_stall_s = stall_max;
-        out.mean_stall_s =
-            analyzer.windows_rotated() > 0
-                ? stall_total / static_cast<double>(analyzer.windows_rotated())
-                : 0.0;
-        out.folds = retention->sketch_folds();
-        out.peak_retained_bytes = peak_bytes;
-        out.final_retained_bytes = retention->bytes_retained();
-        std::uint64_t esnaps = 0;
-        for (const auto& e : std::filesystem::directory_iterator(dir)) {
-          if (e.path().extension() == ".esnap") ++esnaps;
-        }
-        out.final_esnap_files = esnaps;
-      }
-    }
-  }
-  std::filesystem::remove_all(dir);
-
-  for (const RetentionRun& r : runs) {
-    std::printf(
-        "  sketches=%-3s %8.3fs  %12.0f pps  (rotated %llu, stall max %.4fs mean %.4fs, "
-        "folds %llu, peak retained %llu KB, final %llu KB in %llu esnaps)\n",
-        r.sketches ? "on" : "off", r.seconds, r.pps,
-        static_cast<unsigned long long>(r.windows), r.max_stall_s, r.mean_stall_s,
-        static_cast<unsigned long long>(r.folds),
-        static_cast<unsigned long long>(r.peak_retained_bytes / 1024),
-        static_cast<unsigned long long>(r.final_retained_bytes / 1024),
-        static_cast<unsigned long long>(r.final_esnap_files));
-  }
-
-  g_retention_study.scale = scale;
-  g_retention_study.reps = reps;
-  g_retention_study.packets = packets;
-  g_retention_study.keep_full = kKeepFull;
-  g_retention_study.sketch_every = kSketchEvery;
-  g_retention_study.runs = runs;
-  g_retention_study.ok = true;
 }
 
 void run_pipeline_scaling() {
@@ -1406,33 +1241,6 @@ void run_pipeline_scaling() {
       }
       std::fprintf(json, "    ]\n  },\n");
     }
-    // Retention tiering study (see run_retention_study).
-    if (g_retention_study.ok) {
-      std::fprintf(json,
-                   "  \"retention\": {\n    \"dataset\": \"D3\",\n    \"scale\": %.4f,\n"
-                   "    \"reps\": %d,\n    \"interleaved\": true,\n    \"packets\": %llu,\n"
-                   "    \"keep_full\": %zu,\n    \"sketch_every\": %zu,\n    \"runs\": [\n",
-                   g_retention_study.scale, g_retention_study.reps,
-                   static_cast<unsigned long long>(g_retention_study.packets),
-                   g_retention_study.keep_full, g_retention_study.sketch_every);
-      for (std::size_t i = 0; i < g_retention_study.runs.size(); ++i) {
-        const RetentionRun& r = g_retention_study.runs[i];
-        std::fprintf(json,
-                     "      {\"sketches\": %s, \"windows\": %llu, \"seconds\": %.4f, "
-                     "\"pps\": %.1f, \"rotation_stall_max_s\": %.6f, "
-                     "\"rotation_stall_mean_s\": %.6f, \"sketch_folds\": %llu, "
-                     "\"peak_retained_bytes\": %llu, \"final_retained_bytes\": %llu, "
-                     "\"final_esnap_files\": %llu}%s\n",
-                     r.sketches ? "true" : "false",
-                     static_cast<unsigned long long>(r.windows), r.seconds, r.pps,
-                     r.max_stall_s, r.mean_stall_s, static_cast<unsigned long long>(r.folds),
-                     static_cast<unsigned long long>(r.peak_retained_bytes),
-                     static_cast<unsigned long long>(r.final_retained_bytes),
-                     static_cast<unsigned long long>(r.final_esnap_files),
-                     i + 1 < g_retention_study.runs.size() ? "," : "");
-      }
-      std::fprintf(json, "    ]\n  },\n");
-    }
     // Snapshot shard study (see run_snapshot_study; empty without fork).
     std::fprintf(json,
                  "  \"snapshot\": {\n    \"dataset\": \"D1\",\n    \"scale\": %.4f,\n"
@@ -1491,7 +1299,6 @@ int main(int argc, char** argv) {
   // fork-based studies above have already finished).
   entrace::run_cluster_study();
   entrace::run_daemon_study();
-  entrace::run_retention_study();
   entrace::run_pipeline_scaling();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--scaling-only") == 0) return 0;

@@ -9,6 +9,7 @@
 //   $ ./trace_inspector --demo out.pcap    # write + inspect a demo capture
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <string>
 
@@ -20,7 +21,9 @@
 
 using namespace entrace;
 
-int main(int argc, char** argv) {
+// A function-try-block: a capture the pcap reader rejects (or a demo file
+// that cannot be written) prints the error and exits 1 instead of aborting.
+int main(int argc, char** argv) try {
   std::string path;
   EnterpriseModel model;
   if (argc >= 3 && std::strcmp(argv[1], "--demo") == 0) {
@@ -81,4 +84,7 @@ int main(int argc, char** argv) {
               analysis.events.dcerpc.size(), analysis.events.nfs.size(),
               analysis.events.ncp.size());
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "trace_inspector: %s\n", e.what());
+  return 1;
 }

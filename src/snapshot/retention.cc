@@ -115,12 +115,6 @@ std::string sketch_file_name(int tier, std::uint64_t first_window, std::uint64_t
   return buf;
 }
 
-RetentionManager::RetentionManager(std::string dir, std::size_t keep_full)
-    : dir_(std::move(dir)),
-      summary_path_(dir_ + "/summary.jsonl"),
-      keep_full_(keep_full),
-      fold_seconds_(fold_seconds_bounds()) {}
-
 RetentionManager::RetentionManager(std::string dir, const RetentionOptions& opts,
                                    const AnalyzerConfig& config, const SnapshotMeta& meta)
     : dir_(std::move(dir)),
@@ -130,7 +124,7 @@ RetentionManager::RetentionManager(std::string dir, const RetentionOptions& opts
       config_(config),
       meta_(meta),
       fold_seconds_(fold_seconds_bounds()) {
-  if (sketch_every_ < 2) {
+  if (opts.sketch_every < 2) {
     throw std::invalid_argument("RetentionOptions::sketch_every must be >= 2");
   }
   recover_scan();
@@ -147,7 +141,6 @@ RetentionManager::RetentionManager(std::string dir, const RetentionOptions& opts
 }
 
 RetentionManager::~RetentionManager() {
-  if (!fold_thread_.joinable()) return;
   AgeResult scrap;
   collect_fold(scrap, /*wait=*/true);
   stop_fold_thread();
@@ -177,8 +170,6 @@ AgeResult RetentionManager::add_window(const WindowSummary& summary,
   tier0_.push_back(Tier0Entry{summary, esnap_path});
   bytes_ += summary.snapshot_bytes;
   age_tier0(r);
-  if (sketch_every_ < 2) return r;
-
   collect_fold(r, /*wait=*/false);
   start_fold();
   // Backpressure, which keeps the disk bound in retention.h: once 2K aged
@@ -200,15 +191,10 @@ void RetentionManager::age_tier0(AgeResult& r) {
     if (!append_summary(old.summary)) note_io_error(r);
     ++summarized_;
     ++r.aged;
-    if (sketch_every_ >= 2) {
-      // The window keeps its .esnap until the sketch covering it has been
-      // renamed into place (crash safety: no window is ever only-in-flight).
-      pending_.push_back(FileEntry{old.summary.index, old.summary.index, old.path,
-                                   old.summary.snapshot_bytes});
-    } else {
-      if (std::remove(old.path.c_str()) != 0) note_io_error(r);
-      bytes_ -= old.summary.snapshot_bytes;
-    }
+    // The window keeps its .esnap until the sketch covering it has been
+    // renamed into place (crash safety: no window is ever only-in-flight).
+    pending_.push_back(
+        FileEntry{old.summary.index, old.summary.index, old.path, old.summary.snapshot_bytes});
   }
 }
 
@@ -477,10 +463,8 @@ void RetentionManager::recover_scan() {
 }
 
 std::vector<std::string> RetentionManager::report_paths() {
-  if (fold_thread_.joinable()) {
-    AgeResult scrap;
-    settle(scrap);
-  }
+  AgeResult scrap;
+  settle(scrap);
   std::vector<std::string> paths;
   paths.reserve(tier2_.size() + tier1_.size() + pending_.size() + tier0_.size());
   for (const FileEntry& e : tier2_) paths.push_back(e.path);

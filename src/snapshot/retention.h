@@ -30,7 +30,7 @@
 // byte-identically (tests/retention_test.cc pins it), whichever way the
 // windows happen to be grouped into sketches.
 //
-// Folds run off the caller's thread.  The tiered manager owns one fold
+// Folds run off the caller's thread.  The manager owns one fold
 // thread; add_window() hands it the next due fold and returns.  The thread
 // decodes the inputs one at a time into a WindowFold and writes the sketch
 // tmp+rename, touching no tier state.  The thread that calls add_window(),
@@ -55,7 +55,7 @@
 //
 // Crash safety: sketch files are written tmp+rename by the snapshot writer,
 // and a window's .esnap is deleted only after the sketch covering it has
-// been renamed into place and applied.  The tiered constructor scans its
+// been renamed into place and applied.  The constructor scans its
 // directory and recovers: torn or unreadable sketches are rejected
 // (deleted) and the run continues; files whose window range is already
 // covered by a higher tier (a crash landed between the sketch rename and
@@ -127,18 +127,10 @@ struct AgeResult {
 
 class RetentionManager {
  public:
-  // Summary-only tiering (the pre-sketch scheme): aged windows are reduced
-  // to their summary.jsonl line and the .esnap is deleted.  Starts from a
-  // fresh state (no directory scan).  `dir` is the checkpoint directory;
-  // `keep_full` the tier-0 window count (0 = summarize immediately — with
-  // no sketch tier this keeps *no* readable history, so a daemon using
-  // keep_full 0 must enable sketching).
-  RetentionManager(std::string dir, std::size_t keep_full);
-
-  // Full tiered downsampling.  `config` parameterizes the sketch folds
-  // (its flow/scanner settings must match the analyzer that produced the
-  // windows, or folded connection tables would diverge); `meta` stamps the
-  // sketch .esnap files.  Scans `dir` and recovers prior state: readable
+  // `dir` is the checkpoint directory.  `config` parameterizes the sketch
+  // folds (its flow/scanner settings must match the analyzer that produced
+  // the windows, or folded connection tables would diverge); `meta` stamps
+  // the sketch .esnap files.  Scans `dir` and recovers prior state: readable
   // window/sketch files re-enter their tiers, torn files are rejected, and
   // range duplicates from a crash mid-fold are dropped.  Throws
   // std::invalid_argument when opts.sketch_every < 2.
@@ -251,7 +243,7 @@ class RetentionManager {
   std::string dir_;
   std::string summary_path_;
   std::size_t keep_full_;
-  std::size_t sketch_every_ = 0;  // < 2 = sketch tiers disabled
+  std::size_t sketch_every_;
   AnalyzerConfig config_;
   SnapshotMeta meta_;
 
@@ -273,7 +265,7 @@ class RetentionManager {
   std::unique_ptr<FoldJob> fold_job_;  // guarded by fold_mu_
   bool fold_done_ = false;             // guarded by fold_mu_
   bool fold_stop_ = false;             // guarded by fold_mu_
-  std::thread fold_thread_;            // tiered mode only; declared last
+  std::thread fold_thread_;            // declared last
 };
 
 }  // namespace entrace::snapshot

@@ -9,8 +9,10 @@
 // round-trip.  Also covered: FakeClock-paced replay (schedule
 // arithmetic and analysis transparency), end-of-stream drain accounting
 // (flow.drained), retention tiering, the embedded HTTP server, a SIGTERM
-// drain of the real entrace_daemon binary, and a bounded-memory soak over
-// >= 50 rotated windows with eviction + reclaim + retention.
+// drain of the real entrace_daemon binary, its runtime-error exits, the
+// binary's --exact run folding back to the batch report, and a
+// bounded-memory soak over >= 50 rotated windows with eviction + reclaim +
+// retention.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -42,6 +44,7 @@
 #include "snapshot/retention.h"
 #include "snapshot/window.h"
 #include "synth/generator.h"
+#include "synth/synth_source.h"
 #include "util/clock.h"
 #include "util/subprocess.h"
 
@@ -276,38 +279,41 @@ TEST_F(DaemonTest, PacedWindowedReplayFoldsToBatchReport) {
 
 // ---- retention tiering ------------------------------------------------------
 
+// Aging at keep_full 2: every window past the newest two leaves tier 0 with
+// one summary line, in age order, and keeps its .esnap in the pending tier
+// until a sketch covers it.  K = 8 keeps the three aged windows below the
+// fold width, so no fold reads the stand-in payloads.
 TEST_F(DaemonTest, RetentionAgesWindowsBeyondKeepFull) {
   const fs::path dir = fs::temp_directory_path() / "entrace_daemon_retention";
   fs::remove_all(dir);
   fs::create_directories(dir);
-  snap::RetentionManager retention(dir.string(), 2);
+  snap::RetentionManager retention(dir.string(), snap::RetentionOptions{2, 8}, config(1),
+                                   snap::SnapshotMeta{small_spec().name, 0.004, 3});
 
+  std::vector<std::string> paths;
   for (std::uint64_t i = 0; i < 5; ++i) {
-    const std::string path = (dir / snap::window_file_name(i)).string();
-    std::ofstream(path) << "stand-in esnap payload";
+    paths.push_back((dir / snap::window_file_name(i)).string());
+    std::ofstream(paths.back()) << "stand-in esnap payload";
     snap::WindowSummary s;
     s.index = i;
     s.start_ts = 60.0 * static_cast<double>(i);
     s.end_ts = s.start_ts + 60.0;
     s.packets = 100 + i;
     s.snapshot_bytes = 23;
-    const snap::AgeResult aged = retention.add_window(s, path);
+    const snap::AgeResult aged = retention.add_window(s, paths.back());
     EXPECT_TRUE(aged.ok());
     EXPECT_EQ(aged.aged, i < 2 ? 0u : 1u);
   }
   EXPECT_EQ(retention.tier0_count(), 2u);
   EXPECT_EQ(retention.summarized_count(), 3u);
+  EXPECT_EQ(retention.pending_count(), 3u);
+  EXPECT_EQ(retention.sketch_folds(), 0u);
+  // Nothing is deleted before a sketch covers it: /report lists all five
+  // windows in order, the three aged ones first.
+  EXPECT_EQ(retention.report_paths(), paths);
 
-  // Tier 0 on disk: exactly the two newest .esnap files survive.
-  std::vector<std::string> esnaps;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.path().extension() == ".esnap") esnaps.push_back(e.path().filename().string());
-  }
-  std::sort(esnaps.begin(), esnaps.end());
-  EXPECT_EQ(esnaps, (std::vector<std::string>{snap::window_file_name(3),
-                                              snap::window_file_name(4)}));
-
-  // Tier 1: one self-contained JSON line per aged window, in age order.
+  // The headline tier: one self-contained JSON line per aged window, in age
+  // order.
   std::ifstream summary(retention.summary_path());
   std::string line;
   std::vector<std::string> lines;
@@ -507,7 +513,8 @@ TEST_F(DaemonTest, DaemonBinarySigtermDrainWritesCheckpoint) {
 // 200 (or 404 before the first checkpoint) for every poll while windows
 // rotate and sketches fold underneath.  The same run checks that the fold
 // queue (retention.fold_backlog, retention.fold_seconds) is exported on
-// /status.json, /metrics and --metrics-out.
+// /metrics.json, /metrics and --metrics-out, which render the daemon's one
+// status registry, and that the retired /status.json answers 404.
 TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
   const fs::path dir = fs::temp_directory_path() / "entrace_daemon_report_race";
   const fs::path metrics_out = fs::temp_directory_path() / "entrace_daemon_report_race.json";
@@ -571,19 +578,35 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
   }
   EXPECT_GE(ok_reports, 1u) << "no successful /report during the run";
 
+  // The number after `"field": ` in metric `key`'s JSON object; -1 if absent.
+  const auto number_in = [](const std::string& json, const std::string& key,
+                            const std::string& field) {
+    const std::size_t at = json.find("\"" + key + "\": {");
+    if (at == std::string::npos) return -1LL;
+    const std::string label = "\"" + field + "\": ";
+    const std::size_t f = json.find(label, at);
+    if (f == std::string::npos) return -1LL;
+    return std::stoll(json.substr(f + label.size()));
+  };
+
   // Prove the polls overlapped real aging: a sketch must have been folded.
   // (With sketch-every 2 a pair of tier-1 sketches compacts straight into a
   // tier-2 file, dropping the tier-1 count back to 0 — either tier counts.)
+  const std::string metrics_json = fetch("/metrics.json");
+  if (!metrics_json.empty()) {
+    EXPECT_GT(number_in(metrics_json, "daemon.tier1_sketches", "value") +
+                  number_in(metrics_json, "daemon.tier2_sketches", "value"),
+              0)
+        << "run too short to fold a sketch — widen the poll window\n" << metrics_json;
+    // The fold queue is exported on every surface.
+    for (const char* key :
+         {"retention.fold_backlog", "retention.fold_seconds.p50", "retention.fold_seconds.p99"}) {
+      EXPECT_GE(number_in(metrics_json, key, "value"), 0) << key << "\n" << metrics_json;
+    }
+  }
   const std::string status_json = fetch("/status.json");
   if (!status_json.empty()) {
-    EXPECT_TRUE(status_json.find("\"tier1_sketches\":0,\"tier2_sketches\":0,") ==
-                std::string::npos)
-        << "run too short to fold a sketch — widen the poll window\n" << status_json;
-    // The fold queue is exported on every surface.
-    for (const char* field : {"\"fold_backlog\":", "\"fold_seconds_p50\":",
-                              "\"fold_seconds_p99\":"}) {
-      EXPECT_NE(status_json.find(field), std::string::npos) << field << "\n" << status_json;
-    }
+    EXPECT_NE(status_json.find("HTTP/1.0 404"), std::string::npos) << status_json;
   }
   const std::string metrics = fetch("/metrics");
   if (!metrics.empty()) {
@@ -605,20 +628,12 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
   std::ifstream in(metrics_out);
   ASSERT_TRUE(in.good()) << "no --metrics-out file at " << metrics_out;
   const std::string written((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  // The number after `"field": ` in metric `key`'s JSON object; -1 if absent.
-  const auto number_in = [&written](const std::string& key, const std::string& field) {
-    const std::size_t at = written.find("\"" + key + "\": {");
-    if (at == std::string::npos) return -1LL;
-    const std::string label = "\"" + field + "\": ";
-    const std::size_t f = written.find(label, at);
-    if (f == std::string::npos) return -1LL;
-    return std::stoll(written.substr(f + label.size()));
-  };
-  EXPECT_GE(number_in("retention.fold_backlog", "value"), 0) << written;
-  EXPECT_GE(number_in("retention.fold_seconds.p50", "value"), 0) << written;
-  EXPECT_GE(number_in("retention.fold_seconds.p99", "value"), 0) << written;
-  EXPECT_GT(number_in("retention.fold_seconds", "count"), 0) << "no fold timed\n" << written;
-  EXPECT_EQ(number_in("retention.io_errors", "value"), 0) << written;
+  EXPECT_GE(number_in(written, "retention.fold_backlog", "value"), 0) << written;
+  EXPECT_GE(number_in(written, "retention.fold_seconds.p50", "value"), 0) << written;
+  EXPECT_GE(number_in(written, "retention.fold_seconds.p99", "value"), 0) << written;
+  EXPECT_GT(number_in(written, "retention.fold_seconds", "count"), 0)
+      << "no fold timed\n" << written;
+  EXPECT_EQ(number_in(written, "retention.io_errors", "value"), 0) << written;
   fs::remove_all(dir);
   fs::remove(metrics_out);
 }
@@ -628,7 +643,8 @@ TEST_F(DaemonTest, DaemonBinaryReportNeverFailsWhileSketchesFold) {
 // The std::atoi regression: "--retain -1" used to wrap to SIZE_MAX and
 // "--retain x" silently became 0.  Every numeric flag now goes through the
 // strict util::cli parsers, garbage is a usage error (exit 2) before any
-// replay starts, and the degenerate tier combinations are rejected.
+// replay starts, a fold width below 2 is rejected, and so is every removed
+// flag.
 TEST_F(DaemonTest, DaemonBinaryRejectsGarbageNumericFlags) {
   const fs::path dir = fs::temp_directory_path() / "entrace_daemon_badflags";
   fs::remove_all(dir);
@@ -639,9 +655,11 @@ TEST_F(DaemonTest, DaemonBinaryRejectsGarbageNumericFlags) {
       {"--retain", "x"},           // garbage must not read as 0
       {"--retain", "4x"},          // trailing garbage rejected too
       {"--batch", "256"},          // a removed flag is a usage error too
+      {"--repeat", "2"},
+      {"--fake-clock"},
       {"--window", "abc"},
-      {"--sketch-every", "1"},     // 0 (off) or >= 2; a 1-wide fold is a no-op
-      {"--retain", "0", "--sketch-every", "0"},  // would retain no history at all
+      {"--sketch-every", "0"},     // there is no summary-only scheme to select
+      {"--sketch-every", "1"},     // a 1-wide fold is a no-op
   };
   for (const std::vector<std::string>& extra : bad_invocations) {
     std::vector<std::string> argv = {ENTRACE_DAEMON_BIN, "D3", "0.002", "--out", dir.string(),
@@ -663,13 +681,83 @@ TEST_F(DaemonTest, DaemonBinaryRejectsGarbageNumericFlags) {
   fs::remove_all(dir);
 }
 
+// ---- the real daemon binary: runtime errors exit 1 --------------------------
+
+// A runtime failure is an error exit, not an abort: an --out that cannot be
+// created stops the daemon before it ingests anything, and an --http-port
+// that is already bound stops it at startup.  Both used to escape main as
+// an uncaught std::runtime_error (SIGABRT).
+TEST_F(DaemonTest, DaemonBinaryRuntimeErrorsExitOne) {
+  const fs::path file = fs::temp_directory_path() / "entrace_daemon_not_a_dir";
+  const fs::path dir = fs::temp_directory_path() / "entrace_daemon_port_taken";
+  fs::remove_all(file);
+  fs::remove_all(dir);
+  std::ofstream(file) << "a regular file";
+  const obs::HttpServer taken(0, [](const std::string&) { return obs::HttpResponse{}; });
+
+  const std::vector<std::vector<std::string>> failing = {
+      {"--out", (file / "windows").string()},
+      {"--out", dir.string(), "--http-port", std::to_string(taken.port())},
+  };
+  for (const std::vector<std::string>& extra : failing) {
+    std::vector<std::string> argv = {ENTRACE_DAEMON_BIN, "D3", "0.002", "--max-windows", "1"};
+    std::string label;
+    for (const std::string& a : extra) {
+      argv.push_back(a);
+      label += a + " ";
+    }
+    SCOPED_TRACE(label);
+    util::Subprocess child = util::Subprocess::spawn(argv);
+    const std::optional<util::ExitStatus> status = child.wait_for(60.0);
+    ASSERT_TRUE(status.has_value());
+    EXPECT_TRUE(status->exited) << "signal " << status->term_signal;
+    EXPECT_EQ(status->exit_code, 1);
+  }
+  EXPECT_TRUE(fs::is_empty(dir)) << "the port check must precede ingest";
+  fs::remove_all(file);
+  fs::remove_all(dir);
+}
+
+// ---- the real daemon binary: the --exact oracle -----------------------------
+
+// The --exact contract end to end: a complete unpaced run of the binary,
+// aged through every tier (retain 1, K = 2), folds back from its --out
+// directory to exactly the in-process batch report.  Without --exact the
+// daemon evicts idle flows and the reports differ, so this also pins the
+// flag's wiring.
+TEST_F(DaemonTest, DaemonBinaryExactRunFoldsToBatchReport) {
+  const fs::path dir = fs::temp_directory_path() / "entrace_daemon_exact";
+  fs::remove_all(dir);
+  util::Subprocess child = util::Subprocess::spawn(
+      {ENTRACE_DAEMON_BIN, "D3", "0.002", "--out", dir.string(), "--window", "30", "--retain",
+       "1", "--sketch-every", "2", "--exact"});
+  const std::optional<util::ExitStatus> status = child.wait_for(1200.0);
+  ASSERT_TRUE(status.has_value()) << "the replay did not finish";
+  ASSERT_TRUE(status->success()) << "exited=" << status->exited << " code=" << status->exit_code
+                                 << " signaled=" << status->signaled;
+
+  const DatasetSpec spec = dataset_by_name("D3", 0.002);
+  const SyntheticTraceSourceSet sources(spec, model());
+  const AnalyzerConfig cfg = default_config_for_model(model().site());
+  const DatasetAnalysis batch = analyze_dataset(sources, cfg);
+  const std::vector<report::ReportInput> inputs{report::ReportInput{&spec, &batch}};
+
+  snap::RetentionManager retention(
+      dir.string(), snap::RetentionOptions{1, 2}, cfg,
+      snap::SnapshotMeta{spec.name, 0.002, static_cast<std::uint32_t>(sources.size())});
+  EXPECT_GT(retention.tier2_sketch_count(), 0u);
+  EXPECT_EQ(snap::render_windowed_report(retention.report_paths(), spec, cfg),
+            report::full_report(inputs));
+  fs::remove_all(dir);
+}
+
 // ---- bounded-memory soak ----------------------------------------------------
 
 // Continuous-operation invariant: with eviction + slot reclaim + retention
 // tiering, >= 50 rotated windows leave RSS flat (sampled after warm-up) and
-// disk bounded at keep_full checkpoints plus one summary line per aged
-// window.  The RSS bound is skipped under sanitizers (quarantine and shadow
-// memory grow resident size by design).
+// disk within retention.h's bound after every window, plus one summary line
+// per aged window.  The RSS bound is skipped under sanitizers (quarantine
+// and shadow memory grow resident size by design).
 TEST_F(DaemonTest, SoakEvictReclaimRetentionStaysBounded) {
   MergedPacketStream stream = merged_stream(materialized());
   std::vector<TraceMeta> metas;
@@ -686,9 +774,14 @@ TEST_F(DaemonTest, SoakEvictReclaimRetentionStaysBounded) {
   const fs::path dir = fs::temp_directory_path() / "entrace_daemon_soak";
   fs::remove_all(dir);
   fs::create_directories(dir);
-  snap::RetentionManager retention(dir.string(), 3);
   const snap::SnapshotMeta meta{small_spec().name, 0.004,
                                 static_cast<std::uint32_t>(stream.source_count())};
+  const snap::RetentionOptions ropts{3, 8};
+  snap::RetentionManager retention(dir.string(), ropts, cfg, meta);
+  // retention.h: at any moment at most keep_full + 2K window files and 2K
+  // sketch files, a running fold's renamed output included.
+  const std::size_t disk_bound = ropts.keep_full + 4 * ropts.sketch_every;
+  std::size_t max_esnaps = 0;
 
   const auto checkpoint = [&](WindowShard&& w) {
     const std::string path = (dir / snap::window_file_name(w.index)).string();
@@ -699,6 +792,11 @@ TEST_F(DaemonTest, SoakEvictReclaimRetentionStaysBounded) {
     for (const TraceShard& shard : w.shards) s.packets += shard.total_packets;
     s.snapshot_bytes = snap::write_window_snapshot(path, meta, w);
     retention.add_window(s, path);
+    std::size_t esnaps = 0;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      if (e.path().extension() == ".esnap") ++esnaps;
+    }
+    max_esnaps = std::max(max_esnaps, esnaps);
   };
 
   std::size_t warmed_rss = 0;
@@ -713,19 +811,17 @@ TEST_F(DaemonTest, SoakEvictReclaimRetentionStaysBounded) {
     }
   }
   checkpoint(analyzer.finish(&stream));
+  retention.report_paths();  // settle: no fold still writes into `dir`
 
   EXPECT_GE(analyzer.windows_rotated(), 50u);
   EXPECT_GT(analyzer.evicted_total(), 0u);
   EXPECT_GT(analyzer.drained_total(), 0u);
 
-  // Disk is bounded: keep_full checkpoints on disk, everything older is one
-  // summary line.
+  // Disk is bounded: within the retention bound after every window, and
+  // every aged window is one summary line.
+  EXPECT_LE(max_esnaps, disk_bound);
+  EXPECT_GT(retention.sketch_folds(), 0u);
   EXPECT_LE(retention.tier0_count(), 3u);
-  std::size_t esnaps = 0;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    if (e.path().extension() == ".esnap") ++esnaps;
-  }
-  EXPECT_EQ(esnaps, retention.tier0_count());
   std::ifstream summary(retention.summary_path());
   std::string line;
   std::uint64_t lines = 0;

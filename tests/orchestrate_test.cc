@@ -470,6 +470,22 @@ TEST(OrchestrateTest, BinariesRejectGarbageNumericFlags) {
   EXPECT_FALSE(std::filesystem::exists(esnap));
 }
 
+// A shard whose output cannot be created is an error exit, not an abort: the
+// snapshot writer's std::runtime_error used to escape main (SIGABRT) after
+// the analysis had run.
+TEST(OrchestrateTest, ShardWriteFailureExitsOne) {
+  const std::string file = temp_path("entrace_orch_not_a_dir");
+  std::filesystem::remove_all(file);
+  std::ofstream(file) << "a regular file";
+  util::Subprocess child = util::Subprocess::spawn(
+      {ENTRACE_SHARD_BIN, file + "/out.esnap", "D0", "0.002", "--traces", "0:1"});
+  const std::optional<util::ExitStatus> status = child.wait_for(60.0);
+  ASSERT_TRUE(status.has_value());
+  EXPECT_TRUE(status->exited) << "signal " << status->term_signal;
+  EXPECT_EQ(status->exit_code, 1);
+  std::filesystem::remove(file);
+}
+
 // The merge tool's partial mode, driven through the real binaries.
 TEST(OrchestrateTest, MergeAllowPartialAcceptsIncompleteShardSet) {
   const std::string shard_path = temp_path("entrace_orch_merge_part.esnap");

@@ -396,32 +396,45 @@ TEST_F(RetentionTest, CrashBetweenSketchRenameAndInputDeleteRecovers) {
 
 // Retention runs as root in CI, so chmod tricks do not produce EACCES; the
 // failures are provoked structurally instead: a *directory* named
-// summary.jsonl makes the append fail, and a non-empty directory in place
-// of the window file makes std::remove fail.  Both must surface in the
-// AgeResult and the cumulative counter instead of disappearing.
+// summary.jsonl makes every summary append fail, and window files that are
+// not snapshots make every sketch fold fail on its first input.  Both must
+// surface in the AgeResult and the cumulative counter instead of
+// disappearing.
 TEST_F(RetentionTest, IoFailuresSurfaceInsteadOfVanishing) {
   const fs::path dir = fresh_dir("entrace_retention_ioerr");
   fs::create_directories(dir / "summary.jsonl");  // append target is a dir
 
-  snap::RetentionManager retention(dir.string(), 0);  // age immediately
-  const fs::path blocked = dir / snap::window_file_name(0);
-  fs::create_directories(blocked);
-  std::ofstream((blocked / "occupant").string()) << "x";  // remove() fails too
+  snap::RetentionOptions opts;
+  opts.keep_full = 0;  // age immediately
+  opts.sketch_every = 2;
+  snap::RetentionManager retention(dir.string(), opts, config(), snap_meta());
+  const auto add = [&](std::uint64_t index) {
+    const fs::path path = dir / snap::window_file_name(index);
+    std::ofstream(path.string()) << "not a snapshot";
+    snap::WindowSummary s;
+    s.index = index;
+    s.packets = 7;
+    return retention.add_window(s, path.string());
+  };
 
-  snap::WindowSummary s;
-  s.index = 0;
-  s.packets = 7;
-  const snap::AgeResult r = retention.add_window(s, blocked.string());
-  EXPECT_EQ(r.aged, 1u);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.io_errors, 2u);  // failed summary append + failed remove
-  EXPECT_EQ(retention.io_errors(), 2u);
+  // Window 1 queues a fold of windows 0 and 1.  By window 3 it has been
+  // applied: add_window() waits for a running fold once 2K windows pend.
+  std::size_t surfaced = 0;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const snap::AgeResult r = add(i);
+    EXPECT_EQ(r.aged, 1u);
+    EXPECT_GE(r.io_errors, 1u);  // the failed summary append
+    surfaced += r.io_errors;
+  }
+  EXPECT_GT(surfaced, 4u) << "no failed fold surfaced in an AgeResult";
+  EXPECT_EQ(retention.io_errors(), surfaced);
+  EXPECT_EQ(retention.sketch_folds(), 0u);
 
   // Degraded, not dead: the next aging still counts and still reports.
-  snap::WindowSummary s2;
-  s2.index = 1;
-  const snap::AgeResult r2 = retention.add_window(s2, (dir / "none.esnap").string());
-  EXPECT_EQ(retention.io_errors(), r.io_errors + r2.io_errors);
+  const snap::AgeResult r = add(4);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(retention.io_errors(), surfaced + r.io_errors);
+  retention.report_paths();  // settle: no fold still reads from `dir`
   fs::remove_all(dir);
 }
 

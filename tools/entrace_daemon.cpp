@@ -14,12 +14,11 @@
 //        sketch folds run on the retention manager's fold thread
 //
 // while serving observability over HTTP (--http-port):
-//   /metrics        Prometheus text (daemon.* operational metrics)
-//   /metrics.json   the same, as JSON
+//   /metrics        Prometheus text of the daemon's status registry
+//   /metrics.json   the same registry, as JSON
 //   /window/latest  summary of the most recently checkpointed window
 //   /report         full paper report folded across every retained tier
 //                   (tier-2 + tier-1 sketches, aged windows, tier-0)
-//   /status.json    event-loop status (windows, packets, live flows, ...)
 //   /healthz        liveness
 //
 // SIGTERM/SIGINT drain gracefully: the loop stops pulling, still-open flows
@@ -27,24 +26,24 @@
 // and the process exits 0 — no analyzed packet is ever lost to a shutdown.
 // Flow eviction (--window-scoped evict_idle) and slot reclamation keep
 // memory flat over unbounded runs; --exact disables both for replays that
-// must reconstruct byte-identically to a batch run.
+// must reconstruct byte-identically to a batch run.  A runtime failure (an
+// --out that cannot be created, a --http-port in use, a checkpoint that
+// cannot be written) prints the error and exits 1.
 //
 //   $ entrace_daemon [D0|..|D4] [scale] --out DIR [--window SEC] [--speedup X]
 //                    [--http-port P] [--retain K] [--sketch-every K] [--max-windows N]
-//                    [--repeat R] [--fake-clock] [--exact]
-//                    [--metrics-out file]
+//                    [--exact] [--metrics-out file]
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
+#include <exception>
+#include <filesystem>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
-
-#include <sys/stat.h>
 
 #include "core/incremental.h"
 #include "obs/exposition.h"
@@ -68,109 +67,25 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s [D0|D1|D2|D3|D4] [scale] --out DIR [--window SEC] [--speedup X]\n"
       "          [--http-port P] [--retain K] [--sketch-every K] [--max-windows N]\n"
-      "          [--repeat R] [--fake-clock] [--exact] [--metrics-out file]\n"
+      "          [--exact] [--metrics-out file]\n"
       "  replays the dataset as a paced live stream, rotating and checkpointing\n"
       "  one .esnap window every SEC seconds of capture time; SIGTERM drains.\n"
       "  --retain K       tier-0: newest K full window checkpoints (0 = none;\n"
-      "                   requires --sketch-every >= 2 so history lives in sketches)\n"
+      "                   the history then lives in the sketch tiers alone)\n"
       "  --sketch-every K tier-1/2: fold aged windows K at a time into sketch\n"
       "                   .esnaps, K sketches into a coarser tier-2 sketch\n"
-      "                   (default 8; 0 disables sketching — aged windows keep\n"
-      "                   only their summary.jsonl line)\n",
+      "                   (K >= 2, default 8)\n",
       argv0);
   return 2;
 }
 
-// Re-timestamps a source by a constant offset — the repeat wrapper shifts
-// each replay cycle past the previous one so stream time keeps advancing.
-class TimeShiftedSource final : public PacketSource {
- public:
-  TimeShiftedSource(std::unique_ptr<PacketSource> inner, double offset)
-      : inner_(std::move(inner)), offset_(offset), meta_(inner_->meta()) {
-    meta_.start_ts += offset_;
-  }
-
-  const TraceMeta& meta() const override { return meta_; }
-  const AnomalyCounts& anomalies() const override { return inner_->anomalies(); }
-
- protected:
-  std::size_t pull_batch(PacketView* out, std::size_t n) override {
-    const std::size_t got = inner_->next_batch(out, n);
-    for (std::size_t i = 0; i < got; ++i) out[i].ts += offset_;
-    return got;
-  }
-
- private:
-  std::unique_ptr<PacketSource> inner_;
-  double offset_;
-  TraceMeta meta_;
-};
-
-// Replays the merged dataset --repeat times, each cycle time-shifted by the
-// capture span, turning a finite dataset into an arbitrarily long stream
-// (the soak workload).  Each cycle reopens the sources, so memory does not
-// grow with the repeat count.
-class RepeatingMergedSource final : public PacketSource {
- public:
-  using OpenFn = std::function<std::vector<std::unique_ptr<PacketSource>>()>;
-
-  RepeatingMergedSource(OpenFn open, int repeats) : open_(std::move(open)), repeats_(repeats) {
-    current_ = std::make_unique<MergedPacketStream>(open_());
-    meta_ = current_->meta();
-    span_ = meta_.duration;
-    meta_.duration *= repeats_ > 0 ? repeats_ : 1;
-  }
-
-  const TraceMeta& meta() const override { return meta_; }
-  const AnomalyCounts& anomalies() const override { return current_->anomalies(); }
-
- protected:
-  std::size_t pull_batch(PacketView* out, std::size_t n) override {
-    for (;;) {
-      const std::size_t got = current_->next_batch(out, n);
-      if (got != 0) return got;
-      if (!next_cycle()) return 0;
-    }
-  }
-
- private:
-  bool next_cycle() {
-    if (++cycle_ >= repeats_) return false;
-    std::vector<std::unique_ptr<PacketSource>> shifted;
-    for (auto& src : open_()) {
-      shifted.push_back(
-          std::make_unique<TimeShiftedSource>(std::move(src), span_ * cycle_));
-    }
-    current_ = std::make_unique<MergedPacketStream>(std::move(shifted));
-    return true;
-  }
-
-  OpenFn open_;
-  int repeats_;
-  int cycle_ = 0;
-  double span_ = 0.0;
-  std::unique_ptr<MergedPacketStream> current_;
-  TraceMeta meta_;
-};
-
-// Shared between the event loop (writer) and the HTTP threads (readers).
+// The daemon's one status store, shared between the event loop (writer)
+// and the HTTP workers (readers).  The ingest loop, the checkpoint and the
+// /report settle update the registry in place; /metrics, /metrics.json and
+// --metrics-out render it as it is.
 struct DaemonStatus {
   std::mutex mu;
-  std::uint64_t packets = 0;
-  std::uint64_t windows = 0;
-  double stream_ts = 0.0;
-  std::size_t live_flows = 0;
-  std::uint64_t drained = 0;
-  std::uint64_t evicted = 0;
-  std::size_t tier0 = 0;
-  std::uint64_t summarized = 0;       // windows aged to the headline tier
-  std::size_t fold_backlog = 0;       // aged windows no applied sketch covers
-  std::size_t tier1_sketches = 0;
-  std::size_t tier2_sketches = 0;
-  std::uint64_t retention_bytes = 0;  // tracked disk across every tier
-  std::uint64_t retention_io_errors = 0;
-  obs::Histogram fold_seconds{std::vector<double>{}};
-  bool draining = false;
+  obs::Registry reg;
   std::string latest_window_json;  // empty until the first checkpoint
 };
 
@@ -187,64 +102,65 @@ struct ReportCache {
   bool valid = false;
 };
 
-// Copy the manager's counters into the status.  Caller holds ReportCache::mu,
-// then st.mu.
-void publish_retention(DaemonStatus& st, const snapshot::RetentionManager& retention) {
-  st.tier0 = retention.tier0_count();
-  st.summarized = retention.summarized_count();
-  st.fold_backlog = retention.pending_count();
-  st.tier1_sketches = retention.tier1_sketch_count();
-  st.tier2_sketches = retention.tier2_sketch_count();
-  st.retention_bytes = retention.bytes_retained();
-  st.retention_io_errors = retention.io_errors();
-  st.fold_seconds = retention.fold_seconds();
+// Counters advance to a running total that the analyzer or the retention
+// manager keeps, so publishing the same state twice changes nothing.
+void advance(obs::Counter* counter, std::uint64_t total) {
+  if (total > counter->value()) counter->add(total - counter->value());
 }
 
-// One registry for /metrics, /metrics.json and --metrics-out.  Caller
-// holds st.mu.
-obs::Registry status_metrics(const DaemonStatus& st) {
+// Caller holds DaemonStatus::mu.
+void publish_ingest(obs::Registry& reg, const IncrementalAnalyzer& analyzer,
+                    std::uint64_t packets, bool draining) {
   using obs::MetricClass;
-  obs::Registry reg;
-  reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested")->add(st.packets);
-  reg.counter("daemon.windows_rotated", MetricClass::kSemantic, "windows rotated")
-      ->add(st.windows);
-  reg.counter("daemon.flows_drained", MetricClass::kSemantic,
-              "flows classified by end-of-stream drains")
-      ->add(st.drained);
-  reg.counter("daemon.flows_evicted", MetricClass::kSemantic, "flows closed by idle eviction")
-      ->add(st.evicted);
+  advance(reg.counter("daemon.packets", MetricClass::kSemantic, "packets ingested"), packets);
+  advance(reg.counter("daemon.windows_rotated", MetricClass::kSemantic, "windows rotated"),
+          analyzer.windows_rotated());
+  advance(reg.counter("daemon.flows_drained", MetricClass::kSemantic,
+                      "flows classified by end-of-stream drains"),
+          analyzer.drained_total());
+  advance(reg.counter("daemon.flows_evicted", MetricClass::kSemantic,
+                      "flows closed by idle eviction"),
+          analyzer.evicted_total());
   reg.gauge("daemon.live_flows", MetricClass::kTiming, "live flow-table entries")
-      ->set(static_cast<double>(st.live_flows));
+      ->set(static_cast<double>(analyzer.live_entries()));
   reg.gauge("daemon.stream_ts", MetricClass::kTiming, "latest capture timestamp ingested")
-      ->set(st.stream_ts);
+      ->set(analyzer.max_ts());
+  reg.gauge("daemon.draining", MetricClass::kTiming,
+            "1 once ingest has stopped and the final window is being flushed")
+      ->set(draining ? 1.0 : 0.0);
+}
+
+// Caller holds ReportCache::mu (the manager's lock), then DaemonStatus::mu.
+void publish_retention(obs::Registry& reg, const snapshot::RetentionManager& retention) {
+  using obs::MetricClass;
   reg.gauge("daemon.tier0_windows", MetricClass::kTiming, "full-resolution checkpoints kept")
-      ->set(static_cast<double>(st.tier0));
-  reg.counter("daemon.summarized_windows", MetricClass::kTiming,
-              "windows aged to the headline summary tier")
-      ->add(st.summarized);
+      ->set(static_cast<double>(retention.tier0_count()));
+  advance(reg.counter("daemon.summarized_windows", MetricClass::kTiming,
+                      "windows aged to the headline summary tier"),
+          retention.summarized_count());
   reg.gauge("daemon.tier1_sketches", MetricClass::kTiming,
             "tier-1 sketch files (K aged windows folded each)")
-      ->set(static_cast<double>(st.tier1_sketches));
+      ->set(static_cast<double>(retention.tier1_sketch_count()));
   reg.gauge("daemon.tier2_sketches", MetricClass::kTiming,
             "tier-2 sketch files (K tier-1 sketches folded each)")
-      ->set(static_cast<double>(st.tier2_sketches));
+      ->set(static_cast<double>(retention.tier2_sketch_count()));
   reg.gauge("retention.bytes", MetricClass::kTiming,
             "bytes retained across all tiers (checkpoints, sketches, summaries)")
-      ->set(static_cast<double>(st.retention_bytes));
-  reg.counter("retention.io_errors", MetricClass::kTiming,
-              "retention I/O failures (summary appends, removes, sketch folds)")
-      ->add(st.retention_io_errors);
+      ->set(static_cast<double>(retention.bytes_retained()));
+  advance(reg.counter("retention.io_errors", MetricClass::kTiming,
+                      "retention I/O failures (summary appends, removes, sketch folds)"),
+          retention.io_errors());
   reg.gauge("retention.fold_backlog", MetricClass::kTiming,
             "aged windows that no applied sketch covers yet")
-      ->set(static_cast<double>(st.fold_backlog));
-  reg.histogram("retention.fold_seconds", MetricClass::kTiming, st.fold_seconds.bounds(),
+      ->set(static_cast<double>(retention.pending_count()));
+  const obs::Histogram& folds = retention.fold_seconds();
+  reg.histogram("retention.fold_seconds", MetricClass::kTiming, folds.bounds(),
                 "sketch fold wall time on the fold thread")
-      ->merge(st.fold_seconds);
+      ->restore(folds.buckets(), folds.count(), folds.sum());
   reg.gauge("retention.fold_seconds.p50", MetricClass::kTiming, "median sketch fold time")
-      ->set(st.fold_seconds.quantile(0.5));
+      ->set(folds.quantile(0.5));
   reg.gauge("retention.fold_seconds.p99", MetricClass::kTiming, "99th-percentile sketch fold time")
-      ->set(st.fold_seconds.quantile(0.99));
-  return reg;
+      ->set(folds.quantile(0.99));
 }
 
 obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache,
@@ -264,7 +180,7 @@ obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache,
     {
       // report_paths() settles the manager: publish the folds it applied.
       std::lock_guard<std::mutex> lock(st.mu);
-      publish_retention(st, retention);
+      publish_retention(st.reg, retention);
     }
     if (paths.empty()) {
       return {404, "text/plain; charset=utf-8", "no window checkpointed yet\n"};
@@ -283,42 +199,23 @@ obs::HttpResponse handle_http(DaemonStatus& st, ReportCache& cache,
   }
 
   std::lock_guard<std::mutex> lock(st.mu);
-  if (path == "/metrics" || path == "/metrics.json") {
-    const obs::Registry reg = status_metrics(st);
-    if (path == "/metrics") {
-      return {200, "text/plain; version=0.0.4", obs::render_prometheus(reg)};
-    }
-    return {200, "application/json", obs::render_json(reg)};
-  }
+  if (path == "/metrics") return {200, "text/plain; version=0.0.4", obs::render_prometheus(st.reg)};
+  if (path == "/metrics.json") return {200, "application/json", obs::render_json(st.reg)};
   if (path == "/window/latest") {
     if (st.latest_window_json.empty()) {
       return {404, "text/plain; charset=utf-8", "no window checkpointed yet\n"};
     }
     return {200, "application/json", st.latest_window_json + "\n"};
   }
-  if (path == "/status.json") {
-    std::ostringstream out;
-    out.precision(17);
-    out << "{\"packets\":" << st.packets << ",\"windows_rotated\":" << st.windows
-        << ",\"stream_ts\":" << st.stream_ts << ",\"live_flows\":" << st.live_flows
-        << ",\"flows_drained\":" << st.drained << ",\"flows_evicted\":" << st.evicted
-        << ",\"tier0_windows\":" << st.tier0 << ",\"summarized_windows\":" << st.summarized
-        << ",\"fold_backlog\":" << st.fold_backlog
-        << ",\"tier1_sketches\":" << st.tier1_sketches
-        << ",\"tier2_sketches\":" << st.tier2_sketches
-        << ",\"retention_bytes\":" << st.retention_bytes
-        << ",\"retention_io_errors\":" << st.retention_io_errors
-        << ",\"fold_seconds_p50\":" << st.fold_seconds.quantile(0.5)
-        << ",\"fold_seconds_p99\":" << st.fold_seconds.quantile(0.99)
-        << ",\"draining\":" << (st.draining ? "true" : "false") << "}\n";
-    return {200, "application/json", out.str()};
-  }
   return {404, "text/plain; charset=utf-8", "unknown path\n"};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A function-try-block: an exception that escapes the run (a snapshot
+// write that fails, a port already in use) unwinds every local — the HTTP
+// server and the fold thread are joined — and exits 1 instead of aborting.
+int main(int argc, char** argv) try {
   std::vector<const char*> positionals;
   std::string out_dir, metrics_out;
   double window_seconds = 60.0;
@@ -326,10 +223,9 @@ int main(int argc, char** argv) {
   std::uint64_t http_port = 0;
   bool serve_http = false;
   std::uint64_t retain = 4;
-  std::uint64_t sketch_every = 8;  // 0 disables the sketch tiers
-  std::uint64_t max_windows = 0;   // 0 = until the stream ends
-  std::uint64_t repeat = 1;
-  bool fake_clock = false, exact = false;
+  std::uint64_t sketch_every = 8;
+  std::uint64_t max_windows = 0;  // 0 = until the stream ends
+  bool exact = false;
   bool parse_error = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -365,12 +261,8 @@ int main(int argc, char** argv) {
       uint_value(sketch_every);
     } else if (has_value("--max-windows")) {
       uint_value(max_windows);
-    } else if (has_value("--repeat")) {
-      uint_value(repeat);
     } else if (has_value("--metrics-out")) {
       metrics_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--fake-clock") == 0) {
-      fake_clock = true;
     } else if (std::strcmp(argv[i], "--exact") == 0) {
       exact = true;
     } else {
@@ -389,25 +281,25 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--out DIR is required (window checkpoints land there)\n");
     return usage(argv[0]);
   }
-  if (window_seconds <= 0.0 || repeat < 1) {
-    std::fprintf(stderr, "--window must be > 0, --repeat >= 1\n");
+  if (window_seconds <= 0.0) {
+    std::fprintf(stderr, "--window must be > 0\n");
     return usage(argv[0]);
   }
   if (serve_http && http_port > 65535) {
     std::fprintf(stderr, "--http-port must be <= 65535\n");
     return usage(argv[0]);
   }
-  if (sketch_every == 1) {
-    std::fprintf(stderr, "--sketch-every must be 0 (off) or >= 2 (fold width)\n");
+  if (sketch_every < 2) {
+    std::fprintf(stderr, "--sketch-every must be >= 2 (the sketch fold width)\n");
     return usage(argv[0]);
   }
-  if (retain == 0 && sketch_every < 2) {
-    std::fprintf(stderr,
-                 "--retain 0 keeps no full checkpoints; it requires --sketch-every >= 2\n"
-                 "so the run's history still lives in sketch tiers\n");
-    return usage(argv[0]);
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(out_dir, mkdir_error);
+  if (mkdir_error) {
+    std::fprintf(stderr, "entrace_daemon: cannot create --out %s: %s\n", out_dir.c_str(),
+                 mkdir_error.message().c_str());
+    return 1;
   }
-  ::mkdir(out_dir.c_str(), 0777);  // EEXIST is fine; writes below report real errors
 
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
@@ -415,36 +307,16 @@ int main(int argc, char** argv) {
   const EnterpriseModel model;
   const DatasetSpec spec = dataset_by_name(dataset.name, dataset.scale);
   const SyntheticTraceSourceSet sources(spec, model);
-
-  // Open every tap once for the analyzer's metadata, then hand the open
-  // recipe to the repeat wrapper so later cycles reopen fresh sources.
-  const auto open_all = [&sources]() {
-    std::vector<std::unique_ptr<PacketSource>> opened;
-    opened.reserve(sources.size());
-    for (std::size_t i = 0; i < sources.size(); ++i) opened.push_back(sources.open(i));
-    return opened;
-  };
+  std::vector<std::unique_ptr<PacketSource>> taps;
+  taps.reserve(sources.size());
+  for (std::size_t i = 0; i < sources.size(); ++i) taps.push_back(sources.open(i));
+  MergedPacketStream stream(std::move(taps));
   std::vector<TraceMeta> metas;
-  {
-    auto probe = open_all();
-    metas.reserve(probe.size());
-    for (const auto& src : probe) metas.push_back(src->meta());
-  }
+  metas.reserve(stream.source_count());
+  for (std::size_t i = 0; i < stream.source_count(); ++i) metas.push_back(stream.source(i).meta());
 
-  std::unique_ptr<PacketSource> stream;
-  const MergedPacketStream* merged_for_finish = nullptr;
-  if (repeat == 1) {
-    auto merged = std::make_unique<MergedPacketStream>(open_all());
-    merged_for_finish = merged.get();
-    stream = std::move(merged);
-  } else {
-    stream = std::make_unique<RepeatingMergedSource>(open_all, static_cast<int>(repeat));
-  }
-
-  util::SystemClock system_clock;
-  util::FakeClock test_clock;
-  util::Clock& clock = fake_clock ? static_cast<util::Clock&>(test_clock) : system_clock;
-  PacedReplaySource paced(*stream, clock, speedup);
+  util::SystemClock clock;
+  PacedReplaySource paced(stream, clock, speedup);
 
   const AnalyzerConfig config = default_config_for_model(model.site());
   IncrementalOptions options;
@@ -455,22 +327,13 @@ int main(int argc, char** argv) {
 
   const snapshot::SnapshotMeta snap_meta{spec.name, dataset.scale,
                                          static_cast<std::uint32_t>(sources.size())};
-  // sketch_every >= 2 selects the tiered manager (tier-1/2 sketch folds plus
-  // a recovery scan of whatever an earlier run left in --out); 0 keeps the
-  // legacy summary-only aging.  The recovery scan also tells us where window
-  // numbering must resume so a restart cannot overwrite retained history.
+  // The manager's recovery scan picks up whatever an earlier run left in
+  // --out, and tells us where window numbering must resume so a restart
+  // cannot overwrite retained history.
   snapshot::RetentionOptions retention_opts;
   retention_opts.keep_full = static_cast<std::size_t>(retain);
   retention_opts.sketch_every = static_cast<std::size_t>(sketch_every);
-  std::unique_ptr<snapshot::RetentionManager> retention_owned;
-  if (sketch_every >= 2) {
-    retention_owned = std::make_unique<snapshot::RetentionManager>(out_dir, retention_opts,
-                                                                   config, snap_meta);
-  } else {
-    retention_owned =
-        std::make_unique<snapshot::RetentionManager>(out_dir, static_cast<std::size_t>(retain));
-  }
-  snapshot::RetentionManager& retention = *retention_owned;
+  snapshot::RetentionManager retention(out_dir, retention_opts, config, snap_meta);
   const std::uint64_t window_base = retention.next_window_index();
   if (window_base != 0) {
     std::fprintf(stderr, "entrace_daemon: recovered %zu retained files, resuming at window %llu\n",
@@ -481,10 +344,13 @@ int main(int argc, char** argv) {
 
   DaemonStatus status;
   ReportCache report_cache;
+  std::uint64_t packets = 0;
   {
+    // Register every series before the first scrape can arrive.
     std::lock_guard<std::mutex> render_lock(report_cache.mu);
     std::lock_guard<std::mutex> lock(status.mu);
-    publish_retention(status, retention);
+    publish_ingest(status.reg, analyzer, packets, /*draining=*/false);
+    publish_retention(status.reg, retention);
   }
   std::unique_ptr<obs::HttpServer> http;
   if (serve_http) {
@@ -517,13 +383,11 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(win.index));
     }
     std::lock_guard<std::mutex> lock(status.mu);
-    status.windows = analyzer.windows_rotated();
     status.latest_window_json = snapshot::to_json_line(summary);
-    publish_retention(status, retention);
+    publish_retention(status.reg, retention);
   };
 
   std::vector<PacketView> views(kBatchSize);
-  std::uint64_t packets = 0;
   bool source_drained = false;
   while (g_stop == 0) {
     const std::size_t got = paced.next_batch(views.data(), views.size());
@@ -541,11 +405,7 @@ int main(int argc, char** argv) {
     }
     {
       std::lock_guard<std::mutex> lock(status.mu);
-      status.packets = packets;
-      status.stream_ts = analyzer.max_ts();
-      status.live_flows = analyzer.live_entries();
-      status.drained = analyzer.drained_total();
-      status.evicted = analyzer.evicted_total();
+      publish_ingest(status.reg, analyzer, packets, /*draining=*/false);
     }
     if (max_windows != 0 && analyzer.windows_rotated() >= max_windows) break;
   }
@@ -554,44 +414,37 @@ int main(int argc, char** argv) {
   // window, whether the stream ended or a signal asked us to stop.
   {
     std::lock_guard<std::mutex> lock(status.mu);
-    status.draining = true;
+    publish_ingest(status.reg, analyzer, packets, /*draining=*/true);
   }
-  if (analyzer.saw_packets()) checkpoint(analyzer.finish(merged_for_finish));
+  if (analyzer.saw_packets()) checkpoint(analyzer.finish(&stream));
   // Settle the manager — apply the running fold and run every due one — so
   // the exit summary and --metrics-out count every fold and every I/O error
   // it surfaced; the destructor then has nothing left to apply.
-  obs::Registry final_metrics;
   {
     std::lock_guard<std::mutex> render_lock(report_cache.mu);
     retention.report_paths();
     std::lock_guard<std::mutex> lock(status.mu);
-    publish_retention(status, retention);
-    status.packets = packets;
-    status.live_flows = analyzer.live_entries();
-    status.drained = analyzer.drained_total();
-    status.evicted = analyzer.evicted_total();
-    std::fprintf(
-        stderr,
-        "entrace_daemon: %s after %llu packets, %llu windows "
-        "(%zu full, %llu aged, %zu+%zu sketches, %llu bytes retained, %llu io errors), "
-        "%llu flows drained\n",
-        g_stop != 0 ? "drained on signal" : (source_drained ? "stream complete" : "window limit"),
-        static_cast<unsigned long long>(packets), static_cast<unsigned long long>(status.windows),
-        status.tier0, static_cast<unsigned long long>(status.summarized), status.tier1_sketches,
-        status.tier2_sketches, static_cast<unsigned long long>(status.retention_bytes),
-        static_cast<unsigned long long>(status.retention_io_errors),
-        static_cast<unsigned long long>(status.drained));
-    final_metrics = status_metrics(status);
+    publish_ingest(status.reg, analyzer, packets, /*draining=*/true);
+    publish_retention(status.reg, retention);
   }
   if (http != nullptr) http->stop();
 
-  if (!metrics_out.empty()) {
-    try {
-      obs::write_metrics_file(final_metrics, metrics_out);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--metrics-out: %s\n", e.what());
-      return 1;
-    }
-  }
+  std::fprintf(
+      stderr,
+      "entrace_daemon: %s after %llu packets, %llu windows "
+      "(%zu full, %llu aged, %zu+%zu sketches, %llu bytes retained, %llu io errors), "
+      "%llu flows drained\n",
+      g_stop != 0 ? "drained on signal" : (source_drained ? "stream complete" : "window limit"),
+      static_cast<unsigned long long>(packets),
+      static_cast<unsigned long long>(analyzer.windows_rotated()), retention.tier0_count(),
+      static_cast<unsigned long long>(retention.summarized_count()),
+      retention.tier1_sketch_count(), retention.tier2_sketch_count(),
+      static_cast<unsigned long long>(retention.bytes_retained()),
+      static_cast<unsigned long long>(retention.io_errors()),
+      static_cast<unsigned long long>(analyzer.drained_total()));
+  if (!metrics_out.empty()) obs::write_metrics_file(status.reg, metrics_out);
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "entrace_daemon: %s\n", e.what());
+  return 1;
 }

@@ -19,6 +19,7 @@
 //                   [--threads N] [--resume] [--metrics-out file]
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,9 @@ int usage(const char* argv0) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+// A function-try-block: a runtime failure (an output path that cannot be
+// created, a failed write) prints the error and exits 1 instead of aborting.
+int main(int argc, char** argv) try {
   if (argc < 2) return usage(argv[0]);
   const std::string out_path = argv[1];
 
@@ -143,13 +146,11 @@ int main(int argc, char** argv) {
     // Fold per-trace semantic metrics with this process's timing metrics so
     // the file covers both what the slice contained and what the run cost.
     for (const TraceShard& shard : shards) process_metrics.merge(shard.metrics);
-    try {
-      obs::write_metrics_file(process_metrics, metrics_out);
-      std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--metrics-out: %s\n", e.what());
-      return 1;
-    }
+    obs::write_metrics_file(process_metrics, metrics_out);
+    std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "entrace_shard: %s\n", e.what());
+  return 1;
 }
