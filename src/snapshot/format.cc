@@ -36,9 +36,9 @@ std::array<std::uint32_t, 256> make_crc_table() {
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
+std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc) {
   static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xFFFFFFFFu;
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
   for (const std::uint8_t b : bytes) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }

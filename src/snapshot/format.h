@@ -74,7 +74,9 @@ enum class SectionType : std::uint32_t {
 const char* to_string(SectionType type);
 
 // CRC-32 (IEEE 802.3 polynomial, reflected — the zlib crc32) over bytes.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+// Like zlib's, it continues a running CRC: crc32(b, crc32(a)) is the CRC
+// of a followed by b.
+std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc = 0);
 
 // Decode failure; `offset` is the absolute file offset the failure was
 // detected at, and what() always names it.  `kind` separates the two ways

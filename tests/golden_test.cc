@@ -23,6 +23,19 @@
 //
 // The suite also pins the one packet path's regrouping contract: however a
 // source cuts its batches, analyze_dataset renders the same bytes.
+//
+// tests/golden/snapshots.txt pins the .esnap encoding the same way: the
+// byte length and CRC-32 of
+//
+//   - each dataset's full image, D0-D4 at 0.004 with every trace, written
+//     through SnapshotWriter(std::ostream&) as cluster workers write it (the
+//     same bytes `entrace_shard Dx 0.004` writes to its file);
+//   - the window images of an exact windowed replay of D3 at 0.004 with 60 s
+//     windows, concatenated in window order, and of the same replay with
+//     eviction and reclaim on (the daemon's default).
+//
+// Every image must also survive decode -> re-encode byte for byte, so the
+// reader restores everything the writer writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,13 +47,17 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/analyzer.h"
+#include "core/incremental.h"
 #include "core/report.h"
 #include "obs/exposition.h"
 #include "snapshot/format.h"
+#include "snapshot/reader.h"
+#include "snapshot/writer.h"
 #include "synth/corruptor.h"
 #include "synth/generator.h"
 #include "synth/synth_source.h"
@@ -74,18 +91,20 @@ std::string golden_line(const std::string& name, const Rendered& r) {
   return name + " " + digest(r.report) + " " + digest(r.metrics);
 }
 
-// Case name -> its line in the golden file ('#' lines are comments).
+// Case name -> its line in a golden file ('#' lines are comments).
+std::map<std::string, std::string> read_golden(const char* path) {
+  std::map<std::string, std::string> out;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    out.emplace(line.substr(0, line.find(' ')), line);
+  }
+  return out;
+}
+
 const std::map<std::string, std::string>& golden() {
-  static const std::map<std::string, std::string> lines = [] {
-    std::map<std::string, std::string> out;
-    std::ifstream in(ENTRACE_GOLDEN_FILE);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.empty() || line[0] == '#') continue;
-      out.emplace(line.substr(0, line.find(' ')), line);
-    }
-    return out;
-  }();
+  static const std::map<std::string, std::string> lines = read_golden(ENTRACE_GOLDEN_FILE);
   return lines;
 }
 
@@ -227,6 +246,114 @@ TEST(BatchRegroupingTest, CorruptedCappedBatchesKeepReportAndTaxonomy) {
       EXPECT_EQ(render(spec, got).report, render(spec, want).report);
     }
   }
+}
+
+// ---- snapshot images ---------------------------------------------------------
+
+// "<case> <image bytes> <image crc32>"
+void expect_snapshot_line(const std::string& got_line) {
+  static const std::map<std::string, std::string> lines = read_golden(ENTRACE_GOLDEN_SNAPSHOTS);
+  const std::string name = got_line.substr(0, got_line.find(' '));
+  const std::string want_line = lines.count(name) != 0 ? lines.at(name) : "";
+  EXPECT_EQ(got_line, want_line) << "snapshot digest mismatch for " << name << " ("
+                                 << ENTRACE_GOLDEN_SNAPSHOTS
+                                 << ")\nIf the change is deliberate, replace the golden line with:\n"
+                                 << got_line;
+}
+
+// Shard i goes in at trace index i, through the stream-sink writer.
+std::string encode_image(const snapshot::SnapshotMeta& meta, const std::vector<TraceShard>& shards) {
+  std::ostringstream out(std::ios::binary);
+  snapshot::SnapshotWriter writer(out, meta);
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    writer.add_shard(static_cast<std::uint32_t>(i), shards[i]);
+  }
+  writer.close();
+  return std::move(out).str();
+}
+
+void expect_reencodes(const std::string& image) {
+  const snapshot::Snapshot snap = snapshot::decode_snapshot(
+      {reinterpret_cast<const std::uint8_t*>(image.data()), image.size()});
+  std::ostringstream out(std::ios::binary);
+  snapshot::SnapshotWriter writer(out, snap.meta);
+  for (const snapshot::SnapshotShard& s : snap.shards) writer.add_shard(s.trace_index, s.shard);
+  writer.close();
+  const std::string again = std::move(out).str();
+  EXPECT_TRUE(again == image) << "decode -> encode changed a " << image.size()
+                              << "-byte image into " << again.size() << " bytes";
+}
+
+class GoldenSnapshotTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GoldenSnapshotTest, DatasetImageMatchesDigest) {
+  const std::string name = GetParam();
+  const DatasetSpec spec = dataset_by_name(name, kScale);
+  const SyntheticTraceSourceSet sources(spec, model());
+  const std::vector<TraceShard> shards = analyze_trace_shards(
+      sources, default_config_for_model(model().site()), 0, sources.size());
+  const std::string image =
+      encode_image({spec.name, kScale, static_cast<std::uint32_t>(sources.size())}, shards);
+  expect_snapshot_line(name + " " + digest(image));
+  expect_reencodes(image);
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, GoldenSnapshotTest,
+                         ::testing::Values("D0", "D1", "D2", "D3", "D4"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+// A windowed replay of D3 the way entrace_daemon runs it (every tap merged
+// into one time-ordered stream), each rotated window encoded as its
+// checkpoint image.  Returns the digest line of the images concatenated in
+// window order, kept as a running length and CRC (the concatenation is
+// ~60 MB).
+std::string d3_window_images_line(const std::string& name, bool evict_and_reclaim) {
+  const DatasetSpec spec = dataset_d3(kScale);
+  const SyntheticTraceSourceSet sources(spec, model());
+  std::vector<std::unique_ptr<PacketSource>> taps;
+  for (std::size_t i = 0; i < sources.size(); ++i) taps.push_back(sources.open(i));
+  MergedPacketStream stream(std::move(taps));
+  std::vector<TraceMeta> metas;
+  for (std::size_t i = 0; i < stream.source_count(); ++i) metas.push_back(stream.source(i).meta());
+
+  IncrementalOptions options;
+  options.window_seconds = 60.0;
+  options.evict = evict_and_reclaim;
+  options.reclaim = evict_and_reclaim;
+  IncrementalAnalyzer analyzer(std::move(metas), default_config_for_model(model().site()),
+                               options);
+  const snapshot::SnapshotMeta meta{spec.name, kScale,
+                                    static_cast<std::uint32_t>(sources.size())};
+  std::size_t bytes = 0;
+  std::uint32_t crc = 0;
+  const auto append = [&](const WindowShard& window) {
+    const std::string image = encode_image(meta, window.shards);
+    expect_reencodes(image);
+    bytes += image.size();
+    crc = snapshot::crc32({reinterpret_cast<const std::uint8_t*>(image.data()), image.size()},
+                          crc);
+  };
+  std::vector<PacketView> views(kBatchSize);
+  for (;;) {
+    const std::size_t got = stream.next_batch(views.data(), views.size());
+    if (got == 0) break;
+    analyzer.feed(views.data(), got);
+    while (analyzer.window_complete()) append(analyzer.rotate());
+  }
+  append(analyzer.finish(&stream));
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), " %zu %08x", bytes, crc);
+  return name + buf;
+}
+
+TEST(GoldenWindowSnapshotTest, ExactWindowImagesMatchDigest) {
+  expect_snapshot_line(d3_window_images_line("D3-windows-60", false));
+}
+
+TEST(GoldenWindowSnapshotTest, EvictingWindowImagesMatchDigest) {
+  expect_snapshot_line(d3_window_images_line("D3-windows-60-evict", true));
 }
 
 }  // namespace
