@@ -29,6 +29,25 @@ void record_pool_metrics(const ThreadPool& pool, obs::Registry& reg) {
 
 }  // namespace
 
+void ShardTotals::merge_from(ShardTotals&& other) {
+  // Binding every member by name compiles only while ShardTotals has
+  // exactly these eleven.  A new member must be added to the declaration
+  // (core/analyzer.h), merged here, and encoded in snapshot/codec.cc.
+  auto& [packets, wire_bytes, l3_counts, protos, monitored, lbnl, remote, quality_in, events_in,
+         registry_in, metrics_in] = other;
+  total_packets += packets;
+  total_wire_bytes += wire_bytes;
+  l3.merge(l3_counts);
+  ip_proto_packets.merge(protos);
+  monitored_hosts.insert(monitored.begin(), monitored.end());
+  lbnl_hosts.insert(lbnl.begin(), lbnl.end());
+  remote_hosts.insert(remote.begin(), remote.end());
+  quality.merge(quality_in);
+  events.merge(std::move(events_in));
+  registry.merge_dynamic_endpoints(registry_in);
+  metrics.merge(metrics_in);
+}
+
 std::uint64_t DatasetAnalysis::payload_bytes() const {
   std::uint64_t total = 0;
   for (const Connection* c : connections) total += c->total_bytes();
@@ -116,22 +135,14 @@ DatasetAnalysis fold_shards(std::string dataset_name, std::vector<TraceShard>&& 
   ScannerDetector detector(config.scanner);
   for (Ipv4Address known : config.site.known_scanners) detector.add_known_scanner(known);
 
+  // Across traces the detector merges into a fold-local one, and each
+  // trace keeps its own connection table and load series.
   for (TraceShard& shard : shards) {
     if (shard.subnet_id >= 0) out.monitored_subnets.push_back(shard.subnet_id);
-    out.total_packets += shard.total_packets;
-    out.total_wire_bytes += shard.total_wire_bytes;
-    out.l3.merge(shard.l3);
-    out.ip_proto_packets.merge(shard.ip_proto_packets);
     detector.merge(shard.detector);
-    out.monitored_hosts.insert(shard.monitored_hosts.begin(), shard.monitored_hosts.end());
-    out.lbnl_hosts.insert(shard.lbnl_hosts.begin(), shard.lbnl_hosts.end());
-    out.remote_hosts.insert(shard.remote_hosts.begin(), shard.remote_hosts.end());
-    out.registry.merge_dynamic_endpoints(shard.registry);
-    out.events.merge(std::move(shard.events));
-    out.quality.merge(shard.quality);
     out.load_raw.push_back(std::move(shard.load));
     out.tables.push_back(std::move(shard.table));
-    out.metrics.merge(shard.metrics);
+    out.merge_from(std::move(shard));
   }
   // Scanner identification is global: only the merged detector has seen a
   // source's contacts across all traces, so the removal filter runs here,

@@ -18,10 +18,11 @@
 // own source and runs the whole decode -> tallies -> scanner-observation
 // -> flow -> application chain as one fused pass over zero-copy batches
 // (a single decode per packet; there is no scalar packet-at-a-time path)
-// with private state, and the shards fold on the caller's thread
-// in trace-index order — results are bit-identical for every thread count
-// and for every source kind that yields the same packet stream.  Scanner
-// *identification* needs the global cross-trace view, so the
+// with private state, and the shards fold on the caller's thread in
+// trace-index order through ShardTotals::merge_from, the one merge the
+// daemon's window fold shares — results are bit-identical for every thread
+// count and for every source kind that yields the same packet stream.
+// Scanner *identification* needs the global cross-trace view, so the
 // scanner-removal filter runs after the fold.  Dynamic DCE/RPC endpoints
 // learned from Endpoint Mapper traffic apply within the trace that
 // observed them (EPM mappings and the ephemeral-port connections they
@@ -103,12 +104,10 @@ class IpProtoCounts {
   std::array<std::uint64_t, 256> counts_{};
 };
 
-class DatasetAnalysis {
- public:
-  std::string name;
-  SiteConfig site;
-  std::vector<int> monitored_subnets;
-
+// The members a DatasetAnalysis and a TraceShard share, declared once.  A
+// shard's totals cover one trace (or one window of one trace); the
+// dataset's are every shard's, folded by merge_from.
+struct ShardTotals {
   // ---- packet-level tallies (Tables 1-2) ----------------------------------
   // Accounting rule: every headline tally — total_packets, total_wire_bytes,
   // l3, ip_proto_packets, the host sets and the load series — counts only
@@ -137,6 +136,33 @@ class DatasetAnalysis {
   // (snaplen clipping, partial L3/L4 decodes, parser bails).
   CaptureQuality quality;
 
+  // ---- application events -----------------------------------------------------
+  AppEvents events;
+  // Dynamic DCE/RPC endpoints learned from Endpoint Mapper traffic.
+  AppRegistry registry;
+
+  // ---- runtime telemetry -----------------------------------------------------
+  // Semantic-class metrics are deterministic (same dataset => same values
+  // at any thread count or shard partition) and travel through snapshots;
+  // timing-class metrics describe this particular run.  Render with
+  // report::telemetry or obs::render_json / obs::render_prometheus.  Empty
+  // when AnalyzerConfig::collect_metrics is off.
+  obs::Registry metrics;
+
+  // Fold another trace's (or window's) totals in: counts and metrics sum,
+  // host sets and endpoints union, events append (moved out of `other`).
+  // Folding in trace-index or window order reproduces a serial pass.  A new
+  // member must be merged here and encoded in snapshot/codec.cc; the build
+  // fails until it is.
+  void merge_from(ShardTotals&& other);
+};
+
+class DatasetAnalysis : public ShardTotals {
+ public:
+  std::string name;
+  SiteConfig site;
+  std::vector<int> monitored_subnets;
+
   // ---- connections -----------------------------------------------------------
   // Flow state (owns the Connection objects everything else points into).
   std::vector<std::unique_ptr<FlowTable>> tables;
@@ -151,20 +177,8 @@ class DatasetAnalysis {
                      static_cast<double>(all_connections.size());
   }
 
-  // ---- application events -----------------------------------------------------
-  AppEvents events;
-  AppRegistry registry;
-
   // ---- load (§6) -----------------------------------------------------------------
   std::vector<TraceLoadRaw> load_raw;
-
-  // ---- runtime telemetry -----------------------------------------------------
-  // Folded from the per-shard registries plus fold/post-fold recordings.
-  // Semantic-class metrics are deterministic (same dataset => same values
-  // at any thread count or shard partition); timing-class metrics describe
-  // this particular run.  Render with report::telemetry (semantic table)
-  // or obs::render_json / obs::render_prometheus (--metrics-out).
-  obs::Registry metrics;
 
   bool is_monitored_host(Ipv4Address a) const {
     return monitored_hosts.count(a.value()) > 0;
@@ -172,36 +186,23 @@ class DatasetAnalysis {
   std::uint64_t payload_bytes() const;
 };
 
-// Everything one per-trace job produces.  Shards are private to their job
-// and folded into the DatasetAnalysis on the caller's thread in trace-index
-// order, so results are identical for every thread count.  A shard is also
-// the unit of the snapshot subsystem (src/snapshot): every member either
-// merges associatively or is per-trace state carried through the fold, so
-// shards computed by different processes — or decoded from .esnap files —
-// fold to the same DatasetAnalysis as a single-process run.
-struct TraceShard {
+// Everything one per-trace job produces: the shared totals plus four
+// members of its own.  A shard is the per-trace unit of every mode: a
+// thread job, a .esnap file (src/snapshot), a cluster worker's reply and a
+// daemon window (core/incremental.h), and any of them folds to the same
+// DatasetAnalysis as a single-process run.  The two folds differ only in
+// the own members: fold_shards keeps each trace's connections and load
+// series, while WindowFold::add upserts connections by open_seq and sums
+// the load series.
+struct TraceShard : ShardTotals {
   TraceShard() = default;
   explicit TraceShard(const ScannerDetector::Config& scanner_config)
       : detector(scanner_config) {}
 
   int subnet_id = -1;
-  std::uint64_t total_packets = 0;
-  std::uint64_t total_wire_bytes = 0;
-  NetworkLayerBreakdown l3;
-  IpProtoCounts ip_proto_packets;
-  std::set<std::uint32_t> monitored_hosts;
-  std::set<std::uint32_t> lbnl_hosts;
-  std::set<std::uint32_t> remote_hosts;
   ScannerDetector detector;
-  AppRegistry registry;
-  AppEvents events;
   std::unique_ptr<FlowTable> table;
   TraceLoadRaw load;
-  CaptureQuality quality;
-  // Per-trace telemetry (empty when AnalyzerConfig::collect_metrics is
-  // off).  Semantic-class entries travel through snapshots; timing stays
-  // process-local.
-  obs::Registry metrics;
 };
 
 // One fused streaming pass over a trace source: batched pull -> decode ->

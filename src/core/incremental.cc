@@ -83,48 +83,50 @@ TraceStream::TraceStream(const TraceMeta& meta, const AnalyzerConfig& config)
     : config_(config),
       meta_(meta),
       collect_(config.collect_metrics),
-      dispatcher_(registry_, events_, config.payload_analysis.value_or(meta.snaplen >= 200),
-                  &quality_.anomalies),
-      table_(std::make_unique<FlowTable>(config.flow, &dispatcher_)),
-      detector_(config.scanner) {
-  load_.trace_name = meta_.name;
-  reset_window_metrics();
+      dispatcher_(registry_, win_.events, config.payload_analysis.value_or(meta.snaplen >= 200),
+                  &win_.quality.anomalies),
+      table_(std::make_unique<FlowTable>(config.flow, &dispatcher_)) {
+  start_window();
 }
 
 TraceStream::~TraceStream() = default;
 
-void TraceStream::reset_window_metrics() {
-  metrics_ = obs::Registry();
-  pkt_bytes_ = collect_ ? metrics_.histogram("source.packet_bytes", obs::MetricClass::kSemantic,
-                                             {64, 128, 256, 512, 1024, 1514, 4096, 16384},
-                                             "wire length of analyzed packets")
+// Move-assigning a fresh shard keeps every member of win_ at its address, so
+// the dispatcher's references into it stay valid.
+void TraceStream::start_window() {
+  win_ = TraceShard(config_.scanner);
+  win_.subnet_id = meta_.subnet_id;
+  win_.load.trace_name = meta_.name;
+  pkt_bytes_ = collect_ ? win_.metrics.histogram("source.packet_bytes", obs::MetricClass::kSemantic,
+                                                 {64, 128, 256, 512, 1024, 1514, 4096, 16384},
+                                                 "wire length of analyzed packets")
                         : nullptr;
 }
 
 void TraceStream::tally_one(const DecodedPacket& d) {
   // Headline tallies count analyzed packets only (see the accounting
   // rule in analyzer.h): total_packets == packets_ok == l3.total.
-  ++quality_.packets_ok;
-  ++win_packets_;
-  win_wire_bytes_ += d.wire_len;
+  ++win_.quality.packets_ok;
+  ++win_.total_packets;
+  win_.total_wire_bytes += d.wire_len;
   if (pkt_bytes_ != nullptr) pkt_bytes_->observe(static_cast<double>(d.wire_len));
-  l3_.add(d.l3);
-  load_.add_packet(d.ts, d.wire_len);
+  win_.l3.add(d.l3);
+  win_.load.add_packet(d.ts, d.wire_len);
   if (d.l3 != L3Kind::kIpv4) return;
-  ++ip_proto_[d.ip_proto];
+  ++win_.ip_proto_packets[d.ip_proto];
   if (!pair_cache_.test_and_set(d.src.value(), d.dst.value())) {
-    detector_.observe(d.src, d.dst);
+    win_.detector.observe(d.src, d.dst);
   }
   for (const Ipv4Address addr : {d.src, d.dst}) {
     if (addr.is_multicast() || addr.is_broadcast()) continue;
     if (host_cache_.test_and_set(addr.value())) continue;
     if (config_.site.is_internal(addr)) {
-      lbnl_hosts_.insert(addr.value());
+      win_.lbnl_hosts.insert(addr.value());
       if (config_.site.subnet_of(addr) == meta_.subnet_id) {
-        monitored_hosts_.insert(addr.value());
+        win_.monitored_hosts.insert(addr.value());
       }
     } else {
-      remote_hosts_.insert(addr.value());
+      win_.remote_hosts.insert(addr.value());
     }
   }
 }
@@ -138,10 +140,10 @@ void TraceStream::flow_one(const DecodedPacket& d, std::uint64_t key_lo, std::ui
                      !config_.site.is_internal(verdict.conn->key.dst);
     if (verdict.keepalive_retx) {
       // §6 excludes 1-byte keepalive retransmissions from the loss proxy.
-      ++load_.keepalive_excluded;
+      ++win_.load.keepalive_excluded;
     } else {
-      auto& pkts = wan ? load_.wan_tcp_pkts : load_.ent_tcp_pkts;
-      auto& retx = wan ? load_.wan_retx : load_.ent_retx;
+      auto& pkts = wan ? win_.load.wan_tcp_pkts : win_.load.ent_tcp_pkts;
+      auto& retx = wan ? win_.load.wan_retx : win_.load.ent_retx;
       ++pkts;
       if (verdict.tcp_retransmission) ++retx;
     }
@@ -171,9 +173,9 @@ void TraceStream::feed(const PacketView* views, std::size_t n) {
     ++totals_.source.packets;
     totals_.source.captured_bytes += v.data.size();
     totals_.source.wire_bytes += v.wire_len;
-    ++quality_.packets_seen;
+    ++win_.quality.packets_seen;
     const bool good =
-        decode_packet_into(v.data, v.ts, v.wire_len, decoded_[i], &quality_.anomalies) &&
+        decode_packet_into(v.data, v.ts, v.wire_len, decoded_[i], &win_.quality.anomalies) &&
         !decoded_[i].checksum_bad();
     ok_[i] = good ? 1 : 0;
     keyed_[i] = 0;
@@ -182,7 +184,7 @@ void TraceStream::feed(const PacketView* views, std::size_t n) {
       // header bytes are demonstrably corrupt: addresses/ports can't be
       // trusted, so the packet is excluded from all traffic accounting
       // (Bro's checksum handling on the paper's traces behaves the same).
-      ++quality_.packets_dropped;
+      ++win_.quality.packets_dropped;
       continue;
     }
     const DecodedPacket& d = decoded_[i];
@@ -205,44 +207,19 @@ void TraceStream::feed(const PacketView* views, std::size_t n) {
 }
 
 void TraceStream::accumulate_window_totals() {
-  totals_.quality.merge(quality_);
-  const std::array<std::uint64_t, 10> sizes = event_sizes(events_);
+  totals_.quality.merge(win_.quality);
+  const std::array<std::uint64_t, 10> sizes = event_sizes(win_.events);
   for (std::size_t i = 0; i < sizes.size(); ++i) totals_.events[i] += sizes[i];
-  totals_.events_total += events_.total();
+  totals_.events_total += win_.events.total();
 }
 
 TraceShard TraceStream::rotate() {
   accumulate_window_totals();
-
-  TraceShard shard(config_.scanner);
-  shard.subnet_id = meta_.subnet_id;
-  shard.total_packets = win_packets_;
-  shard.total_wire_bytes = win_wire_bytes_;
-  win_packets_ = 0;
-  win_wire_bytes_ = 0;
-  shard.l3 = l3_;
-  l3_ = NetworkLayerBreakdown{};
-  shard.ip_proto_packets = ip_proto_;
-  ip_proto_ = IpProtoCounts{};
-  shard.monitored_hosts = std::move(monitored_hosts_);
-  monitored_hosts_.clear();
-  shard.lbnl_hosts = std::move(lbnl_hosts_);
-  lbnl_hosts_.clear();
-  shard.remote_hosts = std::move(remote_hosts_);
-  remote_hosts_.clear();
-  shard.detector = std::move(detector_);
-  detector_ = ScannerDetector(config_.scanner);
+  TraceShard shard = std::move(win_);
+  start_window();
   // Full dynamic-endpoint export each window: merge_dynamic_endpoints is an
   // idempotent map union, so re-exporting already-known endpoints is exact.
   shard.registry = registry_;
-  shard.quality = quality_;
-  quality_ = CaptureQuality{};  // contents reset; address stable for the dispatcher
-  shard.load = std::move(load_);
-  load_ = TraceLoadRaw{};
-  load_.trace_name = meta_.name;
-  shard.load.trace_name = meta_.name;
-  shard.metrics = std::move(metrics_);
-  reset_window_metrics();
 
   // Connections touched this window, copied in open_seq order.  Copies get
   // parser_slot cleared: it is transient dispatcher state that must not
@@ -262,99 +239,60 @@ TraceShard TraceStream::rotate() {
   // Events emitted this window necessarily reference connections touched
   // this window (a parser only fires on on_data/on_close), so the remap is
   // total; a miss means the dirty-tracking invariant broke — fail loudly.
-  AppEvents win_events;
-  win_events.http = std::move(events_.http);
-  win_events.smtp = std::move(events_.smtp);
-  win_events.dns = std::move(events_.dns);
-  win_events.nbns = std::move(events_.nbns);
-  win_events.nbss = std::move(events_.nbss);
-  win_events.cifs = std::move(events_.cifs);
-  win_events.dcerpc = std::move(events_.dcerpc);
-  win_events.epm = std::move(events_.epm);
-  win_events.nfs = std::move(events_.nfs);
-  win_events.ncp = std::move(events_.ncp);
-  events_ = AppEvents{};  // vectors stay the same members; ensure they are empty+valid
-  remap_event_connections(win_events, [&](const Connection* c) {
+  remap_event_connections(shard.events, [&](const Connection* c) {
     const auto it = remap.find(c);
     if (it == remap.end())
       throw std::logic_error("window event references a connection not touched this window");
     return it->second;
   });
-  shard.events = std::move(win_events);
   dispatcher_.on_events_rotated();
   return shard;
 }
 
-TraceShard TraceStream::finish_window(const AnomalyCounts* source_anomalies) {
+void TraceStream::drain(const AnomalyCounts* source_anomalies) {
   table_->drain_all();
-  const FlowStats& fs = table_->stats();
-  // TCP 5-tuple reuse is a capture-accounting fact (informational flag on
-  // ok packets), recorded whether or not telemetry is on.  The cumulative
-  // count lands in the final window's delta, exactly like the batch path
-  // records it once at end of stream.
-  if (fs.tcp_tuple_reuse != 0) {
-    quality_.anomalies.add(AnomalyKind::kTcpTupleReuse, fs.tcp_tuple_reuse);
-  }
-  if (source_anomalies != nullptr) quality_.anomalies.merge(*source_anomalies);
-  TraceShard shard = rotate();
-  totals_.flow = fs;
+  totals_.flow = table_->stats();
   totals_.flow_packets = table_->packets_processed();
-  if (collect_) {
-    record_trace_metrics(totals_, shard.metrics);
-    record_stage_timing(shard.metrics, 0.0, 0);
+  // TCP 5-tuple reuse is a capture-accounting fact (informational flag on
+  // ok packets), recorded whether or not telemetry is on, once, into the
+  // final window.
+  if (totals_.flow.tcp_tuple_reuse != 0) {
+    win_.quality.anomalies.add(AnomalyKind::kTcpTupleReuse, totals_.flow.tcp_tuple_reuse);
   }
+  if (source_anomalies != nullptr) win_.quality.anomalies.merge(*source_anomalies);
+}
+
+void TraceStream::record_totals(obs::Registry& reg, double source_seconds,
+                                std::uint64_t source_batches) const {
+  if (!collect_) return;
+  record_trace_metrics(totals_, reg);
+  const CaptureQuality& q = totals_.quality;
+  if (source_batches != 0) obs::record_stage(&reg, "batch.source", source_seconds, source_batches);
+  obs::record_stage(&reg, "batch.decode", decode_s_, q.packets_seen);
+  obs::record_stage(&reg, "batch.tally", tally_s_, q.packets_ok);
+  obs::record_stage(&reg, "batch.flow", flow_s_, q.packets_ok);
+}
+
+TraceShard TraceStream::finish_window(const AnomalyCounts* source_anomalies) {
+  drain(source_anomalies);
+  TraceShard shard = rotate();
+  record_totals(shard.metrics, 0.0, 0);
   return shard;
 }
 
 void TraceStream::finish_batch(PacketSource& source, TraceShard& shard, double source_seconds,
                                std::uint64_t source_batches) {
-  table_->drain_all();
-  const FlowStats fs = table_->stats();
-  if (fs.tcp_tuple_reuse != 0) {
-    quality_.anomalies.add(AnomalyKind::kTcpTupleReuse, fs.tcp_tuple_reuse);
-  }
   // Source-layer anomalies (pcap record damage, salvaged truncations) are
   // complete once the stream is drained; fold them into the shard so the
   // dataset's anomaly accounting covers the file layer too.
-  quality_.anomalies.merge(source.anomalies());
-
-  shard.subnet_id = meta_.subnet_id;
-  shard.total_packets = win_packets_;
-  shard.total_wire_bytes = win_wire_bytes_;
-  shard.l3 = l3_;
-  shard.ip_proto_packets = ip_proto_;
-  shard.monitored_hosts = std::move(monitored_hosts_);
-  shard.lbnl_hosts = std::move(lbnl_hosts_);
-  shard.remote_hosts = std::move(remote_hosts_);
-  shard.detector = std::move(detector_);
+  drain(&source.anomalies());
+  accumulate_window_totals();
+  // The one window is the whole trace, with the live registry and table.
+  // The dispatcher can be dropped; events and registry outlive it.
+  shard = std::move(win_);
   shard.registry = std::move(registry_);
-  shard.events = std::move(events_);
-  shard.quality = quality_;
-  shard.load = std::move(load_);
-  shard.metrics = std::move(metrics_);
   shard.table = std::move(table_);
-
-  if (collect_) {
-    TraceTotals t;
-    t.source = source.stats();
-    t.quality = shard.quality;
-    t.flow = fs;
-    t.flow_packets = shard.table->packets_processed();
-    t.events = event_sizes(shard.events);
-    t.events_total = shard.events.total();
-    record_trace_metrics(t, shard.metrics);
-    record_stage_timing(shard.metrics, source_seconds, source_batches);
-  }
-  // Dispatcher can be dropped; events and registry outlive it.
-}
-
-void TraceStream::record_stage_timing(obs::Registry& reg, double source_seconds,
-                                      std::uint64_t source_batches) const {
-  const CaptureQuality& q = totals_.quality.packets_seen != 0 ? totals_.quality : quality_;
-  if (source_batches != 0) obs::record_stage(&reg, "batch.source", source_seconds, source_batches);
-  obs::record_stage(&reg, "batch.decode", decode_s_, q.packets_seen);
-  obs::record_stage(&reg, "batch.tally", tally_s_, q.packets_ok);
-  obs::record_stage(&reg, "batch.flow", flow_s_, q.packets_ok);
+  record_totals(shard.metrics, source_seconds, source_batches);
 }
 
 // ---- IncrementalAnalyzer ----------------------------------------------------

@@ -1,44 +1,40 @@
 // Windowed incremental analysis — the continuous-operation core.
 //
-// The batch pipeline (core/analyzer.h) analyzes a trace as one shot:
-// open source, fused pass, fold.  This header refactors that pass into a
-// resumable per-trace engine, TraceStream, that consumes packet batches
-// continuously and can be harvested at any window boundary, plus a
-// multi-trace front end, IncrementalAnalyzer, that demuxes a merged
+// TraceStream is the resumable per-trace engine behind both the batch
+// pipeline (core/analyzer.h) and the daemon: it consumes packet batches and
+// accumulates the current window directly in a TraceShard, which it can
+// hand out at any window boundary.  IncrementalAnalyzer demuxes a merged
 // time-ordered stream (MergedPacketStream's view.source attribution) into
 // per-trace streams and rotates completed windows.
 //
 // The contract that makes the daemon trustworthy: a windowed run's rotated
 // window shards, merged back per trace (snapshot/window.h) and folded,
 // produce a DatasetAnalysis byte-identical to the one-shot batch run over
-// the same packets — at any window length.  Each
-// window shard is an ordinary TraceShard whose accumulators are
+// the same packets — at any window length.  Each window shard holds
 // window-fresh deltas:
 //
-//   - additive tallies (packet/byte counts, L3/proto breakdowns, interval
-//     series, capture quality) sum across windows exactly (every summed
-//     double is integer-valued);
-//   - host sets and scanner first-contact observations union/merge
-//     idempotently in window order, reproducing the serial observation
-//     order;
+//   - the ShardTotals members fold with ShardTotals::merge_from: tallies
+//     and capture quality sum exactly, host sets and dynamic endpoints
+//     union, and events append in window order;
+//   - scanner first-contact observations merge idempotently in window
+//     order, reproducing the serial observation order, and the interval
+//     series sum exactly (every summed double is integer-valued);
 //   - connections are carried as copies of exactly the connections touched
 //     this window (FlowTable::take_dirty), ordered and keyed by
 //     Connection::open_seq so cross-window upsert (last writer wins)
 //     reassembles the exact batch connection order;
 //   - application events reference the window's own connection copies, so
-//     every window shard is self-contained for the unmodified snapshot
-//     writer (format v3).
+//     every window shard is self-contained for the snapshot writer.
 //
 // Trace-total metrics (source.*, decode.*, flow.*, app.events.*) are
 // recorded once, into the final window, from cumulative counters the
 // stream maintains — folding all windows therefore yields the batch
 // registry.
 //
-// analyze_trace() in core/analyzer.cc is now a thin wrapper: one
-// TraceStream fed batches to exhaustion and finished in place
-// (finish_batch moves state out without the windowed copy step), so batch
-// and windowed runs share one engine and one packet path, feed(), and
-// cannot drift.
+// analyze_trace() in core/analyzer.cc is a thin wrapper: one TraceStream
+// fed batches to exhaustion, whose single window finish_batch moves into
+// the caller's shard, so batch and windowed runs share one engine and one
+// packet path, feed(), and cannot drift.
 #pragma once
 
 #include <array>
@@ -125,8 +121,8 @@ struct TraceTotals {
 };
 
 // Record the source.* / decode.* / flow.* / app.events.* semantic counters
-// into `reg` — shared by the batch finish (totals == the single shard's own
-// numbers) and the windowed finish (totals accumulated across windows).
+// into `reg` — the batch finish and the windowed finish both record the
+// totals accumulated over all of a trace's windows (a batch run has one).
 void record_trace_metrics(const TraceTotals& totals, obs::Registry& reg);
 
 // One trace's resumable analysis state: everything analyze_trace used to
@@ -145,8 +141,9 @@ class TraceStream {
 
   // ---- windowed operation ---------------------------------------------------
   // Harvest the current window as a self-contained TraceShard delta and
-  // start a fresh window.  See the header comment for why the deltas fold
-  // back byte-identically.
+  // start a fresh window: the window's shard moves out, gains copies of the
+  // connections touched this window, and a fresh shard takes its place.
+  // See the header comment for why the deltas fold back byte-identically.
   TraceShard rotate();
 
   // Time-driven flow expiry / slot recycling for endless streams (soak
@@ -164,8 +161,8 @@ class TraceStream {
   // attribute them (null otherwise).
   TraceShard finish_window(const AnomalyCounts* source_anomalies);
 
-  // End of stream, batch: drain and move all state into `shard` without the
-  // windowed copy step — byte-identical to the historical analyze_trace.
+  // End of stream, batch: drain, then move the one window and the live
+  // flow table into `shard` without the windowed copy step.
   // `source_seconds`/`source_batches` are the caller-timed ingest stage.
   void finish_batch(PacketSource& source, TraceShard& shard, double source_seconds,
                     std::uint64_t source_batches);
@@ -176,38 +173,32 @@ class TraceStream {
  private:
   void tally_one(const DecodedPacket& d);
   void flow_one(const DecodedPacket& d, std::uint64_t key_lo, std::uint64_t key_hi, bool keyed);
-  void reset_window_metrics();
+  void start_window();
   void accumulate_window_totals();
-  void record_stage_timing(obs::Registry& reg, double source_seconds,
-                           std::uint64_t source_batches) const;
+  // End of stream: classify still-open flows (flow.drained) and fold the
+  // end-of-stream anomalies into the final window.
+  void drain(const AnomalyCounts* source_anomalies);
+  // Record totals_ and the stage timing into the final window's registry.
+  void record_totals(obs::Registry& reg, double source_seconds,
+                     std::uint64_t source_batches) const;
 
   AnalyzerConfig config_;
   TraceMeta meta_;
   bool collect_;
 
-  // Persistent across windows.  Declaration order matters: the dispatcher
-  // holds references into registry_/events_/quality_.
+  // The trace's registry persists across windows; the current window is
+  // accumulated in place in win_, whose table and registry stay empty (the
+  // live ones are table_ and registry_).  Declaration order matters: the
+  // dispatcher holds references to registry_, win_.events and
+  // win_.quality.anomalies, which rotation keeps at the same addresses.
   AppRegistry registry_;
-  AppEvents events_;       // current window's events (vectors stable, contents move out)
-  CaptureQuality quality_; // current window's delta (dispatcher points at .anomalies)
+  TraceShard win_;
   ProtocolDispatcher dispatcher_;
   std::unique_ptr<FlowTable> table_;
   detail::HostSeenCache host_cache_;
   detail::PairSeenCache pair_cache_;
   TraceTotals totals_;     // cumulative (excludes the current window until rotate)
-
-  // Window-fresh accumulators.
-  std::uint64_t win_packets_ = 0;
-  std::uint64_t win_wire_bytes_ = 0;
-  NetworkLayerBreakdown l3_;
-  IpProtoCounts ip_proto_;
-  std::set<std::uint32_t> monitored_hosts_;
-  std::set<std::uint32_t> lbnl_hosts_;
-  std::set<std::uint32_t> remote_hosts_;
-  ScannerDetector detector_;
-  TraceLoadRaw load_;
-  obs::Registry metrics_;
-  obs::Histogram* pkt_bytes_ = nullptr;
+  obs::Histogram* pkt_bytes_ = nullptr;  // in win_.metrics
 
   // Batch-stage scratch, reused across feed() calls.
   std::vector<DecodedPacket> decoded_;

@@ -1,0 +1,545 @@
+#include "snapshot/codec.h"
+
+#include <algorithm>
+#include <deque>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+namespace entrace::snapshot {
+
+namespace {
+
+// TraceShard's own members, beside the ShardTotals members that
+// ShardTotals::merge_from checks (core/analyzer.cc).  A new member changes
+// the size (unless it is four bytes or less and lands in the padding after
+// subnet_id).
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(TraceShard) == sizeof(ShardTotals) + sizeof(std::int64_t) +
+                                        sizeof(ScannerDetector) +
+                                        sizeof(std::unique_ptr<FlowTable>) + sizeof(TraceLoadRaw),
+              "TraceShard's members changed: update its declaration (core/analyzer.h), both "
+              "folds (fold_shards in core/analyzer.cc, WindowFold::add in snapshot/window.cc) "
+              "and the codec (snapshot/codec.cc)");
+#endif
+
+inline constexpr std::uint32_t kNoConn = 0xFFFFFFFFu;
+
+// The last enumerator of every one-byte enum the format carries, and the
+// name decode errors give it.  The reader rejects any byte past `last`, so
+// a decoded enum always indexes the report's per-enumerator tables in range.
+struct EnumLimit {
+  template <typename E>
+  constexpr EnumLimit(E e, const char* n) : last(static_cast<std::uint8_t>(e)), name(n) {
+    static_assert(sizeof(E) == 1, "enums travel as one byte");
+  }
+  std::uint8_t last;
+  const char* name;
+};
+constexpr EnumLimit enum_limit(ConnState) { return {ConnState::kClosed, "connection state"}; }
+constexpr EnumLimit enum_limit(NbnsOpcode) { return {NbnsOpcode::kStatus, "NBNS opcode"}; }
+constexpr EnumLimit enum_limit(NbnsNameType) { return {NbnsNameType::kOther, "NBNS name type"}; }
+constexpr EnumLimit enum_limit(NbssEventType) {
+  return {NbssEventType::kNegativeResponse, "NBSS event type"};
+}
+constexpr EnumLimit enum_limit(CifsCategory) { return {CifsCategory::kOther, "CIFS category"}; }
+constexpr EnumLimit enum_limit(Direction) { return {Direction::kRespToOrig, "direction"}; }
+constexpr EnumLimit enum_limit(DceIface) { return {DceIface::kOther, "DCE/RPC interface"}; }
+constexpr EnumLimit enum_limit(NcpFunction) { return {NcpFunction::kOther, "NCP function"}; }
+constexpr EnumLimit enum_limit(obs::MetricKind) {
+  return {obs::MetricKind::kHistogram, "metric kind"};
+}
+
+template <typename T>
+inline constexpr bool kNoWireForm = false;
+
+// Runs a section template forwards, appending each field's bytes.  The
+// wire form follows the C++ type: bool and enums as u8, integers at their
+// width, doubles as their bit pattern, strings length-prefixed, addresses
+// as u32, and connection pointers as their index in the shard's flow table.
+class FieldWriter {
+ public:
+  explicit FieldWriter(ByteWriter& w) : w_(w) {}
+
+  ByteWriter& bytes() { return w_; }
+
+  template <typename... T>
+  void fields(const T&... v) {
+    (field(v), ...);
+  }
+
+  // A constant the reader checks against its own build's value.
+  template <typename T>
+  void fixed(const T& v, const char*) {
+    field(v);
+  }
+
+  // A u64 element count, then each element.
+  template <typename C, typename Fn>
+  void seq(const C& c, Fn&& each) {
+    w_.u64(c.size());
+    for (const auto& e : c) each(e);
+  }
+
+  // The shard's connections (none when it has no table).
+  template <typename Fn>
+  void table(const std::unique_ptr<FlowTable>& t, Fn&& each) {
+    static const std::deque<Connection> kNone;
+    seq(t != nullptr ? t->connections() : kNone, each);
+  }
+
+  // Connection pointers written after this refer to `t`'s connections.
+  void link_connections(const std::unique_ptr<FlowTable>& t) {
+    conns_.clear();
+    if (t == nullptr) return;
+    std::uint32_t i = 0;
+    for (const Connection& conn : t->connections()) conns_.emplace(&conn, i++);
+  }
+
+ private:
+  template <typename T>
+  void field(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) w_.u8(v ? 1 : 0);
+    else if constexpr (std::is_enum_v<T>) w_.u8(static_cast<std::uint8_t>(v));
+    else if constexpr (std::is_same_v<T, std::uint8_t>) w_.u8(v);
+    else if constexpr (std::is_same_v<T, std::uint16_t>) w_.u16(v);
+    else if constexpr (std::is_same_v<T, std::uint32_t>) w_.u32(v);
+    else if constexpr (std::is_same_v<T, std::uint64_t>) w_.u64(v);
+    else if constexpr (std::is_same_v<T, std::int32_t>) w_.i32(v);
+    else if constexpr (std::is_same_v<T, double>) w_.f64(v);
+    else if constexpr (std::is_same_v<T, std::string>) w_.str(v);
+    else if constexpr (std::is_same_v<T, Ipv4Address>) w_.u32(v.value());
+    else if constexpr (std::is_same_v<T, const Connection*>) w_.u32(conn_ref(v));
+    else static_assert(kNoWireForm<T>, "no wire form for this field type");
+  }
+
+  std::uint32_t conn_ref(const Connection* conn) const {
+    if (conn == nullptr) return kNoConn;
+    const auto it = conns_.find(conn);
+    if (it == conns_.end()) {
+      // An event pointing outside its own trace's flow table cannot be
+      // snapshotted positionally; the per-trace pipeline never produces one.
+      throw std::runtime_error(
+          "snapshot writer: application event references a connection outside its trace shard");
+    }
+    return it->second;
+  }
+
+  ByteWriter& w_;
+  std::unordered_map<const Connection*, std::uint32_t> conns_;
+};
+
+// Runs the same section templates backwards, validating each field.
+class FieldReader {
+ public:
+  explicit FieldReader(ByteReader& r) : r_(r) {}
+
+  ByteReader& bytes() { return r_; }
+
+  template <typename... T>
+  void fields(T&... v) {
+    (field(v), ...);
+  }
+
+  template <typename T>
+  void fixed(const T& want, const char* what) {
+    T got{};
+    field(got);
+    if (got != want) {
+      throw SnapshotError(r_.offset() - sizeof(T),
+                          std::string(what) + " is " + std::to_string(got) + ", this build's is " +
+                              std::to_string(want) + " (format version bump required)");
+    }
+  }
+
+  // Elements are built fresh, read, then appended (push_back, or insert at
+  // the end for sets).
+  template <typename C, typename Fn>
+  void seq(C&& c, Fn&& each) {
+    const std::uint64_t n = r_.u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      typename std::remove_cvref_t<C>::value_type e{};
+      each(e);
+      if constexpr (requires { c.push_back(std::move(e)); }) c.push_back(std::move(e));
+      else c.insert(c.end(), std::move(e));
+    }
+  }
+
+  template <typename Fn>
+  void table(std::unique_ptr<FlowTable>& t, Fn&& each) {
+    t = std::make_unique<FlowTable>();
+    seq(t->connections(), each);
+  }
+
+  void link_connections(const std::unique_ptr<FlowTable>& t) {
+    if (t == nullptr) throw SnapshotError(r_.offset(), "app-events section before connections");
+    table_ = t.get();
+  }
+
+ private:
+  template <typename T>
+  void field(T& v) {
+    if constexpr (std::is_same_v<T, bool>) v = r_.u8() != 0;
+    else if constexpr (std::is_enum_v<T>) v = checked_enum<T>();
+    else if constexpr (std::is_same_v<T, std::uint8_t>) v = r_.u8();
+    else if constexpr (std::is_same_v<T, std::uint16_t>) v = r_.u16();
+    else if constexpr (std::is_same_v<T, std::uint32_t>) v = r_.u32();
+    else if constexpr (std::is_same_v<T, std::uint64_t>) v = r_.u64();
+    else if constexpr (std::is_same_v<T, std::int32_t>) v = r_.i32();
+    else if constexpr (std::is_same_v<T, double>) v = r_.f64();
+    else if constexpr (std::is_same_v<T, std::string>) v = r_.str();
+    else if constexpr (std::is_same_v<T, Ipv4Address>) v = Ipv4Address(r_.u32());
+    else if constexpr (std::is_same_v<T, const Connection*>) v = resolve_conn();
+    else static_assert(kNoWireForm<T>, "no wire form for this field type");
+  }
+
+  template <typename E>
+  E checked_enum() {
+    constexpr EnumLimit lim = enum_limit(E{});
+    const std::uint8_t raw = r_.u8();
+    if (raw > lim.last) {
+      throw SnapshotError(r_.offset() - 1,
+                          std::string(lim.name) + " " + std::to_string(raw) + " out of range");
+    }
+    return static_cast<E>(raw);
+  }
+
+  const Connection* resolve_conn() {
+    const std::uint32_t ref = r_.u32();
+    if (ref == kNoConn) return nullptr;
+    if (ref >= table_->connections().size()) {
+      throw SnapshotError(r_.offset() - 4, "event references connection " + std::to_string(ref) +
+                                               " of " +
+                                               std::to_string(table_->connections().size()));
+    }
+    return &table_->connections()[ref];
+  }
+
+  ByteReader& r_;
+  const FlowTable* table_ = nullptr;
+};
+
+// ---- the three read/write pairs ----------------------------------------------
+
+// Scanner observations go through the detector's export/import form.
+void scanner_state(FieldWriter& io, const TraceShard& s) {
+  ByteWriter& w = io.bytes();
+  const auto observations = s.detector.export_observations();
+  w.u64(observations.size());
+  for (const auto& obs : observations) {
+    w.u32(obs.source);
+    w.u32(static_cast<std::uint32_t>(obs.order.size()));
+    for (const std::uint32_t dst : obs.order) w.u32(dst);
+    w.u32(static_cast<std::uint32_t>(obs.extra_seen.size()));
+    for (const std::uint32_t dst : obs.extra_seen) w.u32(dst);
+  }
+  const auto& known = s.detector.known_scanners();
+  w.u32(static_cast<std::uint32_t>(known.size()));
+  for (const Ipv4Address addr : known) w.u32(addr.value());
+}
+
+void scanner_state(FieldReader& io, TraceShard& s) {
+  ByteReader& r = io.bytes();
+  const std::uint64_t n = r.u64();
+  std::vector<ScannerDetector::SourceObservations> observations;
+  observations.reserve(n < 4096 ? static_cast<std::size_t>(n) : 4096);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ScannerDetector::SourceObservations obs;
+    obs.source = r.u32();
+    const std::uint32_t order_len = r.u32();
+    obs.order.reserve(order_len < 4096 ? order_len : 4096);
+    for (std::uint32_t j = 0; j < order_len; ++j) obs.order.push_back(r.u32());
+    const std::uint32_t extra_len = r.u32();
+    for (std::uint32_t j = 0; j < extra_len; ++j) obs.extra_seen.push_back(r.u32());
+    observations.push_back(std::move(obs));
+  }
+  s.detector.import_observations(observations);
+  const std::uint32_t known = r.u32();
+  for (std::uint32_t i = 0; i < known; ++i) s.detector.add_known_scanner(Ipv4Address(r.u32()));
+}
+
+// Semantic-class telemetry only: timing metrics describe the shard
+// *process*, not the dataset, and must not survive the process gap (or
+// merged runs would stop being bit-identical to direct runs).
+void trace_metrics(FieldWriter& io, const TraceShard& s) {
+  ByteWriter& w = io.bytes();
+  std::vector<const obs::Metric*> semantic;
+  for (const obs::Metric* m : s.metrics.metrics()) {
+    if (m->cls == obs::MetricClass::kSemantic) semantic.push_back(m);
+  }
+  w.u32(static_cast<std::uint32_t>(semantic.size()));
+  for (const obs::Metric* m : semantic) {
+    io.fields(m->name, m->help, m->kind);
+    switch (m->kind) {
+      case obs::MetricKind::kCounter:
+        w.u64(m->counter.value());
+        break;
+      case obs::MetricKind::kGauge:
+        w.f64(m->gauge.value());
+        break;
+      case obs::MetricKind::kHistogram: {
+        const obs::Histogram& h = *m->histogram;
+        w.u32(static_cast<std::uint32_t>(h.bounds().size()));
+        for (const double b : h.bounds()) w.f64(b);
+        for (const std::uint64_t c : h.buckets()) w.u64(c);
+        w.u64(h.count());
+        w.f64(h.sum());
+        break;
+      }
+    }
+  }
+}
+
+void trace_metrics(FieldReader& io, TraceShard& s) {
+  ByteReader& r = io.bytes();
+  const std::uint32_t count = r.u32();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::string name = r.str();
+    if (name.empty()) throw SnapshotError(r.offset(), "metric with empty name");
+    if (s.metrics.find(name) != nullptr) {
+      throw SnapshotError(r.offset(), "duplicate metric '" + name + "'");
+    }
+    std::string help;
+    obs::MetricKind kind{};
+    io.fields(help, kind);
+    // Snapshots carry semantic metrics only (the writer filters), so
+    // everything registers as kSemantic.
+    switch (kind) {
+      case obs::MetricKind::kCounter:
+        s.metrics.counter(name, obs::MetricClass::kSemantic, help)->add(r.u64());
+        break;
+      case obs::MetricKind::kGauge:
+        s.metrics.gauge(name, obs::MetricClass::kSemantic, help)->set(r.f64());
+        break;
+      case obs::MetricKind::kHistogram: {
+        const std::uint32_t n_bounds = r.u32();
+        // A histogram payload needs 8 bytes per bound plus the
+        // buckets/count/sum that follow; an absurd declared size is
+        // rejected before any allocation is attempted.
+        if (static_cast<std::uint64_t>(n_bounds) * 16 > r.remaining()) {
+          throw SnapshotError(r.offset() - 4, "histogram declares " + std::to_string(n_bounds) +
+                                                  " bounds but the payload is smaller");
+        }
+        std::vector<double> bounds;
+        bounds.reserve(n_bounds);
+        for (std::uint32_t b = 0; b < n_bounds; ++b) bounds.push_back(r.f64());
+        if (!std::is_sorted(bounds.begin(), bounds.end())) {
+          throw SnapshotError(r.offset(), "histogram bounds not ascending");
+        }
+        std::vector<std::uint64_t> buckets;
+        buckets.reserve(n_bounds + 1);
+        std::uint64_t bucket_total = 0;
+        for (std::uint32_t b = 0; b < n_bounds + 1; ++b) {
+          buckets.push_back(r.u64());
+          bucket_total += buckets.back();
+        }
+        const std::uint64_t total = r.u64();
+        const double sum = r.f64();
+        if (total != bucket_total) {
+          throw SnapshotError(r.offset(), "histogram count " + std::to_string(total) +
+                                              " != bucket total " + std::to_string(bucket_total));
+        }
+        obs::Histogram* h = s.metrics.histogram(name, obs::MetricClass::kSemantic, bounds, help);
+        obs::Histogram restored(std::move(bounds));
+        restored.restore(std::move(buckets), total, sum);
+        h->merge(restored);
+        break;
+      }
+    }
+  }
+}
+
+// An interval series: its bin width (checked against the series the shard
+// was built with), then (bin, value) pairs in bin order.
+void series(FieldWriter& io, const IntervalSeries& s) {
+  ByteWriter& w = io.bytes();
+  w.f64(s.bin_width());
+  w.u64(s.bins().size());
+  for (const auto& [bin, value] : s.bins()) {
+    w.i64(bin);
+    w.f64(value);
+  }
+}
+
+void series(FieldReader& io, IntervalSeries& s) {
+  ByteReader& r = io.bytes();
+  const double width = r.f64();
+  if (width != s.bin_width()) {
+    throw SnapshotError(r.offset() - 8, "interval-series bin width " + std::to_string(width) +
+                                            " does not match the expected " +
+                                            std::to_string(s.bin_width()));
+  }
+  const std::uint64_t n = r.u64();
+  std::map<std::int64_t, double> bins;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::int64_t bin = r.i64();
+    const double value = r.f64();
+    if (!bins.emplace(bin, value).second) {
+      throw SnapshotError(r.offset(), "duplicate interval-series bin " + std::to_string(bin));
+    }
+  }
+  s.restore_bins(std::move(bins));
+}
+
+// ---- the symmetric sections ----------------------------------------------------
+//
+// S is `const TraceShard` when writing and `TraceShard` when reading.
+
+template <typename IO, typename S>
+void trace_header(IO& io, S& s) {
+  io.fields(s.subnet_id, s.total_packets, s.total_wire_bytes, s.l3.total, s.l3.ip, s.l3.arp,
+            s.l3.ipx, s.l3.other);
+}
+
+template <typename IO, typename S>
+void ip_proto_counts(IO& io, S& s) {
+  for (int p = 0; p < 256; ++p) io.fields(s.ip_proto_packets[static_cast<std::uint8_t>(p)]);
+}
+
+template <typename IO, typename S>
+void host_sets(IO& io, S& s) {
+  for (auto* hosts : {&s.monitored_hosts, &s.lbnl_hosts, &s.remote_hosts}) {
+    io.seq(*hosts, [&](auto& h) { io.fields(h); });
+  }
+}
+
+// Dynamic DCE/RPC endpoints travel as ((server, port), enabled) rows in map
+// order.  Reading appends each row to EndpointRows, which registers the
+// enabled ones; a registry rebuilt that way is equivalent.
+struct EndpointRows {
+  using value_type = std::pair<std::pair<std::uint32_t, std::uint16_t>, bool>;
+  AppRegistry& registry;
+  void push_back(const value_type& row) {
+    if (row.second) {
+      registry.register_dcerpc_endpoint(Ipv4Address(row.first.first), row.first.second);
+    }
+  }
+};
+const auto& endpoint_rows(const AppRegistry& registry) { return registry.dynamic_endpoints(); }
+EndpointRows endpoint_rows(AppRegistry& registry) { return {registry}; }
+
+template <typename IO, typename S>
+void dynamic_endpoints(IO& io, S& s) {
+  io.seq(endpoint_rows(s.registry),
+         [&](auto& row) { io.fields(row.first.first, row.first.second, row.second); });
+}
+
+template <typename IO, typename S>
+void connections(IO& io, S& s) {
+  io.table(s.table, [&](auto& c) {
+    io.fields(c.key.src, c.key.dst, c.key.src_port, c.key.dst_port, c.key.proto, c.start_ts,
+              c.last_ts, c.orig_pkts, c.resp_pkts, c.orig_bytes, c.resp_bytes, c.state, c.saw_syn,
+              c.saw_synack, c.saw_fin, c.saw_rst, c.orig_isn, c.resp_isn, c.retransmissions,
+              c.keepalive_retx, c.icmp_type, c.app_id, c.multicast, c.open_seq);
+  });
+}
+
+// Events refer to connections by their index in the shard's flow table.
+template <typename IO, typename S>
+void app_events(IO& io, S& s) {
+  io.link_connections(s.table);
+  auto& ev = s.events;
+  io.seq(ev.http, [&](auto& e) {
+    io.fields(e.conn, e.req_ts, e.resp_ts, e.method, e.uri, e.host, e.user_agent, e.conditional,
+              e.has_response, e.status, e.content_type, e.resp_body_len);
+  });
+  io.seq(ev.smtp, [&](auto& e) { io.fields(e.conn, e.ts, e.verb); });
+  io.seq(ev.dns, [&](auto& e) {
+    io.fields(e.conn, e.query_ts, e.resp_ts, e.qtype, e.qname, e.has_response, e.rcode);
+  });
+  io.seq(ev.nbns, [&](auto& e) {
+    io.fields(e.conn, e.query_ts, e.resp_ts, e.opcode, e.name_type, e.name, e.has_response,
+              e.rcode);
+  });
+  io.seq(ev.nbss, [&](auto& e) { io.fields(e.conn, e.ts, e.type); });
+  io.seq(ev.cifs,
+         [&](auto& e) { io.fields(e.conn, e.ts, e.command, e.category, e.dir, e.msg_bytes); });
+  io.seq(ev.dcerpc, [&](auto& e) {
+    io.fields(e.conn, e.ts, e.iface, e.opnum, e.over_pipe, e.is_request, e.bytes);
+  });
+  io.seq(ev.epm, [&](auto& e) { io.fields(e.conn, e.ts, e.server, e.port, e.iface); });
+  io.seq(ev.nfs, [&](auto& e) {
+    io.fields(e.conn, e.req_ts, e.resp_ts, e.proc, e.has_reply, e.status, e.req_bytes,
+              e.resp_bytes);
+  });
+  io.seq(ev.ncp, [&](auto& e) {
+    io.fields(e.conn, e.req_ts, e.resp_ts, e.function, e.has_reply, e.completion_code,
+              e.req_bytes, e.resp_bytes);
+  });
+}
+
+template <typename IO, typename S>
+void trace_load(IO& io, S& s) {
+  auto& load = s.load;
+  io.fields(load.trace_name);
+  series(io, load.bits_1s);
+  series(io, load.bits_10s);
+  series(io, load.bits_60s);
+  io.fields(load.ent_tcp_pkts, load.ent_retx, load.wan_tcp_pkts, load.wan_retx,
+            load.keepalive_excluded);
+}
+
+// The anomaly taxonomy's size travels with the counters, so a build with a
+// different taxonomy rejects the section instead of misattributing them.
+template <typename IO, typename S>
+void capture_quality(IO& io, S& s) {
+  auto& q = s.quality;
+  io.fields(q.packets_seen, q.packets_ok, q.packets_dropped);
+  io.fixed(static_cast<std::uint32_t>(kAnomalyKindCount), "anomaly taxonomy kind count");
+  for (std::size_t k = 0; k < kAnomalyKindCount; ++k) {
+    io.fields(q.anomalies[static_cast<AnomalyKind>(k)]);
+  }
+}
+
+template <typename IO, typename S>
+void shard_section(SectionType type, IO& io, S& s) {
+  switch (type) {
+    case SectionType::kTraceHeader: return trace_header(io, s);
+    case SectionType::kIpProtoCounts: return ip_proto_counts(io, s);
+    case SectionType::kHostSets: return host_sets(io, s);
+    case SectionType::kScannerState: return scanner_state(io, s);
+    case SectionType::kDynamicEndpoints: return dynamic_endpoints(io, s);
+    case SectionType::kConnections: return connections(io, s);
+    case SectionType::kAppEvents: return app_events(io, s);
+    case SectionType::kTraceLoad: return trace_load(io, s);
+    case SectionType::kCaptureQuality: return capture_quality(io, s);
+    case SectionType::kTraceMetrics: return trace_metrics(io, s);
+    case SectionType::kDatasetMeta:
+    case SectionType::kEnd:
+      break;
+  }
+  throw std::logic_error(std::string(to_string(type)) + " is not a per-trace section");
+}
+
+template <typename IO, typename M>
+void meta_fields(IO& io, M& meta) {
+  io.fields(meta.dataset, meta.scale, meta.trace_count);
+}
+
+}  // namespace
+
+void encode_meta(const SnapshotMeta& meta, ByteWriter& w) {
+  FieldWriter io(w);
+  meta_fields(io, meta);
+}
+
+void decode_meta(ByteReader& r, SnapshotMeta& meta) {
+  FieldReader io(r);
+  meta_fields(io, meta);
+}
+
+void encode_section(SectionType type, const TraceShard& shard, ByteWriter& w) {
+  FieldWriter io(w);
+  shard_section(type, io, shard);
+}
+
+void decode_section(SectionType type, ByteReader& r, TraceShard& shard) {
+  FieldReader io(r);
+  shard_section(type, io, shard);
+}
+
+}  // namespace entrace::snapshot

@@ -15,15 +15,16 @@
 // CRC-32 (IEEE/zlib polynomial) covers the payload bytes only, so every
 // section is independently verifiable.  Section types form a registry
 // (SectionType below); per-trace sections carry their global trace index as
-// the first payload field and appear in the fixed order kTraceHeader ..
-// kCaptureQuality, one run per trace.
+// the first payload field and appear in the fixed order of kShardRun
+// (kTraceHeader .. kTraceMetrics), one run per trace.  The payloads
+// themselves are spelled once, in snapshot/codec.h.
 //
 // Decode treats files as untrusted input: bad magic, unsupported versions,
-// truncation (at the file, section, or field level), CRC mismatches and
-// unknown section types are all rejected with a SnapshotError naming the
-// absolute byte offset — never undefined behavior.  A version bump is
-// required for any change to section layout; readers reject versions they
-// do not know (no silent forward parsing).
+// truncation (at the file, section, or field level), CRC mismatches,
+// unknown section types and out-of-range enum bytes are all rejected with
+// a SnapshotError naming the absolute byte offset — never undefined
+// behavior.  A version bump is required for any change to section layout;
+// readers reject versions they do not know (no silent forward parsing).
 #pragma once
 
 #include <cstdint>
@@ -69,6 +70,14 @@ enum class SectionType : std::uint32_t {
 
   kEnd = 0x7F,  // zero-length terminator; absence means truncation
 };
+
+// The per-trace section run, in file order.  The writer emits it once per
+// shard and the reader requires it in exactly this order.
+inline constexpr SectionType kShardRun[] = {
+    SectionType::kTraceHeader,    SectionType::kIpProtoCounts, SectionType::kHostSets,
+    SectionType::kScannerState,   SectionType::kDynamicEndpoints,
+    SectionType::kConnections,    SectionType::kAppEvents,     SectionType::kTraceLoad,
+    SectionType::kCaptureQuality, SectionType::kTraceMetrics};
 
 // Stable name for error messages and tests.
 const char* to_string(SectionType type);

@@ -1,16 +1,15 @@
 #include "snapshot/reader.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
+#include <iterator>
 #include <utility>
+
+#include "snapshot/codec.h"
 
 namespace entrace::snapshot {
 
 namespace {
-
-inline constexpr std::uint32_t kNoConn = 0xFFFFFFFFu;
 
 std::string hex_bytes(std::span<const std::uint8_t> bytes) {
   std::string out;
@@ -21,203 +20,6 @@ std::string hex_bytes(std::span<const std::uint8_t> bytes) {
   }
   return out;
 }
-
-Connection decode_connection(ByteReader& r) {
-  Connection c;
-  c.key.src = Ipv4Address(r.u32());
-  c.key.dst = Ipv4Address(r.u32());
-  c.key.src_port = r.u16();
-  c.key.dst_port = r.u16();
-  c.key.proto = r.u8();
-  c.start_ts = r.f64();
-  c.last_ts = r.f64();
-  c.orig_pkts = r.u64();
-  c.resp_pkts = r.u64();
-  c.orig_bytes = r.u64();
-  c.resp_bytes = r.u64();
-  const std::uint8_t state = r.u8();
-  if (state > static_cast<std::uint8_t>(ConnState::kClosed)) {
-    throw SnapshotError(r.offset() - 1,
-                        "connection state " + std::to_string(state) + " out of range");
-  }
-  c.state = static_cast<ConnState>(state);
-  c.saw_syn = r.u8() != 0;
-  c.saw_synack = r.u8() != 0;
-  c.saw_fin = r.u8() != 0;
-  c.saw_rst = r.u8() != 0;
-  c.orig_isn = r.u32();
-  c.resp_isn = r.u32();
-  c.retransmissions = r.u32();
-  c.keepalive_retx = r.u32();
-  c.icmp_type = r.u8();
-  c.app_id = r.u16();
-  c.multicast = r.u8() != 0;
-  c.open_seq = r.u64();  // v3
-  return c;
-}
-
-void decode_series(ByteReader& r, IntervalSeries& series) {
-  const double width = r.f64();
-  if (width != series.bin_width()) {
-    throw SnapshotError(r.offset() - 8, "interval-series bin width " + std::to_string(width) +
-                                            " does not match the expected " +
-                                            std::to_string(series.bin_width()));
-  }
-  const std::uint64_t n = r.u64();
-  std::map<std::int64_t, double> bins;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::int64_t bin = r.i64();
-    const double value = r.f64();
-    if (!bins.emplace(bin, value).second) {
-      throw SnapshotError(r.offset(), "duplicate interval-series bin " + std::to_string(bin));
-    }
-  }
-  series.restore_bins(std::move(bins));
-}
-
-// Resolve a positional connection reference into the restored flow table.
-const Connection* resolve_conn(ByteReader& r, const FlowTable& table) {
-  const std::uint32_t ref = r.u32();
-  if (ref == kNoConn) return nullptr;
-  if (ref >= table.connections().size()) {
-    throw SnapshotError(r.offset() - 4, "event references connection " + std::to_string(ref) +
-                                            " of " + std::to_string(table.connections().size()));
-  }
-  return &table.connections()[ref];
-}
-
-void decode_events(ByteReader& r, AppEvents& ev, const FlowTable& table) {
-  std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    HttpTransaction e;
-    e.conn = resolve_conn(r, table);
-    e.req_ts = r.f64();
-    e.resp_ts = r.f64();
-    e.method = r.str();
-    e.uri = r.str();
-    e.host = r.str();
-    e.user_agent = r.str();
-    e.conditional = r.u8() != 0;
-    e.has_response = r.u8() != 0;
-    e.status = r.i32();
-    e.content_type = r.str();
-    e.resp_body_len = r.u64();
-    ev.http.push_back(std::move(e));
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    SmtpCommand e;
-    e.conn = resolve_conn(r, table);
-    e.ts = r.f64();
-    e.verb = r.str();
-    ev.smtp.push_back(std::move(e));
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    DnsTransaction e;
-    e.conn = resolve_conn(r, table);
-    e.query_ts = r.f64();
-    e.resp_ts = r.f64();
-    e.qtype = r.u16();
-    e.qname = r.str();
-    e.has_response = r.u8() != 0;
-    e.rcode = r.i32();
-    ev.dns.push_back(std::move(e));
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    NbnsTransaction e;
-    e.conn = resolve_conn(r, table);
-    e.query_ts = r.f64();
-    e.resp_ts = r.f64();
-    e.opcode = static_cast<NbnsOpcode>(r.u8());
-    e.name_type = static_cast<NbnsNameType>(r.u8());
-    e.name = r.str();
-    e.has_response = r.u8() != 0;
-    e.rcode = r.i32();
-    ev.nbns.push_back(std::move(e));
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    NbssEvent e;
-    e.conn = resolve_conn(r, table);
-    e.ts = r.f64();
-    e.type = static_cast<NbssEventType>(r.u8());
-    ev.nbss.push_back(e);
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    CifsCommand e;
-    e.conn = resolve_conn(r, table);
-    e.ts = r.f64();
-    e.command = r.u8();
-    e.category = static_cast<CifsCategory>(r.u8());
-    e.dir = static_cast<Direction>(r.u8());
-    e.msg_bytes = r.u32();
-    ev.cifs.push_back(e);
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    DceRpcCall e;
-    e.conn = resolve_conn(r, table);
-    e.ts = r.f64();
-    e.iface = static_cast<DceIface>(r.u8());
-    e.opnum = r.u16();
-    e.over_pipe = r.u8() != 0;
-    e.is_request = r.u8() != 0;
-    e.bytes = r.u32();
-    ev.dcerpc.push_back(e);
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EpmMapping e;
-    e.conn = resolve_conn(r, table);
-    e.ts = r.f64();
-    e.server = Ipv4Address(r.u32());
-    e.port = r.u16();
-    e.iface = static_cast<DceIface>(r.u8());
-    ev.epm.push_back(e);
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    NfsCall e;
-    e.conn = resolve_conn(r, table);
-    e.req_ts = r.f64();
-    e.resp_ts = r.f64();
-    e.proc = r.u32();
-    e.has_reply = r.u8() != 0;
-    e.status = r.u32();
-    e.req_bytes = r.u32();
-    e.resp_bytes = r.u32();
-    ev.nfs.push_back(e);
-  }
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    NcpCall e;
-    e.conn = resolve_conn(r, table);
-    e.req_ts = r.f64();
-    e.resp_ts = r.f64();
-    e.function = static_cast<NcpFunction>(r.u8());
-    e.has_reply = r.u8() != 0;
-    e.completion_code = r.u8();
-    e.req_bytes = r.u32();
-    e.resp_bytes = r.u32();
-    ev.ncp.push_back(e);
-  }
-}
-
-void decode_host_set(ByteReader& r, std::set<std::uint32_t>& hosts) {
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) hosts.insert(hosts.end(), r.u32());
-}
-
-// The per-trace section run, in the order the writer emits it.
-constexpr SectionType kShardRun[] = {
-    SectionType::kTraceHeader,   SectionType::kIpProtoCounts, SectionType::kHostSets,
-    SectionType::kScannerState,  SectionType::kDynamicEndpoints,
-    SectionType::kConnections,   SectionType::kAppEvents,     SectionType::kTraceLoad,
-    SectionType::kCaptureQuality, SectionType::kTraceMetrics};
-constexpr std::size_t kShardRunLen = sizeof(kShardRun) / sizeof(kShardRun[0]);
 
 struct Decoder {
   std::span<const std::uint8_t> bytes;
@@ -314,9 +116,7 @@ struct Decoder {
           throw SnapshotError(section_at, "first section is " + std::string(to_string(type)) +
                                               ", expected dataset-meta");
         }
-        out.meta.dataset = r.str();
-        out.meta.scale = r.f64();
-        out.meta.trace_count = r.u32();
+        decode_meta(r, out.meta);
         r.expect_end("dataset-meta");
         saw_meta = true;
         continue;
@@ -327,7 +127,7 @@ struct Decoder {
                                             std::string(to_string(kShardRun[run_pos])) + ")");
       }
       decode_shard_section(type, r);
-      run_pos = (run_pos + 1) % kShardRunLen;
+      run_pos = (run_pos + 1) % std::size(kShardRun);
     }
   }
 
@@ -348,171 +148,7 @@ struct Decoder {
                                               std::to_string(index) + " inside the run of trace " +
                                               std::to_string(current().trace_index));
     }
-    TraceShard& shard = current().shard;
-    switch (type) {
-      case SectionType::kTraceHeader: {
-        shard.subnet_id = r.i32();
-        shard.total_packets = r.u64();
-        shard.total_wire_bytes = r.u64();
-        shard.l3.total = r.u64();
-        shard.l3.ip = r.u64();
-        shard.l3.arp = r.u64();
-        shard.l3.ipx = r.u64();
-        shard.l3.other = r.u64();
-        break;
-      }
-      case SectionType::kIpProtoCounts: {
-        for (int p = 0; p < 256; ++p) shard.ip_proto_packets[static_cast<std::uint8_t>(p)] = r.u64();
-        break;
-      }
-      case SectionType::kHostSets: {
-        decode_host_set(r, shard.monitored_hosts);
-        decode_host_set(r, shard.lbnl_hosts);
-        decode_host_set(r, shard.remote_hosts);
-        break;
-      }
-      case SectionType::kScannerState: {
-        const std::uint64_t n = r.u64();
-        std::vector<ScannerDetector::SourceObservations> observations;
-        observations.reserve(n < 4096 ? static_cast<std::size_t>(n) : 4096);
-        for (std::uint64_t i = 0; i < n; ++i) {
-          ScannerDetector::SourceObservations obs;
-          obs.source = r.u32();
-          const std::uint32_t order_len = r.u32();
-          obs.order.reserve(order_len < 4096 ? order_len : 4096);
-          for (std::uint32_t j = 0; j < order_len; ++j) obs.order.push_back(r.u32());
-          const std::uint32_t extra_len = r.u32();
-          for (std::uint32_t j = 0; j < extra_len; ++j) obs.extra_seen.push_back(r.u32());
-          observations.push_back(std::move(obs));
-        }
-        shard.detector.import_observations(observations);
-        const std::uint32_t known = r.u32();
-        for (std::uint32_t i = 0; i < known; ++i) {
-          shard.detector.add_known_scanner(Ipv4Address(r.u32()));
-        }
-        break;
-      }
-      case SectionType::kDynamicEndpoints: {
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const Ipv4Address server(r.u32());
-          const std::uint16_t port = r.u16();
-          const bool enabled = r.u8() != 0;
-          if (enabled) shard.registry.register_dcerpc_endpoint(server, port);
-        }
-        break;
-      }
-      case SectionType::kConnections: {
-        shard.table = std::make_unique<FlowTable>();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-          shard.table->connections().push_back(decode_connection(r));
-        }
-        break;
-      }
-      case SectionType::kAppEvents: {
-        if (shard.table == nullptr) {
-          throw SnapshotError(r.offset(), "app-events section before connections");
-        }
-        decode_events(r, shard.events, *shard.table);
-        break;
-      }
-      case SectionType::kTraceLoad: {
-        shard.load.trace_name = r.str();
-        decode_series(r, shard.load.bits_1s);
-        decode_series(r, shard.load.bits_10s);
-        decode_series(r, shard.load.bits_60s);
-        shard.load.ent_tcp_pkts = r.u64();
-        shard.load.ent_retx = r.u64();
-        shard.load.wan_tcp_pkts = r.u64();
-        shard.load.wan_retx = r.u64();
-        shard.load.keepalive_excluded = r.u64();
-        break;
-      }
-      case SectionType::kCaptureQuality: {
-        shard.quality.packets_seen = r.u64();
-        shard.quality.packets_ok = r.u64();
-        shard.quality.packets_dropped = r.u64();
-        const std::uint32_t kinds = r.u32();
-        if (kinds != kAnomalyKindCount) {
-          throw SnapshotError(r.offset() - 4,
-                              "anomaly taxonomy has " + std::to_string(kinds) +
-                                  " kinds, this build knows " + std::to_string(kAnomalyKindCount) +
-                                  " (format version bump required)");
-        }
-        for (std::size_t k = 0; k < kAnomalyKindCount; ++k) {
-          shard.quality.anomalies[static_cast<AnomalyKind>(k)] = r.u64();
-        }
-        break;
-      }
-      case SectionType::kTraceMetrics: {
-        const std::uint32_t count = r.u32();
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::string name = r.str();
-          if (name.empty()) throw SnapshotError(r.offset(), "metric with empty name");
-          if (shard.metrics.find(name) != nullptr) {
-            throw SnapshotError(r.offset(), "duplicate metric '" + name + "'");
-          }
-          const std::string help = r.str();
-          const std::uint8_t kind = r.u8();
-          if (kind > static_cast<std::uint8_t>(obs::MetricKind::kHistogram)) {
-            throw SnapshotError(r.offset() - 1,
-                                "metric kind " + std::to_string(kind) + " out of range");
-          }
-          // Snapshots carry semantic metrics only (the writer filters), so
-          // everything registers as kSemantic.
-          switch (static_cast<obs::MetricKind>(kind)) {
-            case obs::MetricKind::kCounter:
-              shard.metrics.counter(name, obs::MetricClass::kSemantic, help)->add(r.u64());
-              break;
-            case obs::MetricKind::kGauge:
-              shard.metrics.gauge(name, obs::MetricClass::kSemantic, help)->set(r.f64());
-              break;
-            case obs::MetricKind::kHistogram: {
-              const std::uint32_t n_bounds = r.u32();
-              // A histogram payload needs 8 bytes per bound plus the
-              // buckets/count/sum that follow; an absurd declared size is
-              // rejected before any allocation is attempted.
-              if (static_cast<std::uint64_t>(n_bounds) * 16 > r.remaining()) {
-                throw SnapshotError(r.offset() - 4, "histogram declares " +
-                                                        std::to_string(n_bounds) +
-                                                        " bounds but the payload is smaller");
-              }
-              std::vector<double> bounds;
-              bounds.reserve(n_bounds);
-              for (std::uint32_t b = 0; b < n_bounds; ++b) bounds.push_back(r.f64());
-              if (!std::is_sorted(bounds.begin(), bounds.end())) {
-                throw SnapshotError(r.offset(), "histogram bounds not ascending");
-              }
-              std::vector<std::uint64_t> buckets;
-              buckets.reserve(n_bounds + 1);
-              std::uint64_t bucket_total = 0;
-              for (std::uint32_t b = 0; b < n_bounds + 1; ++b) {
-                buckets.push_back(r.u64());
-                bucket_total += buckets.back();
-              }
-              const std::uint64_t total = r.u64();
-              const double sum = r.f64();
-              if (total != bucket_total) {
-                throw SnapshotError(r.offset(), "histogram count " + std::to_string(total) +
-                                                    " != bucket total " +
-                                                    std::to_string(bucket_total));
-              }
-              obs::Histogram* h =
-                  shard.metrics.histogram(name, obs::MetricClass::kSemantic, bounds, help);
-              obs::Histogram restored(std::move(bounds));
-              restored.restore(std::move(buckets), total, sum);
-              h->merge(restored);
-              break;
-            }
-          }
-        }
-        break;
-      }
-      case SectionType::kDatasetMeta:
-      case SectionType::kEnd:
-        break;  // handled by run(); unreachable here
-    }
+    decode_section(type, r, current().shard);
     r.expect_end(to_string(type));
   }
 };

@@ -55,18 +55,10 @@ void WindowFold::add(WindowShard&& window) {
     // without a final sort.
     std::unordered_map<std::uint64_t, std::size_t>& by_seq = by_seq_[t];
     std::deque<Connection>& conns = dst.table->connections();
-    dst.total_packets += ws.total_packets;
-    dst.total_wire_bytes += ws.total_wire_bytes;
-    dst.l3.merge(ws.l3);
-    dst.ip_proto_packets.merge(ws.ip_proto_packets);
-    dst.monitored_hosts.insert(ws.monitored_hosts.begin(), ws.monitored_hosts.end());
-    dst.lbnl_hosts.insert(ws.lbnl_hosts.begin(), ws.lbnl_hosts.end());
-    dst.remote_hosts.insert(ws.remote_hosts.begin(), ws.remote_hosts.end());
+    // Across windows the detector merges into the trace's own and the load
+    // series sums.
     dst.detector.merge(ws.detector);
-    dst.registry.merge_dynamic_endpoints(ws.registry);
-    dst.quality.merge(ws.quality);
     dst.load.merge(ws.load);
-    dst.metrics.merge(ws.metrics);
 
     // Upsert this window's connection deltas: a delta is the connection's
     // cumulative state as of the window end, so the latest window's copy
@@ -92,7 +84,7 @@ void WindowFold::add(WindowShard&& window) {
       }
       return it->second;
     });
-    dst.events.merge(std::move(ws.events));
+    dst.merge_from(std::move(ws));
   }
 }
 

@@ -46,7 +46,7 @@ class SnapshotWriter {
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
-  // Encode one trace shard (all nine per-trace sections).  Shards must be
+  // Encode one trace shard (the ten per-trace sections of kShardRun).  Shards must be
   // added in ascending trace-index order (the reader enforces the same, so
   // violations fail fast at write time instead of at merge time).
   void add_shard(std::uint32_t trace_index, const TraceShard& shard);

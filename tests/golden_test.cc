@@ -255,14 +255,15 @@ void expect_snapshot_line(const std::string& got_line) {
   static const std::map<std::string, std::string> lines = read_golden(ENTRACE_GOLDEN_SNAPSHOTS);
   const std::string name = got_line.substr(0, got_line.find(' '));
   const std::string want_line = lines.count(name) != 0 ? lines.at(name) : "";
-  EXPECT_EQ(got_line, want_line) << "snapshot digest mismatch for " << name << " ("
-                                 << ENTRACE_GOLDEN_SNAPSHOTS
-                                 << ")\nIf the change is deliberate, replace the golden line with:\n"
-                                 << got_line;
+  EXPECT_EQ(got_line, want_line)
+      << "snapshot digest mismatch for " << name << " (" << ENTRACE_GOLDEN_SNAPSHOTS
+      << ")\nIf the change is deliberate, replace the golden line with:\n"
+      << got_line;
 }
 
 // Shard i goes in at trace index i, through the stream-sink writer.
-std::string encode_image(const snapshot::SnapshotMeta& meta, const std::vector<TraceShard>& shards) {
+std::string encode_image(const snapshot::SnapshotMeta& meta,
+                         const std::vector<TraceShard>& shards) {
   std::ostringstream out(std::ios::binary);
   snapshot::SnapshotWriter writer(out, meta);
   for (std::size_t i = 0; i < shards.size(); ++i) {

@@ -7,8 +7,9 @@
 //      shard files, merging the snapshots folds to a report byte-identical
 //      to single-process analyze_dataset.
 //   3. Untrusted input: damaged snapshots (bad magic, future version,
-//      truncation, flipped bits, missing end marker) are rejected with a
-//      SnapshotError naming the byte offset — never misdecoded.
+//      truncation, flipped bits, missing end marker, out-of-range enum
+//      bytes) are rejected with a SnapshotError naming the byte offset —
+//      never misdecoded.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,6 +18,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -352,6 +355,85 @@ TEST_F(SnapshotTest, RejectsTrailingGarbageAfterEndMarker) {
   std::vector<std::uint8_t> bytes = valid_image();
   bytes.push_back(0x00);
   EXPECT_THROW(snap::decode_snapshot(bytes), SnapshotError);
+}
+
+// Every one-byte enum the format carries is range-checked on decode.  A
+// byte past the last enumerator would otherwise index past the report's
+// per-enumerator tables (Table 14's NCP rows, Table 10's CIFS cells) with
+// the CRCs intact.  The writer does not validate, so each bad value goes
+// in through an ordinary one-trace shard holding one connection or event.
+TEST_F(SnapshotTest, RejectsOutOfRangeEnumFields) {
+  struct Case {
+    const char* field;
+    std::uint8_t one_past_last;
+    std::function<void(TraceShard&, std::uint8_t)> plant;
+  };
+  const std::vector<Case> cases = {
+      {"ConnState", 6,
+       [](TraceShard& s, std::uint8_t v) {
+         Connection c;
+         c.state = static_cast<ConnState>(v);
+         s.table->connections().push_back(c);
+       }},
+      {"NbnsOpcode", 5,
+       [](TraceShard& s, std::uint8_t v) {
+         s.events.nbns.push_back({});
+         s.events.nbns.back().opcode = static_cast<NbnsOpcode>(v);
+       }},
+      {"NbnsNameType", 4,
+       [](TraceShard& s, std::uint8_t v) {
+         s.events.nbns.push_back({});
+         s.events.nbns.back().name_type = static_cast<NbnsNameType>(v);
+       }},
+      {"NbssEventType", 3,
+       [](TraceShard& s, std::uint8_t v) {
+         s.events.nbss.push_back({});
+         s.events.nbss.back().type = static_cast<NbssEventType>(v);
+       }},
+      {"CifsCategory", 5,
+       [](TraceShard& s, std::uint8_t v) {
+         s.events.cifs.push_back({});
+         s.events.cifs.back().category = static_cast<CifsCategory>(v);
+       }},
+      {"Direction", 2,
+       [](TraceShard& s, std::uint8_t v) {
+         s.events.cifs.push_back({});
+         s.events.cifs.back().dir = static_cast<Direction>(v);
+       }},
+      {"DceIface", 7,
+       [](TraceShard& s, std::uint8_t v) {
+         s.events.dcerpc.push_back({});
+         s.events.dcerpc.back().iface = static_cast<DceIface>(v);
+       }},
+      {"NcpFunction", 8,
+       [](TraceShard& s, std::uint8_t v) {
+         s.events.ncp.push_back({});
+         s.events.ncp.back().function = static_cast<NcpFunction>(v);
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    TraceShard shard;
+    shard.table = std::make_unique<FlowTable>();
+    c.plant(shard, c.one_past_last);
+    std::ostringstream out(std::ios::binary);
+    snap::SnapshotWriter writer(out, meta());
+    writer.add_shard(0, shard);
+    writer.close();
+    const std::string image = std::move(out).str();
+    const std::vector<std::uint8_t> bytes(image.begin(), image.end());
+    try {
+      snap::decode_snapshot(bytes);
+      ADD_FAILURE() << "decoded " << c.field << " " << int{c.one_past_last};
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::kMalformed) << e.what();
+      ASSERT_LT(e.offset(), bytes.size()) << e.what();
+      EXPECT_EQ(bytes[e.offset()], c.one_past_last) << "offset does not name the enum byte";
+      EXPECT_NE(std::string(e.what()).find("byte offset " + std::to_string(e.offset())),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_F(SnapshotTest, WriterRefusesOutOfOrderShards) {
