@@ -19,7 +19,7 @@
 //      dispatch overhead plus the wall-clock cost of refuse/disconnect/
 //      corrupt/hang recovery,
 //   5. a pipeline scaling study measuring analyze_dataset at 1, 2 and N
-//      threads against the seed's two-pass double-decode baseline.
+//      threads.
 //
 // All of these write into BENCH_pipeline.json (the scaling study holds the
 // pen).  --smoke runs only a tiny harness self-check (run_smoke).  Pass
@@ -47,7 +47,6 @@
 #include <unistd.h>
 #endif
 
-#include "bench_common.h"
 #include "cluster/coordinator.h"
 #include "cluster/worker.h"
 #include "core/analyzer.h"
@@ -205,74 +204,6 @@ void BM_DnsEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_DnsEncodeDecode);
 
 // ---- pipeline scaling study -------------------------------------------------
-
-// The seed's serial two-pass pipeline, preserved here as the baseline: a
-// tally/scanner pass and a flow/app pass, each calling decode_packet —
-// i.e. every packet decoded twice.
-DatasetAnalysis analyze_dataset_twopass_baseline(const TraceSet& traces,
-                                                 const AnalyzerConfig& config) {
-  DatasetAnalysis out;
-  out.name = traces.dataset_name;
-  out.site = config.site;
-
-  ScannerDetector detector(config.scanner);
-  for (Ipv4Address known : config.site.known_scanners) detector.add_known_scanner(known);
-  for (const Trace& trace : traces.traces) {
-    if (trace.subnet_id >= 0) out.monitored_subnets.push_back(trace.subnet_id);
-    for (const RawPacket& pkt : trace.packets) {
-      ++out.total_packets;
-      out.total_wire_bytes += pkt.wire_len;
-      auto decoded = decode_packet(pkt);
-      if (!decoded) continue;
-      out.l3.add(decoded->l3);
-      if (decoded->l3 != L3Kind::kIpv4) continue;
-      ++out.ip_proto_packets[decoded->ip_proto];
-      detector.observe(decoded->src, decoded->dst);
-      for (const Ipv4Address addr : {decoded->src, decoded->dst}) {
-        if (addr.is_multicast() || addr.is_broadcast()) continue;
-        if (config.site.is_internal(addr)) {
-          out.lbnl_hosts.insert(addr.value());
-          if (config.site.subnet_of(addr) == trace.subnet_id)
-            out.monitored_hosts.insert(addr.value());
-        } else {
-          out.remote_hosts.insert(addr.value());
-        }
-      }
-    }
-  }
-  out.scanners = detector.scanners();
-
-  for (const Trace& trace : traces.traces) {
-    const bool payload = config.payload_analysis.value_or(trace.snaplen >= 200);
-    ProtocolDispatcher dispatcher(out.registry, out.events, payload);
-    auto table = std::make_unique<FlowTable>(config.flow, &dispatcher);
-    TraceLoadRaw load;
-    load.trace_name = trace.name;
-    for (const RawPacket& pkt : trace.packets) {
-      auto decoded = decode_packet(pkt);
-      if (!decoded) continue;
-      load.add_packet(pkt.ts, pkt.wire_len);
-      if (decoded->l3 != L3Kind::kIpv4) continue;
-      const PacketVerdict verdict = table->process(*decoded);
-      if (verdict.conn != nullptr && decoded->is_tcp()) {
-        const bool wan = !config.site.is_internal(verdict.conn->key.src) ||
-                         !config.site.is_internal(verdict.conn->key.dst);
-        if (verdict.keepalive_retx) {
-          ++load.keepalive_excluded;
-        } else {
-          auto& pkts = wan ? load.wan_tcp_pkts : load.ent_tcp_pkts;
-          auto& retx = wan ? load.wan_retx : load.ent_retx;
-          ++pkts;
-          if (verdict.tcp_retransmission) ++retx;
-        }
-      }
-    }
-    table->flush();
-    out.load_raw.push_back(std::move(load));
-    out.tables.push_back(std::move(table));
-  }
-  return out;
-}
 
 struct ScalingRun {
   std::string label;
@@ -1068,7 +999,7 @@ void run_daemon_study() {
 }
 
 void run_pipeline_scaling() {
-  const double scale = benchutil::env_scale();
+  const double scale = cli::env_scale();
   const int reps = env_int("ENTRACE_BENCH_REPS", 3);
   EnterpriseModel model;
   const DatasetSpec spec = dataset_by_name("D3", scale);
@@ -1078,14 +1009,6 @@ void run_pipeline_scaling() {
 
   std::printf("---- pipeline scaling (D3, scale %.3f, %llu packets over %zu traces, best of %d) ----\n",
               scale, static_cast<unsigned long long>(packets), set.traces.size(), reps);
-
-  // Serial win first: seed two-pass double-decode vs fused single-decode.
-  const ScalingRun baseline = time_run("twopass-serial", 1, packets, reps, [&] {
-    const DatasetAnalysis a = analyze_dataset_twopass_baseline(set, config);
-    benchmark::DoNotOptimize(a.total_packets);
-  });
-  std::printf("  %-16s %8.3fs  %12.0f pps  (seed baseline: 2 decode passes)\n",
-              baseline.label.c_str(), baseline.seconds, baseline.pps);
 
   std::set<std::size_t> counts = {1, 2, 4, ThreadPool::env_thread_count()};
   std::vector<ScalingRun> runs;
@@ -1102,11 +1025,9 @@ void run_pipeline_scaling() {
     // scheduling overhead, so the 1-thread configuration is the crossover.
     const double eff =
         runs.front().pps > 0 ? r.pps / (static_cast<double>(t) * runs.front().pps) : 0.0;
-    std::printf("  %-16s %8.3fs  %12.0f pps  (%.2fx vs baseline, eff %.2f)\n",
-                r.label.c_str(), r.seconds, r.pps, baseline.seconds / r.seconds, eff);
+    std::printf("  %-16s %8.3fs  %12.0f pps  (eff %.2f)\n", r.label.c_str(), r.seconds, r.pps,
+                eff);
   }
-  std::printf("  single-decode fusion speedup (1 thread): %.2fx\n",
-              baseline.seconds / runs.front().seconds);
   const auto fastest =
       std::min_element(runs.begin(), runs.end(),
                        [](const ScalingRun& a, const ScalingRun& b) { return a.seconds < b.seconds; });
@@ -1118,11 +1039,6 @@ void run_pipeline_scaling() {
     std::fprintf(json, "{\n  \"benchmark\": \"pipeline_scaling\",\n");
     std::fprintf(json, "  \"dataset\": \"D3\",\n  \"scale\": %.4f,\n  \"reps\": %d,\n", scale,
                  reps);
-    std::fprintf(json,
-                 "  \"baseline_twopass\": {\"threads\": 1, \"packets\": %llu, \"seconds\": "
-                 "%.6f, \"pps\": %.1f},\n",
-                 static_cast<unsigned long long>(baseline.packets), baseline.seconds,
-                 baseline.pps);
     std::fprintf(json, "  \"runs\": [\n");
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const double eff = runs.front().pps > 0

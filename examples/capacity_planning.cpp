@@ -31,14 +31,12 @@ int main(int argc, char** argv) {
               "ent-retx", "wan-retx");
   for (std::size_t i = 0; i < analysis.load_raw.size(); ++i) {
     const TraceLoadRaw& t = analysis.load_raw[i];
-    EmpiricalCdf one;
-    for (double bits : t.bits_1s.values()) one.add(bits / 1e6);
     auto fmt_rate = [](double r) {
       return r < 0 ? std::string("(n/a)") : std::to_string(r * 100).substr(0, 5) + "%";
     };
-    std::printf("%-14s %9.2fM %9.2fM %9.2fM %12s %12s\n", t.trace_name.c_str(), one.max(),
-                load.peak_10s.sorted().size() > i ? load.peak_10s.sorted()[i] : 0.0,
-                load.peak_60s.sorted().size() > i ? load.peak_60s.sorted()[i] : 0.0,
+    std::printf("%-14s %9.2fM %9.2fM %9.2fM %12s %12s\n", t.trace_name.c_str(),
+                LoadAnalysis::peak_mbps(t.bits_1s), LoadAnalysis::peak_mbps(t.bits_10s),
+                LoadAnalysis::peak_mbps(t.bits_60s),
                 fmt_rate(load.retx_ent_by_trace[i]).c_str(),
                 fmt_rate(load.retx_wan_by_trace[i]).c_str());
   }

@@ -7,13 +7,13 @@ namespace {
 
 constexpr double kMbps = 1e6;
 
-double peak_mbps(const IntervalSeries& series) {
+}  // namespace
+
+double LoadAnalysis::peak_mbps(const IntervalSeries& series) {
   double best = 0.0;
   for (double bits : series.values()) best = std::max(best, bits / series.bin_width());
   return best / kMbps;
 }
-
-}  // namespace
 
 LoadAnalysis LoadAnalysis::compute(const std::vector<TraceLoadRaw>& traces,
                                    std::uint64_t min_packets) {

@@ -63,6 +63,10 @@ struct LoadAnalysis {
   // skipped for Figure 10 (the paper requires at least 1000 packets).
   static LoadAnalysis compute(const std::vector<TraceLoadRaw>& traces,
                               std::uint64_t min_packets = 1000);
+
+  // One trace's peak utilization (Mbps) at the series' timescale: its
+  // busiest bin's bits over the bin width.
+  static double peak_mbps(const IntervalSeries& series);
 };
 
 }  // namespace entrace

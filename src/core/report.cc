@@ -23,10 +23,6 @@ namespace {
 
 std::string pct(double f) { return format_pct(f); }
 
-bool has_payload(const ReportInput& in) {
-  return in.spec == nullptr || in.spec->payload_analysis();
-}
-
 std::vector<std::string> names_row(Inputs in, const std::string& head) {
   std::vector<std::string> row{head};
   for (const auto& i : in) row.push_back(i.analysis->name);
@@ -141,7 +137,20 @@ std::string table3_transport(Inputs in) {
     for (const auto& i : in) r.push_back(pct(i.analysis->scanner_removed_fraction()));
     t.add_row(std::move(r));
   }
-  return t.render();
+
+  // Ablation (§3): the connection mix the scanner filter corrects.
+  TextTable ablation("Ablation: connection fractions without scanner removal");
+  ablation.set_header(names_row(in, ""));
+  std::vector<TransportBreakdown> kept;
+  for (const auto& i : in) kept.push_back(TransportBreakdown::compute(i.analysis->all_connections));
+  for (const auto& [label, proto] : {std::pair{"TCP", ipproto::kTcp},
+                                     std::pair{"UDP", ipproto::kUdp},
+                                     std::pair{"ICMP", ipproto::kIcmp}}) {
+    std::vector<std::string> r{label};
+    for (const auto& b : kept) r.push_back(pct(b.conn_fraction(proto)));
+    ablation.add_row(std::move(r));
+  }
+  return t.render() + ablation.render();
 }
 
 std::string figure1_app_breakdown(Inputs in) {
@@ -550,7 +559,25 @@ std::string table9_windows_success(Inputs in) {
       [&outcome](const WindowsAnalysis& w) { return outcome(w.epm_conns); });
   row("NBSS handshake ok",
       [](const WindowsAnalysis& w) { return format_pct(w.nbss_handshake_rate()); });
-  return t.render();
+
+  // Ablation (§5): raw connection counts, which automated retries skew.
+  TextTable ablation("Ablation: raw CIFS connection success (not host pairs)");
+  ablation.set_header(names_row(in, ""));
+  std::vector<std::string> raw{"CIFS(445) conns ok"};
+  for (const auto& i : in) {
+    const SiteConfig& site = i.analysis->site;
+    std::uint64_t ok = 0, total = 0;
+    for (const Connection* c : i.analysis->connections) {
+      if (static_cast<AppProtocol>(c->app_id) != AppProtocol::kCifs) continue;
+      if (!site.is_internal(c->key.src) || !site.is_internal(c->key.dst)) continue;
+      ++total;
+      if (c->successful()) ++ok;
+    }
+    raw.push_back(total ? pct(static_cast<double>(ok) / static_cast<double>(total))
+                        : std::string("-"));
+  }
+  ablation.add_row(std::move(raw));
+  return t.render() + ablation.render();
 }
 
 std::string table10_cifs_commands(Inputs in) {
@@ -840,23 +867,42 @@ std::string figure9_utilization(const ReportInput& in) {
 }
 
 std::string figure10_retransmissions(Inputs in) {
-  std::string out;
   TextTable t("Figure 10: TCP retransmission rates across traces (keepalives excluded)");
   t.set_header({"dataset", "traces", "ent median", "ent p90", "ent max", "wan median",
                 "wan p90", "wan max", "ent traces >1%", "keepalive retx excluded"});
+  // Ablation (§6): the internal rate over the same traces, with each
+  // trace's internal keepalives counted as retransmitted packets.
+  TextTable ablation("Ablation: internal retx rate if keepalives were counted");
+  ablation.set_header({"dataset", "median (keepalives excluded)", "median (included)"});
   for (const auto& i : in) {
-    LoadAnalysis load = LoadAnalysis::compute(i.analysis->load_raw);
+    const DatasetAnalysis& a = *i.analysis;
+    LoadAnalysis load = LoadAnalysis::compute(a.load_raw);
     std::uint64_t over_1pct = 0;
     for (double r : load.retx_ent_by_trace)
       if (r > 0.01) ++over_1pct;
-    t.add_row({i.analysis->name, std::to_string(i.analysis->load_raw.size()),
+    t.add_row({a.name, std::to_string(a.load_raw.size()),
                pct(load.retx_ent.median()), pct(load.retx_ent.quantile(0.9)),
                pct(load.retx_ent.max()), pct(load.retx_wan.median()),
                pct(load.retx_wan.quantile(0.9)), pct(load.retx_wan.max()),
                std::to_string(over_1pct), std::to_string(load.keepalives_excluded)});
+
+    EmpiricalCdf counted;
+    for (std::size_t k = 0; k < a.load_raw.size(); ++k) {
+      if (load.retx_ent_by_trace[k] < 0) continue;  // outside Figure 10's population
+      // The trace's own table: TraceLoadRaw::keepalive_excluded also
+      // counts WAN keepalives.
+      std::uint64_t keepalives = 0;
+      for (const Connection& c : a.tables[k]->connections()) {
+        if (a.site.is_internal(c.key.src) && a.site.is_internal(c.key.dst))
+          keepalives += c.keepalive_retx;
+      }
+      const TraceLoadRaw& raw = a.load_raw[k];
+      counted.add(static_cast<double>(raw.ent_retx + keepalives) /
+                  static_cast<double>(raw.ent_tcp_pkts + keepalives));
+    }
+    ablation.add_row({a.name, pct(load.retx_ent.median()), pct(counted.median())});
   }
-  out += t.render();
-  return out;
+  return t.render() + ablation.render();
 }
 
 std::string telemetry(Inputs in) {
@@ -871,42 +917,247 @@ std::string telemetry(Inputs in) {
   return out;
 }
 
-std::string full_report(Inputs in) {
+namespace {
+
+// Figures 2 and 9 are drawn per dataset: one rendering per input.
+template <std::string (*Figure)(const ReportInput&)>
+std::string per_input(Inputs in) {
+  std::string out;
+  for (const auto& i : in) {
+    if (!out.empty()) out += "\n";
+    out += Figure(i);
+  }
+  return out;
+}
+
+constexpr Section kSections[] = {
+    {table1_datasets, false,
+     "             D0      D1      D2      D3      D4\n"
+     "Duration     10 min  1 hr    1 hr    1 hr    1 hr\n"
+     "Per Tap      1       2       1       1       1-2\n"
+     "# Subnets    22      22      22      18      18\n"
+     "# Packets    17.8M   64.7M   28.1M   21.6M   27.7M   (ours are scaled by ENTRACE_SCALE)\n"
+     "Snaplen      1500    68      68      1500    1500\n"
+     "Mon. Hosts   2,531   2,102   2,088   1,561   1,558\n"
+     "LBNL Hosts   4,767   5,761   5,210   5,234   5,698\n"
+     "Remote Hosts 4,342   10,478  7,138   16,404  23,267"},
+    {capture_quality, false, ""},
+    {table2_network_layer, false,
+     "       D0    D1    D2    D3    D4\n"
+     "IP     99%   97%   96%   98%   96%\n"
+     "!IP    1%    3%    4%    2%    4%\n"
+     "ARP    10%   6%    5%    27%   16%   (of non-IP)\n"
+     "IPX    80%   77%   65%   57%   32%   (of non-IP)\n"
+     "Other  10%   17%   29%   16%   52%   (of non-IP)"},
+    {table3_transport, false,
+     "        D0     D1     D2     D3     D4\n"
+     "Bytes   13.12  31.88  13.20  8.98   11.75  GB (ours scaled)\n"
+     "TCP     66%    95%    90%    77%    82%\n"
+     "UDP     34%    5%     10%    23%    18%\n"
+     "ICMP    0%     0%     0%     0%     0%\n"
+     "Conns   0.16M  1.17M  0.54M  0.75M  1.15M  (ours scaled)\n"
+     "TCP     26%    19%    23%    10%    8%\n"
+     "UDP     68%    74%    70%    85%    87%\n"
+     "ICMP    6%     6%     8%     5%     5%\n"
+     "Scanner removal: 4-18% of connections across datasets"},
+    {figure1_app_breakdown, false,
+     "Figure 1 (read off the bars):\n"
+     "- bytes: bulk + net-file + backup constitute a majority in every dataset;\n"
+     "  web is the largest mostly-WAN category; windows/streaming/interactive\n"
+     "  contribute 5-10% each in some datasets.\n"
+     "- connections: name is 45-65% of connections in every dataset, yet <1% of\n"
+     "  bytes; net-mgnt, misc and other-udp show the same pattern.\n"
+     "- web and email contribute non-negligibly to BOTH bytes and connections.\n"
+     "- most traffic is enterprise-internal; 3-4x more categories appear\n"
+     "  internally than crossing the border.\n"
+     "- multicast: streaming 5-10% of all bytes; SrvLoc (name) and SAP\n"
+     "  (net-mgnt) each 5-10% of all connections."},
+    {origins_summary, false,
+     "Origins (all datasets): ent->ent 71-79%, ent->wan 2-3%, wan->ent 6-11%,\n"
+     "multicast ent-sourced 5-10%, multicast wan-sourced 4-7%."},
+    {per_input<figure2_fan>, false,
+     "Figure 2: hosts have more internal peers than WAN peers for both fan-in\n"
+     "and fan-out; one-third to one-half of hosts have only-internal fan-in,\n"
+     "more than half only-internal fan-out; >90% of hosts talk to at most a\n"
+     "couple dozen peers; tails reach hundreds (servers, SrvLoc peers)."},
+    {table6_http_automation, true,
+     "Table 6 (share of internal HTTP requests / data bytes):\n"
+     "          D0          D3          D4\n"
+     "scan1     20% / 0.1%  45% / 0.9%  19% / 1%\n"
+     "google1   23% / 45%   0%  / 0%    1%  / 0.1%\n"
+     "google2   14% / 51%   8%  / 69%   4%  / 48%\n"
+     "ifolder   1%  / 0.0%  0.2%/ 0.0%  10% / 9%\n"
+     "All       58% / 96%   54% / 70%   34% / 59%"},
+    {http_findings, true,
+     "Findings: internal success 72-92% vs WAN 95-99% (failures mostly server\n"
+     "RSTs); conditional GETs 29-53% of internal requests vs 12-21% WAN, but\n"
+     "only 1-9% / 1-7% of the data bytes; >90% of requests succeed (2xx/304)."},
+    {figure3_http_fanout, true,
+     "Clients visit roughly an order of magnitude more external HTTP servers\n"
+     "than internal ones (ent N=127-302 clients, wan N=358-684; WAN curve\n"
+     "shifted right of the enterprise curve across all datasets)."},
+    {table7_http_content_types, true,
+     "             requests          data bytes\n"
+     "             ent       wan     ent       wan\n"
+     "text         18-30%    14-26%  7-28%     13-27%\n"
+     "image        67-76%    44-68%  10-34%    16-27%\n"
+     "application  3-7%      9-42%   57-73%    33-60%\n"
+     "other        0-2%      0.3-1%  0-9%      11-13%\n"
+     "(no significant internal-vs-WAN difference in type mix)"},
+    {figure4_http_reply_sizes, true,
+     "No significant difference between internal and WAN reply sizes; bodies\n"
+     "span 1 B to ~100 MB with medians in the few-KB range; about half of web\n"
+     "sessions fetch a single object, 10-20% fetch 10+."},
+    {table8_email_sizes, false,
+     "        D0      D1      D2      D3     D4\n"
+     "SMTP    152MB   1658MB  393MB   20MB   59MB   (ours scaled)\n"
+     "SIMAP   185MB   1855MB  612MB   236MB  258MB\n"
+     "IMAP4   216MB   2MB     0.7MB   0.2MB  0.8MB  (policy change after D0)\n"
+     "Other   9MB     68MB    21MB    12MB   21MB\n"
+     "Key shape: IMAP4 -> IMAP/S transition between D0 and D1; D0-D2 monitor\n"
+     "the mail-server subnets so their volumes dwarf D3-D4's."},
+    {figure5_email_durations, false,
+     "SMTP: internal durations ~0.2-0.4 s median vs WAN 1.5-6 s (an order of\n"
+     "magnitude, tracking RTT).  IMAP/S: internal connections last 1-2 orders\n"
+     "of magnitude LONGER than WAN ones (clients poll ~every 10 minutes;\n"
+     "durations cap near 50 min in hour-long traces).\n"
+     "Success: SMTP internal 95-98%; WAN 71-93% in D0-2 (busy MXs) vs\n"
+     "99-100% in D3-4; IMAP/S 99-100% everywhere."},
+    {figure6_email_sizes, false,
+     "Flow sizes show no significant internal/WAN difference; traffic is\n"
+     "largely unidirectional (to SMTP servers, to IMAP/S clients); over 95%\n"
+     "of flows stay below 1 MB with significant upper tails (to ~1 GB axis)."},
+    {name_service_findings, true,
+     "DNS: median latency ~0.4 ms internal vs ~20 ms external; request types\n"
+     "A 50-66%, AAAA 17-25% (hosts resolve A+AAAA in parallel), PTR 10-18%,\n"
+     "MX 4-7%; NOERROR 77-86%, NXDOMAIN 11-21%; a few clients (the two main\n"
+     "SMTP servers) dominate the query load.\n"
+     "Netbios/NS: queries 81-85%, refresh 12-15%; 63-71% of queried names are\n"
+     "workstations/servers, 22-32% domain/browser; 36-50% of distinct queries\n"
+     "fail (stale names), spread across clients (top-10 < 40% of requests)."},
+    {table9_windows_success, true,
+     "Host pairs:      Netbios/SSN    CIFS        Endpoint Mapper\n"
+     "Total            595-1464       373-732     119-497\n"
+     "Successful       82-92%         46-68%      99-100%\n"
+     "Rejected         0.2-0.8%       26-37%      0%\n"
+     "Unanswered       8-19%          5-19%       0.2-0.8%\n"
+     "NBSS handshake success: 89-99%.  CIFS failures stem from clients\n"
+     "dialing 139 and 445 in parallel against servers that only listen on 139."},
+    {table10_cifs_commands, true,
+     "                      requests              data bytes\n"
+     "                      D0    D3    D4        D0    D3    D4\n"
+     "Total                 49120 45954 123607    18MB  32MB  198MB (ours scaled)\n"
+     "SMB Basic             36%   52%   24%       15%   12%   3%\n"
+     "RPC Pipes             48%   33%   46%       32%   64%   77%\n"
+     "Windows File Sharing  13%   11%   27%       43%   8%    17%\n"
+     "LANMAN                1%    3%    1%        10%   15%   3%\n"
+     "Other                 2%    0.6%  1.0%      0.2%  0.3%  0.8%\n"
+     "Key finding: DCE/RPC pipes, not file sharing, are the most active\n"
+     "component of CIFS traffic."},
+    {table11_dcerpc_functions, true,
+     "                      requests              data bytes\n"
+     "                      D0    D3    D4        D0    D3    D4\n"
+     "Total                 14191 13620 56912     4MB   19MB  146MB (ours scaled)\n"
+     "NetLogon              42%   5%    0.5%      45%   0.9%  0.1%\n"
+     "LsaRPC                26%   5%    0.6%      7%    0.3%  0.0%\n"
+     "Spoolss/WritePrinter  0.0%  29%   81%       0.0%  80%   96%\n"
+     "Spoolss/other         24%   34%   10%       42%   14%   3%\n"
+     "Other                 8%    27%   8%        6%    4%    0.6%\n"
+     "Vantage point effect: D0 monitors the auth server (NetLogon/LsaRPC\n"
+     "dominate); D3-4 monitor the print server (Spoolss dominates)."},
+    {table12_netfile_sizes, false,
+     "          D0      D1      D2      D3      D4\n"
+     "NFS conns 1067    5260    4144    3038    3347\n"
+     "NFS bytes 6318MB  4094MB  3586MB  1030MB  1151MB  (ours scaled)\n"
+     "NCP conns 2590    4436    2892    628     802\n"
+     "NCP bytes 777MB   2574MB  2353MB  352MB   233MB   (ours scaled)\n"
+     "Top-3 NFS host pairs carry 89-94% of NFS bytes; top-3 NCP pairs 35-62%.\n"
+     "40-80% of NCP connections are keepalive-only (1-byte retransmissions).\n"
+     "NFS-over-UDP byte share: 66% / 16% / 31% / 94% / 7% across D0-D4;\n"
+     "90% of NFS host pairs use UDP, 21% TCP."},
+    {table13_nfs_requests, true,
+     "         requests                data\n"
+     "         D0     D3     D4        D0     D3     D4\n"
+     "Total    697512 303386 607108    5843MB 676MB  1064MB (ours scaled)\n"
+     "Read     70%    25%    1%        64%    92%    6%\n"
+     "Write    15%    1%     19%       35%    2%     83%\n"
+     "GetAttr  9%     53%    50%       0.2%   4%     5%\n"
+     "LookUp   4%     16%    23%       0.1%   2%     4%\n"
+     "Access   0.5%   4%     5%        0.0%   0.4%   0.6%\n"
+     "Other    2%     0.9%   2%        0.1%   0.2%   1%\n"
+     "NFS requests succeed 84-95%; failures dominated by lookups of\n"
+     "non-existent files."},
+    {table14_ncp_requests, true,
+     "                  requests              data\n"
+     "                  D0     D3     D4      D0     D3     D4\n"
+     "Total             869765 219819 267942  712MB  345MB  222MB (ours scaled)\n"
+     "Read              42%    44%    41%     82%    70%    82%\n"
+     "Write             1%     21%    2%      10%    28%    11%\n"
+     "FileDirInfo       27%    16%    26%     5%     0.9%   3%\n"
+     "File Open/Close   9%     2%     7%      0.9%   0.1%   0.5%\n"
+     "File Size         9%     7%     5%      0.2%   0.1%   0.1%\n"
+     "File Search       9%     7%     16%     1%     0.6%   4%\n"
+     "Directory Service 2%     0.7%   1%      0.7%   0.1%   0.4%\n"
+     "Other             3%     3%     2%      0.2%   0.1%   0.1%\n"
+     "~95% of NCP requests succeed once connected (88-98% connect success);\n"
+     "failures dominated by File/Dir Info requests."},
+    {figure7_requests_per_pair, true,
+     "Requests per host pair span a handful to hundreds of thousands\n"
+     "(N: NFS 104/48/57 pairs, NCP 441/168/188 pairs in D0/D3/D4); the\n"
+     "inter-request interval within a client is generally <= 10 ms.\n"
+     "(Our request counts scale with ENTRACE_SCALE; pair counts do not.)"},
+    {figure8_netfile_message_sizes, true,
+     "NFS requests/replies are dual-mode: ~100 bytes for everything except\n"
+     "write requests and read replies, which sit at the ~8 KB transfer size.\n"
+     "NCP requests mode at 14 bytes (reads); reply sizes show vertical rises\n"
+     "at 2 bytes (completion-only), 10 bytes (GetFileSize) and 260 bytes\n"
+     "(a fraction of ReadFile replies)."},
+    {table15_backup, false,
+     "                     Connections   Bytes\n"
+     "VERITAS-BACKUP-CTRL  1271          0.1MB    (ours scaled)\n"
+     "VERITAS-BACKUP-DATA  352           6781MB\n"
+     "DANTZ                1013          10967MB\n"
+     "CONNECTED-BACKUP     105           214MB\n"
+     "Veritas data flows are strictly client->server; Dantz connections show\n"
+     "significant bidirectionality (tens of MB both ways within single\n"
+     "connections); Connected backs up to an external provider."},
+    {per_input<figure9_utilization>, false,
+     "Networks are under-utilized at every timescale: 1-second peaks can\n"
+     "reach saturation (100 Mbps) but peak utilization falls as the interval\n"
+     "widens; typical (median) 1-second utilization is 1-2 orders of\n"
+     "magnitude below the peak and 2-3 orders below the 100 Mbps capacity.\n"
+     "(At ENTRACE_SCALE the absolute Mbps shift down by the scale factor;\n"
+     "the orders-of-magnitude gaps are what reproduce.)"},
+    {figure10_retransmissions, false,
+     "Retransmission rate < 1% in the vast majority of traces for both\n"
+     "internal and WAN traffic; internal < WAN as expected; internal rate\n"
+     "sometimes eclipses 2%, peaking ~5% in one trace dominated by a single\n"
+     "Veritas backup connection (congestion or flaky NIC downstream of the\n"
+     "tap).  Spurious 1-byte keepalive retransmissions (NCP, SSH) are\n"
+     "excluded before computing the rates."},
+    {telemetry, false, ""},
+};
+
+}  // namespace
+
+std::span<const Section> sections() { return kSections; }
+
+std::string render_section(const Section& section, Inputs in) {
+  if (!section.payload_only) return section.render(in);
   std::vector<ReportInput> payload;
   for (const auto& i : in)
-    if (has_payload(i)) payload.push_back(i);
-  const Inputs pay(payload);
+    if (i.spec == nullptr || i.spec->payload_analysis()) payload.push_back(i);
+  return section.render(payload);
+}
 
+std::string full_report(Inputs in) {
   std::string out;
-  out += table1_datasets(in);
-  out += "\n" + capture_quality(in);
-  out += "\n" + table2_network_layer(in);
-  out += "\n" + table3_transport(in);
-  out += "\n" + figure1_app_breakdown(in);
-  out += "\n" + origins_summary(in);
-  for (const auto& i : in) out += "\n" + figure2_fan(i);
-  out += "\n" + table6_http_automation(pay);
-  out += "\n" + http_findings(pay);
-  out += "\n" + figure3_http_fanout(pay);
-  out += "\n" + table7_http_content_types(pay);
-  out += "\n" + figure4_http_reply_sizes(pay);
-  out += "\n" + table8_email_sizes(in);
-  out += "\n" + figure5_email_durations(in);
-  out += "\n" + figure6_email_sizes(in);
-  out += "\n" + name_service_findings(pay);
-  out += "\n" + table9_windows_success(pay);
-  out += "\n" + table10_cifs_commands(pay);
-  out += "\n" + table11_dcerpc_functions(pay);
-  out += "\n" + table12_netfile_sizes(in);
-  out += "\n" + table13_nfs_requests(pay);
-  out += "\n" + table14_ncp_requests(pay);
-  out += "\n" + figure7_requests_per_pair(pay);
-  out += "\n" + figure8_netfile_message_sizes(pay);
-  out += "\n" + table15_backup(in);
-  for (const auto& i : in) out += "\n" + figure9_utilization(i);
-  out += "\n" + figure10_retransmissions(in);
-  const std::string tele = telemetry(in);
-  if (!tele.empty()) out += "\n" + tele;
+  for (const Section& section : kSections) {
+    const std::string text = render_section(section, in);
+    if (text.empty()) continue;
+    if (!out.empty()) out += "\n";
+    out += text;
+  }
   return out;
 }
 

@@ -1,6 +1,8 @@
 // Rendering of every table and figure of the paper from DatasetAnalysis
-// results.  Each function returns printable text; the bench binaries pair
-// these with the paper's published values (see EXPERIMENTS.md).
+// results.  Each function returns printable text.  sections() lists them
+// once, in paper order, with Pang et al.'s published values: full_report
+// renders that list, and bench/paper_tables prints each section next to
+// its paper values (see EXPERIMENTS.md).
 #pragma once
 
 #include <span>
@@ -25,7 +27,9 @@ std::string table1_datasets(Inputs in);
 // the LBNL traces' own artifacts) and the fault-injection tests assert it.
 std::string capture_quality(Inputs in);
 std::string table2_network_layer(Inputs in);
-std::string table3_transport(Inputs in);        // includes scanner-removal row
+// Includes the scanner-removal row and the §3 ablation: the connection
+// mix with scanner traffic kept.
+std::string table3_transport(Inputs in);
 std::string figure1_app_breakdown(Inputs in);   // bytes + connections, ent/wan
 std::string origins_summary(Inputs in);         // §4 flow origin classes
 std::string figure2_fan(const ReportInput& in);
@@ -38,6 +42,8 @@ std::string table8_email_sizes(Inputs in);
 std::string figure5_email_durations(Inputs in);
 std::string figure6_email_sizes(Inputs in);
 std::string name_service_findings(Inputs in);   // §5.1.3
+// Includes the §5 ablation: CIFS success counted per raw connection
+// instead of per host pair.
 std::string table9_windows_success(Inputs in);
 std::string table10_cifs_commands(Inputs in);
 std::string table11_dcerpc_functions(Inputs in);
@@ -48,6 +54,8 @@ std::string figure7_requests_per_pair(Inputs in);
 std::string figure8_netfile_message_sizes(Inputs in);
 std::string table15_backup(Inputs in);
 std::string figure9_utilization(const ReportInput& in);
+// Includes the §6 ablation: the internal median if 1-byte keepalive
+// retransmissions were counted.
 std::string figure10_retransmissions(Inputs in);
 // Runtime telemetry: the pipeline's own semantic metrics per dataset
 // (source/decode/flow/app/scanner counters).  Semantic-class only, so the
@@ -56,7 +64,24 @@ std::string figure10_retransmissions(Inputs in);
 // via --metrics-out (obs::render_json / render_prometheus).
 std::string telemetry(Inputs in);
 
-// Everything above, in paper order.
+// One section of the report.
+struct Section {
+  std::string (*render)(Inputs in);
+  // Rendered over the payload datasets only: snaplen >= 200 (D0, D3, D4),
+  // or no spec (an external trace).
+  bool payload_only;
+  // Pang et al.'s published values; empty for capture quality and telemetry.
+  const char* paper;
+};
+
+// Every section above, in paper order.  Figures 2 and 9 render once per
+// input; telemetry renders empty when no input collected metrics.
+std::span<const Section> sections();
+
+// `section` over `in`, or over its payload inputs when payload_only.
+std::string render_section(const Section& section, Inputs in);
+
+// Every non-empty section, in order, joined by blank lines.
 std::string full_report(Inputs in);
 
 }  // namespace entrace::report

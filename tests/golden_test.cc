@@ -15,7 +15,8 @@
 //
 // The cases are D0-D4 at scale 0.004 streamed through
 // SyntheticTraceSourceSet with the default config, plus materialized D0 at
-// 0.004 corrupted with the corruption_demo seed (42) at rate 0.1.
+// 0.004 corrupted with the corruption_demo seed (42) at rate 0.1, and the
+// five-dataset report over D0-D4 (the body bench/paper_tables prints).
 //
 // A deliberate behaviour change updates the golden file: on a mismatch the
 // test writes the new report and metrics to temp files (for diffing) and
@@ -146,6 +147,27 @@ INSTANTIATE_TEST_SUITE_P(Datasets, GoldenTest,
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+// The five-dataset report pins the multi-column layout: one names_row
+// column per dataset, the payload filter over mixed snaplens (D1 and D2 are
+// header-only) and Figures 2 and 9 once per input.  Its metrics digest is
+// the five semantic JSONs concatenated in dataset order.
+TEST(GoldenFiveDatasetTest, ReportMatchesDigest) {
+  const std::vector<std::string> names{"D0", "D1", "D2", "D3", "D4"};
+  std::vector<DatasetSpec> specs;
+  std::vector<DatasetAnalysis> analyses;
+  Rendered rendered;
+  for (const std::string& name : names) {
+    specs.push_back(dataset_by_name(name, kScale));
+    const SyntheticTraceSourceSet sources(specs.back(), model());
+    analyses.push_back(analyze_dataset(sources, default_config_for_model(model().site())));
+    rendered.metrics += obs::render_json(analyses.back().metrics, false);
+  }
+  std::vector<report::ReportInput> inputs;
+  for (std::size_t i = 0; i < names.size(); ++i) inputs.push_back({&specs[i], &analyses[i]});
+  rendered.report = report::full_report(inputs);
+  expect_golden("D0-D4", rendered);
+}
 
 // The decode path's anomaly taxonomy on damaged captures: every fault kind
 // the injector draws at corruption_demo's seed lands in the capture-quality

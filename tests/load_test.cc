@@ -22,6 +22,15 @@ TEST(Load, PeakDropsWithWiderTimescale) {
   EXPECT_LT(p60, p10);
 }
 
+TEST(Load, PeakMbpsAveragesTheBusiestBin) {
+  TraceLoadRaw raw;
+  // 10 Mbit inside one second: 1000 packets of 1250 bytes.
+  for (int i = 0; i < 1000; ++i) raw.add_packet(30.0 + i * 0.001, 1250);
+  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_1s), 10.0, 1e-9);
+  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_10s), 1.0, 1e-9);
+  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_60s), 10.0 / 60.0, 1e-9);
+}
+
 TEST(Load, TypicalUtilizationOrdersBelowPeak) {
   TraceLoadRaw raw;
   raw.trace_name = "t";

@@ -43,19 +43,9 @@ DatasetAnalysis* ReportTest::analysis_ = nullptr;
 std::vector<report::ReportInput>* ReportTest::inputs_ = nullptr;
 
 TEST_F(ReportTest, EveryTableRendersNonEmpty) {
-  using namespace report;
-  const Inputs in(*inputs_);
-  for (const std::string& text :
-       {table1_datasets(in), table2_network_layer(in), table3_transport(in),
-        figure1_app_breakdown(in), origins_summary(in), table6_http_automation(in),
-        http_findings(in), figure3_http_fanout(in), table7_http_content_types(in),
-        figure4_http_reply_sizes(in), table8_email_sizes(in), figure5_email_durations(in),
-        figure6_email_sizes(in), name_service_findings(in), table9_windows_success(in),
-        table10_cifs_commands(in), table11_dcerpc_functions(in), table12_netfile_sizes(in),
-        table13_nfs_requests(in), table14_ncp_requests(in), figure7_requests_per_pair(in),
-        figure8_netfile_message_sizes(in), table15_backup(in),
-        figure10_retransmissions(in)}) {
-    EXPECT_GT(text.size(), 80u);
+  const report::Inputs in(*inputs_);
+  for (const report::Section& section : report::sections()) {
+    EXPECT_GT(report::render_section(section, in).size(), 80u);
   }
   // Dataset-columned tables carry the dataset name (Table 15 aggregates
   // across datasets and is exempt).
