@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the pipeline's hot components:
-// frame decode, flow-table processing, application parsing, pcap I/O, and
-// trace generation throughput — plus two studies that run first, before the
+// frame decode, flow-table processing, application parsing, pcap I/O,
+// trace generation throughput and the report render — plus two studies that run first, before the
 // google-benchmark suite:
 //
 //   1. a peak-memory study comparing materialize-then-analyze against the
@@ -51,6 +51,7 @@
 #include "cluster/worker.h"
 #include "core/analyzer.h"
 #include "core/incremental.h"
+#include "core/report.h"
 #include "snapshot/retention.h"
 #include "snapshot/window.h"
 #include "flow/flow_table.h"
@@ -130,6 +131,22 @@ void BM_FullAnalysisPipeline(benchmark::State& state) {
                           static_cast<std::int64_t>(set.total_packets()));
 }
 BENCHMARK(BM_FullAnalysisPipeline);
+
+// The render layer alone: D3 @ 0.02 analyzed once, then every section of
+// report::full_report per iteration.
+void BM_FullReport(benchmark::State& state) {
+  EnterpriseModel model;
+  const DatasetSpec spec = dataset_d3(0.02);
+  const SyntheticTraceSourceSet sources(spec, model);
+  const DatasetAnalysis analysis =
+      analyze_dataset(sources, default_config_for_model(model.site()));
+  const report::ReportInput input{&spec, &analysis};
+  for (auto _ : state) {
+    const std::string text = report::full_report({&input, 1});
+    benchmark::DoNotOptimize(text.size());
+  }
+}
+BENCHMARK(BM_FullReport)->Unit(benchmark::kMillisecond);
 
 void BM_GenerateTrace(benchmark::State& state) {
   EnterpriseModel model;

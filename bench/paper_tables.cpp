@@ -47,8 +47,10 @@ int main() {
     inputs.push_back({&specs[i], analyses[i].get()});
   }
 
+  // One render: each derived analysis is computed once for all sections.
+  report::RenderCache cache;
   for (const report::Section& section : report::sections()) {
-    const std::string text = report::render_section(section, inputs);
+    const std::string text = report::render_section(section, inputs, cache);
     if (text.empty()) continue;
     std::fputs(text.c_str(), stdout);
     if (*section.paper != '\0') {

@@ -1,9 +1,5 @@
 #include "analysis/http_analysis.h"
 
-#include <array>
-#include <map>
-#include <set>
-
 #include "net/headers.h"
 #include "proto/registry.h"
 #include "util/strings.h"
@@ -64,6 +60,10 @@ HttpAnalysis HttpAnalysis::compute(std::span<const HttpTransaction> txns,
                                    std::span<const Connection* const> conns,
                                    const SiteConfig& site) {
   HttpAnalysis out;
+  // Figure 3's fan-out: servers per client, from the transactions of
+  // normal clients (scanners and crawlers have pathological fan-out and
+  // the paper removes them before this analysis).
+  PeerCounter servers(txns.size());
 
   for (const auto& txn : txns) {
     if (txn.conn == nullptr) continue;
@@ -83,6 +83,7 @@ HttpAnalysis HttpAnalysis::compute(std::span<const HttpTransaction> txns,
     }
 
     if (kind != HttpClientKind::kNormal) continue;  // excluded from the rest
+    servers.add(txn.conn->key.src, txn.conn->key.dst);
 
     // Conditional GET accounting.
     if (wan) {
@@ -125,21 +126,7 @@ HttpAnalysis HttpAnalysis::compute(std::span<const HttpTransaction> txns,
   out.wan_success = HostPairOutcomes::compute(
       http_conns, [&site](const Connection& c) { return conn_is_wan(c, site); });
 
-  // Figure 3 fan-out is computed from transactions with the automated
-  // clients excluded (scanners and crawlers have pathological fan-out and
-  // the paper removes them before this analysis).
-  std::map<std::uint32_t, std::array<std::set<std::uint32_t>, 2>> servers_by_client;
-  for (const auto& txn : txns) {
-    if (txn.conn == nullptr) continue;
-    if (classify_http_client(txn) != HttpClientKind::kNormal) continue;
-    const bool server_wan = !site.is_internal(txn.conn->key.dst);
-    servers_by_client[txn.conn->key.src.value()][server_wan ? 1 : 0].insert(
-        txn.conn->key.dst.value());
-  }
-  for (const auto& [client, servers] : servers_by_client) {
-    if (!servers[0].empty()) out.fanout.ent.add(static_cast<double>(servers[0].size()));
-    if (!servers[1].empty()) out.fanout.wan.add(static_cast<double>(servers[1].size()));
-  }
+  servers.count(site, out.fanout.ent, out.fanout.wan, [](Ipv4Address) { return true; });
   return out;
 }
 

@@ -7,12 +7,16 @@ namespace {
 
 constexpr double kMbps = 1e6;
 
+double peak_of(const std::vector<double>& bits, double bin_width) {
+  double best = 0.0;
+  for (double b : bits) best = std::max(best, b / bin_width);
+  return best / kMbps;
+}
+
 }  // namespace
 
 double LoadAnalysis::peak_mbps(const IntervalSeries& series) {
-  double best = 0.0;
-  for (double bits : series.values()) best = std::max(best, bits / series.bin_width());
-  return best / kMbps;
+  return peak_of(series.values(), series.bin_width());
 }
 
 LoadAnalysis LoadAnalysis::compute(const std::vector<TraceLoadRaw>& traces,
@@ -22,12 +26,13 @@ LoadAnalysis LoadAnalysis::compute(const std::vector<TraceLoadRaw>& traces,
     out.trace_names.push_back(t.trace_name);
     out.keepalives_excluded += t.keepalive_excluded;
     if (!t.bits_1s.empty()) {
-      out.peak_1s.add(peak_mbps(t.bits_1s));
+      const std::vector<double> bits_1s = t.bits_1s.values();
+      out.peak_1s.add(peak_of(bits_1s, t.bits_1s.bin_width()));
       out.peak_10s.add(peak_mbps(t.bits_10s));
       out.peak_60s.add(peak_mbps(t.bits_60s));
 
       EmpiricalCdf one_sec;
-      for (double bits : t.bits_1s.values()) one_sec.add(bits / kMbps);
+      for (double bits : bits_1s) one_sec.add(bits / kMbps);
       out.min_1s.add(one_sec.min());
       out.max_1s.add(one_sec.max());
       out.avg_1s.add(one_sec.mean());

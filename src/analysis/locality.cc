@@ -1,7 +1,6 @@
 #include "analysis/locality.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 
 namespace entrace {
 
@@ -31,61 +30,56 @@ OriginBreakdown OriginBreakdown::compute(std::span<const Connection* const> conn
   return out;
 }
 
-FanResult compute_fan(std::span<const Connection* const> conns, const SiteConfig& site,
-                      const std::function<bool(Ipv4Address)>& is_monitored) {
-  // peer sets: [host][0=ent,1=wan]
-  std::map<std::uint32_t, std::array<std::set<std::uint32_t>, 2>> fan_in;
-  std::map<std::uint32_t, std::array<std::set<std::uint32_t>, 2>> fan_out;
-
-  for (const Connection* c : conns) {
-    if (c->multicast) continue;
-    const Ipv4Address orig = c->key.src;
-    const Ipv4Address resp = c->key.dst;
-    if (is_monitored(orig)) {
-      const bool peer_wan = !site.is_internal(resp);
-      fan_out[orig.value()][peer_wan ? 1 : 0].insert(resp.value());
+double PeerCounter::count(const SiteConfig& site, EmpiricalCdf& ent, EmpiricalCdf& wan,
+                          const std::function<bool(Ipv4Address)>& counted) {
+  std::sort(keys_.begin(), keys_.end());
+  std::size_t hosts = 0;
+  std::size_t only_ent = 0;
+  for (auto run = keys_.begin(); run != keys_.end();) {
+    const std::uint64_t host = *run >> 32;
+    const auto end =
+        std::find_if(run, keys_.end(), [host](std::uint64_t k) { return k >> 32 != host; });
+    if (counted(Ipv4Address(static_cast<std::uint32_t>(host)))) {
+      std::uint32_t n_ent = 0;
+      std::uint32_t n_wan = 0;
+      for (auto k = run; k != end; ++k) {
+        if (k != run && *k == *(k - 1)) continue;  // a repeated pair
+        if (site.is_internal(Ipv4Address(static_cast<std::uint32_t>(*k)))) {
+          ++n_ent;
+        } else {
+          ++n_wan;
+        }
+      }
+      if (n_ent != 0) ent.add(n_ent);
+      if (n_wan != 0) wan.add(n_wan);
+      ++hosts;
+      if (n_wan == 0) ++only_ent;
     }
-    if (is_monitored(resp)) {
-      const bool peer_wan = !site.is_internal(orig);
-      fan_in[resp.value()][peer_wan ? 1 : 0].insert(orig.value());
-    }
+    run = end;
   }
-
-  FanResult out;
-  std::size_t in_only_internal = 0;
-  for (const auto& [host, peers] : fan_in) {
-    if (!peers[0].empty()) out.fan_in_ent.add(static_cast<double>(peers[0].size()));
-    if (!peers[1].empty()) out.fan_in_wan.add(static_cast<double>(peers[1].size()));
-    if (!peers[0].empty() && peers[1].empty()) ++in_only_internal;
-  }
-  std::size_t out_only_internal = 0;
-  for (const auto& [host, peers] : fan_out) {
-    if (!peers[0].empty()) out.fan_out_ent.add(static_cast<double>(peers[0].size()));
-    if (!peers[1].empty()) out.fan_out_wan.add(static_cast<double>(peers[1].size()));
-    if (!peers[0].empty() && peers[1].empty()) ++out_only_internal;
-  }
-  if (!fan_in.empty())
-    out.only_internal_fan_in = static_cast<double>(in_only_internal) /
-                               static_cast<double>(fan_in.size());
-  if (!fan_out.empty())
-    out.only_internal_fan_out = static_cast<double>(out_only_internal) /
-                                static_cast<double>(fan_out.size());
-  return out;
+  return hosts == 0 ? 0.0 : static_cast<double>(only_ent) / static_cast<double>(hosts);
 }
 
-FanOutPair compute_app_fanout(std::span<const Connection* const> conns, const SiteConfig& site,
-                              const std::function<bool(const Connection&)>& select) {
-  std::map<std::uint32_t, std::array<std::set<std::uint32_t>, 2>> peers_by_client;
-  for (const Connection* c : conns) {
-    if (!select(*c)) continue;
-    const bool server_wan = !site.is_internal(c->key.dst);
-    peers_by_client[c->key.src.value()][server_wan ? 1 : 0].insert(c->key.dst.value());
-  }
-  FanOutPair out;
-  for (const auto& [client, peers] : peers_by_client) {
-    if (!peers[0].empty()) out.ent.add(static_cast<double>(peers[0].size()));
-    if (!peers[1].empty()) out.wan.add(static_cast<double>(peers[1].size()));
-  }
+FanResult compute_fan(std::span<const Connection* const> conns, const SiteConfig& site,
+                      const std::function<bool(Ipv4Address)>& is_monitored) {
+  // Every unicast pair goes in; only monitored hosts' runs are counted, so
+  // is_monitored runs once per host, not once per connection.  One
+  // direction at a time keeps one key array alive.
+  const auto fan = [&](bool inbound, EmpiricalCdf& ent, EmpiricalCdf& wan) {
+    PeerCounter peers(conns.size());
+    for (const Connection* c : conns) {
+      if (c->multicast) continue;
+      if (inbound) {
+        peers.add(c->key.dst, c->key.src);
+      } else {
+        peers.add(c->key.src, c->key.dst);
+      }
+    }
+    return peers.count(site, ent, wan, is_monitored);
+  };
+  FanResult out;
+  out.only_internal_fan_in = fan(true, out.fan_in_ent, out.fan_in_wan);
+  out.only_internal_fan_out = fan(false, out.fan_out_ent, out.fan_out_wan);
   return out;
 }
 

@@ -1,8 +1,10 @@
 // Origins and locality (§4): flow origin classes and fan-in / fan-out.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "analysis/site.h"
 #include "flow/connection.h"
@@ -48,14 +50,36 @@ struct FanResult {
 FanResult compute_fan(std::span<const Connection* const> conns, const SiteConfig& site,
                       const std::function<bool(Ipv4Address)>& is_monitored);
 
-// Generic per-source peer-count CDF (used for Figure 3's HTTP fan-out and
-// reusable for any application).
+// Peers-per-host CDFs split by peer locality (Figure 3's HTTP fan-out).
 struct FanOutPair {
   EmpiricalCdf ent;  // peers per source, enterprise servers
   EmpiricalCdf wan;  // peers per source, WAN servers
 };
 
-FanOutPair compute_app_fanout(std::span<const Connection* const> conns, const SiteConfig& site,
-                              const std::function<bool(const Connection&)>& select);
+// Distinct peers per host, split by the peer's locality: the row or column
+// degrees of a traffic matrix, counted the way Kepner et al. count them
+// from sorted hypersparse arrays rather than from a node-based set per
+// host.  Each (host, peer) pair is packed into one u64 key; the keys are
+// sorted, so each host's run, deduplicated, gives its two counts.  The key
+// carries no locality bit: a peer's side follows from its address.
+class PeerCounter {
+ public:
+  // `expected`: the number of add() calls to reserve room for.
+  explicit PeerCounter(std::size_t expected) { keys_.reserve(expected); }
+
+  void add(Ipv4Address host, Ipv4Address peer) {
+    keys_.push_back(std::uint64_t{host.value()} << 32 | peer.value());
+  }
+
+  // For each host that `counted` accepts, in address order, adds its
+  // nonzero enterprise and WAN peer counts to `ent` and `wan`.  Returns
+  // the fraction of those hosts whose peers are all enterprise.  Sorts
+  // the collected keys in place.
+  double count(const SiteConfig& site, EmpiricalCdf& ent, EmpiricalCdf& wan,
+               const std::function<bool(Ipv4Address)>& counted);
+
+ private:
+  std::vector<std::uint64_t> keys_;
+};
 
 }  // namespace entrace

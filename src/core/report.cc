@@ -1,7 +1,8 @@
 #include "core/report.h"
 
 #include <array>
-#include <set>
+#include <functional>
+#include <optional>
 
 #include "analysis/backup_analysis.h"
 #include "analysis/breakdown.h"
@@ -29,7 +30,62 @@ std::vector<std::string> names_row(Inputs in, const std::string& head) {
   return row;
 }
 
+// The one-argument public form of a section that reads the cache: it
+// renders with a cache of its own.
+template <std::string (*Render)(Inputs, RenderCache&)>
+std::string own_cache(Inputs in) {
+  RenderCache cache;
+  return Render(in, cache);
+}
+
+template <typename T, typename Compute>
+const T& once(std::optional<T>& slot, Compute compute) {
+  if (!slot) slot.emplace(compute());
+  return *slot;
+}
+
 }  // namespace
+
+struct RenderCache::Entry {
+  std::optional<LoadAnalysis> load;
+  std::optional<HttpAnalysis> http;
+  std::optional<EmailAnalysis> email;
+  std::optional<WindowsAnalysis> windows;
+  std::optional<NetFileAnalysis> netfile;
+};
+
+RenderCache::RenderCache() = default;
+RenderCache::~RenderCache() = default;
+
+RenderCache::Entry& RenderCache::entry(const DatasetAnalysis& a) {
+  for (auto& [analysis, e] : entries_) {
+    if (analysis == &a) return *e;
+  }
+  return *entries_.emplace_back(&a, std::make_unique<Entry>()).second;
+}
+
+const LoadAnalysis& RenderCache::load(const DatasetAnalysis& a) {
+  return once(entry(a).load, [&a] { return LoadAnalysis::compute(a.load_raw); });
+}
+
+const HttpAnalysis& RenderCache::http(const DatasetAnalysis& a) {
+  return once(entry(a).http,
+              [&a] { return HttpAnalysis::compute(a.events.http, a.connections, a.site); });
+}
+
+const EmailAnalysis& RenderCache::email(const DatasetAnalysis& a) {
+  return once(entry(a).email, [&a] { return EmailAnalysis::compute(a.connections, a.site); });
+}
+
+const WindowsAnalysis& RenderCache::windows(const DatasetAnalysis& a) {
+  return once(entry(a).windows,
+              [&a] { return WindowsAnalysis::compute(a.events, a.connections, a.site); });
+}
+
+const NetFileAnalysis& RenderCache::netfile(const DatasetAnalysis& a) {
+  return once(entry(a).netfile,
+              [&a] { return NetFileAnalysis::compute(a.events, a.connections, a.site); });
+}
 
 std::string table1_datasets(Inputs in) {
   TextTable t("Table 1: Dataset characteristics (synthetic reproduction, scaled)");
@@ -257,31 +313,29 @@ std::string figure2_fan(const ReportInput& in) {
 
 namespace {
 
-std::vector<HttpAnalysis> http_for(Inputs in) {
-  std::vector<HttpAnalysis> v;
-  for (const auto& i : in) {
-    v.push_back(HttpAnalysis::compute(i.analysis->events.http, i.analysis->connections,
-                                      i.analysis->site));
-  }
+// Each input's analysis of one kind, from the render's cache.
+template <typename T>
+std::vector<std::reference_wrapper<const T>> each(
+    Inputs in, RenderCache& cache, const T& (RenderCache::*get)(const DatasetAnalysis&)) {
+  std::vector<std::reference_wrapper<const T>> v;
+  for (const auto& i : in) v.push_back((cache.*get)(*i.analysis));
   return v;
 }
 
-}  // namespace
-
-std::string table6_http_automation(Inputs in) {
+std::string table6_http_automation(Inputs in, RenderCache& cache) {
   TextTable t("Table 6: Automated clients' share of internal HTTP traffic (requests / bytes)");
   t.set_header(names_row(in, ""));
-  auto https = http_for(in);
+  const auto https = each(in, cache, &RenderCache::http);
   {
     std::vector<std::string> r{"Total (reqs/bytes)"};
-    for (const auto& h : https)
+    for (const HttpAnalysis& h : https)
       r.push_back(std::to_string(h.internal_requests) + " / " + format_bytes(h.internal_bytes));
     t.add_row(std::move(r));
   }
   for (HttpClientKind k : {HttpClientKind::kScan1, HttpClientKind::kGoogle1,
                            HttpClientKind::kGoogle2, HttpClientKind::kIfolder}) {
     std::vector<std::string> r{to_string(k)};
-    for (const auto& h : https) {
+    for (const HttpAnalysis& h : https) {
       auto it = h.automated.find(k);
       const std::uint64_t reqs = it != h.automated.end() ? it->second.requests : 0;
       const std::uint64_t bytes = it != h.automated.end() ? it->second.bytes : 0;
@@ -297,20 +351,20 @@ std::string table6_http_automation(Inputs in) {
   }
   {
     std::vector<std::string> r{"All automated"};
-    for (const auto& h : https)
+    for (const HttpAnalysis& h : https)
       r.push_back(pct(h.automated_request_fraction()) + " / " + pct(h.automated_byte_fraction()));
     t.add_row(std::move(r));
   }
   return t.render();
 }
 
-std::string http_findings(Inputs in) {
+std::string http_findings(Inputs in, RenderCache& cache) {
   TextTable t("HTTP findings (§5.1.1): success rates and conditional GETs");
   t.set_header(names_row(in, ""));
-  auto https = http_for(in);
+  const auto https = each(in, cache, &RenderCache::http);
   auto row = [&t, &https](const std::string& label, auto getter) {
     std::vector<std::string> r{label};
-    for (const auto& h : https) r.push_back(getter(h));
+    for (const HttpAnalysis& h : https) r.push_back(getter(h));
     t.add_row(std::move(r));
   };
   row("ent conn success (host pairs)",
@@ -345,19 +399,19 @@ std::string http_findings(Inputs in) {
   return t.render();
 }
 
-std::string figure3_http_fanout(Inputs in) {
+std::string figure3_http_fanout(Inputs in, RenderCache& cache) {
   std::string out;
-  auto https = http_for(in);
+  const auto https = each(in, cache, &RenderCache::http);
   CdfPlot plot("Figure 3: HTTP fan-out (servers per client)", "peers per source", true);
   for (std::size_t i = 0; i < in.size(); ++i) {
-    plot.add_series("ent:" + in[i].analysis->name, https[i].fanout.ent);
-    plot.add_series("wan:" + in[i].analysis->name, https[i].fanout.wan);
+    plot.add_series("ent:" + in[i].analysis->name, https[i].get().fanout.ent);
+    plot.add_series("wan:" + in[i].analysis->name, https[i].get().fanout.wan);
   }
   out += plot.render();
   return out;
 }
 
-std::string table7_http_content_types(Inputs in) {
+std::string table7_http_content_types(Inputs in, RenderCache& cache) {
   TextTable t("Table 7: HTTP content types (requests% / bytes%)");
   std::vector<std::string> header{"type"};
   for (const auto& i : in) {
@@ -365,10 +419,10 @@ std::string table7_http_content_types(Inputs in) {
     header.push_back(i.analysis->name + "/wan");
   }
   t.set_header(std::move(header));
-  auto https = http_for(in);
+  const auto https = each(in, cache, &RenderCache::http);
   for (const std::string type : {"text", "image", "application", "other"}) {
     std::vector<std::string> row{type};
-    for (const auto& h : https) {
+    for (const HttpAnalysis& h : https) {
       row.push_back(pct(h.content_ent.count_fraction(type)) + " / " +
                     pct(h.content_ent.bytes_fraction(type)));
       row.push_back(pct(h.content_wan.count_fraction(type)) + " / " +
@@ -379,34 +433,23 @@ std::string table7_http_content_types(Inputs in) {
   return t.render();
 }
 
-std::string figure4_http_reply_sizes(Inputs in) {
-  auto https = http_for(in);
+std::string figure4_http_reply_sizes(Inputs in, RenderCache& cache) {
+  const auto https = each(in, cache, &RenderCache::http);
   CdfPlot plot("Figure 4: HTTP reply size (bytes, when present)", "bytes", true);
   for (std::size_t i = 0; i < in.size(); ++i) {
-    plot.add_series("ent:" + in[i].analysis->name, https[i].reply_size_ent);
-    plot.add_series("wan:" + in[i].analysis->name, https[i].reply_size_wan);
+    plot.add_series("ent:" + in[i].analysis->name, https[i].get().reply_size_ent);
+    plot.add_series("wan:" + in[i].analysis->name, https[i].get().reply_size_wan);
   }
   return plot.render();
 }
 
-namespace {
-
-std::vector<EmailAnalysis> email_for(Inputs in) {
-  std::vector<EmailAnalysis> v;
-  for (const auto& i : in)
-    v.push_back(EmailAnalysis::compute(i.analysis->connections, i.analysis->site));
-  return v;
-}
-
-}  // namespace
-
-std::string table8_email_sizes(Inputs in) {
+std::string table8_email_sizes(Inputs in, RenderCache& cache) {
   TextTable t("Table 8: Email traffic size (payload bytes)");
   t.set_header(names_row(in, ""));
-  auto emails = email_for(in);
+  const auto emails = each(in, cache, &RenderCache::email);
   auto row = [&t, &emails](const std::string& label, auto getter) {
     std::vector<std::string> r{label};
-    for (const auto& e : emails) r.push_back(format_bytes(getter(e)));
+    for (const EmailAnalysis& e : emails) r.push_back(format_bytes(getter(e)));
     t.add_row(std::move(r));
   };
   row("SMTP", [](const EmailAnalysis& e) { return e.smtp_bytes; });
@@ -416,22 +459,22 @@ std::string table8_email_sizes(Inputs in) {
   return t.render();
 }
 
-std::string figure5_email_durations(Inputs in) {
-  auto emails = email_for(in);
+std::string figure5_email_durations(Inputs in, RenderCache& cache) {
+  const auto emails = each(in, cache, &RenderCache::email);
   std::string out;
   {
     CdfPlot plot("Figure 5(a): SMTP connection durations (s)", "seconds", true);
     for (std::size_t i = 0; i < in.size(); ++i) {
-      plot.add_series("ent:" + in[i].analysis->name, emails[i].smtp_dur_ent);
-      plot.add_series("wan:" + in[i].analysis->name, emails[i].smtp_dur_wan);
+      plot.add_series("ent:" + in[i].analysis->name, emails[i].get().smtp_dur_ent);
+      plot.add_series("wan:" + in[i].analysis->name, emails[i].get().smtp_dur_wan);
     }
     out += plot.render();
   }
   {
     CdfPlot plot("Figure 5(b): IMAP/S connection durations (s)", "seconds", true);
     for (std::size_t i = 0; i < in.size(); ++i) {
-      plot.add_series("ent:" + in[i].analysis->name, emails[i].imaps_dur_ent);
-      plot.add_series("wan:" + in[i].analysis->name, emails[i].imaps_dur_wan);
+      plot.add_series("ent:" + in[i].analysis->name, emails[i].get().imaps_dur_ent);
+      plot.add_series("wan:" + in[i].analysis->name, emails[i].get().imaps_dur_wan);
     }
     out += plot.render();
   }
@@ -440,7 +483,7 @@ std::string figure5_email_durations(Inputs in) {
     t.set_header(names_row(in, ""));
     auto row = [&t, &emails](const std::string& label, auto getter) {
       std::vector<std::string> r{label};
-      for (const auto& e : emails) r.push_back(getter(e));
+      for (const EmailAnalysis& e : emails) r.push_back(getter(e));
       t.add_row(std::move(r));
     };
     row("SMTP ent", [](const EmailAnalysis& e) { return pct(e.smtp_ent.success_rate()); });
@@ -451,27 +494,29 @@ std::string figure5_email_durations(Inputs in) {
   return out;
 }
 
-std::string figure6_email_sizes(Inputs in) {
-  auto emails = email_for(in);
+std::string figure6_email_sizes(Inputs in, RenderCache& cache) {
+  const auto emails = each(in, cache, &RenderCache::email);
   std::string out;
   {
     CdfPlot plot("Figure 6(a): SMTP flow size from client (bytes)", "bytes", true);
     for (std::size_t i = 0; i < in.size(); ++i) {
-      plot.add_series("ent:" + in[i].analysis->name, emails[i].smtp_size_ent);
-      plot.add_series("wan:" + in[i].analysis->name, emails[i].smtp_size_wan);
+      plot.add_series("ent:" + in[i].analysis->name, emails[i].get().smtp_size_ent);
+      plot.add_series("wan:" + in[i].analysis->name, emails[i].get().smtp_size_wan);
     }
     out += plot.render();
   }
   {
     CdfPlot plot("Figure 6(b): IMAP/S flow size from server (bytes)", "bytes", true);
     for (std::size_t i = 0; i < in.size(); ++i) {
-      plot.add_series("ent:" + in[i].analysis->name, emails[i].imaps_size_ent);
-      plot.add_series("wan:" + in[i].analysis->name, emails[i].imaps_size_wan);
+      plot.add_series("ent:" + in[i].analysis->name, emails[i].get().imaps_size_ent);
+      plot.add_series("wan:" + in[i].analysis->name, emails[i].get().imaps_size_wan);
     }
     out += plot.render();
   }
   return out;
 }
+
+}  // namespace
 
 std::string name_service_findings(Inputs in) {
   TextTable t("Name services (§5.1.3)");
@@ -528,24 +573,13 @@ std::string name_service_findings(Inputs in) {
 
 namespace {
 
-std::vector<WindowsAnalysis> windows_for(Inputs in) {
-  std::vector<WindowsAnalysis> v;
-  for (const auto& i : in) {
-    v.push_back(
-        WindowsAnalysis::compute(i.analysis->events, i.analysis->connections, i.analysis->site));
-  }
-  return v;
-}
-
-}  // namespace
-
-std::string table9_windows_success(Inputs in) {
+std::string table9_windows_success(Inputs in, RenderCache& cache) {
   TextTable t("Table 9: Windows connection outcomes by host pairs (internal traffic)");
   t.set_header(names_row(in, ""));
-  auto ws = windows_for(in);
+  const auto ws = each(in, cache, &RenderCache::windows);
   auto row = [&t, &ws](const std::string& label, auto getter) {
     std::vector<std::string> r{label};
-    for (const auto& w : ws) r.push_back(getter(w));
+    for (const WindowsAnalysis& w : ws) r.push_back(getter(w));
     t.add_row(std::move(r));
   };
   auto outcome = [](const HostPairOutcomes& o) {
@@ -580,20 +614,20 @@ std::string table9_windows_success(Inputs in) {
   return t.render() + ablation.render();
 }
 
-std::string table10_cifs_commands(Inputs in) {
+std::string table10_cifs_commands(Inputs in, RenderCache& cache) {
   TextTable t("Table 10: CIFS command breakdown (requests% / bytes%)");
   t.set_header(names_row(in, ""));
-  auto ws = windows_for(in);
+  const auto ws = each(in, cache, &RenderCache::windows);
   {
     std::vector<std::string> r{"Total (reqs/bytes)"};
-    for (const auto& w : ws)
+    for (const WindowsAnalysis& w : ws)
       r.push_back(std::to_string(w.cifs_total_requests) + " / " +
                   format_bytes(w.cifs_total_bytes));
     t.add_row(std::move(r));
   }
   for (std::size_t c = 0; c < 5; ++c) {
     std::vector<std::string> r{to_string(static_cast<CifsCategory>(c))};
-    for (const auto& w : ws) {
+    for (const WindowsAnalysis& w : ws) {
       const auto& cell = w.cifs_categories[c];
       const double rf = w.cifs_total_requests ? static_cast<double>(cell.requests) /
                                                     static_cast<double>(w.cifs_total_requests)
@@ -608,20 +642,20 @@ std::string table10_cifs_commands(Inputs in) {
   return t.render();
 }
 
-std::string table11_dcerpc_functions(Inputs in) {
+std::string table11_dcerpc_functions(Inputs in, RenderCache& cache) {
   TextTable t("Table 11: DCE/RPC function breakdown (requests% / bytes%)");
   t.set_header(names_row(in, ""));
-  auto ws = windows_for(in);
+  const auto ws = each(in, cache, &RenderCache::windows);
   {
     std::vector<std::string> r{"Total (reqs/bytes)"};
-    for (const auto& w : ws)
+    for (const WindowsAnalysis& w : ws)
       r.push_back(std::to_string(w.rpc_total_requests) + " / " +
                   format_bytes(w.rpc_total_bytes));
     t.add_row(std::move(r));
   }
   auto row = [&t, &ws](const std::string& label, auto member) {
     std::vector<std::string> r{label};
-    for (const auto& w : ws) {
+    for (const WindowsAnalysis& w : ws) {
       const WindowsAnalysis::RpcRow& cell = w.*member;
       const double rf = w.rpc_total_requests ? static_cast<double>(cell.requests) /
                                                    static_cast<double>(w.rpc_total_requests)
@@ -640,33 +674,20 @@ std::string table11_dcerpc_functions(Inputs in) {
   row("Other", &WindowsAnalysis::rpc_other);
   {
     std::vector<std::string> r{"over pipes / standalone"};
-    for (const auto& w : ws)
+    for (const WindowsAnalysis& w : ws)
       r.push_back(std::to_string(w.rpc_over_pipe) + " / " + std::to_string(w.rpc_standalone));
     t.add_row(std::move(r));
   }
   return t.render();
 }
 
-namespace {
-
-std::vector<NetFileAnalysis> netfile_for(Inputs in) {
-  std::vector<NetFileAnalysis> v;
-  for (const auto& i : in) {
-    v.push_back(
-        NetFileAnalysis::compute(i.analysis->events, i.analysis->connections, i.analysis->site));
-  }
-  return v;
-}
-
-}  // namespace
-
-std::string table12_netfile_sizes(Inputs in) {
+std::string table12_netfile_sizes(Inputs in, RenderCache& cache) {
   TextTable t("Table 12: NFS/NCP connections and bytes");
   t.set_header(names_row(in, ""));
-  auto nf = netfile_for(in);
+  const auto nf = each(in, cache, &RenderCache::netfile);
   auto row = [&t, &nf](const std::string& label, auto getter) {
     std::vector<std::string> r{label};
-    for (const auto& n : nf) r.push_back(getter(n));
+    for (const NetFileAnalysis& n : nf) r.push_back(getter(n));
     t.add_row(std::move(r));
   };
   row("NFS conns", [](const NetFileAnalysis& n) { return std::to_string(n.nfs_conns); });
@@ -691,8 +712,6 @@ std::string table12_netfile_sizes(Inputs in) {
   return t.render();
 }
 
-namespace {
-
 std::string req_data_cell(const NetFileAnalysis::Row& row, std::uint64_t total_reqs,
                           std::uint64_t total_data) {
   const double rf =
@@ -702,21 +721,19 @@ std::string req_data_cell(const NetFileAnalysis::Row& row, std::uint64_t total_r
   return format_pct(rf) + " / " + format_pct(bf);
 }
 
-}  // namespace
-
-std::string table13_nfs_requests(Inputs in) {
+std::string table13_nfs_requests(Inputs in, RenderCache& cache) {
   TextTable t("Table 13: NFS request breakdown (requests% / data%)");
   t.set_header(names_row(in, ""));
-  auto nf = netfile_for(in);
+  const auto nf = each(in, cache, &RenderCache::netfile);
   {
     std::vector<std::string> r{"Total (reqs/data)"};
-    for (const auto& n : nf)
+    for (const NetFileAnalysis& n : nf)
       r.push_back(std::to_string(n.nfs_total_requests) + " / " + format_bytes(n.nfs_total_data));
     t.add_row(std::move(r));
   }
   auto row = [&t, &nf](const std::string& label, auto member) {
     std::vector<std::string> r{label};
-    for (const auto& n : nf)
+    for (const NetFileAnalysis& n : nf)
       r.push_back(req_data_cell(n.*member, n.nfs_total_requests, n.nfs_total_data));
     t.add_row(std::move(r));
   };
@@ -728,7 +745,7 @@ std::string table13_nfs_requests(Inputs in) {
   row("Other", &NetFileAnalysis::nfs_other);
   {
     std::vector<std::string> r{"request success"};
-    for (const auto& n : nf)
+    for (const NetFileAnalysis& n : nf)
       r.push_back(n.nfs_replies ? pct(static_cast<double>(n.nfs_ok) /
                                       static_cast<double>(n.nfs_replies))
                                 : std::string("-"));
@@ -737,25 +754,25 @@ std::string table13_nfs_requests(Inputs in) {
   return t.render();
 }
 
-std::string table14_ncp_requests(Inputs in) {
+std::string table14_ncp_requests(Inputs in, RenderCache& cache) {
   TextTable t("Table 14: NCP request breakdown (requests% / data%)");
   t.set_header(names_row(in, ""));
-  auto nf = netfile_for(in);
+  const auto nf = each(in, cache, &RenderCache::netfile);
   {
     std::vector<std::string> r{"Total (reqs/data)"};
-    for (const auto& n : nf)
+    for (const NetFileAnalysis& n : nf)
       r.push_back(std::to_string(n.ncp_total_requests) + " / " + format_bytes(n.ncp_total_data));
     t.add_row(std::move(r));
   }
   for (std::size_t f = 0; f < 8; ++f) {
     std::vector<std::string> r{to_string(static_cast<NcpFunction>(f))};
-    for (const auto& n : nf)
+    for (const NetFileAnalysis& n : nf)
       r.push_back(req_data_cell(n.ncp_rows[f], n.ncp_total_requests, n.ncp_total_data));
     t.add_row(std::move(r));
   }
   {
     std::vector<std::string> r{"request success"};
-    for (const auto& n : nf)
+    for (const NetFileAnalysis& n : nf)
       r.push_back(n.ncp_replies ? pct(static_cast<double>(n.ncp_ok) /
                                       static_cast<double>(n.ncp_replies))
                                 : std::string("-"));
@@ -764,53 +781,55 @@ std::string table14_ncp_requests(Inputs in) {
   return t.render();
 }
 
-std::string figure7_requests_per_pair(Inputs in) {
-  auto nf = netfile_for(in);
+std::string figure7_requests_per_pair(Inputs in, RenderCache& cache) {
+  const auto nf = each(in, cache, &RenderCache::netfile);
   std::string out;
   {
     CdfPlot plot("Figure 7(a): NFS requests per host pair", "requests", true);
     for (std::size_t i = 0; i < in.size(); ++i)
-      plot.add_series("ent:" + in[i].analysis->name, nf[i].nfs_reqs_per_pair);
+      plot.add_series("ent:" + in[i].analysis->name, nf[i].get().nfs_reqs_per_pair);
     out += plot.render();
   }
   {
     CdfPlot plot("Figure 7(b): NCP requests per host pair", "requests", true);
     for (std::size_t i = 0; i < in.size(); ++i)
-      plot.add_series("ent:" + in[i].analysis->name, nf[i].ncp_reqs_per_pair);
+      plot.add_series("ent:" + in[i].analysis->name, nf[i].get().ncp_reqs_per_pair);
     out += plot.render();
   }
   return out;
 }
 
-std::string figure8_netfile_message_sizes(Inputs in) {
-  auto nf = netfile_for(in);
+std::string figure8_netfile_message_sizes(Inputs in, RenderCache& cache) {
+  const auto nf = each(in, cache, &RenderCache::netfile);
   std::string out;
   {
     CdfPlot plot("Figure 8(a): NFS request sizes (bytes)", "bytes", true);
     for (std::size_t i = 0; i < in.size(); ++i)
-      plot.add_series(in[i].analysis->name, nf[i].nfs_req_sizes);
+      plot.add_series(in[i].analysis->name, nf[i].get().nfs_req_sizes);
     out += plot.render();
   }
   {
     CdfPlot plot("Figure 8(b): NFS reply sizes (bytes)", "bytes", true);
     for (std::size_t i = 0; i < in.size(); ++i)
-      plot.add_series(in[i].analysis->name, nf[i].nfs_reply_sizes);
+      plot.add_series(in[i].analysis->name, nf[i].get().nfs_reply_sizes);
     out += plot.render();
   }
   {
     CdfPlot plot("Figure 8(c): NCP request sizes (bytes)", "bytes", true);
     for (std::size_t i = 0; i < in.size(); ++i)
-      plot.add_series(in[i].analysis->name, nf[i].ncp_req_sizes);
+      plot.add_series(in[i].analysis->name, nf[i].get().ncp_req_sizes);
     out += plot.render();
   }
   {
     CdfPlot plot("Figure 8(d): NCP reply sizes (bytes)", "bytes", true);
     for (std::size_t i = 0; i < in.size(); ++i)
-      plot.add_series(in[i].analysis->name, nf[i].ncp_reply_sizes);
+      plot.add_series(in[i].analysis->name, nf[i].get().ncp_reply_sizes);
     out += plot.render();
   }
   return out;
 }
+
+}  // namespace
 
 std::string table15_backup(Inputs in) {
   TextTable t("Table 15: Backup applications (aggregated across datasets)");
@@ -842,8 +861,10 @@ std::string table15_backup(Inputs in) {
   return t.render();
 }
 
-std::string figure9_utilization(const ReportInput& in) {
-  LoadAnalysis load = LoadAnalysis::compute(in.analysis->load_raw);
+namespace {
+
+std::string figure9_utilization(const ReportInput& in, RenderCache& cache) {
+  const LoadAnalysis& load = cache.load(*in.analysis);
   std::string out;
   {
     CdfPlot plot("Figure 9(a): peak utilization per trace, " + in.analysis->name + " (Mbps)",
@@ -866,7 +887,7 @@ std::string figure9_utilization(const ReportInput& in) {
   return out;
 }
 
-std::string figure10_retransmissions(Inputs in) {
+std::string figure10_retransmissions(Inputs in, RenderCache& cache) {
   TextTable t("Figure 10: TCP retransmission rates across traces (keepalives excluded)");
   t.set_header({"dataset", "traces", "ent median", "ent p90", "ent max", "wan median",
                 "wan p90", "wan max", "ent traces >1%", "keepalive retx excluded"});
@@ -876,7 +897,7 @@ std::string figure10_retransmissions(Inputs in) {
   ablation.set_header({"dataset", "median (keepalives excluded)", "median (included)"});
   for (const auto& i : in) {
     const DatasetAnalysis& a = *i.analysis;
-    LoadAnalysis load = LoadAnalysis::compute(a.load_raw);
+    const LoadAnalysis& load = cache.load(a);
     std::uint64_t over_1pct = 0;
     for (double r : load.retx_ent_by_trace)
       if (r > 0.01) ++over_1pct;
@@ -905,6 +926,8 @@ std::string figure10_retransmissions(Inputs in) {
   return t.render() + ablation.render();
 }
 
+}  // namespace
+
 std::string telemetry(Inputs in) {
   std::string out;
   for (const auto& i : in) {
@@ -917,21 +940,62 @@ std::string telemetry(Inputs in) {
   return out;
 }
 
+// The public one-argument forms of the sections that read the cache: each
+// renders with a cache of its own.
+std::string table6_http_automation(Inputs in) { return own_cache<table6_http_automation>(in); }
+std::string http_findings(Inputs in) { return own_cache<http_findings>(in); }
+std::string figure3_http_fanout(Inputs in) { return own_cache<figure3_http_fanout>(in); }
+std::string table7_http_content_types(Inputs in) {
+  return own_cache<table7_http_content_types>(in);
+}
+std::string figure4_http_reply_sizes(Inputs in) { return own_cache<figure4_http_reply_sizes>(in); }
+std::string table8_email_sizes(Inputs in) { return own_cache<table8_email_sizes>(in); }
+std::string figure5_email_durations(Inputs in) { return own_cache<figure5_email_durations>(in); }
+std::string figure6_email_sizes(Inputs in) { return own_cache<figure6_email_sizes>(in); }
+std::string table9_windows_success(Inputs in) { return own_cache<table9_windows_success>(in); }
+std::string table10_cifs_commands(Inputs in) { return own_cache<table10_cifs_commands>(in); }
+std::string table11_dcerpc_functions(Inputs in) { return own_cache<table11_dcerpc_functions>(in); }
+std::string table12_netfile_sizes(Inputs in) { return own_cache<table12_netfile_sizes>(in); }
+std::string table13_nfs_requests(Inputs in) { return own_cache<table13_nfs_requests>(in); }
+std::string table14_ncp_requests(Inputs in) { return own_cache<table14_ncp_requests>(in); }
+std::string figure7_requests_per_pair(Inputs in) {
+  return own_cache<figure7_requests_per_pair>(in);
+}
+std::string figure8_netfile_message_sizes(Inputs in) {
+  return own_cache<figure8_netfile_message_sizes>(in);
+}
+std::string figure9_utilization(const ReportInput& in) {
+  RenderCache cache;
+  return figure9_utilization(in, cache);
+}
+std::string figure10_retransmissions(Inputs in) { return own_cache<figure10_retransmissions>(in); }
+
 namespace {
 
+// Sections that read no cached analysis ignore the cache.
+template <std::string (*Render)(Inputs)>
+std::string uncached(Inputs in, RenderCache&) {
+  return Render(in);
+}
+
 // Figures 2 and 9 are drawn per dataset: one rendering per input.
-template <std::string (*Figure)(const ReportInput&)>
-std::string per_input(Inputs in) {
+std::string per_input(Inputs in, const std::function<std::string(const ReportInput&)>& figure) {
   std::string out;
   for (const auto& i : in) {
     if (!out.empty()) out += "\n";
-    out += Figure(i);
+    out += figure(i);
   }
   return out;
 }
 
+std::string figure2_per_input(Inputs in, RenderCache&) { return per_input(in, figure2_fan); }
+
+std::string figure9_per_input(Inputs in, RenderCache& cache) {
+  return per_input(in, [&cache](const ReportInput& i) { return figure9_utilization(i, cache); });
+}
+
 constexpr Section kSections[] = {
-    {table1_datasets, false,
+    {uncached<table1_datasets>, false,
      "             D0      D1      D2      D3      D4\n"
      "Duration     10 min  1 hr    1 hr    1 hr    1 hr\n"
      "Per Tap      1       2       1       1       1-2\n"
@@ -941,15 +1005,15 @@ constexpr Section kSections[] = {
      "Mon. Hosts   2,531   2,102   2,088   1,561   1,558\n"
      "LBNL Hosts   4,767   5,761   5,210   5,234   5,698\n"
      "Remote Hosts 4,342   10,478  7,138   16,404  23,267"},
-    {capture_quality, false, ""},
-    {table2_network_layer, false,
+    {uncached<capture_quality>, false, ""},
+    {uncached<table2_network_layer>, false,
      "       D0    D1    D2    D3    D4\n"
      "IP     99%   97%   96%   98%   96%\n"
      "!IP    1%    3%    4%    2%    4%\n"
      "ARP    10%   6%    5%    27%   16%   (of non-IP)\n"
      "IPX    80%   77%   65%   57%   32%   (of non-IP)\n"
      "Other  10%   17%   29%   16%   52%   (of non-IP)"},
-    {table3_transport, false,
+    {uncached<table3_transport>, false,
      "        D0     D1     D2     D3     D4\n"
      "Bytes   13.12  31.88  13.20  8.98   11.75  GB (ours scaled)\n"
      "TCP     66%    95%    90%    77%    82%\n"
@@ -960,7 +1024,7 @@ constexpr Section kSections[] = {
      "UDP     68%    74%    70%    85%    87%\n"
      "ICMP    6%     6%     8%     5%     5%\n"
      "Scanner removal: 4-18% of connections across datasets"},
-    {figure1_app_breakdown, false,
+    {uncached<figure1_app_breakdown>, false,
      "Figure 1 (read off the bars):\n"
      "- bytes: bulk + net-file + backup constitute a majority in every dataset;\n"
      "  web is the largest mostly-WAN category; windows/streaming/interactive\n"
@@ -972,10 +1036,10 @@ constexpr Section kSections[] = {
      "  internally than crossing the border.\n"
      "- multicast: streaming 5-10% of all bytes; SrvLoc (name) and SAP\n"
      "  (net-mgnt) each 5-10% of all connections."},
-    {origins_summary, false,
+    {uncached<origins_summary>, false,
      "Origins (all datasets): ent->ent 71-79%, ent->wan 2-3%, wan->ent 6-11%,\n"
      "multicast ent-sourced 5-10%, multicast wan-sourced 4-7%."},
-    {per_input<figure2_fan>, false,
+    {figure2_per_input, false,
      "Figure 2: hosts have more internal peers than WAN peers for both fan-in\n"
      "and fan-out; one-third to one-half of hosts have only-internal fan-in,\n"
      "more than half only-internal fan-out; >90% of hosts talk to at most a\n"
@@ -1027,7 +1091,7 @@ constexpr Section kSections[] = {
      "Flow sizes show no significant internal/WAN difference; traffic is\n"
      "largely unidirectional (to SMTP servers, to IMAP/S clients); over 95%\n"
      "of flows stay below 1 MB with significant upper tails (to ~1 GB axis)."},
-    {name_service_findings, true,
+    {uncached<name_service_findings>, true,
      "DNS: median latency ~0.4 ms internal vs ~20 ms external; request types\n"
      "A 50-66%, AAAA 17-25% (hosts resolve A+AAAA in parallel), PTR 10-18%,\n"
      "MX 4-7%; NOERROR 77-86%, NXDOMAIN 11-21%; a few clients (the two main\n"
@@ -1112,7 +1176,7 @@ constexpr Section kSections[] = {
      "NCP requests mode at 14 bytes (reads); reply sizes show vertical rises\n"
      "at 2 bytes (completion-only), 10 bytes (GetFileSize) and 260 bytes\n"
      "(a fraction of ReadFile replies)."},
-    {table15_backup, false,
+    {uncached<table15_backup>, false,
      "                     Connections   Bytes\n"
      "VERITAS-BACKUP-CTRL  1271          0.1MB    (ours scaled)\n"
      "VERITAS-BACKUP-DATA  352           6781MB\n"
@@ -1121,7 +1185,7 @@ constexpr Section kSections[] = {
      "Veritas data flows are strictly client->server; Dantz connections show\n"
      "significant bidirectionality (tens of MB both ways within single\n"
      "connections); Connected backs up to an external provider."},
-    {per_input<figure9_utilization>, false,
+    {figure9_per_input, false,
      "Networks are under-utilized at every timescale: 1-second peaks can\n"
      "reach saturation (100 Mbps) but peak utilization falls as the interval\n"
      "widens; typical (median) 1-second utilization is 1-2 orders of\n"
@@ -1135,7 +1199,7 @@ constexpr Section kSections[] = {
      "Veritas backup connection (congestion or flaky NIC downstream of the\n"
      "tap).  Spurious 1-byte keepalive retransmissions (NCP, SSH) are\n"
      "excluded before computing the rates."},
-    {telemetry, false, ""},
+    {uncached<telemetry>, false, ""},
 };
 
 }  // namespace
@@ -1143,17 +1207,23 @@ constexpr Section kSections[] = {
 std::span<const Section> sections() { return kSections; }
 
 std::string render_section(const Section& section, Inputs in) {
-  if (!section.payload_only) return section.render(in);
+  RenderCache cache;
+  return render_section(section, in, cache);
+}
+
+std::string render_section(const Section& section, Inputs in, RenderCache& cache) {
+  if (!section.payload_only) return section.render(in, cache);
   std::vector<ReportInput> payload;
   for (const auto& i : in)
     if (i.spec == nullptr || i.spec->payload_analysis()) payload.push_back(i);
-  return section.render(payload);
+  return section.render(payload, cache);
 }
 
 std::string full_report(Inputs in) {
+  RenderCache cache;
   std::string out;
   for (const Section& section : kSections) {
-    const std::string text = render_section(section, in);
+    const std::string text = render_section(section, in, cache);
     if (text.empty()) continue;
     if (!out.empty()) out += "\n";
     out += text;

@@ -188,37 +188,21 @@ std::vector<std::string> BreakdownCounter::keys_by_count() const {
 IntervalSeries::IntervalSeries(double bin_width) : bin_width_(bin_width) {}
 
 void IntervalSeries::add_new_bin(std::int64_t bin, double value) {
-  if (bins_.empty()) {
-    first_bin_ = last_bin_ = bin;
-  } else {
-    first_bin_ = std::min(first_bin_, bin);
-    last_bin_ = std::max(last_bin_, bin);
-  }
   cached_bin_ = bin;
   cached_slot_ = &bins_[bin];
   *cached_slot_ += value;
 }
 
 void IntervalSeries::merge(const IntervalSeries& other) {
-  if (other.bins_.empty()) return;
-  if (bins_.empty()) {
-    first_bin_ = other.first_bin_;
-    last_bin_ = other.last_bin_;
-  } else {
-    first_bin_ = std::min(first_bin_, other.first_bin_);
-    last_bin_ = std::max(last_bin_, other.last_bin_);
-  }
   for (const auto& [bin, value] : other.bins_) bins_[bin] += value;
 }
 
 std::vector<double> IntervalSeries::values() const {
   std::vector<double> out;
   if (bins_.empty()) return out;
-  out.reserve(static_cast<std::size_t>(last_bin_ - first_bin_ + 1));
-  for (std::int64_t b = first_bin_; b <= last_bin_; ++b) {
-    auto it = bins_.find(b);
-    out.push_back(it == bins_.end() ? 0.0 : it->second);
-  }
+  const std::int64_t first = bins_.begin()->first;
+  out.assign(static_cast<std::size_t>(bins_.rbegin()->first - first + 1), 0.0);
+  for (const auto& [bin, value] : bins_) out[static_cast<std::size_t>(bin - first)] = value;
   return out;
 }
 

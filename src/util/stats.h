@@ -143,29 +143,19 @@ class IntervalSeries {
   // points into *this* object's map nodes (stable under insert, but a
   // copied map owns different nodes).
   IntervalSeries(const IntervalSeries& other)
-      : bin_width_(other.bin_width_),
-        first_bin_(other.first_bin_),
-        last_bin_(other.last_bin_),
-        bins_(other.bins_) {}
+      : bin_width_(other.bin_width_), bins_(other.bins_) {}
   IntervalSeries(IntervalSeries&& other) noexcept
-      : bin_width_(other.bin_width_),
-        first_bin_(other.first_bin_),
-        last_bin_(other.last_bin_),
-        bins_(std::move(other.bins_)) {
+      : bin_width_(other.bin_width_), bins_(std::move(other.bins_)) {
     other.invalidate_cache();
   }
   IntervalSeries& operator=(const IntervalSeries& other) {
     bin_width_ = other.bin_width_;
-    first_bin_ = other.first_bin_;
-    last_bin_ = other.last_bin_;
     bins_ = other.bins_;
     invalidate_cache();
     return *this;
   }
   IntervalSeries& operator=(IntervalSeries&& other) noexcept {
     bin_width_ = other.bin_width_;
-    first_bin_ = other.first_bin_;
-    last_bin_ = other.last_bin_;
     bins_ = std::move(other.bins_);
     invalidate_cache();
     other.invalidate_cache();
@@ -189,32 +179,25 @@ class IntervalSeries {
   void merge(const IntervalSeries& other);
 
   double bin_width() const { return bin_width_; }
-  // Values of all bins between the first and last seen timestamps,
-  // including empty (zero) bins.
+  // Values of all bins between the first and last populated bins,
+  // including empty (zero) bins: one ordered walk over the sparse bins.
   std::vector<double> values() const;
   bool empty() const { return bins_.empty(); }
 
   // Snapshot support (src/snapshot): the raw sparse bins, and exact
-  // reconstruction from them.  first/last follow from the key range —
-  // add() and merge() keep them at the min/max populated bin.
+  // reconstruction from them.
   const std::map<std::int64_t, double>& bins() const { return bins_; }
   void restore_bins(std::map<std::int64_t, double> bins) {
     bins_ = std::move(bins);
     invalidate_cache();
-    if (!bins_.empty()) {
-      first_bin_ = bins_.begin()->first;
-      last_bin_ = bins_.rbegin()->first;
-    }
   }
 
  private:
   void invalidate_cache() { cached_slot_ = nullptr; }
-  // Cold path of add(): first touch of a bin (range update + map insert).
+  // Cold path of add(): first touch of a bin (map insert).
   void add_new_bin(std::int64_t bin, double value);
 
   double bin_width_;
-  std::int64_t first_bin_ = 0;
-  std::int64_t last_bin_ = 0;
   std::map<std::int64_t, double> bins_;
   // Hot-bin cache: traffic timestamps are near-monotone, so consecutive
   // add() calls overwhelmingly hit the same bin.  Map nodes are

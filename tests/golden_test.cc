@@ -17,6 +17,8 @@
 // SyntheticTraceSourceSet with the default config, plus materialized D0 at
 // 0.004 corrupted with the corruption_demo seed (42) at rate 0.1, and the
 // five-dataset report over D0-D4 (the body bench/paper_tables prints).
+// D3's report must also come out whole from four threads rendering it at
+// once.
 //
 // A deliberate behaviour change updates the golden file: on a mismatch the
 // test writes the new report and metrics to temp files (for diffing) and
@@ -50,6 +52,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -147,6 +150,25 @@ INSTANTIATE_TEST_SUITE_P(Datasets, GoldenTest,
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+// A render's derived analyses live in a cache of its own, never on the
+// shared DatasetAnalysis: four threads rendering one analysis at once must
+// each print the digest's bytes (and race nowhere under golden-tsan).
+TEST(GoldenConcurrentRenderTest, FourThreadsRenderTheDigest) {
+  const DatasetSpec spec = dataset_by_name("D3", kScale);
+  const SyntheticTraceSourceSet sources(spec, model());
+  const DatasetAnalysis analysis =
+      analyze_dataset(sources, default_config_for_model(model().site()));
+  const std::string metrics = obs::render_json(analysis.metrics, false);
+  const report::ReportInput input{&spec, &analysis};
+  std::array<std::string, 4> texts;
+  std::vector<std::thread> threads;
+  for (std::string& text : texts) {
+    threads.emplace_back([&text, &input] { text = report::full_report({&input, 1}); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::string& text : texts) expect_golden("D3", {text, metrics});
+}
 
 // The five-dataset report pins the multi-column layout: one names_row
 // column per dataset, the payload filter over mixed snaplens (D1 and D2 are

@@ -6,6 +6,10 @@
 
 #include <filesystem>
 
+#include "analysis/email_analysis.h"
+#include "analysis/http_analysis.h"
+#include "analysis/netfile_analysis.h"
+#include "analysis/windows_analysis.h"
 #include "core/analyzer.h"
 #include "core/report.h"
 #include "synth/generator.h"
@@ -53,6 +57,25 @@ TEST_F(ReportTest, EveryTableRendersNonEmpty) {
   EXPECT_NE(report::table12_netfile_sizes(in).find("D4"), std::string::npos);
   EXPECT_GT(report::figure2_fan(inputs_->front()).size(), 100u);
   EXPECT_GT(report::figure9_utilization(inputs_->front()).size(), 100u);
+}
+
+// A cache hands out one object per analysis kind and input, however often
+// the sections ask, and a cache shared across sections renders each one
+// exactly as a cache of its own does.
+TEST_F(ReportTest, RenderCacheComputesEachAnalysisOnce) {
+  report::RenderCache cache;
+  const DatasetAnalysis& a = *analysis_;
+  EXPECT_EQ(&cache.load(a), &cache.load(a));
+  EXPECT_EQ(&cache.http(a), &cache.http(a));
+  EXPECT_EQ(&cache.email(a), &cache.email(a));
+  EXPECT_EQ(&cache.windows(a), &cache.windows(a));
+  EXPECT_EQ(&cache.netfile(a), &cache.netfile(a));
+  const DatasetAnalysis other;
+  EXPECT_NE(&cache.http(other), &cache.http(a));
+  const report::Inputs in(*inputs_);
+  for (const report::Section& section : report::sections()) {
+    EXPECT_EQ(report::render_section(section, in, cache), report::render_section(section, in));
+  }
 }
 
 TEST_F(ReportTest, TablesContainPercentCells) {

@@ -271,6 +271,45 @@ TEST(IntervalSeries, WiderBins) {
   EXPECT_DOUBLE_EQ(v[1], 1.0);
 }
 
+TEST(IntervalSeries, MergeOfDisjointRangesFillsTheGap) {
+  IntervalSeries a(1.0);
+  a.add(0.5, 1.0);
+  a.add(1.5, 2.0);
+  IntervalSeries b(1.0);
+  b.add(5.5, 3.0);
+  b.add(6.5, 4.0);
+  IntervalSeries empty(1.0);
+  empty.merge(b);
+  EXPECT_EQ(empty.values(), b.values());
+  a.merge(b);
+  EXPECT_EQ(a.values(), (std::vector<double>{1.0, 2.0, 0.0, 0.0, 0.0, 3.0, 4.0}));
+  // Merging the earlier range into the later one covers the same bins.
+  b.merge(a);
+  EXPECT_EQ(b.values(), (std::vector<double>{1.0, 2.0, 0.0, 0.0, 0.0, 6.0, 8.0}));
+}
+
+TEST(IntervalSeries, ValuesAfterRestoreBins) {
+  IntervalSeries s(10.0);
+  s.add(5.0, 9.0);
+  s.restore_bins({{2, 1.0}, {5, 3.0}});
+  EXPECT_EQ(s.values(), (std::vector<double>{1.0, 0.0, 0.0, 3.0}));
+  s.add(61.0, 2.0);  // bin 6, after the restored range
+  s.add(55.0, 1.0);  // bin 5, a restored bin
+  EXPECT_EQ(s.values(), (std::vector<double>{1.0, 0.0, 0.0, 4.0, 2.0}));
+  s.restore_bins({});
+  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.values().empty());
+}
+
+TEST(IntervalSeries, NegativeBins) {
+  IntervalSeries s(1.0);
+  s.add(0.5, 4.0);    // bin 0
+  s.add(-2.5, 1.0);   // bin -3
+  s.add(-0.5, 2.0);   // bin -1
+  s.add(-0.25, 2.0);  // bin -1 again
+  EXPECT_EQ(s.values(), (std::vector<double>{1.0, 0.0, 4.0, 4.0}));
+}
+
 TEST(Strings, Split) {
   const auto parts = split("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);
