@@ -5,7 +5,7 @@
 // The dataset's traces are partitioned into M jobs (lo = n*i/M,
 // hi = n*(i+1)/M), and one dispatch thread per endpoint or local slot
 // pulls eligible jobs from a shared queue, through the job state machine
-// of orchestrate/result.h.  A failed attempt's range goes back in the
+// of cluster/result.h.  A failed attempt's range goes back in the
 // queue and is picked up by whichever endpoint frees up first; an endpoint
 // that genuinely refuses a connection retires (unless it is the last one
 // still active), so a dead host cannot burn one attempt of every job in
@@ -39,8 +39,8 @@
 #include <vector>
 
 #include "cluster/fault.h"
+#include "cluster/result.h"
 #include "obs/metrics.h"
-#include "orchestrate/result.h"
 #include "util/retry.h"
 
 namespace entrace::cluster {

@@ -1,4 +1,4 @@
-#include "orchestrate/coverage.h"
+#include "cluster/coverage.h"
 
 #include <algorithm>
 #include <cstdio>

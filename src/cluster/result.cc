@@ -1,4 +1,4 @@
-#include "orchestrate/result.h"
+#include "cluster/result.h"
 
 #include "core/report.h"
 

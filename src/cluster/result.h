@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "cluster/coverage.h"
+#include "cluster/fault.h"
 #include "core/analyzer.h"
-#include "orchestrate/coverage.h"
-#include "orchestrate/fault.h"
 #include "synth/dataset_spec.h"
 
 namespace entrace::orchestrate {

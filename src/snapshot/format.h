@@ -92,7 +92,7 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc = 0);
 // a snapshot can be bad — cut short (a worker died mid-write; the bytes
 // that exist may be fine) versus malformed (framing/CRC/enum damage in
 // bytes that are all present) — because the dispatch coordinator retries
-// and accounts for them as different worker faults (orchestrate/fault.h).
+// and accounts for them as different worker faults (cluster/fault.h).
 class SnapshotError : public std::runtime_error {
  public:
   enum class Kind : std::uint8_t {

@@ -134,6 +134,12 @@ const EnterpriseModel& model() {
   return m;
 }
 
+std::uint64_t semantic_counter(const DatasetAnalysis& analysis, const char* name) {
+  const obs::Metric* m = analysis.metrics.find(name);
+  EXPECT_TRUE(m != nullptr && m->kind == obs::MetricKind::kCounter) << name;
+  return m != nullptr ? m->counter.value() : 0;
+}
+
 class GoldenTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(GoldenTest, StreamedReportMatchesDigest) {
@@ -143,6 +149,12 @@ TEST_P(GoldenTest, StreamedReportMatchesDigest) {
   const DatasetAnalysis analysis =
       analyze_dataset(sources, default_config_for_model(model().site()));
   expect_golden(name, render(spec, analysis));
+  // total_wire_bytes renders nowhere, so the digests alone pass a skewed
+  // tally.  A clean capture drops no packet, so the headline tallies must
+  // equal what the sources delivered.
+  EXPECT_EQ(analysis.quality.packets_dropped, 0u);
+  EXPECT_EQ(analysis.total_wire_bytes, semantic_counter(analysis, "source.wire_bytes"));
+  EXPECT_EQ(analysis.total_packets, semantic_counter(analysis, "source.packets"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, GoldenTest,

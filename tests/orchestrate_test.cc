@@ -35,10 +35,10 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/fault.h"
 #include "core/analyzer.h"
 #include "core/report.h"
 #include "obs/exposition.h"
-#include "orchestrate/fault.h"
 #include "snapshot/reader.h"
 #include "snapshot/writer.h"
 #include "synth/synth_source.h"

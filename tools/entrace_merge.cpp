@@ -10,7 +10,7 @@
 // --allow-partial accepts an incomplete shard set instead of failing: the
 // report is branded with the PARTIAL banner, prefixed with a coverage
 // manifest naming exactly the missing trace indices, and covers only the
-// traces that are present (orchestrate/coverage.h semantics).
+// traces that are present (cluster/coverage.h semantics).
 //
 //   $ entrace_merge [--metrics-out file] [--allow-partial] a.esnap ... > report.txt
 #include <algorithm>
@@ -21,11 +21,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/coverage.h"
 #include "core/analyzer.h"
 #include "core/report.h"
 #include "obs/exposition.h"
 #include "obs/stage_timer.h"
-#include "orchestrate/coverage.h"
 #include "snapshot/reader.h"
 #include "synth/synth_source.h"
 
