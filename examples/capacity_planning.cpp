@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
   }
 
   const report::ReportInput input{&spec, &analysis};
-  std::fputs(report::figure9_utilization(input).c_str(), stdout);
-  const std::vector<report::ReportInput> inputs{input};
-  std::fputs(report::figure10_retransmissions(inputs).c_str(), stdout);
+  for (const char* name : {"figure9", "figure10"}) {
+    std::fputs(report::render_section(report::section(name), {&input, 1}).c_str(), stdout);
+  }
 
   std::printf("\nverdict: typical 1-second utilization is 1-2 orders of magnitude below the\n"
               "peak and 2-3 below capacity (100 Mbps) — underutilized on average, but with\n"

@@ -57,6 +57,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rates.size(); ++i) {
     inputs.push_back({&specs[i], &analyses[i]});
   }
-  std::fputs(report::capture_quality(inputs).c_str(), stdout);
+  std::fputs(report::render_section(report::section("capture_quality"), inputs).c_str(), stdout);
   return 0;
 }

@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   // 4. Print a few of the paper's tables.
   const report::ReportInput input{&spec, &analysis};
   const std::vector<report::ReportInput> inputs{input};
-  std::fputs(report::table2_network_layer(inputs).c_str(), stdout);
-  std::fputs(report::table3_transport(inputs).c_str(), stdout);
-  std::fputs(report::figure1_app_breakdown(inputs).c_str(), stdout);
+  for (const char* name : {"table2", "table3", "figure1"}) {
+    std::fputs(report::render_section(report::section(name), inputs).c_str(), stdout);
+  }
   return 0;
 }

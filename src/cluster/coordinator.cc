@@ -139,8 +139,8 @@ struct Metrics {
 
 class Coordinator {
  public:
-  Coordinator(const ClusterConfig& config, util::Clock& clock)
-      : config_(config), clock_(clock), metrics_(config.metrics) {}
+  explicit Coordinator(const ClusterConfig& config)
+      : config_(config), metrics_(config.metrics) {}
   ~Coordinator() {
     std::error_code ec;
     if (!port_dir_.empty()) std::filesystem::remove_all(port_dir_, ec);
@@ -580,15 +580,8 @@ class Coordinator {
   }
 
   orchestrate::OrchestrateResult finish() {
-    orchestrate::OrchestrateResult result;
-    result.spec = spec_;
+    orchestrate::OrchestrateResult result = orchestrate::fold_result(meta_, std::move(shards_));
     result.fault_counts = fault_counts_;
-    std::vector<std::uint32_t> present;
-    present.reserve(shards_.size());
-    for (const auto& [index, shard] : shards_) present.push_back(index);
-    result.manifest = orchestrate::manifest_for(meta_, present);
-    result.complete = result.manifest.complete();
-
     for (const Job& job : jobs_) {
       orchestrate::JobOutcome outcome;
       outcome.index = job.index;
@@ -601,23 +594,11 @@ class Coordinator {
       result.retries += static_cast<std::uint64_t>(std::max(0, job.launches - 1));
       result.jobs.push_back(std::move(outcome));
     }
-
-    // The deterministic fold, in trace-index order (std::map iteration) —
-    // the exact path analyze_dataset and entrace_merge share, which is what
-    // makes the dispatched report byte-identical to a direct run.
-    const EnterpriseModel model;
-    std::vector<TraceShard> shards;
-    shards.reserve(shards_.size());
-    for (auto& [index, shard] : shards_) shards.push_back(std::move(shard));
-    result.shards_folded = shards.size();
-    result.analysis =
-        fold_shards(spec_.name, std::move(shards), default_config_for_model(model.site()));
-    shards_.clear();
     return result;
   }
 
   const ClusterConfig& config_;
-  util::Clock& clock_;
+  util::SystemClock clock_;
   Metrics metrics_;
   DatasetSpec spec_;
   snapshot::SnapshotMeta meta_;
@@ -654,9 +635,7 @@ bool parse_endpoints(const std::string& spec, std::vector<std::string>& out, std
 }
 
 orchestrate::OrchestrateResult run_cluster(const ClusterConfig& config) {
-  util::SystemClock system_clock;
-  util::Clock& clock = config.clock != nullptr ? *config.clock : system_clock;
-  return Coordinator(config, clock).run();
+  return Coordinator(config).run();
 }
 
 }  // namespace entrace::cluster

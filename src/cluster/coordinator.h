@@ -21,11 +21,11 @@
 // its attempt.
 //
 // Snapshots are validated and decoded incrementally as each DONE arrives
-// (no barrier on all N workers); the terminal fold runs in trace-index
-// order over the accumulated shards — the exact fold_shards path
-// entrace_merge uses — so for any endpoint count, fault schedule, and
-// arrival order in which every range eventually succeeds,
-// render_report(run_cluster(...)) is byte-identical to a direct
+// (no barrier on all N workers); the terminal fold is
+// orchestrate::fold_result over the accumulated shards, in trace-index
+// order — the call entrace_merge makes too — so for any endpoint count,
+// fault schedule, and arrival order in which every range eventually
+// succeeds, render_report(run_cluster(...)) is byte-identical to a direct
 // single-process run.  Exhausted budgets degrade to the CoverageManifest
 // + PARTIAL banner, never a crash or a torn fold.
 //
@@ -73,10 +73,6 @@ struct ClusterConfig {
   double heartbeat_deadline = 5.0;
   // Deterministic network-fault harness (off by default).
   NetFaultPlan inject;
-  // nullptr = a real monotonic clock (used for backoff scheduling; the
-  // heartbeat deadline always runs on real time because it judges a real
-  // network peer).
-  util::Clock* clock = nullptr;
   // cluster.* telemetry (timing class).  Optional.
   obs::Registry* metrics = nullptr;
   // Per-event progress lines on stderr (local children get --verbose too).

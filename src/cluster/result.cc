@@ -1,8 +1,32 @@
 #include "cluster/result.h"
 
+#include <utility>
+
 #include "core/report.h"
+#include "synth/model.h"
 
 namespace entrace::orchestrate {
+
+OrchestrateResult fold_result(const snapshot::SnapshotMeta& meta,
+                              std::map<std::uint32_t, TraceShard> shards) {
+  OrchestrateResult result;
+  result.spec = dataset_by_name(meta.dataset, meta.scale);
+  std::vector<std::uint32_t> present;
+  std::vector<TraceShard> ordered;
+  present.reserve(shards.size());
+  ordered.reserve(shards.size());
+  for (auto& [index, shard] : shards) {
+    present.push_back(index);
+    ordered.push_back(std::move(shard));
+  }
+  result.manifest = manifest_for(meta, present);
+  result.complete = result.manifest.complete();
+  result.shards_folded = ordered.size();
+  const EnterpriseModel model;
+  result.analysis =
+      fold_shards(result.spec.name, std::move(ordered), default_config_for_model(model.site()));
+  return result;
+}
 
 std::string render_report(const OrchestrateResult& result) {
   std::string out;

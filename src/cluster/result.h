@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -55,9 +56,18 @@ struct OrchestrateResult {
   DatasetSpec spec;  // report rendering needs the spec the run used
 };
 
-// The run's report: byte-identical to enterprise_report / entrace_merge
-// output when complete; prefixed with the PARTIAL banner and the coverage
-// manifest when not.
+// The result over the shards of one dataset, keyed (and so ordered) by
+// trace index: its spec, its coverage manifest and complete flag, and the
+// fold of every shard.  The fold is the one analyze_dataset runs after its
+// per-trace loop, in trace-index order, so a complete set renders the
+// bytes of a direct run.  The coordinator builds its result here and adds
+// the job records; entrace_merge builds its result here from .esnap files.
+OrchestrateResult fold_result(const snapshot::SnapshotMeta& meta,
+                              std::map<std::uint32_t, TraceShard> shards);
+
+// The run's report: byte-identical to enterprise_report output when
+// complete; prefixed with the PARTIAL banner and the coverage manifest
+// when not.
 std::string render_report(const OrchestrateResult& result);
 
 }  // namespace entrace::orchestrate

@@ -3,6 +3,7 @@
 #include <array>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 
 #include "analysis/backup_analysis.h"
 #include "analysis/breakdown.h"
@@ -30,64 +31,24 @@ std::vector<std::string> names_row(Inputs in, const std::string& head) {
   return row;
 }
 
-// The one-argument public form of a section that reads the cache: it
-// renders with a cache of its own.
-template <std::string (*Render)(Inputs, RenderCache&)>
-std::string own_cache(Inputs in) {
-  RenderCache cache;
-  return Render(in, cache);
-}
-
 template <typename T, typename Compute>
 const T& once(std::optional<T>& slot, Compute compute) {
   if (!slot) slot.emplace(compute());
   return *slot;
 }
 
-}  // namespace
-
-struct RenderCache::Entry {
-  std::optional<LoadAnalysis> load;
-  std::optional<HttpAnalysis> http;
-  std::optional<EmailAnalysis> email;
-  std::optional<WindowsAnalysis> windows;
-  std::optional<NetFileAnalysis> netfile;
-};
-
-RenderCache::RenderCache() = default;
-RenderCache::~RenderCache() = default;
-
-RenderCache::Entry& RenderCache::entry(const DatasetAnalysis& a) {
-  for (auto& [analysis, e] : entries_) {
-    if (analysis == &a) return *e;
-  }
-  return *entries_.emplace_back(&a, std::make_unique<Entry>()).second;
+// Each input's analysis of one kind, from the render's cache.
+template <typename T>
+std::vector<std::reference_wrapper<const T>> each(
+    Inputs in, RenderCache& cache, const T& (RenderCache::*get)(const DatasetAnalysis&)) {
+  std::vector<std::reference_wrapper<const T>> v;
+  for (const auto& i : in) v.push_back((cache.*get)(*i.analysis));
+  return v;
 }
 
-const LoadAnalysis& RenderCache::load(const DatasetAnalysis& a) {
-  return once(entry(a).load, [&a] { return LoadAnalysis::compute(a.load_raw); });
-}
-
-const HttpAnalysis& RenderCache::http(const DatasetAnalysis& a) {
-  return once(entry(a).http,
-              [&a] { return HttpAnalysis::compute(a.events.http, a.connections, a.site); });
-}
-
-const EmailAnalysis& RenderCache::email(const DatasetAnalysis& a) {
-  return once(entry(a).email, [&a] { return EmailAnalysis::compute(a.connections, a.site); });
-}
-
-const WindowsAnalysis& RenderCache::windows(const DatasetAnalysis& a) {
-  return once(entry(a).windows,
-              [&a] { return WindowsAnalysis::compute(a.events, a.connections, a.site); });
-}
-
-const NetFileAnalysis& RenderCache::netfile(const DatasetAnalysis& a) {
-  return once(entry(a).netfile,
-              [&a] { return NetFileAnalysis::compute(a.events, a.connections, a.site); });
-}
-
-std::string table1_datasets(Inputs in) {
+// Every renderer takes the render's inputs and its cache; the sections
+// that read no derived analysis ignore the cache.
+std::string table1_datasets(Inputs in, RenderCache&) {
   TextTable t("Table 1: Dataset characteristics (synthetic reproduction, scaled)");
   t.set_header(names_row(in, ""));
   auto row = [&t, &in](const std::string& label, auto getter) {
@@ -122,7 +83,11 @@ std::string table1_datasets(Inputs in) {
   return t.render();
 }
 
-std::string capture_quality(Inputs in) {
+// Measurement-artifact accounting per dataset: packets seen / decoded /
+// dropped, plus the non-zero anomaly kinds (truncation, checksum failures,
+// parse errors).  Not a paper table: real captures need it (§2 discusses
+// the LBNL traces' own artifacts) and the fault-injection tests assert it.
+std::string capture_quality(Inputs in, RenderCache&) {
   TextTable t("Capture quality: per-dataset packet accounting "
               "(seen == decoded + dropped) and anomaly kinds");
   t.set_header(names_row(in, ""));
@@ -148,7 +113,7 @@ std::string capture_quality(Inputs in) {
   return t.render();
 }
 
-std::string table2_network_layer(Inputs in) {
+std::string table2_network_layer(Inputs in, RenderCache&) {
   TextTable t("Table 2: Network-layer protocol mix (IP as % of all packets; "
               "ARP/IPX/Other as % of non-IP)");
   t.set_header(names_row(in, ""));
@@ -166,7 +131,9 @@ std::string table2_network_layer(Inputs in) {
   return t.render();
 }
 
-std::string table3_transport(Inputs in) {
+// Includes the scanner-removal row and the §3 ablation: the connection
+// mix with scanner traffic kept.
+std::string table3_transport(Inputs in, RenderCache&) {
   TextTable t("Table 3: Transport breakdown (scanner traffic removed)");
   t.set_header(names_row(in, ""));
   std::vector<TransportBreakdown> tb;
@@ -209,7 +176,7 @@ std::string table3_transport(Inputs in) {
   return t.render() + ablation.render();
 }
 
-std::string figure1_app_breakdown(Inputs in) {
+std::string figure1_app_breakdown(Inputs in, RenderCache&) {
   static constexpr std::array<AppCategory, 13> kOrder = {
       AppCategory::kWeb,       AppCategory::kEmail,   AppCategory::kNetFile,
       AppCategory::kBackup,    AppCategory::kBulk,    AppCategory::kName,
@@ -270,7 +237,7 @@ std::string figure1_app_breakdown(Inputs in) {
   return out;
 }
 
-std::string origins_summary(Inputs in) {
+std::string origins_summary(Inputs in, RenderCache&) {
   TextTable t("Section 4: flow origins (fractions of all flows)");
   t.set_header(names_row(in, ""));
   std::vector<OriginBreakdown> ob;
@@ -291,35 +258,28 @@ std::string origins_summary(Inputs in) {
   return t.render();
 }
 
-std::string figure2_fan(const ReportInput& in) {
-  const DatasetAnalysis& a = *in.analysis;
-  FanResult fan = compute_fan(a.connections, a.site,
-                              [&a](Ipv4Address h) { return a.is_monitored_host(h); });
+// Drawn per dataset: one pair of plots per input.
+std::string figure2_fan(Inputs in, RenderCache&) {
   std::string out;
-  CdfPlot fin("Figure 2(a): Fan-in (" + a.name + ")", "peers", true);
-  fin.add_series("enterprise", fan.fan_in_ent);
-  fin.add_series("wan", fan.fan_in_wan);
-  out += fin.render();
-  CdfPlot fout("Figure 2(b): Fan-out (" + a.name + ")", "peers", true);
-  fout.add_series("enterprise", fan.fan_out_ent);
-  fout.add_series("wan", fan.fan_out_wan);
-  out += fout.render();
-  out += "hosts with only-internal fan-in: " + pct(fan.only_internal_fan_in) +
-         " (paper: one-third to one-half)\n";
-  out += "hosts with only-internal fan-out: " + pct(fan.only_internal_fan_out) +
-         " (paper: more than half)\n";
+  for (const auto& i : in) {
+    const DatasetAnalysis& a = *i.analysis;
+    FanResult fan = compute_fan(a.connections, a.site,
+                                [&a](Ipv4Address h) { return a.is_monitored_host(h); });
+    if (!out.empty()) out += "\n";
+    CdfPlot fin("Figure 2(a): Fan-in (" + a.name + ")", "peers", true);
+    fin.add_series("enterprise", fan.fan_in_ent);
+    fin.add_series("wan", fan.fan_in_wan);
+    out += fin.render();
+    CdfPlot fout("Figure 2(b): Fan-out (" + a.name + ")", "peers", true);
+    fout.add_series("enterprise", fan.fan_out_ent);
+    fout.add_series("wan", fan.fan_out_wan);
+    out += fout.render();
+    out += "hosts with only-internal fan-in: " + pct(fan.only_internal_fan_in) +
+           " (paper: one-third to one-half)\n";
+    out += "hosts with only-internal fan-out: " + pct(fan.only_internal_fan_out) +
+           " (paper: more than half)\n";
+  }
   return out;
-}
-
-namespace {
-
-// Each input's analysis of one kind, from the render's cache.
-template <typename T>
-std::vector<std::reference_wrapper<const T>> each(
-    Inputs in, RenderCache& cache, const T& (RenderCache::*get)(const DatasetAnalysis&)) {
-  std::vector<std::reference_wrapper<const T>> v;
-  for (const auto& i : in) v.push_back((cache.*get)(*i.analysis));
-  return v;
 }
 
 std::string table6_http_automation(Inputs in, RenderCache& cache) {
@@ -516,9 +476,7 @@ std::string figure6_email_sizes(Inputs in, RenderCache& cache) {
   return out;
 }
 
-}  // namespace
-
-std::string name_service_findings(Inputs in) {
+std::string name_service_findings(Inputs in, RenderCache&) {
   TextTable t("Name services (§5.1.3)");
   t.set_header(names_row(in, ""));
   std::vector<NameAnalysis> names;
@@ -571,8 +529,8 @@ std::string name_service_findings(Inputs in) {
   return t.render();
 }
 
-namespace {
-
+// Includes the §5 ablation: CIFS success counted per raw connection
+// instead of per host pair.
 std::string table9_windows_success(Inputs in, RenderCache& cache) {
   TextTable t("Table 9: Windows connection outcomes by host pairs (internal traffic)");
   t.set_header(names_row(in, ""));
@@ -829,9 +787,7 @@ std::string figure8_netfile_message_sizes(Inputs in, RenderCache& cache) {
   return out;
 }
 
-}  // namespace
-
-std::string table15_backup(Inputs in) {
+std::string table15_backup(Inputs in, RenderCache&) {
   TextTable t("Table 15: Backup applications (aggregated across datasets)");
   t.set_header({"", "Connections", "Bytes", "c->s share", "bidir conns (>1MB both ways)"});
   // Aggregate across all inputs, as the paper's Table 15 does.
@@ -861,32 +817,32 @@ std::string table15_backup(Inputs in) {
   return t.render();
 }
 
-namespace {
-
-std::string figure9_utilization(const ReportInput& in, RenderCache& cache) {
-  const LoadAnalysis& load = cache.load(*in.analysis);
+// Drawn per dataset: one pair of plots per input.
+std::string figure9_utilization(Inputs in, RenderCache& cache) {
   std::string out;
-  {
-    CdfPlot plot("Figure 9(a): peak utilization per trace, " + in.analysis->name + " (Mbps)",
-                 "Mbps", true);
-    plot.add_series("1 second", load.peak_1s);
-    plot.add_series("10 seconds", load.peak_10s);
-    plot.add_series("60 seconds", load.peak_60s);
-    out += plot.render();
-  }
-  {
-    CdfPlot plot("Figure 9(b): 1-second utilization statistics per trace (Mbps)", "Mbps", true);
-    plot.add_series("Minimum", load.min_1s);
-    plot.add_series("Maximum", load.max_1s);
-    plot.add_series("Average", load.avg_1s);
-    plot.add_series("25th perc.", load.p25_1s);
-    plot.add_series("Median", load.median_1s);
-    plot.add_series("75th perc.", load.p75_1s);
-    out += plot.render();
+  for (const auto& i : in) {
+    const LoadAnalysis& load = cache.load(*i.analysis);
+    if (!out.empty()) out += "\n";
+    CdfPlot peaks("Figure 9(a): peak utilization per trace, " + i.analysis->name + " (Mbps)",
+                  "Mbps", true);
+    peaks.add_series("1 second", load.peak_1s);
+    peaks.add_series("10 seconds", load.peak_10s);
+    peaks.add_series("60 seconds", load.peak_60s);
+    out += peaks.render();
+    CdfPlot stats("Figure 9(b): 1-second utilization statistics per trace (Mbps)", "Mbps", true);
+    stats.add_series("Minimum", load.min_1s);
+    stats.add_series("Maximum", load.max_1s);
+    stats.add_series("Average", load.avg_1s);
+    stats.add_series("25th perc.", load.p25_1s);
+    stats.add_series("Median", load.median_1s);
+    stats.add_series("75th perc.", load.p75_1s);
+    out += stats.render();
   }
   return out;
 }
 
+// Includes the §6 ablation: the internal median if 1-byte keepalive
+// retransmissions were counted.
 std::string figure10_retransmissions(Inputs in, RenderCache& cache) {
   TextTable t("Figure 10: TCP retransmission rates across traces (keepalives excluded)");
   t.set_header({"dataset", "traces", "ent median", "ent p90", "ent max", "wan median",
@@ -926,9 +882,12 @@ std::string figure10_retransmissions(Inputs in, RenderCache& cache) {
   return t.render() + ablation.render();
 }
 
-}  // namespace
-
-std::string telemetry(Inputs in) {
+// Runtime telemetry: the pipeline's own semantic metrics per dataset
+// (source/decode/flow/app/scanner counters).  Semantic-class only, so the
+// table, like every other section, is byte-identical across thread counts
+// and shard partitions; timing metrics are exposed solely via
+// --metrics-out (obs::render_json / render_prometheus).
+std::string telemetry(Inputs in, RenderCache&) {
   std::string out;
   for (const auto& i : in) {
     if (i.analysis->metrics.empty()) continue;
@@ -940,62 +899,8 @@ std::string telemetry(Inputs in) {
   return out;
 }
 
-// The public one-argument forms of the sections that read the cache: each
-// renders with a cache of its own.
-std::string table6_http_automation(Inputs in) { return own_cache<table6_http_automation>(in); }
-std::string http_findings(Inputs in) { return own_cache<http_findings>(in); }
-std::string figure3_http_fanout(Inputs in) { return own_cache<figure3_http_fanout>(in); }
-std::string table7_http_content_types(Inputs in) {
-  return own_cache<table7_http_content_types>(in);
-}
-std::string figure4_http_reply_sizes(Inputs in) { return own_cache<figure4_http_reply_sizes>(in); }
-std::string table8_email_sizes(Inputs in) { return own_cache<table8_email_sizes>(in); }
-std::string figure5_email_durations(Inputs in) { return own_cache<figure5_email_durations>(in); }
-std::string figure6_email_sizes(Inputs in) { return own_cache<figure6_email_sizes>(in); }
-std::string table9_windows_success(Inputs in) { return own_cache<table9_windows_success>(in); }
-std::string table10_cifs_commands(Inputs in) { return own_cache<table10_cifs_commands>(in); }
-std::string table11_dcerpc_functions(Inputs in) { return own_cache<table11_dcerpc_functions>(in); }
-std::string table12_netfile_sizes(Inputs in) { return own_cache<table12_netfile_sizes>(in); }
-std::string table13_nfs_requests(Inputs in) { return own_cache<table13_nfs_requests>(in); }
-std::string table14_ncp_requests(Inputs in) { return own_cache<table14_ncp_requests>(in); }
-std::string figure7_requests_per_pair(Inputs in) {
-  return own_cache<figure7_requests_per_pair>(in);
-}
-std::string figure8_netfile_message_sizes(Inputs in) {
-  return own_cache<figure8_netfile_message_sizes>(in);
-}
-std::string figure9_utilization(const ReportInput& in) {
-  RenderCache cache;
-  return figure9_utilization(in, cache);
-}
-std::string figure10_retransmissions(Inputs in) { return own_cache<figure10_retransmissions>(in); }
-
-namespace {
-
-// Sections that read no cached analysis ignore the cache.
-template <std::string (*Render)(Inputs)>
-std::string uncached(Inputs in, RenderCache&) {
-  return Render(in);
-}
-
-// Figures 2 and 9 are drawn per dataset: one rendering per input.
-std::string per_input(Inputs in, const std::function<std::string(const ReportInput&)>& figure) {
-  std::string out;
-  for (const auto& i : in) {
-    if (!out.empty()) out += "\n";
-    out += figure(i);
-  }
-  return out;
-}
-
-std::string figure2_per_input(Inputs in, RenderCache&) { return per_input(in, figure2_fan); }
-
-std::string figure9_per_input(Inputs in, RenderCache& cache) {
-  return per_input(in, [&cache](const ReportInput& i) { return figure9_utilization(i, cache); });
-}
-
 constexpr Section kSections[] = {
-    {uncached<table1_datasets>, false,
+    {"table1", table1_datasets, false,
      "             D0      D1      D2      D3      D4\n"
      "Duration     10 min  1 hr    1 hr    1 hr    1 hr\n"
      "Per Tap      1       2       1       1       1-2\n"
@@ -1005,15 +910,15 @@ constexpr Section kSections[] = {
      "Mon. Hosts   2,531   2,102   2,088   1,561   1,558\n"
      "LBNL Hosts   4,767   5,761   5,210   5,234   5,698\n"
      "Remote Hosts 4,342   10,478  7,138   16,404  23,267"},
-    {uncached<capture_quality>, false, ""},
-    {uncached<table2_network_layer>, false,
+    {"capture_quality", capture_quality, false, ""},
+    {"table2", table2_network_layer, false,
      "       D0    D1    D2    D3    D4\n"
      "IP     99%   97%   96%   98%   96%\n"
      "!IP    1%    3%    4%    2%    4%\n"
      "ARP    10%   6%    5%    27%   16%   (of non-IP)\n"
      "IPX    80%   77%   65%   57%   32%   (of non-IP)\n"
      "Other  10%   17%   29%   16%   52%   (of non-IP)"},
-    {uncached<table3_transport>, false,
+    {"table3", table3_transport, false,
      "        D0     D1     D2     D3     D4\n"
      "Bytes   13.12  31.88  13.20  8.98   11.75  GB (ours scaled)\n"
      "TCP     66%    95%    90%    77%    82%\n"
@@ -1024,7 +929,7 @@ constexpr Section kSections[] = {
      "UDP     68%    74%    70%    85%    87%\n"
      "ICMP    6%     6%     8%     5%     5%\n"
      "Scanner removal: 4-18% of connections across datasets"},
-    {uncached<figure1_app_breakdown>, false,
+    {"figure1", figure1_app_breakdown, false,
      "Figure 1 (read off the bars):\n"
      "- bytes: bulk + net-file + backup constitute a majority in every dataset;\n"
      "  web is the largest mostly-WAN category; windows/streaming/interactive\n"
@@ -1036,15 +941,15 @@ constexpr Section kSections[] = {
      "  internally than crossing the border.\n"
      "- multicast: streaming 5-10% of all bytes; SrvLoc (name) and SAP\n"
      "  (net-mgnt) each 5-10% of all connections."},
-    {uncached<origins_summary>, false,
+    {"origins", origins_summary, false,
      "Origins (all datasets): ent->ent 71-79%, ent->wan 2-3%, wan->ent 6-11%,\n"
      "multicast ent-sourced 5-10%, multicast wan-sourced 4-7%."},
-    {figure2_per_input, false,
+    {"figure2", figure2_fan, false,
      "Figure 2: hosts have more internal peers than WAN peers for both fan-in\n"
      "and fan-out; one-third to one-half of hosts have only-internal fan-in,\n"
      "more than half only-internal fan-out; >90% of hosts talk to at most a\n"
      "couple dozen peers; tails reach hundreds (servers, SrvLoc peers)."},
-    {table6_http_automation, true,
+    {"table6", table6_http_automation, true,
      "Table 6 (share of internal HTTP requests / data bytes):\n"
      "          D0          D3          D4\n"
      "scan1     20% / 0.1%  45% / 0.9%  19% / 1%\n"
@@ -1052,15 +957,15 @@ constexpr Section kSections[] = {
      "google2   14% / 51%   8%  / 69%   4%  / 48%\n"
      "ifolder   1%  / 0.0%  0.2%/ 0.0%  10% / 9%\n"
      "All       58% / 96%   54% / 70%   34% / 59%"},
-    {http_findings, true,
+    {"http_findings", http_findings, true,
      "Findings: internal success 72-92% vs WAN 95-99% (failures mostly server\n"
      "RSTs); conditional GETs 29-53% of internal requests vs 12-21% WAN, but\n"
      "only 1-9% / 1-7% of the data bytes; >90% of requests succeed (2xx/304)."},
-    {figure3_http_fanout, true,
+    {"figure3", figure3_http_fanout, true,
      "Clients visit roughly an order of magnitude more external HTTP servers\n"
      "than internal ones (ent N=127-302 clients, wan N=358-684; WAN curve\n"
      "shifted right of the enterprise curve across all datasets)."},
-    {table7_http_content_types, true,
+    {"table7", table7_http_content_types, true,
      "             requests          data bytes\n"
      "             ent       wan     ent       wan\n"
      "text         18-30%    14-26%  7-28%     13-27%\n"
@@ -1068,11 +973,11 @@ constexpr Section kSections[] = {
      "application  3-7%      9-42%   57-73%    33-60%\n"
      "other        0-2%      0.3-1%  0-9%      11-13%\n"
      "(no significant internal-vs-WAN difference in type mix)"},
-    {figure4_http_reply_sizes, true,
+    {"figure4", figure4_http_reply_sizes, true,
      "No significant difference between internal and WAN reply sizes; bodies\n"
      "span 1 B to ~100 MB with medians in the few-KB range; about half of web\n"
      "sessions fetch a single object, 10-20% fetch 10+."},
-    {table8_email_sizes, false,
+    {"table8", table8_email_sizes, false,
      "        D0      D1      D2      D3     D4\n"
      "SMTP    152MB   1658MB  393MB   20MB   59MB   (ours scaled)\n"
      "SIMAP   185MB   1855MB  612MB   236MB  258MB\n"
@@ -1080,18 +985,18 @@ constexpr Section kSections[] = {
      "Other   9MB     68MB    21MB    12MB   21MB\n"
      "Key shape: IMAP4 -> IMAP/S transition between D0 and D1; D0-D2 monitor\n"
      "the mail-server subnets so their volumes dwarf D3-D4's."},
-    {figure5_email_durations, false,
+    {"figure5", figure5_email_durations, false,
      "SMTP: internal durations ~0.2-0.4 s median vs WAN 1.5-6 s (an order of\n"
      "magnitude, tracking RTT).  IMAP/S: internal connections last 1-2 orders\n"
      "of magnitude LONGER than WAN ones (clients poll ~every 10 minutes;\n"
      "durations cap near 50 min in hour-long traces).\n"
      "Success: SMTP internal 95-98%; WAN 71-93% in D0-2 (busy MXs) vs\n"
      "99-100% in D3-4; IMAP/S 99-100% everywhere."},
-    {figure6_email_sizes, false,
+    {"figure6", figure6_email_sizes, false,
      "Flow sizes show no significant internal/WAN difference; traffic is\n"
      "largely unidirectional (to SMTP servers, to IMAP/S clients); over 95%\n"
      "of flows stay below 1 MB with significant upper tails (to ~1 GB axis)."},
-    {uncached<name_service_findings>, true,
+    {"name_services", name_service_findings, true,
      "DNS: median latency ~0.4 ms internal vs ~20 ms external; request types\n"
      "A 50-66%, AAAA 17-25% (hosts resolve A+AAAA in parallel), PTR 10-18%,\n"
      "MX 4-7%; NOERROR 77-86%, NXDOMAIN 11-21%; a few clients (the two main\n"
@@ -1099,7 +1004,7 @@ constexpr Section kSections[] = {
      "Netbios/NS: queries 81-85%, refresh 12-15%; 63-71% of queried names are\n"
      "workstations/servers, 22-32% domain/browser; 36-50% of distinct queries\n"
      "fail (stale names), spread across clients (top-10 < 40% of requests)."},
-    {table9_windows_success, true,
+    {"table9", table9_windows_success, true,
      "Host pairs:      Netbios/SSN    CIFS        Endpoint Mapper\n"
      "Total            595-1464       373-732     119-497\n"
      "Successful       82-92%         46-68%      99-100%\n"
@@ -1107,7 +1012,7 @@ constexpr Section kSections[] = {
      "Unanswered       8-19%          5-19%       0.2-0.8%\n"
      "NBSS handshake success: 89-99%.  CIFS failures stem from clients\n"
      "dialing 139 and 445 in parallel against servers that only listen on 139."},
-    {table10_cifs_commands, true,
+    {"table10", table10_cifs_commands, true,
      "                      requests              data bytes\n"
      "                      D0    D3    D4        D0    D3    D4\n"
      "Total                 49120 45954 123607    18MB  32MB  198MB (ours scaled)\n"
@@ -1118,7 +1023,7 @@ constexpr Section kSections[] = {
      "Other                 2%    0.6%  1.0%      0.2%  0.3%  0.8%\n"
      "Key finding: DCE/RPC pipes, not file sharing, are the most active\n"
      "component of CIFS traffic."},
-    {table11_dcerpc_functions, true,
+    {"table11", table11_dcerpc_functions, true,
      "                      requests              data bytes\n"
      "                      D0    D3    D4        D0    D3    D4\n"
      "Total                 14191 13620 56912     4MB   19MB  146MB (ours scaled)\n"
@@ -1129,7 +1034,7 @@ constexpr Section kSections[] = {
      "Other                 8%    27%   8%        6%    4%    0.6%\n"
      "Vantage point effect: D0 monitors the auth server (NetLogon/LsaRPC\n"
      "dominate); D3-4 monitor the print server (Spoolss dominates)."},
-    {table12_netfile_sizes, false,
+    {"table12", table12_netfile_sizes, false,
      "          D0      D1      D2      D3      D4\n"
      "NFS conns 1067    5260    4144    3038    3347\n"
      "NFS bytes 6318MB  4094MB  3586MB  1030MB  1151MB  (ours scaled)\n"
@@ -1139,7 +1044,7 @@ constexpr Section kSections[] = {
      "40-80% of NCP connections are keepalive-only (1-byte retransmissions).\n"
      "NFS-over-UDP byte share: 66% / 16% / 31% / 94% / 7% across D0-D4;\n"
      "90% of NFS host pairs use UDP, 21% TCP."},
-    {table13_nfs_requests, true,
+    {"table13", table13_nfs_requests, true,
      "         requests                data\n"
      "         D0     D3     D4        D0     D3     D4\n"
      "Total    697512 303386 607108    5843MB 676MB  1064MB (ours scaled)\n"
@@ -1151,7 +1056,7 @@ constexpr Section kSections[] = {
      "Other    2%     0.9%   2%        0.1%   0.2%   1%\n"
      "NFS requests succeed 84-95%; failures dominated by lookups of\n"
      "non-existent files."},
-    {table14_ncp_requests, true,
+    {"table14", table14_ncp_requests, true,
      "                  requests              data\n"
      "                  D0     D3     D4      D0     D3     D4\n"
      "Total             869765 219819 267942  712MB  345MB  222MB (ours scaled)\n"
@@ -1165,18 +1070,18 @@ constexpr Section kSections[] = {
      "Other             3%     3%     2%      0.2%   0.1%   0.1%\n"
      "~95% of NCP requests succeed once connected (88-98% connect success);\n"
      "failures dominated by File/Dir Info requests."},
-    {figure7_requests_per_pair, true,
+    {"figure7", figure7_requests_per_pair, true,
      "Requests per host pair span a handful to hundreds of thousands\n"
      "(N: NFS 104/48/57 pairs, NCP 441/168/188 pairs in D0/D3/D4); the\n"
      "inter-request interval within a client is generally <= 10 ms.\n"
      "(Our request counts scale with ENTRACE_SCALE; pair counts do not.)"},
-    {figure8_netfile_message_sizes, true,
+    {"figure8", figure8_netfile_message_sizes, true,
      "NFS requests/replies are dual-mode: ~100 bytes for everything except\n"
      "write requests and read replies, which sit at the ~8 KB transfer size.\n"
      "NCP requests mode at 14 bytes (reads); reply sizes show vertical rises\n"
      "at 2 bytes (completion-only), 10 bytes (GetFileSize) and 260 bytes\n"
      "(a fraction of ReadFile replies)."},
-    {uncached<table15_backup>, false,
+    {"table15", table15_backup, false,
      "                     Connections   Bytes\n"
      "VERITAS-BACKUP-CTRL  1271          0.1MB    (ours scaled)\n"
      "VERITAS-BACKUP-DATA  352           6781MB\n"
@@ -1185,26 +1090,74 @@ constexpr Section kSections[] = {
      "Veritas data flows are strictly client->server; Dantz connections show\n"
      "significant bidirectionality (tens of MB both ways within single\n"
      "connections); Connected backs up to an external provider."},
-    {figure9_per_input, false,
+    {"figure9", figure9_utilization, false,
      "Networks are under-utilized at every timescale: 1-second peaks can\n"
      "reach saturation (100 Mbps) but peak utilization falls as the interval\n"
      "widens; typical (median) 1-second utilization is 1-2 orders of\n"
      "magnitude below the peak and 2-3 orders below the 100 Mbps capacity.\n"
      "(At ENTRACE_SCALE the absolute Mbps shift down by the scale factor;\n"
      "the orders-of-magnitude gaps are what reproduce.)"},
-    {figure10_retransmissions, false,
+    {"figure10", figure10_retransmissions, false,
      "Retransmission rate < 1% in the vast majority of traces for both\n"
      "internal and WAN traffic; internal < WAN as expected; internal rate\n"
      "sometimes eclipses 2%, peaking ~5% in one trace dominated by a single\n"
      "Veritas backup connection (congestion or flaky NIC downstream of the\n"
      "tap).  Spurious 1-byte keepalive retransmissions (NCP, SSH) are\n"
      "excluded before computing the rates."},
-    {uncached<telemetry>, false, ""},
+    {"telemetry", telemetry, false, ""},
 };
 
 }  // namespace
 
+struct RenderCache::Entry {
+  std::optional<LoadAnalysis> load;
+  std::optional<HttpAnalysis> http;
+  std::optional<EmailAnalysis> email;
+  std::optional<WindowsAnalysis> windows;
+  std::optional<NetFileAnalysis> netfile;
+};
+
+RenderCache::RenderCache() = default;
+RenderCache::~RenderCache() = default;
+
+RenderCache::Entry& RenderCache::entry(const DatasetAnalysis& a) {
+  for (auto& [analysis, e] : entries_) {
+    if (analysis == &a) return *e;
+  }
+  return *entries_.emplace_back(&a, std::make_unique<Entry>()).second;
+}
+
+const LoadAnalysis& RenderCache::load(const DatasetAnalysis& a) {
+  return once(entry(a).load, [&a] { return LoadAnalysis::compute(a.load_raw); });
+}
+
+const HttpAnalysis& RenderCache::http(const DatasetAnalysis& a) {
+  return once(entry(a).http,
+              [&a] { return HttpAnalysis::compute(a.events.http, a.connections, a.site); });
+}
+
+const EmailAnalysis& RenderCache::email(const DatasetAnalysis& a) {
+  return once(entry(a).email, [&a] { return EmailAnalysis::compute(a.connections, a.site); });
+}
+
+const WindowsAnalysis& RenderCache::windows(const DatasetAnalysis& a) {
+  return once(entry(a).windows,
+              [&a] { return WindowsAnalysis::compute(a.events, a.connections, a.site); });
+}
+
+const NetFileAnalysis& RenderCache::netfile(const DatasetAnalysis& a) {
+  return once(entry(a).netfile,
+              [&a] { return NetFileAnalysis::compute(a.events, a.connections, a.site); });
+}
+
 std::span<const Section> sections() { return kSections; }
+
+const Section& section(std::string_view name) {
+  for (const Section& s : kSections) {
+    if (name == s.name) return s;
+  }
+  throw std::invalid_argument("report: no section named '" + std::string(name) + "'");
+}
 
 std::string render_section(const Section& section, Inputs in) {
   RenderCache cache;

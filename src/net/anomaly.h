@@ -17,7 +17,7 @@
 namespace entrace {
 
 enum class AnomalyKind : std::uint8_t {
-  // pcap file layer (counted by PcapReader in recoverable mode).
+  // pcap file layer (counted by PcapReader).
   kPcapShortRecordHeader,  // trailing bytes too short for a 16-byte record header
   kPcapTruncatedRecord,    // record body cut off by EOF (partial bytes salvaged)
   kPcapOversizedRecord,    // caplen exceeds the sanity cap; reader stops

@@ -1,7 +1,6 @@
 #include "pcap/packet_source.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "pcap/reader.h"
@@ -27,10 +26,8 @@ std::unique_ptr<PacketSource> MemoryTraceSourceSet::open(std::size_t index) cons
 
 // ---- PcapFileSource ---------------------------------------------------------
 
-PcapFileSource::PcapFileSource(const std::string& path, std::string name, int subnet_id) {
-  std::string error;
-  reader_ = PcapReader::open(path, &error);
-  if (reader_ == nullptr) throw std::runtime_error(error);
+PcapFileSource::PcapFileSource(const std::string& path, std::string name, int subnet_id)
+    : reader_(std::make_unique<PcapReader>(path)) {
   meta_.name = name.empty() ? path : std::move(name);
   meta_.subnet_id = subnet_id;
   meta_.snaplen = reader_->snaplen();

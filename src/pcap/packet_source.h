@@ -12,9 +12,9 @@
 //
 //   - MemoryTraceSource    adapts an in-memory Trace (zero-copy; keeps
 //                          every existing TraceSet caller working),
-//   - PcapFileSource       streams straight off disk through PcapReader's
-//                          recoverable mode, with record-level anomaly
-//                          accounting (the reader clips to the snaplen),
+//   - PcapFileSource       streams straight off disk through PcapReader,
+//                          with record-level anomaly accounting (the
+//                          reader clips to the snaplen),
 //   - SyntheticTraceSource (src/synth/synth_source.h) regenerates the
 //                          trace in bounded time slices.
 //
@@ -194,8 +194,8 @@ class MemoryTraceSourceSet final : public TraceSourceSet {
 
 // ---- pcap files -------------------------------------------------------------
 
-// Streams a capture file through PcapReader's recoverable mode: corrupt
-// trailing records are salvaged/skipped and counted in anomalies(), and
+// Streams a capture file through PcapReader: corrupt trailing records are
+// salvaged/skipped and counted in anomalies(), and
 // the reader clips captured bytes to the file's snaplen.  Throws
 // std::runtime_error when the file cannot be opened or its global header
 // is malformed (same message as PcapReader).

@@ -32,7 +32,6 @@ PcapReader::~PcapReader() = default;
 
 std::unique_ptr<PcapReader> PcapReader::open(const std::string& path, std::string* error) {
   std::unique_ptr<PcapReader> reader(new PcapReader());
-  reader->recover_ = true;
   const std::string err = reader->init(path);
   if (!err.empty()) {
     if (error) *error = err;
@@ -116,7 +115,7 @@ std::optional<RawPacket> PcapReader::next() {
   offset_ += body_got;
   if (body_got < caplen) {
     anomalies_.add(AnomalyKind::kPcapTruncatedRecord);
-    if (!recover_ || body_got == 0) return std::nullopt;
+    if (body_got == 0) return std::nullopt;
     // Salvage the partial capture; downstream sees it as extra truncation.
     pkt.data.resize(body_got);
   }

@@ -1,18 +1,14 @@
 // pcap capture-file reader; handles both byte orders.
 //
-// Two error-handling modes:
-//  - The throwing constructor (legacy): std::runtime_error on open failure
-//    or a malformed global header; truncated trailing records are dropped
-//    and treated as EOF (as tcpdump does).
-//  - PcapReader::open(): returns nullptr + a descriptive error instead of
-//    throwing, and next() runs in recoverable mode — a record whose body is
-//    cut off by EOF is salvaged (the partial bytes are returned as a
-//    snap-style truncated capture) and counted in anomalies().
-// In both modes every corrupt-record condition is classified into
-// anomalies() so callers can account for what the file actually contained,
-// and next() clips every record to the global header's snaplen (a snaplen
-// of 0 reads as 262,144, libpcap's rule for a bogus one).  Only Ethernet
-// captures (link type 1) are accepted.
+// Opening a file either throws (the constructor) or returns nullptr with a
+// descriptive error (PcapReader::open()); the two read a file the same
+// way.  A record whose body is cut off by EOF is salvaged (the partial
+// bytes are returned as a snap-style truncated capture), and every
+// corrupt-record condition is classified into anomalies() so callers can
+// account for what the file actually contained.  next() clips every record
+// to the global header's snaplen (a snaplen of 0 reads as 262,144,
+// libpcap's rule for a bogus one).  Only Ethernet captures (link type 1)
+// are accepted.
 #pragma once
 
 #include <cstdio>
@@ -37,13 +33,11 @@ class PcapReader {
   PcapReader& operator=(const PcapReader&) = delete;
 
   // Non-throwing factory: returns nullptr and fills *error on failure.
-  // The returned reader salvages partially captured trailing records
-  // instead of dropping them.
   static std::unique_ptr<PcapReader> open(const std::string& path, std::string* error);
 
   // Next packet, or nullopt at end of file.  Corrupt-record conditions
   // (short record header, truncated body, absurd caplen) are counted in
-  // anomalies(); see the class comment for per-mode recovery behavior.
+  // anomalies(); a truncated body is salvaged, the others end the file.
   std::optional<RawPacket> next();
 
   std::uint32_t snaplen() const { return snaplen_; }
@@ -66,7 +60,6 @@ class PcapReader {
   };
   std::unique_ptr<std::FILE, FileCloser> file_;
   bool swapped_ = false;
-  bool recover_ = false;
   std::uint32_t snaplen_ = 0;
   std::uint32_t link_type_ = 0;
   std::uint64_t offset_ = 0;  // file offset of the next unread byte

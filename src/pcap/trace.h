@@ -33,14 +33,15 @@ struct Trace {
   // generator emits full frames and the tap snaps them).
   void apply_snaplen();
 
-  // Round-trip through the pcap file format.
+  // Round-trip through the pcap file format.  Both loads read a file as
+  // PcapFileSource does: corrupt trailing records are salvaged/skipped and
+  // counted in file_anomalies.  load() throws std::runtime_error when the
+  // file itself cannot be opened or has a malformed global header.
   void save(const std::string& path) const;
   static Trace load(const std::string& path, const std::string& name = "", int subnet_id = -1);
 
-  // Non-throwing load in the reader's recoverable mode: corrupt trailing
-  // records are salvaged/skipped and counted in file_anomalies.  Returns
-  // nullopt and fills *error when the file itself cannot be opened or has a
-  // malformed global header.
+  // Non-throwing load: returns nullopt and fills *error where load()
+  // throws.
   static std::optional<Trace> try_load(const std::string& path, const std::string& name = "",
                                        int subnet_id = -1, std::string* error = nullptr);
 };

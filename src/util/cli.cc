@@ -6,19 +6,17 @@
 
 namespace entrace::cli {
 
-double env_scale(double fallback) { return env_double("ENTRACE_SCALE", fallback); }
+double env_scale(double fallback) {
+  const char* s = std::getenv("ENTRACE_SCALE");
+  if (s == nullptr) return fallback;
+  const double v = std::atof(s);
+  return v > 0 ? v : fallback;
+}
 
 int env_int(const char* name, int fallback) {
   const char* s = std::getenv(name);
   if (s == nullptr) return fallback;
   const int v = std::atoi(s);
-  return v > 0 ? v : fallback;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return fallback;
-  const double v = std::atof(s);
   return v > 0 ? v : fallback;
 }
 

@@ -13,9 +13,9 @@ namespace entrace::cli {
 
 // ENTRACE_SCALE, falling back to `fallback` when unset or non-positive.
 double env_scale(double fallback = 0.02);
-// Positive integer/double environment knobs (ENTRACE_BENCH_REPS, ...).
+// A positive integer environment knob (ENTRACE_BENCH_REPS, ...), falling
+// back to `fallback` when unset or non-positive.
 int env_int(const char* name, int fallback);
-double env_double(const char* name, double fallback);
 
 // True for the five paper dataset names D0..D4 (case-sensitive, as
 // dataset_by_name expects them).

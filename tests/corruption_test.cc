@@ -221,7 +221,8 @@ TEST_F(CorruptionTest, CaptureQualityReportListsAnomalies) {
   const DatasetAnalysis a = analyze(corrupted, 1);
 
   const report::ReportInput input{nullptr, &a};
-  const std::string text = report::capture_quality({&input, 1});
+  const std::string text =
+      report::render_section(report::section("capture_quality"), {&input, 1});
   EXPECT_NE(text.find("Capture quality"), std::string::npos);
   EXPECT_NE(text.find("Seen"), std::string::npos);
   EXPECT_NE(text.find("Dropped"), std::string::npos);

@@ -16,7 +16,9 @@
 //   5. The tools: entrace_orchestrate end to end (local slots found next to
 //      the binary, the report on stdout under faults, --metrics-out, exit
 //      codes), a --once entrace_worker stops when its spawner dies,
-//      entrace_merge --allow-partial degrades to the coverage manifest, and
+//      entrace_merge folds a complete shard set to the direct report,
+//      degrades an incomplete one to the coverage manifest, and rejects
+//      mixed or unknown datasets and duplicate traces, and
 //      entrace_orchestrate / entrace_worker / entrace_shard reject garbage
 //      numeric flags with exit 2.
 #include <gtest/gtest.h>
@@ -233,17 +235,24 @@ std::string read_file(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-// Run `argv` with its stdout captured in `out` (stderr discarded).  The
-// exit code, or -1 when it did not exit normally within two minutes.
-int run_tool(const std::vector<std::string>& argv, std::string& out) {
+// Run `argv` with its stdout captured in `out`, and its stderr in `*err`
+// (discarded when null).  The exit code, or -1 when it did not exit
+// normally within two minutes.
+int run_tool(const std::vector<std::string>& argv, std::string& out,
+             std::string* err = nullptr) {
   const std::string out_path = temp_path("entrace_orch_stdout_" + std::to_string(::getpid()));
+  const std::string err_path = out_path + ".err";
   std::string command;
   for (const std::string& arg : argv) command += "'" + arg + "' ";
-  command += "> '" + out_path + "' 2>/dev/null";
+  command += "> '" + out_path + "' 2>" + (err != nullptr ? "'" + err_path + "'" : "/dev/null");
   util::Subprocess shell = util::Subprocess::spawn({"/bin/sh", "-c", command});
   const std::optional<util::ExitStatus> status = shell.wait_for(120.0);
   out = read_file(out_path);
   std::filesystem::remove(out_path);
+  if (err != nullptr) {
+    *err = read_file(err_path);
+    std::filesystem::remove(err_path);
+  }
   return status.has_value() && status->exited ? status->exit_code : -1;
 }
 
@@ -486,33 +495,87 @@ TEST(OrchestrateTest, ShardWriteFailureExitsOne) {
   std::filesystem::remove(file);
 }
 
-// The merge tool's partial mode, driven through the real binaries.
+// entrace_shard's file of `dataset`'s traces [lo, hi) at kScale, at `path`.
+void write_shard(const std::string& path, const char* dataset, const std::string& range) {
+  std::string out;
+  ASSERT_EQ(run_tool({ENTRACE_SHARD_BIN, path, dataset, kScale, "--traces", range}, out), 0)
+      << dataset << " " << range;
+}
+
+// Two shard files that cover D0 between them, given in reverse order: the
+// merge prints the direct run's report, byte for byte, and exits 0.
+TEST(OrchestrateTest, MergeOfCompleteShardSetMatchesDirectReport) {
+  const std::string low = temp_path("entrace_orch_merge_low.esnap");
+  const std::string high = temp_path("entrace_orch_merge_high.esnap");
+  write_shard(low, "D0", "0:11");
+  write_shard(high, "D0", "11:22");
+  std::string out;
+  EXPECT_EQ(run_tool({ENTRACE_MERGE_BIN, high, low}, out), 0);
+  EXPECT_EQ(out, direct_report());
+  std::filesystem::remove(low);
+  std::filesystem::remove(high);
+}
+
+// An incomplete set prints the PARTIAL report, manifest first, and exits
+// 1; --allow-partial prints the same bytes and exits 0.
 TEST(OrchestrateTest, MergeAllowPartialAcceptsIncompleteShardSet) {
   const std::string shard_path = temp_path("entrace_orch_merge_part.esnap");
-  const std::string out_path = temp_path("entrace_orch_merge_part.txt");
-  {
-    auto p = util::Subprocess::spawn(
-        {ENTRACE_SHARD_BIN, shard_path, "D0", "0.004", "--traces", "0:2"});
-    ASSERT_TRUE(p.wait().success());
-  }
-  {
-    auto p = util::Subprocess::spawn(
-        {"/bin/sh", "-c", std::string("'") + ENTRACE_MERGE_BIN + "' '" + shard_path +
-                              "' > /dev/null 2>&1"});
-    EXPECT_EQ(p.wait().exit_code, 1) << "incomplete set without --allow-partial must fail";
-  }
-  {
-    auto p = util::Subprocess::spawn(
-        {"/bin/sh", "-c", std::string("'") + ENTRACE_MERGE_BIN + "' --allow-partial '" +
-                              shard_path + "' > '" + out_path + "' 2>/dev/null"});
-    EXPECT_EQ(p.wait().exit_code, 0);
-  }
-  const std::string out = read_file(out_path);
+  write_shard(shard_path, "D0", "0:2");
+  std::string out;
+  EXPECT_EQ(run_tool({ENTRACE_MERGE_BIN, shard_path}, out), 1)
+      << "incomplete set without --allow-partial must fail";
   EXPECT_EQ(out.find("!!"), 0u);
   EXPECT_NE(out.find("PARTIAL RESULTS"), std::string::npos);
   EXPECT_NE(out.find("Coverage manifest"), std::string::npos);
+  EXPECT_NE(out.find("2-21"), std::string::npos) << "traces 2-21 of D0 are missing";
+  std::string partial;
+  EXPECT_EQ(run_tool({ENTRACE_MERGE_BIN, "--allow-partial", shard_path}, partial), 0);
+  EXPECT_EQ(partial, out);
   std::filesystem::remove(shard_path);
-  std::filesystem::remove(out_path);
+}
+
+// Files of two datasets: exit 1 with no report, and the error names the
+// file that disagrees with the first, not the first.
+TEST(OrchestrateTest, MergeMetadataMismatchNamesTheSecondFile) {
+  const std::string d0 = temp_path("entrace_orch_merge_meta_d0.esnap");
+  const std::string d3 = temp_path("entrace_orch_merge_meta_d3.esnap");
+  write_shard(d0, "D0", "0:1");
+  write_shard(d3, "D3", "0:1");
+  std::string out, err;
+  EXPECT_EQ(run_tool({ENTRACE_MERGE_BIN, d0, d3}, out, &err), 1);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(err.find(d3 + ": snapshot metadata mismatch"), 0u) << err;
+  EXPECT_EQ(err.find(d0), std::string::npos) << err;
+  std::filesystem::remove(d0);
+  std::filesystem::remove(d3);
+}
+
+// One file given twice holds every trace index twice: exit 1 on the first
+// duplicate, with no report.
+TEST(OrchestrateTest, MergeRejectsDuplicateTraceIndex) {
+  const std::string shard_path = temp_path("entrace_orch_merge_dup.esnap");
+  write_shard(shard_path, "D0", "0:1");
+  std::string out, err;
+  EXPECT_EQ(run_tool({ENTRACE_MERGE_BIN, shard_path, shard_path}, out, &err), 1);
+  EXPECT_EQ(out, "");
+  EXPECT_NE(err.find("duplicate shard for trace index 0"), std::string::npos) << err;
+  std::filesystem::remove(shard_path);
+}
+
+// A well-formed file whose metadata names no dataset: exit 1 naming the
+// file, not a death by uncaught exception.
+TEST(OrchestrateTest, MergeRejectsUnknownDataset) {
+  const std::string shard_path = temp_path("entrace_orch_merge_unknown.esnap");
+  {
+    snap::SnapshotWriter writer(shard_path, {"D9", 0.002, 1});
+    writer.add_shard(0, TraceShard{});
+    writer.close();
+  }
+  std::string out, err;
+  EXPECT_EQ(run_tool({ENTRACE_MERGE_BIN, shard_path}, out, &err), 1);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(err.find(shard_path + ": unknown dataset: D9"), 0u) << err;
+  std::filesystem::remove(shard_path);
 }
 
 }  // namespace

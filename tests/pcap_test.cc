@@ -221,9 +221,10 @@ TEST(Pcap, BadMagicErrorNamesOffsetAndObservedValue) {
   std::remove(path.c_str());
 }
 
-// A capture cut off mid-record (tracer killed, disk full): the throwing
-// reader drops the partial trailing record as EOF; the recoverable reader
-// salvages the bytes it got.  Both classify the damage.
+// A capture cut off mid-record (tracer killed, disk full): however the
+// file is opened, the reader salvages the bytes it got and classifies the
+// damage, so Trace::load, Trace::try_load and PcapFileSource see the same
+// packets.
 class PcapTruncationTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -241,11 +242,15 @@ class PcapTruncationTest : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(PcapTruncationTest, ThrowingReaderDropsPartialTrailingRecord) {
+TEST_F(PcapTruncationTest, ThrowingReaderSalvagesPartialTrailingRecord) {
   PcapReader reader(path_);
   auto p1 = reader.next();
   ASSERT_TRUE(p1.has_value());
   EXPECT_EQ(p1->data.size(), 142u);
+  auto p2 = reader.next();
+  ASSERT_TRUE(p2.has_value());
+  EXPECT_EQ(p2->data.size(), 100u);
+  EXPECT_EQ(p2->wire_len, 342u);
   EXPECT_FALSE(reader.next().has_value());
   EXPECT_EQ(reader.anomalies()[AnomalyKind::kPcapTruncatedRecord], 1u);
 }
@@ -272,6 +277,11 @@ TEST_F(PcapTruncationTest, TryLoadSalvagesAndRecordsFileAnomalies) {
   ASSERT_EQ(trace->packets.size(), 2u);
   EXPECT_EQ(trace->packets[1].data.size(), 100u);
   EXPECT_EQ(trace->file_anomalies[AnomalyKind::kPcapTruncatedRecord], 1u);
+  // The throwing load keeps the same bytes.
+  const Trace loaded = Trace::load(path_, "cut", 7);
+  ASSERT_EQ(loaded.packets.size(), 2u);
+  EXPECT_EQ(loaded.packets[1].data, trace->packets[1].data);
+  EXPECT_EQ(loaded.file_anomalies[AnomalyKind::kPcapTruncatedRecord], 1u);
 }
 
 TEST(Pcap, TryLoadReportsUnopenableFile) {

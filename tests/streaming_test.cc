@@ -233,10 +233,10 @@ void expect_identical_reports(const DatasetSpec& spec, const DatasetAnalysis& a,
   const report::ReportInput ia{&spec, &a};
   const report::ReportInput ib{&spec, &b};
   const std::vector<report::ReportInput> va{ia}, vb{ib};
-  EXPECT_EQ(report::table2_network_layer(va), report::table2_network_layer(vb));
-  EXPECT_EQ(report::table3_transport(va), report::table3_transport(vb));
-  EXPECT_EQ(report::figure1_app_breakdown(va), report::figure1_app_breakdown(vb));
-  EXPECT_EQ(report::capture_quality(va), report::capture_quality(vb));
+  for (const char* name : {"table2", "table3", "figure1", "capture_quality"}) {
+    const report::Section& section = report::section(name);
+    EXPECT_EQ(report::render_section(section, va), report::render_section(section, vb)) << name;
+  }
 }
 
 TEST_F(StreamingTest, MemorySourceSetAnalysisEqualsMaterializedPath) {

@@ -1,33 +1,33 @@
 // entrace_merge: fold N .esnap shard snapshots (written by entrace_shard)
 // into the full paper report.
 //
-// Shards are re-ordered by trace index before folding, so the merge is
-// independent of argument order and of how the dataset was partitioned:
-// for any split of a dataset's traces across shard files, the report
-// printed here is byte-identical to running enterprise_report over the
-// whole dataset in one process.
+// The shards are folded and rendered by the code entrace_orchestrate runs
+// (orchestrate::fold_result, orchestrate::render_report), in trace-index
+// order, so the merge is independent of argument order and of how the
+// dataset was partitioned: for any split of a dataset's traces across
+// shard files, the report printed here is byte-identical to running
+// enterprise_report over the whole dataset in one process.
 //
-// --allow-partial accepts an incomplete shard set instead of failing: the
-// report is branded with the PARTIAL banner, prefixed with a coverage
-// manifest naming exactly the missing trace indices, and covers only the
-// traces that are present (cluster/coverage.h semantics).
+// An incomplete shard set prints the report of the traces that are
+// present, branded with the PARTIAL banner and prefixed with a coverage
+// manifest naming exactly the missing trace indices (cluster/coverage.h
+// semantics), and exits 1; --allow-partial makes that exit 0.  Files whose
+// metadata differ or name no known dataset, or two shards of one trace,
+// exit 1 with no report.
 //
 //   $ entrace_merge [--metrics-out file] [--allow-partial] a.esnap ... > report.txt
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "cluster/coverage.h"
-#include "core/analyzer.h"
-#include "core/report.h"
+#include "cluster/result.h"
 #include "obs/exposition.h"
 #include "obs/stage_timer.h"
 #include "snapshot/reader.h"
-#include "synth/synth_source.h"
 
 using namespace entrace;
 
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   }
 
   obs::Registry process_metrics;
-  std::vector<snapshot::SnapshotShard> shards;
+  std::map<std::uint32_t, TraceShard> shards;
   snapshot::SnapshotMeta meta;
   std::uint64_t snapshot_bytes = 0;
   const auto decode_start = std::chrono::steady_clock::now();
@@ -74,43 +74,18 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "%s: snapshot metadata mismatch (%s scale %g, %u traces) vs "
                    "first file (%s scale %g, %u traces)\n",
-                   argv[i], snap.meta.dataset.c_str(), snap.meta.scale, snap.meta.trace_count,
+                   paths[i], snap.meta.dataset.c_str(), snap.meta.scale, snap.meta.trace_count,
                    meta.dataset.c_str(), meta.scale, meta.trace_count);
       return 1;
     }
-    for (auto& shard : snap.shards) shards.push_back(std::move(shard));
-  }
-
-  std::sort(shards.begin(), shards.end(),
-            [](const snapshot::SnapshotShard& a, const snapshot::SnapshotShard& b) {
-              return a.trace_index < b.trace_index;
-            });
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (i > 0 && shards[i].trace_index == shards[i - 1].trace_index) {
-      std::fprintf(stderr, "duplicate shard for trace index %u\n", shards[i].trace_index);
-      return 1;
+    for (auto& s : snap.shards) {
+      if (!shards.emplace(s.trace_index, std::move(s.shard)).second) {
+        std::fprintf(stderr, "%s: duplicate shard for trace index %u\n", paths[i],
+                     s.trace_index);
+        return 1;
+      }
     }
   }
-  std::vector<std::uint32_t> present;
-  present.reserve(shards.size());
-  for (const auto& s : shards) present.push_back(s.trace_index);
-  const orchestrate::CoverageManifest manifest = orchestrate::manifest_for(meta, present);
-  if (!manifest.complete()) {
-    if (!allow_partial) {
-      std::fprintf(stderr,
-                   "incomplete dataset: have %zu of %u trace shards; missing: %s\n"
-                   "(pass --allow-partial to merge what is present)\n",
-                   shards.size(), meta.trace_count, manifest.missing_ranges().c_str());
-      return 1;
-    }
-    std::fputs(orchestrate::partial_banner(manifest).c_str(), stdout);
-    std::fputs(manifest.render().c_str(), stdout);
-    std::fputs("\n", stdout);
-    std::fprintf(stderr, "merging PARTIAL shard set: %zu of %u traces\n", manifest.covered(),
-                 meta.trace_count);
-    if (shards.empty()) return 0;  // nothing to fold: banner + manifest is the report
-  }
-
   const double decode_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - decode_start).count();
   obs::record_stage(&process_metrics, "snapshot_decode", decode_seconds, shards.size());
@@ -119,38 +94,39 @@ int main(int argc, char** argv) {
              "bytes read from .esnap snapshot files")
       ->set(static_cast<double>(snapshot_bytes));
 
-  // The fold is the exact code path analyze_dataset uses after its per-trace
-  // loop, so the merged result (and the report bytes below) match a
-  // single-process run of the same dataset.
-  const EnterpriseModel model;
-  const DatasetSpec spec = dataset_by_name(meta.dataset, meta.scale);
-  std::vector<TraceShard> trace_shards;
-  trace_shards.reserve(shards.size());
-  const std::size_t shard_count = shards.size();
-  for (auto& s : shards) trace_shards.push_back(std::move(s.shard));
-  DatasetAnalysis analysis = fold_shards(spec.name, std::move(trace_shards),
-                                         default_config_for_model(model.site()));
-  std::fprintf(stderr, "merged %zu shards: %llu packets\n", shard_count,
-               static_cast<unsigned long long>(analysis.quality.packets_seen));
-
-  const report::ReportInput input{&spec, &analysis};
-  const std::vector<report::ReportInput> inputs{input};
+  orchestrate::OrchestrateResult result;
+  try {
+    result = orchestrate::fold_result(meta, std::move(shards));
+  } catch (const std::exception& e) {  // a dataset name no spec matches
+    std::fprintf(stderr, "%s: %s\n", paths[0], e.what());
+    return 1;
+  }
+  std::fprintf(stderr, "merged %zu of %u traces: %llu packets\n", result.manifest.covered(),
+               meta.trace_count,
+               static_cast<unsigned long long>(result.analysis.quality.packets_seen));
   {
-    obs::StageScope report_stage(&analysis.metrics, "report");
-    const std::string text = report::full_report(inputs);
+    obs::StageScope report_stage(&result.analysis.metrics, "report");
+    std::fputs(orchestrate::render_report(result).c_str(), stdout);
     report_stage.add_items(1);
-    std::fputs(text.c_str(), stdout);
   }
 
   if (!metrics_out.empty()) {
-    analysis.metrics.merge(process_metrics);
+    result.analysis.metrics.merge(process_metrics);
     try {
-      obs::write_metrics_file(analysis.metrics, metrics_out);
+      obs::write_metrics_file(result.analysis.metrics, metrics_out);
       std::fprintf(stderr, "wrote metrics to %s\n", metrics_out.c_str());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "--metrics-out: %s\n", e.what());
       return 1;
     }
+  }
+
+  if (!result.complete && !allow_partial) {
+    std::fprintf(stderr,
+                 "incomplete dataset: missing traces %s "
+                 "(pass --allow-partial to exit 0 on a PARTIAL report)\n",
+                 result.manifest.missing_ranges().c_str());
+    return 1;
   }
   return 0;
 }
