@@ -112,7 +112,7 @@ void BM_FlowTableProcess(benchmark::State& state) {
   for (auto _ : state) {
     FlowTable table;
     for (const auto& d : decoded) benchmark::DoNotOptimize(table.process(d));
-    table.flush();
+    table.drain_all();
     benchmark::DoNotOptimize(table.connections().size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(decoded.size()));

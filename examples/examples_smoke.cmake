@@ -1,10 +1,11 @@
 # The examples_smoke test: the examples that render report sections by
-# name, at tiny inputs.  Each must exit 0 and print the titles of the
-# sections it names, so a misspelled name (report::section throws) fails
-# here instead of in a user's hands.
+# name, and scanner_hunt, at tiny inputs.  Each must exit 0 and print the
+# titles or lines it names, so a misspelled section name (report::section
+# throws) fails here instead of in a user's hands.
 #
 #   cmake -DQUICKSTART=<quickstart> -DCAPACITY_PLANNING=<capacity_planning>
-#         -DCORRUPTION_DEMO=<corruption_demo> -P examples_smoke.cmake
+#         -DCORRUPTION_DEMO=<corruption_demo> -DSCANNER_HUNT=<scanner_hunt>
+#         -P examples_smoke.cmake
 function(run_example binary arg)
   execute_process(COMMAND "${binary}" ${arg} RESULT_VARIABLE rc OUTPUT_VARIABLE out)
   if(NOT rc EQUAL 0)
@@ -21,3 +22,4 @@ endfunction()
 run_example("${QUICKSTART}" 0.002 "Table 2:" "Table 3:" "Figure 1(a):")
 run_example("${CAPACITY_PLANNING}" 0.002 "Figure 9(a):" "Figure 10:")
 run_example("${CORRUPTION_DEMO}" 0.1 "Capture quality:")
+run_example("${SCANNER_HUNT}" 0.002 "scanner sources detected:" "connections:")

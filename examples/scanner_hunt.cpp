@@ -2,7 +2,7 @@
 // on a generated dataset — print each detected scanner, why it was flagged,
 // and the share of connections its removal affects.
 #include <cstdio>
-#include <map>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "synth/synth_source.h"
@@ -19,20 +19,14 @@ int main(int argc, char** argv) {
   EnterpriseModel model;
   DatasetSpec spec = dataset_d4(scale);
   spec.monitored_subnets = {5, 8, 12, 15, 16, 19};
-  // Regeneration is deterministic, so the ablation can stream the same
-  // dataset twice instead of holding a materialized copy for both runs.
   const SyntheticTraceSourceSet sources(spec, model);
 
-  // Run with and without scanner removal to show the ablation.
-  AnalyzerConfig with = default_config_for_model(model.site());
-  AnalyzerConfig without = with;
-  without.remove_scanners = false;
+  // One analysis shows the ablation: all_connections keeps the scanner
+  // traffic that connections has removed.
+  const DatasetAnalysis a = analyze_dataset(sources, default_config_for_model(model.site()));
 
-  const DatasetAnalysis filtered = analyze_dataset(sources, with);
-  const DatasetAnalysis unfiltered = analyze_dataset(sources, without);
-
-  std::printf("scanner sources detected: %zu\n", filtered.scanners.size());
-  for (const Ipv4Address addr : filtered.scanners) {
+  std::printf("scanner sources detected: %zu\n", a.scanners.size());
+  for (const Ipv4Address addr : a.scanners) {
     const bool known = addr == model.internal_scanner(0).ip ||
                        addr == model.internal_scanner(1).ip;
     const bool internal = model.is_internal(addr);
@@ -42,19 +36,18 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nconnections: %zu total, %zu after removal (%.1f%% removed; paper: 4-18%%)\n",
-              unfiltered.connections.size(), filtered.connections.size(),
-              filtered.scanner_removed_fraction() * 100.0);
+              a.all_connections.size(), a.connections.size(),
+              a.scanner_removed_fraction() * 100.0);
 
   // Show what scanners would otherwise distort: ICMP connection share.
-  auto icmp_share = [](const DatasetAnalysis& a) {
+  auto icmp_share = [](const std::vector<const Connection*>& conns) {
     std::uint64_t icmp = 0;
-    for (const Connection* c : a.connections)
+    for (const Connection* c : conns)
       if (c->key.proto == 1) ++icmp;
-    return a.connections.empty() ? 0.0
-                                 : 100.0 * static_cast<double>(icmp) /
-                                       static_cast<double>(a.connections.size());
+    return conns.empty() ? 0.0
+                         : 100.0 * static_cast<double>(icmp) / static_cast<double>(conns.size());
   };
   std::printf("ICMP share of connections: %.1f%% unfiltered vs %.1f%% filtered\n",
-              icmp_share(unfiltered), icmp_share(filtered));
+              icmp_share(a.all_connections), icmp_share(a.connections));
   return 0;
 }

@@ -4,8 +4,6 @@
 
 namespace entrace {
 
-ScannerDetector::ScannerDetector(Config config) : config_(config) {}
-
 void ScannerDetector::observe(Ipv4Address src, Ipv4Address dst) {
   auto& state = sources_[src.value()];
   if (state.seen.insert(dst.value()).second) {
@@ -69,8 +67,8 @@ void ScannerDetector::import_observations(const std::vector<SourceObservations>&
   cache_valid_ = false;
 }
 
-bool ScannerDetector::is_ordered_probe(const SourceState& s, const Config& config) {
-  if (s.seen.size() <= config.distinct_host_threshold) return false;
+bool ScannerDetector::is_ordered_probe(const SourceState& s) {
+  if (s.seen.size() <= kDistinctHostThreshold) return false;
   // Count the longest run of consecutive first-contacts moving in one
   // direction through the address space.
   std::size_t best = 1, asc = 1, desc = 1;
@@ -86,14 +84,14 @@ bool ScannerDetector::is_ordered_probe(const SourceState& s, const Config& confi
     }
     best = std::max({best, asc, desc});
   }
-  return best >= config.ordered_run_threshold;
+  return best >= kOrderedRunThreshold;
 }
 
 std::set<Ipv4Address> ScannerDetector::scanners() const {
   if (!cache_valid_) {
     cache_ = known_;
     for (const auto& [src, state] : sources_) {
-      if (is_ordered_probe(state, config_)) cache_.insert(Ipv4Address(src));
+      if (is_ordered_probe(state)) cache_.insert(Ipv4Address(src));
     }
     cache_valid_ = true;
   }

@@ -19,13 +19,11 @@ namespace entrace {
 
 class ScannerDetector {
  public:
-  struct Config {
-    std::size_t distinct_host_threshold = 50;
-    std::size_t ordered_run_threshold = 45;
-  };
-
-  ScannerDetector() : ScannerDetector(Config()) {}
-  explicit ScannerDetector(Config config);
+  // "more than 50 distinct hosts"
+  static constexpr std::size_t kDistinctHostThreshold = 50;
+  // "at least 45 of the distinct addresses probed were in ascending or
+  // descending order"
+  static constexpr std::size_t kOrderedRunThreshold = 45;
 
   // Feed one observed (source, destination) packet pair, in trace order.
   void observe(Ipv4Address src, Ipv4Address dst);
@@ -36,7 +34,7 @@ class ScannerDetector {
   // detectors in trace-index order reproduces the exact per-source
   // first-contact order of a serial pass over the same traces: for each
   // source, `other`'s first contacts are appended except for destinations
-  // this detector already saw.  The two detectors must share a Config.
+  // this detector already saw.
   void merge(const ScannerDetector& other);
 
   // Evaluate the heuristic over everything observed so far.
@@ -68,9 +66,8 @@ class ScannerDetector {
     std::vector<std::uint32_t> order;
   };
 
-  static bool is_ordered_probe(const SourceState& s, const Config& config);
+  static bool is_ordered_probe(const SourceState& s);
 
-  Config config_;
   std::unordered_map<std::uint32_t, SourceState> sources_;
   std::set<Ipv4Address> known_;
   mutable bool cache_valid_ = false;

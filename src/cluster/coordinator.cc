@@ -41,6 +41,9 @@ constexpr auto kIdleTick = std::chrono::milliseconds(5);
 constexpr int kPollCapMs = 100;
 // How often a local slot looks for its child's port file.
 constexpr auto kPortFileTick = std::chrono::milliseconds(1);
+// Seconds to establish a connection before the attempt counts as
+// connect-refused.
+constexpr double kConnectTimeout = 2.0;
 
 struct Endpoint {
   std::string host;
@@ -355,7 +358,7 @@ class Coordinator {
       if (fault != WorkerFault::kNone) return fault;
     }
     std::string error;
-    util::ScopedFd fd = util::tcp_connect(host, port, config_.connect_timeout, &error);
+    util::ScopedFd fd = util::tcp_connect(host, port, kConnectTimeout, &error);
     if (!fd.valid()) {
       detail = error;
       return WorkerFault::kConnectRefused;

@@ -63,9 +63,6 @@ struct ClusterConfig {
   std::size_t shard_threads = 1;
   // Per-job attempt budget + backoff schedule (seeded, deterministic).
   util::RetryPolicy retry;
-  // Seconds to establish a connection before the attempt counts as
-  // connect-refused.
-  double connect_timeout = 2.0;
   // Heartbeat cadence requested from workers, and how long the coordinator
   // waits without receiving ANY frame (or, from a local child, its port)
   // before declaring the worker hung.

@@ -106,9 +106,7 @@ std::vector<TraceShard> analyze_trace_shards(const TraceSourceSet& sources,
   // threads and a trace's packets live only inside its job.
   end = std::min(end, sources.size());
   const std::size_t n = end > begin ? end - begin : 0;
-  std::vector<TraceShard> shards;
-  shards.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) shards.emplace_back(config.scanner);
+  std::vector<TraceShard> shards(n);
 
   const std::size_t threads =
       config.threads != 0 ? config.threads : ThreadPool::env_thread_count();
@@ -132,7 +130,7 @@ DatasetAnalysis fold_shards(std::string dataset_name, std::vector<TraceShard>&& 
   const auto fold_start = std::chrono::steady_clock::now();
 
   // ---- deterministic fold, in trace-index order ----------------------------
-  ScannerDetector detector(config.scanner);
+  ScannerDetector detector;
   for (Ipv4Address known : config.site.known_scanners) detector.add_known_scanner(known);
 
   // Across traces the detector merges into a fold-local one, and each
@@ -153,8 +151,7 @@ DatasetAnalysis fold_shards(std::string dataset_name, std::vector<TraceShard>&& 
   for (const auto& table : out.tables) {
     for (const Connection& conn : table->connections()) {
       out.all_connections.push_back(&conn);
-      const bool from_scanner = config.remove_scanners && out.scanners.count(conn.key.src) > 0;
-      if (from_scanner) {
+      if (out.scanners.count(conn.key.src) > 0) {
         ++out.scanner_conns_removed;
       } else {
         out.connections.push_back(&conn);

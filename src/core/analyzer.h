@@ -53,11 +53,12 @@
 
 namespace entrace {
 
+// What a run may vary.  The paper fixes the rest: the scanner thresholds
+// (ScannerDetector's 50 and 45) and the flow timeouts (flow/flow_table.cc)
+// are constants, and scanner traffic is always removed, so every fold runs
+// with the settings of the analysis that produced its shards.
 struct AnalyzerConfig {
   SiteConfig site;
-  FlowConfig flow;
-  ScannerDetector::Config scanner;
-  bool remove_scanners = true;
   // Override the per-trace snaplen-based payload-analysis decision.
   std::optional<bool> payload_analysis;
   // Worker threads for the per-trace analysis jobs.  0 = auto: honour
@@ -166,8 +167,8 @@ class DatasetAnalysis : public ShardTotals {
   // ---- connections -----------------------------------------------------------
   // Flow state (owns the Connection objects everything else points into).
   std::vector<std::unique_ptr<FlowTable>> tables;
-  std::vector<const Connection*> all_connections;
-  std::vector<const Connection*> connections;  // scanner traffic removed
+  std::vector<const Connection*> all_connections;  // scanner traffic included
+  std::vector<const Connection*> connections;      // scanner traffic removed
   std::set<Ipv4Address> scanners;
   std::uint64_t scanner_conns_removed = 0;
   double scanner_removed_fraction() const {
@@ -195,10 +196,6 @@ class DatasetAnalysis : public ShardTotals {
 // series, while WindowFold::add upserts connections by open_seq and sums
 // the load series.
 struct TraceShard : ShardTotals {
-  TraceShard() = default;
-  explicit TraceShard(const ScannerDetector::Config& scanner_config)
-      : detector(scanner_config) {}
-
   int subnet_id = -1;
   ScannerDetector detector;
   std::unique_ptr<FlowTable> table;

@@ -85,7 +85,7 @@ TraceStream::TraceStream(const TraceMeta& meta, const AnalyzerConfig& config)
       collect_(config.collect_metrics),
       dispatcher_(registry_, win_.events, config.payload_analysis.value_or(meta.snaplen >= 200),
                   &win_.quality.anomalies),
-      table_(std::make_unique<FlowTable>(config.flow, &dispatcher_)) {
+      table_(std::make_unique<FlowTable>(&dispatcher_)) {
   start_window();
 }
 
@@ -94,7 +94,7 @@ TraceStream::~TraceStream() = default;
 // Move-assigning a fresh shard keeps every member of win_ at its address, so
 // the dispatcher's references into it stay valid.
 void TraceStream::start_window() {
-  win_ = TraceShard(config_.scanner);
+  win_ = TraceShard();
   win_.subnet_id = meta_.subnet_id;
   win_.load.trace_name = meta_.name;
   pkt_bytes_ = collect_ ? win_.metrics.histogram("source.packet_bytes", obs::MetricClass::kSemantic,
@@ -225,7 +225,7 @@ TraceShard TraceStream::rotate() {
   // parser_slot cleared: it is transient dispatcher state that must not
   // leak into snapshots.
   const std::vector<std::uint32_t> dirty = table_->take_dirty();
-  shard.table = std::make_unique<FlowTable>(config_.flow);
+  shard.table = std::make_unique<FlowTable>();
   std::deque<Connection>& out_conns = shard.table->connections();
   std::unordered_map<const Connection*, const Connection*> remap;
   remap.reserve(dirty.size());

@@ -5,6 +5,11 @@
 namespace entrace {
 namespace {
 
+// The idle gap that splits a UDP or ICMP flow: the next same-tuple packet
+// after it starts a new flow, and evict_idle closes the flow once it
+// passes.
+constexpr double kFlowTimeout = 60.0;
+
 // Signed sequence-number comparison (RFC 1982 style) so the logic survives
 // wraparound, although our traces are short enough not to wrap.
 inline bool seq_leq(std::uint32_t a, std::uint32_t b) {
@@ -16,9 +21,6 @@ inline bool seq_lt(std::uint32_t a, std::uint32_t b) {
 
 }  // namespace
 
-FlowTable::FlowTable(Config config, FlowObserver* observer)
-    : config_(config), observer_(observer) {}
-
 FlowTable::Entry& FlowTable::find_or_create(const DecodedPacket& pkt, std::uint64_t key_lo,
                                             std::uint64_t key_hi, bool& created) {
   const std::size_t slot = active_.find_slot(key_lo, key_hi);
@@ -27,10 +29,7 @@ FlowTable::Entry& FlowTable::find_or_create(const DecodedPacket& pkt, std::uint6
     Connection& conn = conn_of(e);
     const bool syn_only = pkt.is_tcp() && (pkt.tcp_flags & tcpflag::kSyn) &&
                           !(pkt.tcp_flags & tcpflag::kAck);
-    const bool idle_expired =
-        !pkt.is_tcp() &&
-        pkt.ts - conn.last_ts > (pkt.is_udp() ? config_.udp_flow_timeout
-                                              : config_.icmp_flow_timeout);
+    const bool idle_expired = !pkt.is_tcp() && pkt.ts - conn.last_ts > kFlowTimeout;
     const bool fresh_syn = syn_only && e.closed;
     // Port reuse: a pure SYN carrying a *different* ISN from the original
     // originator while the old connection is still live means the client
@@ -314,28 +313,14 @@ void FlowTable::drain_all() {
 }
 
 std::size_t FlowTable::evict_idle(double now) {
+  // Only live entries can own their key: every path that closes a UDP or
+  // ICMP flow (split, drain, eviction) unmaps it or hands the key on.
   std::size_t closed_count = 0;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     Entry& e = entries_[i];
-    if (e.freed) continue;
-    Connection& conn = conn_of(e);
-    double timeout;
-    if (conn.key.proto == ipproto::kTcp) {
-      if (config_.tcp_idle_timeout <= 0.0) continue;
-      timeout = config_.tcp_idle_timeout;
-    } else if (conn.key.proto == ipproto::kUdp) {
-      timeout = config_.udp_flow_timeout;
-    } else {
-      timeout = config_.icmp_flow_timeout;
-    }
-    if (now - conn.last_ts <= timeout) continue;
-    if (e.closed) {
-      // FIN/RST leaves the tuple mapped so late packets keep attributing to
-      // the finished connection; once the idle timeout passes, release the
-      // key too — exactly when a live flow would have been split anyway.
-      unmap_if_owner(i);
-      continue;
-    }
+    if (e.freed || e.closed) continue;
+    const Connection& conn = conn_of(e);
+    if (conn.key.proto == ipproto::kTcp || now - conn.last_ts <= kFlowTimeout) continue;
     ++stats_.evicted;
     ++closed_count;
     close_entry(e);

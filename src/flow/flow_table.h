@@ -52,17 +52,6 @@ struct PacketVerdict {
   bool keepalive_retx = false;
 };
 
-struct FlowConfig {
-  double udp_flow_timeout = 60.0;  // idle gap that splits a UDP flow
-  double icmp_flow_timeout = 60.0;
-  // Idle gap after which evict_idle() closes a live TCP connection.  0
-  // disables time-driven TCP eviction (the batch default: TCP connections
-  // end only via FIN/RST or the end-of-stream drain, exactly as before).
-  // UDP/ICMP eviction always uses the flow timeouts above, mirroring the
-  // lazy split the next same-tuple packet would have performed.
-  double tcp_idle_timeout = 0.0;
-};
-
 // Churn counters the table maintains about its own operation — the
 // telemetry ground truth for `flow.*` metrics.  Plain data (no obs
 // dependency): the analyzer copies these into its per-shard registry, so
@@ -102,9 +91,7 @@ inline FiveTuple flow_tuple_of(const DecodedPacket& pkt) {
 
 class FlowTable {
  public:
-  using Config = FlowConfig;
-
-  explicit FlowTable(Config config = Config(), FlowObserver* observer = nullptr);
+  explicit FlowTable(FlowObserver* observer = nullptr) : observer_(observer) {}
 
   // Process one decoded packet.  The returned pointers remain valid until
   // the FlowTable is destroyed (connections live in a stable deque).
@@ -119,24 +106,19 @@ class FlowTable {
 
   // End-of-stream drain: classify and close every still-open flow (counted
   // in stats().drained), emit on_close callbacks, clear the active map.
-  // Idempotent; the windowed engine calls it at final drain and the batch
-  // path reaches it through flush(), so both account cut-off flows the
-  // same way.
+  // Idempotent; the batch and windowed engines both end a trace with it,
+  // so both account cut-off flows the same way.
   void drain_all();
 
-  // Finalize a batch run — an alias for drain_all(), kept as the
-  // historical analyzer entry point.
-  void flush() { drain_all(); }
-
   // Time-driven expiry sweep for endless streams: closes (and unmaps) every
-  // live flow idle longer than its protocol's timeout as of stream time
-  // `now` (UDP/ICMP: the flow timeouts, matching the lazy split the next
-  // same-tuple packet would force; TCP: config.tcp_idle_timeout when > 0).
-  // Also unmaps already-closed entries that still hold their key (FIN/RST
-  // leaves the tuple mapped so late packets keep attributing), bounding the
-  // active map.  Deterministic: walks entries in creation order against
-  // stream time, never wall time.  Returns the number of live flows closed
-  // (also summed into stats().evicted).
+  // UDP or ICMP flow idle longer than the 60 s flow timeout as of stream
+  // time `now` — exactly when the lazy split the next same-tuple packet
+  // would force.  TCP connections are never idle-evicted: they end by
+  // FIN/RST, by a SYN that reuses their tuple, or by the end-of-stream
+  // drain, and reclaim_closed() recycles their slots once closed.
+  // Deterministic: walks entries in creation order against stream time,
+  // never wall time.  Returns the number of flows closed (also summed into
+  // stats().evicted).
   std::size_t evict_idle(double now);
 
   // ---- windowed-engine support ---------------------------------------------
@@ -197,7 +179,6 @@ class FlowTable {
   // re-pointed the key at a successor entry).
   void unmap_if_owner(std::size_t index);
 
-  Config config_;
   FlowObserver* observer_;
   std::deque<Connection> connections_;
   // Entries are created 1:1 with connections (entries_[i].conn_index == i)

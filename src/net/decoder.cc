@@ -49,8 +49,6 @@ bool decode_packet_into(std::span<const std::uint8_t> data, double ts, std::uint
   d.ts = ts;
   d.wire_len = wire_len;
   d.cap_len = static_cast<std::uint32_t>(data.size());
-  // Ethernet header parsed in place: the optional<EthernetHeader> path
-  // copied both MACs twice per packet on the hottest line of the decoder.
   std::array<std::uint8_t, 6> mac;
   std::memcpy(mac.data(), data.data(), 6);
   d.eth_dst = MacAddress(mac);

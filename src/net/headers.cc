@@ -10,20 +10,6 @@ void EthernetHeader::encode(ByteWriter& w) const {
   w.u16be(ethertype);
 }
 
-std::optional<EthernetHeader> EthernetHeader::decode(ByteReader& r) {
-  EthernetHeader h;
-  auto d = r.bytes(6);
-  auto s = r.bytes(6);
-  h.ethertype = r.u16be();
-  if (!r.ok()) return std::nullopt;
-  std::array<std::uint8_t, 6> buf;
-  std::copy(d.begin(), d.end(), buf.begin());
-  h.dst = MacAddress(buf);
-  std::copy(s.begin(), s.end(), buf.begin());
-  h.src = MacAddress(buf);
-  return h;
-}
-
 void ArpHeader::encode(ByteWriter& w) const {
   w.u16be(1);       // htype: Ethernet
   w.u16be(0x0800);  // ptype: IPv4
@@ -34,24 +20,6 @@ void ArpHeader::encode(ByteWriter& w) const {
   w.u32be(sender_ip.value());
   w.bytes(std::span<const std::uint8_t>(target_mac.bytes()));
   w.u32be(target_ip.value());
-}
-
-std::optional<ArpHeader> ArpHeader::decode(ByteReader& r) {
-  if (r.u16be() != 1 || r.u16be() != 0x0800) return std::nullopt;
-  if (r.u8() != 6 || r.u8() != 4) return std::nullopt;
-  ArpHeader h;
-  h.opcode = r.u16be();
-  std::array<std::uint8_t, 6> buf;
-  auto sm = r.bytes(6);
-  h.sender_ip = Ipv4Address(r.u32be());
-  auto tm = r.bytes(6);
-  h.target_ip = Ipv4Address(r.u32be());
-  if (!r.ok()) return std::nullopt;
-  std::copy(sm.begin(), sm.end(), buf.begin());
-  h.sender_mac = MacAddress(buf);
-  std::copy(tm.begin(), tm.end(), buf.begin());
-  h.target_mac = MacAddress(buf);
-  return h;
 }
 
 void IpxHeader::encode(ByteWriter& w) const {
@@ -65,27 +33,6 @@ void IpxHeader::encode(ByteWriter& w) const {
   w.u32be(src_net);
   w.bytes(std::span<const std::uint8_t>(src_node.bytes()));
   w.u16be(src_socket);
-}
-
-std::optional<IpxHeader> IpxHeader::decode(ByteReader& r) {
-  if (r.u16be() != 0xFFFF) return std::nullopt;
-  IpxHeader h;
-  h.length = r.u16be();
-  r.u8();  // transport control
-  h.packet_type = r.u8();
-  std::array<std::uint8_t, 6> buf;
-  h.dst_net = r.u32be();
-  auto dn = r.bytes(6);
-  h.dst_socket = r.u16be();
-  h.src_net = r.u32be();
-  auto sn = r.bytes(6);
-  h.src_socket = r.u16be();
-  if (!r.ok()) return std::nullopt;
-  std::copy(dn.begin(), dn.end(), buf.begin());
-  h.dst_node = MacAddress(buf);
-  std::copy(sn.begin(), sn.end(), buf.begin());
-  h.src_node = MacAddress(buf);
-  return h;
 }
 
 void Ipv4Header::encode(ByteWriter& w) const {
@@ -108,26 +55,6 @@ void Ipv4Header::encode(ByteWriter& w) const {
   w.bytes(hdr);
 }
 
-std::optional<Ipv4Header> Ipv4Header::decode(ByteReader& r) {
-  const std::uint8_t vi = r.u8();
-  if (!r.ok() || (vi >> 4) != 4) return std::nullopt;
-  const std::size_t ihl = static_cast<std::size_t>(vi & 0x0F) * 4;
-  if (ihl < kMinSize) return std::nullopt;
-  Ipv4Header h;
-  h.tos = r.u8();
-  h.total_length = r.u16be();
-  h.identification = r.u16be();
-  r.u16be();  // flags/fragment
-  h.ttl = r.u8();
-  h.protocol = r.u8();
-  h.checksum = r.u16be();
-  h.src = Ipv4Address(r.u32be());
-  h.dst = Ipv4Address(r.u32be());
-  if (ihl > kMinSize) r.skip(ihl - kMinSize);  // options
-  if (!r.ok()) return std::nullopt;
-  return h;
-}
-
 void TcpHeader::encode(ByteWriter& w) const {
   w.u16be(src_port);
   w.u16be(dst_port);
@@ -140,39 +67,11 @@ void TcpHeader::encode(ByteWriter& w) const {
   w.u16be(0);  // urgent pointer
 }
 
-std::optional<TcpHeader> TcpHeader::decode(ByteReader& r) {
-  TcpHeader h;
-  h.src_port = r.u16be();
-  h.dst_port = r.u16be();
-  h.seq = r.u32be();
-  h.ack = r.u32be();
-  const std::uint8_t off = r.u8();
-  h.flags = r.u8();
-  h.window = r.u16be();
-  h.checksum = r.u16be();
-  r.u16be();  // urgent
-  const std::size_t data_off = static_cast<std::size_t>(off >> 4) * 4;
-  if (data_off < kMinSize) return std::nullopt;
-  if (data_off > kMinSize) r.skip(data_off - kMinSize);  // options
-  if (!r.ok()) return std::nullopt;
-  return h;
-}
-
 void UdpHeader::encode(ByteWriter& w) const {
   w.u16be(src_port);
   w.u16be(dst_port);
   w.u16be(length);
   w.u16be(checksum);
-}
-
-std::optional<UdpHeader> UdpHeader::decode(ByteReader& r) {
-  UdpHeader h;
-  h.src_port = r.u16be();
-  h.dst_port = r.u16be();
-  h.length = r.u16be();
-  h.checksum = r.u16be();
-  if (!r.ok()) return std::nullopt;
-  return h;
 }
 
 void IcmpHeader::encode(ByteWriter& w) const {
@@ -181,17 +80,6 @@ void IcmpHeader::encode(ByteWriter& w) const {
   w.u16be(checksum);
   w.u16be(identifier);
   w.u16be(sequence);
-}
-
-std::optional<IcmpHeader> IcmpHeader::decode(ByteReader& r) {
-  IcmpHeader h;
-  h.type = r.u8();
-  h.code = r.u8();
-  h.checksum = r.u16be();
-  h.identifier = r.u16be();
-  h.sequence = r.u16be();
-  if (!r.ok()) return std::nullopt;
-  return h;
 }
 
 }  // namespace entrace

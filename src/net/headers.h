@@ -1,11 +1,11 @@
-// Wire-format protocol constants and header encode/decode for the link,
+// Wire-format protocol constants and header encoders for the link,
 // network, and transport layers seen in the LBNL traces: Ethernet, ARP, IPX,
 // IPv4, TCP, UDP, ICMP, plus the rare transports the paper lists (IGMP,
-// ESP, GRE, PIM, protocol 224).
+// ESP, GRE, PIM, protocol 224).  The packet path reads these layouts in
+// place (net/decoder.cc).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,7 +54,6 @@ struct EthernetHeader {
   std::uint16_t ethertype = 0;
 
   void encode(ByteWriter& w) const;
-  static std::optional<EthernetHeader> decode(ByteReader& r);
 };
 
 struct ArpHeader {
@@ -68,7 +67,6 @@ struct ArpHeader {
   Ipv4Address target_ip;
 
   void encode(ByteWriter& w) const;
-  static std::optional<ArpHeader> decode(ByteReader& r);
 };
 
 // Novell IPX over Ethernet II framing (30-byte header).  The paper's traces
@@ -85,7 +83,6 @@ struct IpxHeader {
   std::uint16_t src_socket = 0;
 
   void encode(ByteWriter& w) const;
-  static std::optional<IpxHeader> decode(ByteReader& r);
 };
 
 struct Ipv4Header {
@@ -101,7 +98,6 @@ struct Ipv4Header {
 
   // Encodes with a correct header checksum; total_length must be set.
   void encode(ByteWriter& w) const;
-  static std::optional<Ipv4Header> decode(ByteReader& r);
 };
 
 struct TcpHeader {
@@ -115,7 +111,6 @@ struct TcpHeader {
   std::uint16_t checksum = 0;
 
   void encode(ByteWriter& w) const;
-  static std::optional<TcpHeader> decode(ByteReader& r);
 };
 
 struct UdpHeader {
@@ -126,7 +121,6 @@ struct UdpHeader {
   std::uint16_t checksum = 0;
 
   void encode(ByteWriter& w) const;
-  static std::optional<UdpHeader> decode(ByteReader& r);
 };
 
 struct IcmpHeader {
@@ -142,7 +136,6 @@ struct IcmpHeader {
   std::uint16_t sequence = 0;
 
   void encode(ByteWriter& w) const;
-  static std::optional<IcmpHeader> decode(ByteReader& r);
 };
 
 }  // namespace entrace

@@ -19,80 +19,49 @@ ProtocolDispatcher::ProtocolDispatcher(AppRegistry& registry, AppEvents& events,
       payload_analysis_(payload_analysis),
       anomalies_(anomalies) {}
 
-ProtocolDispatcher::~ProtocolDispatcher() {
-  // Destroy parsers the flow table never closed (none, after a normal
-  // flush, since flush closes every entry).  The arena frees the memory.
-  for (AppParser* p : slots_) {
-    if (p != nullptr) p->~AppParser();
-  }
-}
-
 void ProtocolDispatcher::on_new_connection(Connection& conn) {
   const AppProtocol app = registry_.identify(conn);
   conn.app_id = static_cast<std::uint16_t>(app);
   conn.parser_slot = Connection::kNoParser;
   if (!payload_analysis_) return;
-  if (AppParser* parser = make_parser(conn, app)) {
-    parser->set_anomaly_sink(anomalies_);
-    std::uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot] = parser;
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.push_back(parser);
-      slot_sizes_.push_back(0);
-    }
-    slot_sizes_[slot] = pending_size_;
-    conn.parser_slot = slot;
+  std::unique_ptr<AppParser> parser = make_parser(conn, app);
+  if (parser == nullptr) return;
+  parser->set_anomaly_sink(anomalies_);
+  if (!free_slots_.empty()) {
+    conn.parser_slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[conn.parser_slot] = std::move(parser);
+  } else {
+    conn.parser_slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(parser));
   }
 }
 
-// All parsers align within max_align_t, so blocks are interchangeable
-// between same-sized types; keying the free lists on the rounded size alone
-// is enough.
-template <typename T, typename... Args>
-T* ProtocolDispatcher::alloc_parser(Args&&... args) {
-  static_assert(alignof(T) <= alignof(std::max_align_t));
-  const std::uint32_t size = static_cast<std::uint32_t>(
-      (sizeof(T) + alignof(std::max_align_t) - 1) & ~(alignof(std::max_align_t) - 1));
-  pending_size_ = size;
-  for (FreeList& fl : free_mem_) {
-    if (fl.size == size && !fl.blocks.empty()) {
-      void* p = fl.blocks.back();
-      fl.blocks.pop_back();
-      return new (p) T(std::forward<Args>(args)...);
-    }
-  }
-  void* p = arena_.allocate(size, alignof(std::max_align_t));
-  return new (p) T(std::forward<Args>(args)...);
-}
-
-AppParser* ProtocolDispatcher::make_parser(const Connection& conn, AppProtocol app) {
+std::unique_ptr<AppParser> ProtocolDispatcher::make_parser(const Connection& conn,
+                                                           AppProtocol app) {
   switch (app) {
     case AppProtocol::kHttp:
-      return alloc_parser<HttpParser>(events_.http);
+      return std::make_unique<HttpParser>(events_.http);
     case AppProtocol::kSmtp:
-      return alloc_parser<SmtpParser>(events_.smtp);
+      return std::make_unique<SmtpParser>(events_.smtp);
     case AppProtocol::kDns:
-      if (conn.key.proto == ipproto::kUdp) return alloc_parser<DnsParser>(events_.dns);
+      if (conn.key.proto == ipproto::kUdp) return std::make_unique<DnsParser>(events_.dns);
       return nullptr;
     case AppProtocol::kNetbiosNs:
-      return alloc_parser<NbnsParser>(events_.nbns);
+      return std::make_unique<NbnsParser>(events_.nbns);
     case AppProtocol::kNetbiosSsn:
-      return alloc_parser<CifsParser>(events_, /*netbios_framing=*/true);
+      return std::make_unique<CifsParser>(events_, /*netbios_framing=*/true);
     case AppProtocol::kCifs:
-      return alloc_parser<CifsParser>(events_, /*netbios_framing=*/false);
+      return std::make_unique<CifsParser>(events_, /*netbios_framing=*/false);
     case AppProtocol::kEndpointMapper:
     case AppProtocol::kDceRpc:
       if (conn.key.proto == ipproto::kTcp)
-        return alloc_parser<DceRpcParser>(events_.dcerpc, events_.epm);
+        return std::make_unique<DceRpcParser>(events_.dcerpc, events_.epm);
       return nullptr;
     case AppProtocol::kNfs:
-      return alloc_parser<NfsParser>(events_.nfs, conn.key.proto == ipproto::kTcp);
+      return std::make_unique<NfsParser>(events_.nfs, conn.key.proto == ipproto::kTcp);
     case AppProtocol::kNcp:
-      if (conn.key.proto == ipproto::kTcp) return alloc_parser<NcpParser>(events_.ncp);
+      if (conn.key.proto == ipproto::kTcp) return std::make_unique<NcpParser>(events_.ncp);
       return nullptr;
     default:
       return nullptr;
@@ -102,7 +71,7 @@ AppParser* ProtocolDispatcher::make_parser(const Connection& conn, AppProtocol a
 void ProtocolDispatcher::on_data(Connection& conn, Direction dir, double ts,
                                  std::span<const std::uint8_t> data, std::uint32_t wire_len) {
   if (conn.parser_slot == Connection::kNoParser) return;
-  AppParser* parser = slots_[conn.parser_slot];
+  AppParser* parser = slots_[conn.parser_slot].get();
   if (conn.key.proto == ipproto::kUdp) {
     parser->on_datagram(conn, dir, ts, data, wire_len);
   } else {
@@ -120,24 +89,13 @@ void ProtocolDispatcher::register_new_epm_mappings() {
 
 void ProtocolDispatcher::on_close(Connection& conn) {
   if (conn.parser_slot == Connection::kNoParser) return;
-  AppParser*& slot = slots_[conn.parser_slot];
-  slot->on_close(conn);
-  // Run the destructor now so stream buffers are released mid-trace, as
-  // the old map erase did, then recycle the block and the slot index for
-  // the next parser of the same size.
-  void* block = static_cast<void*>(slot);
-  const std::uint32_t size = slot_sizes_[conn.parser_slot];
-  slot->~AppParser();
-  slot = nullptr;
+  std::unique_ptr<AppParser>& parser = slots_[conn.parser_slot];
+  parser->on_close(conn);
+  // Destroy the parser now, so its stream buffers are released mid-trace,
+  // and recycle the slot index for the next parsed connection.
+  parser.reset();
   free_slots_.push_back(conn.parser_slot);
   conn.parser_slot = Connection::kNoParser;
-  for (FreeList& fl : free_mem_) {
-    if (fl.size == size) {
-      fl.blocks.push_back(block);
-      return;
-    }
-  }
-  free_mem_.push_back(FreeList{size, {block}});
 }
 
 }  // namespace entrace

@@ -6,13 +6,13 @@
 // DCE/RPC analysis of §5.2.1.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "flow/flow_table.h"
 #include "proto/events.h"
 #include "proto/parser.h"
 #include "proto/registry.h"
-#include "util/arena.h"
 
 namespace entrace {
 
@@ -24,7 +24,6 @@ class ProtocolDispatcher : public FlowObserver {
   // parsers; it must outlive the dispatcher.
   ProtocolDispatcher(AppRegistry& registry, AppEvents& events, bool payload_analysis,
                      AnomalyCounts* anomalies = nullptr);
-  ~ProtocolDispatcher() override;
 
   void on_new_connection(Connection& conn) override;
   void on_data(Connection& conn, Direction dir, double ts, std::span<const std::uint8_t> data,
@@ -38,32 +37,20 @@ class ProtocolDispatcher : public FlowObserver {
   void on_events_rotated() { registered_epm_ = 0; }
 
  private:
-  AppParser* make_parser(const Connection& conn, AppProtocol app);
+  std::unique_ptr<AppParser> make_parser(const Connection& conn, AppProtocol app);
   void register_new_epm_mappings();
-  template <typename T, typename... Args>
-  T* alloc_parser(Args&&... args);
 
   AppRegistry& registry_;
   AppEvents& events_;
   bool payload_analysis_;
   AnomalyCounts* anomalies_;
-  // Parsers are bump-allocated from the per-dispatcher arena and addressed
-  // by Connection::parser_slot — no per-connection heap new/delete and no
-  // pointer-keyed hash lookup per data packet.  A slot is nulled (and its
-  // parser destroyed) at on_close; the destructor sweeps whatever remains.
-  // Closed parsers' arena blocks and slot indices are recycled through
-  // per-size free lists, so an endless stream's dispatcher footprint is
-  // bounded by the peak number of simultaneously open parsed connections.
-  Arena arena_;
-  std::vector<AppParser*> slots_;
-  std::vector<std::uint32_t> slot_sizes_;
+  // Parsers are addressed by Connection::parser_slot, so a data packet
+  // finds its parser without a hash lookup.  A slot's parser is destroyed
+  // at on_close and the slot index recycled through free_slots_, so an
+  // endless stream's slot table is bounded by the peak number of
+  // simultaneously open parsed connections.
+  std::vector<std::unique_ptr<AppParser>> slots_;
   std::vector<std::uint32_t> free_slots_;
-  struct FreeList {
-    std::uint32_t size;
-    std::vector<void*> blocks;
-  };
-  std::vector<FreeList> free_mem_;
-  std::uint32_t pending_size_ = 0;  // rounded size of the parser alloc_parser just made
   std::size_t registered_epm_ = 0;
 };
 

@@ -116,12 +116,11 @@ std::string sketch_file_name(int tier, std::uint64_t first_window, std::uint64_t
 }
 
 RetentionManager::RetentionManager(std::string dir, const RetentionOptions& opts,
-                                   const AnalyzerConfig& config, const SnapshotMeta& meta)
+                                   const AnalyzerConfig& /*config*/, const SnapshotMeta& meta)
     : dir_(std::move(dir)),
       summary_path_(dir_ + "/summary.jsonl"),
       keep_full_(opts.keep_full),
       sketch_every_(opts.sketch_every),
-      config_(config),
       meta_(meta),
       fold_seconds_(fold_seconds_bounds()) {
   if (opts.sketch_every < 2) {
@@ -232,7 +231,7 @@ std::unique_ptr<RetentionManager::FoldJob> RetentionManager::next_due_fold() {
 void RetentionManager::run_fold(FoldJob& job) const {
   const auto t0 = std::chrono::steady_clock::now();
   {
-    WindowFold fold(config_);
+    WindowFold fold;
     std::size_t i = 0;
     try {
       for (; i < job.inputs.size(); ++i) fold.add(read_window_snapshot(job.inputs[i].path));

@@ -127,13 +127,12 @@ struct AgeResult {
 
 class RetentionManager {
  public:
-  // `dir` is the checkpoint directory.  `config` parameterizes the sketch
-  // folds (its flow/scanner settings must match the analyzer that produced
-  // the windows, or folded connection tables would diverge); `meta` stamps
-  // the sketch .esnap files.  Scans `dir` and recovers prior state: readable
-  // window/sketch files re-enter their tiers, torn files are rejected, and
-  // range duplicates from a crash mid-fold are dropped.  Throws
-  // std::invalid_argument when opts.sketch_every < 2.
+  // `dir` is the checkpoint directory; `meta` stamps the sketch .esnap
+  // files.  `config` is unused: a sketch fold has no settings of its own.
+  // Scans `dir` and recovers prior state: readable window/sketch files
+  // re-enter their tiers, torn files are rejected, and range duplicates
+  // from a crash mid-fold are dropped.  Throws std::invalid_argument when
+  // opts.sketch_every < 2.
   RetentionManager(std::string dir, const RetentionOptions& opts, const AnalyzerConfig& config,
                    const SnapshotMeta& meta);
 
@@ -244,7 +243,6 @@ class RetentionManager {
   std::string summary_path_;
   std::size_t keep_full_;
   std::size_t sketch_every_;
-  AnalyzerConfig config_;
   SnapshotMeta meta_;
 
   std::deque<Tier0Entry> tier0_;

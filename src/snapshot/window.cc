@@ -34,16 +34,14 @@ WindowShard read_window_snapshot(const std::string& path) {
   return win;
 }
 
-WindowFold::WindowFold(const AnalyzerConfig& config) : config_(config) {}
-
 void WindowFold::add(WindowShard&& window) {
   // A trace's identity comes from the first window that carries it.
   while (out_.size() < window.shards.size()) {
     const TraceShard& first = window.shards[out_.size()];
-    TraceShard& dst = out_.emplace_back(config_.scanner);
+    TraceShard& dst = out_.emplace_back();
     dst.subnet_id = first.subnet_id;
     dst.load.trace_name = first.load.trace_name;
-    dst.table = std::make_unique<FlowTable>(config_.flow);
+    dst.table = std::make_unique<FlowTable>();
     by_seq_.emplace_back();
   }
   for (std::size_t t = 0; t < window.shards.size(); ++t) {
@@ -94,8 +92,8 @@ std::vector<TraceShard> WindowFold::take() {
 }
 
 std::vector<TraceShard> merge_window_shards(std::vector<WindowShard>&& windows,
-                                            const AnalyzerConfig& config) {
-  WindowFold fold(config);
+                                            const AnalyzerConfig& /*config*/) {
+  WindowFold fold;
   for (WindowShard& w : windows) fold.add(std::move(w));
   return fold.take();
 }
@@ -104,7 +102,7 @@ std::string render_windowed_report(const std::vector<std::string>& window_paths,
                                    const DatasetSpec& spec, const AnalyzerConfig& config) {
   // Window order is the caller's path order; each checkpoint is folded in
   // and released before the next is decoded.
-  WindowFold fold(config);
+  WindowFold fold;
   for (const std::string& path : window_paths) fold.add(read_window_snapshot(path));
   DatasetAnalysis analysis = fold_shards(spec.name, fold.take(), config);
   const report::ReportInput input{&spec, &analysis};

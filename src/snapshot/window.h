@@ -49,11 +49,11 @@ WindowShard read_window_snapshot(const std::string& path);
 // The incremental form of merge_window_shards: windows are added one at a
 // time, in window order, so a caller can decode a checkpoint, fold it in
 // and drop it before decoding the next — peak memory is the accumulated
-// result plus one window, not every window at once.
+// result plus one window, not every window at once.  A fold takes no
+// settings: the flow timeouts and scanner thresholds are constants, so it
+// rebuilds exactly the tables and detectors the analyzer produced.
 class WindowFold {
  public:
-  explicit WindowFold(const AnalyzerConfig& config);
-
   // Fold the next window in (consumes its events; connections are copied).
   void add(WindowShard&& window);
 
@@ -61,7 +61,6 @@ class WindowFold {
   std::vector<TraceShard> take();
 
  private:
-  AnalyzerConfig config_;
   std::vector<TraceShard> out_;
   // Per trace: open_seq -> reassembled connection deque index.
   std::vector<std::unordered_map<std::uint64_t, std::size_t>> by_seq_;
@@ -69,8 +68,8 @@ class WindowFold {
 
 // Fold window deltas (in window order) back into one TraceShard per trace,
 // byte-identical to a one-shot batch run over the same packets.  Consumes
-// the windows (events move out, connections copy into fresh tables built
-// with config.flow).
+// the windows (events move out, connections copy into fresh tables).
+// `config` is unused: the fold has no settings of its own.
 std::vector<TraceShard> merge_window_shards(std::vector<WindowShard>&& windows,
                                             const AnalyzerConfig& config);
 

@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -47,7 +48,7 @@ bool parse_nonneg_double(const std::string& s, double& out) {
   if (s.empty() || s[0] == '-' || s[0] == '+' || s[0] == ' ') return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || v < 0 || v != v) return false;
+  if (end != s.c_str() + s.size() || !std::isfinite(v) || v < 0) return false;
   out = v;
   return true;
 }

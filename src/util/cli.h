@@ -27,7 +27,8 @@ bool parse_scale(const std::string& s, double& out);
 // std::atoi it cannot turn "--retain -1" into SIZE_MAX or "--retain x"
 // into 0.
 bool parse_uint(const std::string& s, std::uint64_t& out);
-// Strict non-negative double parse ("0", "1.5"); false on garbage or < 0.
+// Strict non-negative double parse ("0", "1.5"); false on garbage, < 0,
+// NaN, or a non-finite value ("inf", or "1e999", which overflows).
 bool parse_nonneg_double(const std::string& s, double& out);
 // "lo:hi" half-open index range; false unless lo < hi parse cleanly.
 bool parse_index_range(const std::string& s, std::size_t& lo, std::size_t& hi);

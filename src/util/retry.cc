@@ -7,7 +7,7 @@ namespace entrace::util {
 double RetryPolicy::backoff_seconds(std::uint64_t job, int failed_attempts) const {
   if (failed_attempts < 1) failed_attempts = 1;
   double delay = base_delay;
-  for (int i = 1; i < failed_attempts && delay < max_delay; ++i) delay *= multiplier;
+  for (int i = 1; i < failed_attempts && delay < max_delay; ++i) delay *= 2.0;
   if (delay > max_delay) delay = max_delay;
   if (jitter > 0) {
     // One Rng stream per (job, attempt): forked streams are independent, so

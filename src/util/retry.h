@@ -18,13 +18,13 @@
 
 namespace entrace::util {
 
-// Exponential backoff with bounded multiplicative jitter and a per-job
-// attempt budget.  `max_attempts` counts every launch of the job including
-// the first, so max_attempts = 1 means "no retries".
+// Exponential backoff (the delay doubles per additional failed attempt)
+// with bounded multiplicative jitter and a per-job attempt budget.
+// `max_attempts` counts every launch of the job including the first, so
+// max_attempts = 1 means "no retries".
 struct RetryPolicy {
   int max_attempts = 3;
   double base_delay = 0.05;  // seconds before the first retry (pre-jitter)
-  double multiplier = 2.0;   // growth per additional failed attempt
   double max_delay = 5.0;    // pre-jitter ceiling
   double jitter = 0.5;       // delay *= uniform[1 - jitter/2, 1 + jitter/2)
   std::uint64_t seed = 0x5eed;

@@ -658,6 +658,7 @@ TEST_F(DaemonTest, DaemonBinaryRejectsGarbageNumericFlags) {
       {"--repeat", "2"},
       {"--fake-clock"},
       {"--window", "abc"},
+      {"--window", "inf"},         // would stamp -nan into summary.jsonl
       {"--sketch-every", "0"},     // there is no summary-only scheme to select
       {"--sketch-every", "1"},     // a 1-wide fold is a no-op
   };

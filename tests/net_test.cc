@@ -1,6 +1,7 @@
-// Unit tests for net: addresses, checksums, header round-trips, decoding.
+// Unit tests for net: addresses, checksums, header encoders, decoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -64,122 +65,6 @@ TEST(Checksum, OddLength) {
   const std::uint8_t data[] = {0x01, 0x02, 0x03};
   // Manually: 0x0102 + 0x0300 = 0x0402 -> ~ = 0xfbfd.
   EXPECT_EQ(internet_checksum(data), 0xfbfd);
-}
-
-TEST(Headers, EthernetRoundTrip) {
-  EthernetHeader h;
-  h.src = MacAddress::from_host_id(1);
-  h.dst = MacAddress::from_host_id(2);
-  h.ethertype = ethertype::kIpv4;
-  std::vector<std::uint8_t> buf;
-  ByteWriter w(buf);
-  h.encode(w);
-  EXPECT_EQ(buf.size(), EthernetHeader::kSize);
-  ByteReader r(buf);
-  auto d = EthernetHeader::decode(r);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->src, h.src);
-  EXPECT_EQ(d->dst, h.dst);
-  EXPECT_EQ(d->ethertype, h.ethertype);
-}
-
-TEST(Headers, ArpRoundTrip) {
-  ArpHeader h;
-  h.opcode = ArpHeader::kReply;
-  h.sender_mac = MacAddress::from_host_id(7);
-  h.sender_ip = Ipv4Address(128, 3, 1, 1);
-  h.target_ip = Ipv4Address(128, 3, 1, 2);
-  std::vector<std::uint8_t> buf;
-  ByteWriter w(buf);
-  h.encode(w);
-  ByteReader r(buf);
-  auto d = ArpHeader::decode(r);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->opcode, ArpHeader::kReply);
-  EXPECT_EQ(d->sender_ip, h.sender_ip);
-  EXPECT_EQ(d->target_ip, h.target_ip);
-  EXPECT_EQ(d->sender_mac, h.sender_mac);
-}
-
-TEST(Headers, Ipv4ChecksumValidAndRoundTrip) {
-  Ipv4Header h;
-  h.src = Ipv4Address(10, 0, 0, 1);
-  h.dst = Ipv4Address(10, 0, 0, 2);
-  h.protocol = ipproto::kTcp;
-  h.total_length = 40;
-  h.ttl = 63;
-  std::vector<std::uint8_t> buf;
-  ByteWriter w(buf);
-  h.encode(w);
-  ASSERT_EQ(buf.size(), Ipv4Header::kMinSize);
-  // A correct IPv4 header checksums to zero.
-  EXPECT_EQ(internet_checksum(buf), 0);
-  ByteReader r(buf);
-  auto d = Ipv4Header::decode(r);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->src, h.src);
-  EXPECT_EQ(d->dst, h.dst);
-  EXPECT_EQ(d->protocol, ipproto::kTcp);
-  EXPECT_EQ(d->total_length, 40);
-  EXPECT_EQ(d->ttl, 63);
-}
-
-TEST(Headers, TcpUdpIcmpIpxRoundTrip) {
-  {
-    TcpHeader h{1234, 80, 111, 222, tcpflag::kSyn | tcpflag::kAck, 4096, 0};
-    std::vector<std::uint8_t> buf;
-    ByteWriter w(buf);
-    h.encode(w);
-    ByteReader r(buf);
-    auto d = TcpHeader::decode(r);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->src_port, 1234);
-    EXPECT_EQ(d->dst_port, 80);
-    EXPECT_EQ(d->seq, 111u);
-    EXPECT_EQ(d->ack, 222u);
-    EXPECT_EQ(d->flags, tcpflag::kSyn | tcpflag::kAck);
-  }
-  {
-    UdpHeader h{53, 5353, 20, 0};
-    std::vector<std::uint8_t> buf;
-    ByteWriter w(buf);
-    h.encode(w);
-    ByteReader r(buf);
-    auto d = UdpHeader::decode(r);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->dst_port, 5353);
-    EXPECT_EQ(d->length, 20);
-  }
-  {
-    IcmpHeader h;
-    h.type = IcmpHeader::kEchoRequest;
-    h.identifier = 99;
-    h.sequence = 3;
-    std::vector<std::uint8_t> buf;
-    ByteWriter w(buf);
-    h.encode(w);
-    ByteReader r(buf);
-    auto d = IcmpHeader::decode(r);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->identifier, 99);
-    EXPECT_EQ(d->sequence, 3);
-  }
-  {
-    IpxHeader h;
-    h.packet_type = 4;
-    h.src_socket = 0x452;
-    h.dst_socket = 0x453;
-    h.src_node = MacAddress::from_host_id(5);
-    h.dst_node = MacAddress::broadcast();
-    std::vector<std::uint8_t> buf;
-    ByteWriter w(buf);
-    h.encode(w);
-    ByteReader r(buf);
-    auto d = IpxHeader::decode(r);
-    ASSERT_TRUE(d.has_value());
-    EXPECT_EQ(d->src_socket, 0x452);
-    EXPECT_EQ(d->packet_type, 4);
-  }
 }
 
 TEST(FiveTuple, CanonicalIsDirectionIndependent) {
@@ -281,13 +166,155 @@ RawPacket to_raw(std::vector<std::uint8_t> frame, double ts = 1.0) {
   return pkt;
 }
 
+// The header encoders are checked through the one decoder, decode_packet:
+// a frame built from encoded headers must decode to the fields it was
+// built from.  ARP and IPX, which decode_packet only classifies, are
+// checked at their wire offsets instead.
+
+// Ethernet (ethertype `type`), then each of `layers` encoded in order.
+template <typename... Layers>
+std::vector<std::uint8_t> encode_frame(std::uint16_t type, const Layers&... layers) {
+  std::vector<std::uint8_t> buf;
+  ByteWriter w(buf);
+  EthernetHeader{MacAddress::from_host_id(2), MacAddress::from_host_id(1), type}.encode(w);
+  (layers.encode(w), ...);
+  return buf;
+}
+
+// An IPv4 header carrying `l4_len` bytes of `protocol`.
+Ipv4Header ipv4_header(std::uint8_t protocol, std::size_t l4_len) {
+  Ipv4Header h;
+  h.src = Ipv4Address(10, 0, 0, 1);
+  h.dst = Ipv4Address(10, 0, 0, 2);
+  h.protocol = protocol;
+  h.total_length = static_cast<std::uint16_t>(Ipv4Header::kMinSize + l4_len);
+  return h;
+}
+
+std::uint16_t be16_at(const std::vector<std::uint8_t>& b, std::size_t at) {
+  return static_cast<std::uint16_t>((b[at] << 8) | b[at + 1]);
+}
+std::uint32_t be32_at(const std::vector<std::uint8_t>& b, std::size_t at) {
+  return (static_cast<std::uint32_t>(be16_at(b, at)) << 16) | be16_at(b, at + 2);
+}
+bool mac_at(const std::vector<std::uint8_t>& b, std::size_t at, const MacAddress& mac) {
+  return std::equal(mac.bytes().begin(), mac.bytes().end(), b.begin() + at);
+}
+
+TEST(Headers, EthernetRoundTrip) {
+  const auto frame = encode_frame(ethertype::kIpv4);
+  EXPECT_EQ(frame.size(), EthernetHeader::kSize);
+  const auto d = decode_packet(to_raw(frame));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->eth_dst, MacAddress::from_host_id(2));
+  EXPECT_EQ(d->eth_src, MacAddress::from_host_id(1));
+  EXPECT_EQ(d->ethertype, ethertype::kIpv4);
+}
+
+TEST(Headers, ArpRoundTrip) {
+  ArpHeader h;
+  h.opcode = ArpHeader::kReply;
+  h.sender_mac = MacAddress::from_host_id(7);
+  h.sender_ip = Ipv4Address(128, 3, 1, 1);
+  h.target_ip = Ipv4Address(128, 3, 1, 2);
+  const auto frame = encode_frame(ethertype::kArp, h);
+  ASSERT_EQ(frame.size(), EthernetHeader::kSize + 28);
+  const auto d = decode_packet(to_raw(frame));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->l3, L3Kind::kArp);
+  const std::size_t arp = EthernetHeader::kSize;
+  EXPECT_EQ(be16_at(frame, arp + 6), ArpHeader::kReply);
+  EXPECT_TRUE(mac_at(frame, arp + 8, h.sender_mac));
+  EXPECT_EQ(be32_at(frame, arp + 14), h.sender_ip.value());
+  EXPECT_EQ(be32_at(frame, arp + 24), h.target_ip.value());
+}
+
+TEST(Headers, Ipv4ChecksumValidAndRoundTrip) {
+  Ipv4Header h = ipv4_header(ipproto::kTcp, TcpHeader::kMinSize);
+  h.ttl = 63;
+  auto frame = encode_frame(ethertype::kIpv4, h, TcpHeader{});
+  ASSERT_EQ(frame.size(), EthernetHeader::kSize + 40);
+  // A correct IPv4 header checksums to zero.
+  EXPECT_EQ(internet_checksum(std::span(frame).subspan(EthernetHeader::kSize,
+                                                       Ipv4Header::kMinSize)),
+            0);
+  fix_l4_checksum(frame);
+  const auto d = decode_packet(to_raw(frame));
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->l3, L3Kind::kIpv4);
+  EXPECT_FALSE(d->checksum_bad());
+  EXPECT_EQ(d->src, h.src);
+  EXPECT_EQ(d->dst, h.dst);
+  EXPECT_EQ(d->ip_proto, ipproto::kTcp);
+  EXPECT_EQ(d->ip_total_len, 40);
+  EXPECT_EQ(d->ttl, 63);
+}
+
+TEST(Headers, TcpUdpIcmpIpxRoundTrip) {
+  {
+    const TcpHeader h{1234, 80, 111, 222, tcpflag::kSyn | tcpflag::kAck, 4096, 0};
+    const auto d = decode_packet(to_raw(
+        encode_frame(ethertype::kIpv4, ipv4_header(ipproto::kTcp, TcpHeader::kMinSize), h)));
+    ASSERT_TRUE(d && d->is_tcp() && d->l4_ok);
+    EXPECT_EQ(d->src_port, 1234);
+    EXPECT_EQ(d->dst_port, 80);
+    EXPECT_EQ(d->tcp_seq, 111u);
+    EXPECT_EQ(d->tcp_ack, 222u);
+    EXPECT_EQ(d->tcp_flags, tcpflag::kSyn | tcpflag::kAck);
+  }
+  {
+    const UdpHeader h{53, 5353, 20, 0};  // checksum 0: not computed
+    auto frame = encode_frame(ethertype::kIpv4, ipv4_header(ipproto::kUdp, 20), h);
+    frame.resize(frame.size() + 12);
+    const auto d = decode_packet(to_raw(frame));
+    ASSERT_TRUE(d && d->is_udp() && d->l4_ok);
+    EXPECT_EQ(d->src_port, 53);
+    EXPECT_EQ(d->dst_port, 5353);
+    EXPECT_EQ(d->payload_wire_len, 12u);  // UDP length 20 minus its 8-byte header
+  }
+  {
+    IcmpHeader h;
+    h.type = IcmpHeader::kEchoRequest;
+    h.identifier = 99;
+    h.sequence = 3;
+    const auto d = decode_packet(to_raw(
+        encode_frame(ethertype::kIpv4, ipv4_header(ipproto::kIcmp, IcmpHeader::kSize), h)));
+    ASSERT_TRUE(d && d->is_icmp() && d->l4_ok);
+    EXPECT_EQ(d->icmp_type, IcmpHeader::kEchoRequest);
+    EXPECT_EQ(d->icmp_id, 99);
+    EXPECT_EQ(d->icmp_seq, 3);
+  }
+  {
+    IpxHeader h;
+    h.packet_type = 4;
+    h.src_socket = 0x452;
+    h.dst_socket = 0x453;
+    h.src_node = MacAddress::from_host_id(5);
+    h.dst_node = MacAddress::broadcast();
+    const auto frame = encode_frame(ethertype::kIpx, h);
+    ASSERT_EQ(frame.size(), EthernetHeader::kSize + IpxHeader::kSize);
+    const auto d = decode_packet(to_raw(frame));
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->l3, L3Kind::kIpx);
+    const std::size_t ipx = EthernetHeader::kSize;
+    EXPECT_EQ(be16_at(frame, ipx), 0xFFFF);  // IPX checksum field
+    EXPECT_EQ(be16_at(frame, ipx + 2), IpxHeader::kSize);
+    EXPECT_EQ(frame[ipx + 5], 4);
+    EXPECT_TRUE(mac_at(frame, ipx + 10, h.dst_node));
+    EXPECT_EQ(be16_at(frame, ipx + 16), 0x453);
+    EXPECT_TRUE(mac_at(frame, ipx + 22, h.src_node));
+    EXPECT_EQ(be16_at(frame, ipx + 28), 0x452);
+  }
+}
+
 TEST(Decoder, TcpFrameFullDecode) {
   FrameEndpoints ep{MacAddress::from_host_id(1), MacAddress::from_host_id(2),
                     Ipv4Address(128, 3, 1, 10), Ipv4Address(8, 8, 8, 8)};
   const auto payload = filler_payload(100);
   const auto frame =
       make_tcp_frame(ep, 5555, 80, 1000, 2000, tcpflag::kAck | tcpflag::kPsh, payload);
-  const auto d = decode_packet(to_raw(frame));
+  const RawPacket raw = to_raw(frame);  // d->payload aliases it
+  const auto d = decode_packet(raw);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->l3, L3Kind::kIpv4);
   EXPECT_TRUE(d->is_tcp());

@@ -70,7 +70,6 @@ TEST(RetryPolicyTest, AttemptBudgetSemantics) {
 TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndClamps) {
   util::RetryPolicy p;
   p.base_delay = 0.1;
-  p.multiplier = 2.0;
   p.max_delay = 1.0;
   p.jitter = 0.0;  // exact nominal schedule
   EXPECT_DOUBLE_EQ(p.backoff_seconds(0, 1), 0.1);
@@ -443,8 +442,10 @@ TEST(OrchestrateTest, OnceWorkerStopsWhenItsSpawnerDies) {
 }
 
 // Every numeric flag of the dispatch tools is parsed strictly: a bad value
-// is a usage error (exit 2), never a silent default, a wrapped integer, or
-// a port taken modulo 65536.
+// is a usage error (exit 2), never a silent default, a wrapped integer, a
+// port taken modulo 65536, or a non-finite or oversized number of seconds
+// cast to an integer.  entrace_merge likewise rejects an unknown flag or a
+// flag missing its value instead of opening it as a snapshot path.
 TEST(OrchestrateTest, BinariesRejectGarbageNumericFlags) {
   const std::string esnap = temp_path("entrace_orch_badflags.esnap");
   std::filesystem::remove(esnap);
@@ -456,6 +457,9 @@ TEST(OrchestrateTest, BinariesRejectGarbageNumericFlags) {
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--inject-attempts", "99999999999"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--backoff", "-0.5"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-timeout", "0"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-timeout", "inf"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-timeout", "1e300"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-interval", "5000000"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--seed", "x"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--cluster", "127.0.0.1:70000"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--inject", "crash=0.5"},
@@ -464,6 +468,8 @@ TEST(OrchestrateTest, BinariesRejectGarbageNumericFlags) {
       {ENTRACE_WORKER_BIN, "--once", "--port", "-1"},
       {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--threads", "x"},
       {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--threads", "-1"},
+      {ENTRACE_MERGE_BIN, "--allow-partail", esnap},
+      {ENTRACE_MERGE_BIN, esnap, "--metrics-out"},
   };
   for (const std::vector<std::string>& argv : bad_invocations) {
     std::string label;

@@ -222,7 +222,7 @@ TEST_P(TcpDialogueProperty, ByteAccountingIsExact) {
     ASSERT_TRUE(d.has_value());
     table.process(*d);
   }
-  table.flush();
+  table.drain_all();
   ASSERT_EQ(table.connections().size(), 1u);
   const Connection& c = table.connections().front();
   EXPECT_EQ(c.orig_bytes, sent_c);

@@ -87,14 +87,23 @@ TEST(Scanner, DuplicateContactsDoNotInflate) {
   EXPECT_FALSE(det.is_scanner(src));  // still only 40 distinct hosts
 }
 
-TEST(Scanner, ConfigurableThresholds) {
-  ScannerDetector::Config config;
-  config.distinct_host_threshold = 10;
-  config.ordered_run_threshold = 8;
-  ScannerDetector det(config);
+// The paper's thresholds at their boundary: 51 distinct destinations (more
+// than 50), of which the first `run` ascend and the rest zigzag below them.
+bool sweep_with_run_is_scanner(std::size_t run) {
+  ScannerDetector det;
   const Ipv4Address src(0x0A000007);
-  for (std::uint32_t i = 0; i < 12; ++i) det.observe(src, addr(0x80030000 + i));
-  EXPECT_TRUE(det.is_scanner(src));
+  const std::uint32_t base = 0x80030000;
+  for (std::uint32_t i = 0; i < run; ++i) det.observe(src, addr(base + i));
+  // Below the run, alternating down and up: every later run is 2 long.
+  for (std::uint32_t i = 0; i < 51 - run; ++i) {
+    det.observe(src, addr(base - (i % 2 == 0 ? 100 - i : 50 - i)));
+  }
+  return det.is_scanner(src);
+}
+
+TEST(Scanner, OrderedRunOf45AmongFiftyOneHostsIsTheThreshold) {
+  EXPECT_FALSE(sweep_with_run_is_scanner(44));
+  EXPECT_TRUE(sweep_with_run_is_scanner(45));
 }
 
 }  // namespace

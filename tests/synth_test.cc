@@ -125,7 +125,7 @@ TEST(TcpBuilder, CleanSessionReconstructsExactly) {
     ASSERT_TRUE(d.has_value());
     table.process(*d);
   }
-  table.flush();
+  table.drain_all();
   ASSERT_EQ(table.connections().size(), 1u);
   const Connection& c = table.connections().front();
   EXPECT_EQ(c.state, ConnState::kClosed);
@@ -162,7 +162,7 @@ TEST(TcpBuilder, LossProducesRetransmissionsWithoutByteInflation) {
       if (v.tcp_retransmission) ++retx;
     }
   }
-  table.flush();
+  table.drain_all();
   const Connection& c = table.connections().front();
   EXPECT_EQ(c.orig_bytes, 2u * 1024 * 1024);  // retransmissions don't inflate
   const double rate = static_cast<double>(retx) / static_cast<double>(data_pkts);
@@ -189,7 +189,7 @@ TEST(TcpBuilder, KeepalivesAreKeepaliveRetx) {
     const auto d = decode_packet(pkt);
     table.process(*d);
   }
-  table.flush();
+  table.drain_all();
   const Connection& c = table.connections().front();
   EXPECT_EQ(c.keepalive_retx, 10u);
   EXPECT_LE(c.orig_bytes, 2u);

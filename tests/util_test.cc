@@ -1,9 +1,10 @@
-// Unit tests for util: RNG, distributions, statistics, tables.
+// Unit tests for util: RNG, distributions, statistics, tables, flag parsing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "util/cdf_plot.h"
+#include "util/cli.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -369,6 +370,21 @@ TEST(CdfPlot, RenderIncludesSeries) {
   EXPECT_NE(out.find("big"), std::string::npos);
   const std::string ascii = plot.render_ascii(40, 10);
   EXPECT_NE(ascii.find("= small"), std::string::npos);
+}
+
+// Seconds flags feed chrono and integer conversions, which are undefined
+// for non-finite values, so only finite non-negative numbers parse.
+TEST(Cli, NonNegDoubleRejectsNonFinite) {
+  double v = 7.0;
+  EXPECT_TRUE(cli::parse_nonneg_double("0", v));
+  EXPECT_EQ(v, 0.0);
+  EXPECT_TRUE(cli::parse_nonneg_double("1e300", v));
+  EXPECT_EQ(v, 1e300);
+  for (const char* bad : {"inf", "infinity", "nan", "1e999", "-1", "x", ""}) {
+    v = 7.0;
+    EXPECT_FALSE(cli::parse_nonneg_double(bad, v)) << bad;
+    EXPECT_EQ(v, 7.0) << bad;  // a rejected value leaves the output alone
+  }
 }
 
 }  // namespace

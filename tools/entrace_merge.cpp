@@ -35,16 +35,20 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   bool allow_partial = false;
   std::vector<const char*> paths;
+  bool usage_error = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
       metrics_out = argv[++i];
     } else if (std::strcmp(argv[i], "--allow-partial") == 0) {
       allow_partial = true;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {  // unknown, or missing its value
+      std::fprintf(stderr, "%s: unknown flag or missing value\n", argv[i]);
+      usage_error = true;
     } else {
       paths.push_back(argv[i]);
     }
   }
-  if (paths.empty()) {
+  if (paths.empty() || usage_error) {
     std::fprintf(stderr,
                  "usage: %s [--metrics-out file] [--allow-partial] <shard.esnap> "
                  "[more.esnap ...]\n",

@@ -39,6 +39,10 @@ using namespace entrace;
 
 namespace {
 
+// The longest heartbeat interval or deadline, in seconds: UINT32_MAX
+// milliseconds, rounded down.
+constexpr double kMaxHeartbeatSeconds = 4294967.0;
+
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -101,6 +105,17 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s: '%s' is not a %s number of seconds\n", argv[i - 1], argv[i],
                      positive ? "positive" : "non-negative");
         parse_error = true;
+        return false;
+      }
+      return true;
+    };
+    // The heartbeat cadence travels as u32 milliseconds in the JOB frame,
+    // and the deadline becomes a millisecond count too.
+    const auto heartbeat_value = [&](double& out) {
+      if (seconds_value(out, true) && out > kMaxHeartbeatSeconds) {
+        std::fprintf(stderr, "%s: '%s' is above %.0f seconds\n", argv[i - 1], argv[i],
+                     kMaxHeartbeatSeconds);
+        parse_error = true;
       }
     };
     std::uint64_t n = 0;
@@ -134,9 +149,9 @@ int main(int argc, char** argv) {
       uint_value(n);
       config.inject.attempt_limit = static_cast<int>(n);
     } else if (has_value("--hb-interval")) {
-      seconds_value(config.heartbeat_interval, true);
+      heartbeat_value(config.heartbeat_interval);
     } else if (has_value("--hb-timeout")) {
-      seconds_value(config.heartbeat_deadline, true);
+      heartbeat_value(config.heartbeat_deadline);
     } else if (has_value("--worker-bin")) {
       config.worker_binary = argv[++i];
     } else if (has_value("--metrics-out")) {
