@@ -649,18 +649,44 @@ Rows run_daemon(const DatasetSpec& spec, int reps) {
 }
 
 // analyze_dataset over the materialized D3 at 1, 2, 4 and ENTRACE_THREADS
-// (default: every hardware thread) threads, one job per trace.
+// (default: every hardware thread) threads, one job per trace, timed as its
+// three layers: the parallel shard phase (analyze_trace_shards), the serial
+// fold (fold_shards) and the teardown (destroying the analysis and the
+// moved-from shards).  `seconds` is their sum.
 Rows run_scaling(const DatasetSpec& spec, int reps) {
   EnterpriseModel model;
   const TraceSet set = generate_dataset(spec, model);
+  const MemoryTraceSourceSet sources(set);
   AnalyzerConfig config = default_config_for_model(model.site());
   const std::set<std::size_t> unique = {1, 2, 4, ThreadPool::env_thread_count()};
   const std::vector<std::size_t> counts(unique.begin(), unique.end());
   std::vector<std::string> configs;
   for (const std::size_t t : counts) configs.push_back("fused@" + std::to_string(t));
-  Rows rows = repeat(configs, reps, [&](std::size_t c) {
+  Rows rows = repeat(configs, reps, [&](std::size_t c) -> Sample {
     config.threads = counts[c];
-    return time_analysis(set, config);
+    // The steps of analyze_dataset, with a clock between them.
+    const Clock::time_point start = Clock::now();
+    obs::Registry process_metrics;
+    std::vector<TraceShard> shards =
+        analyze_trace_shards(sources, config, 0, sources.size(), &process_metrics);
+    const double shards_s = since(start);
+    const Clock::time_point fold_start = Clock::now();
+    auto analysis = std::make_unique<DatasetAnalysis>(
+        fold_shards(sources.dataset_name(), std::move(shards), config));
+    analysis->metrics.merge(process_metrics);
+    const double fold_s = since(fold_start);
+    const std::uint64_t packets = analysis->quality.packets_seen;
+    const Clock::time_point teardown_start = Clock::now();
+    analysis.reset();
+    shards.clear();
+    const double teardown_s = since(teardown_start);
+    const double seconds = shards_s + fold_s + teardown_s;
+    return {count("packets", packets),
+            {"seconds", seconds},
+            {"shards_s", shards_s},
+            {"fold_s", fold_s},
+            {"teardown_s", teardown_s},
+            {"pps", static_cast<double>(packets) / seconds}};
   });
   derive(rows, 0, "pps", "speedup_vs_1t", [](double x, double b) { return x / b; });
   return rows;

@@ -7,13 +7,13 @@
 // traffic-breakdown analyses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/ip_address.h"
+#include "util/flat_index.h"
 
 namespace entrace {
 
@@ -57,18 +57,37 @@ class ScannerDetector {
   // Rebuild per-source state from an export.  The detector must be fresh
   // (no prior observations for the imported sources).
   void import_observations(const std::vector<SourceObservations>& observations);
+  // Import one source, which the detector must not hold yet.  Returns the
+  // position (in `order`, then `extra_seen`) of the first destination that
+  // repeats within `obs`, or -1 when none does; an export never repeats one.
+  std::ptrdiff_t import_source(const SourceObservations& obs);
   const std::set<Ipv4Address>& known_scanners() const { return known_; }
 
  private:
-  struct SourceState {
-    std::unordered_set<std::uint32_t> seen;
-    // Distinct destinations in first-contact order.
+  // Beyond a few thousand distinct targets the verdict cannot change, so a
+  // source keeps at most this many first contacts in order; the rest only
+  // count.
+  static constexpr std::size_t kOrderCap = 4096;
+
+  struct Source {
+    std::uint32_t addr = 0;
+    std::uint32_t distinct = 0;  // distinct destinations, order's and beyond
+    // Distinct destinations in first-contact order, capped at kOrderCap.
     std::vector<std::uint32_t> order;
   };
 
-  static bool is_ordered_probe(const SourceState& s);
+  static std::uint64_t pair_key(std::uint32_t src, std::uint32_t dst) {
+    return static_cast<std::uint64_t>(src) << 32 | dst;
+  }
+  // The source's entry, created empty on first sight.
+  Source& source(std::uint32_t addr);
+  static bool is_ordered_probe(const Source& s);
 
-  std::unordered_map<std::uint32_t, SourceState> sources_;
+  // Every distinct (source << 32 | destination) pair observed.
+  FlatIndex<std::uint64_t> pairs_;
+  // Source address -> index into sources_.
+  FlatIndex<std::uint32_t> source_index_;
+  std::vector<Source> sources_;
   std::set<Ipv4Address> known_;
   mutable bool cache_valid_ = false;
   mutable std::set<Ipv4Address> cache_;

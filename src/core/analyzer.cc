@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "core/incremental.h"
 #include "obs/stage_timer.h"
@@ -27,6 +28,19 @@ void record_pool_metrics(const ThreadPool& pool, obs::Registry& reg) {
       ->set(ps.max_task_seconds);
 }
 
+// Union of two sorted, duplicate-free host runs, into `into`.
+void unite_hosts(std::vector<std::uint32_t>& into, std::vector<std::uint32_t>&& from) {
+  if (from.empty()) return;
+  if (into.empty()) {
+    into = std::move(from);
+    return;
+  }
+  std::vector<std::uint32_t> out;
+  out.reserve(into.size() + from.size());
+  std::set_union(into.begin(), into.end(), from.begin(), from.end(), std::back_inserter(out));
+  into = std::move(out);
+}
+
 }  // namespace
 
 void ShardTotals::merge_from(ShardTotals&& other) {
@@ -39,9 +53,9 @@ void ShardTotals::merge_from(ShardTotals&& other) {
   total_wire_bytes += wire_bytes;
   l3.merge(l3_counts);
   ip_proto_packets.merge(protos);
-  monitored_hosts.insert(monitored.begin(), monitored.end());
-  lbnl_hosts.insert(lbnl.begin(), lbnl.end());
-  remote_hosts.insert(remote.begin(), remote.end());
+  unite_hosts(monitored_hosts, std::move(monitored));
+  unite_hosts(lbnl_hosts, std::move(lbnl));
+  unite_hosts(remote_hosts, std::move(remote));
   quality.merge(quality_in);
   events.merge(std::move(events_in));
   registry.merge_dynamic_endpoints(registry_in);

@@ -29,6 +29,7 @@
 // describe share a subnet trace).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <map>
@@ -124,9 +125,11 @@ struct ShardTotals {
   NetworkLayerBreakdown l3;
   // IP packets by transport protocol number (rare transports of §3).
   IpProtoCounts ip_proto_packets;
-  std::set<std::uint32_t> monitored_hosts;  // hosts in monitored subnets
-  std::set<std::uint32_t> lbnl_hosts;
-  std::set<std::uint32_t> remote_hosts;
+  // Host sets as sorted, duplicate-free address runs: merge_from is a
+  // linear set union and membership a binary search.
+  std::vector<std::uint32_t> monitored_hosts;  // hosts in monitored subnets
+  std::vector<std::uint32_t> lbnl_hosts;
+  std::vector<std::uint32_t> remote_hosts;
 
   // ---- capture quality -------------------------------------------------------
   // Every packet of every trace is accounted for here:
@@ -182,7 +185,7 @@ class DatasetAnalysis : public ShardTotals {
   std::vector<TraceLoadRaw> load_raw;
 
   bool is_monitored_host(Ipv4Address a) const {
-    return monitored_hosts.count(a.value()) > 0;
+    return std::binary_search(monitored_hosts.begin(), monitored_hosts.end(), a.value());
   }
   std::uint64_t payload_bytes() const;
 };

@@ -1,5 +1,6 @@
 #include "core/incremental.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -120,13 +121,24 @@ void TraceStream::tally_one(const DecodedPacket& d) {
   for (const Ipv4Address addr : {d.src, d.dst}) {
     if (addr.is_multicast() || addr.is_broadcast()) continue;
     if (host_cache_.test_and_set(addr.value())) continue;
+    hosts_.insert(addr.value());
+  }
+}
+
+void TraceStream::take_hosts(TraceShard& shard) {
+  // Sorted once, a window's hosts split into the three runs in order.
+  std::vector<std::uint32_t> hosts;
+  hosts.reserve(hosts_.size());
+  hosts_.for_each([&](std::uint32_t h) { hosts.push_back(h); });
+  hosts_.clear();
+  std::sort(hosts.begin(), hosts.end());
+  for (const std::uint32_t h : hosts) {
+    const Ipv4Address addr(h);
     if (config_.site.is_internal(addr)) {
-      win_.lbnl_hosts.insert(addr.value());
-      if (config_.site.subnet_of(addr) == meta_.subnet_id) {
-        win_.monitored_hosts.insert(addr.value());
-      }
+      shard.lbnl_hosts.push_back(h);
+      if (config_.site.subnet_of(addr) == meta_.subnet_id) shard.monitored_hosts.push_back(h);
     } else {
-      win_.remote_hosts.insert(addr.value());
+      shard.remote_hosts.push_back(h);
     }
   }
 }
@@ -216,6 +228,7 @@ void TraceStream::accumulate_window_totals() {
 TraceShard TraceStream::rotate() {
   accumulate_window_totals();
   TraceShard shard = std::move(win_);
+  take_hosts(shard);
   start_window();
   // Full dynamic-endpoint export each window: merge_dynamic_endpoints is an
   // idempotent map union, so re-exporting already-known endpoints is exact.
@@ -290,6 +303,7 @@ void TraceStream::finish_batch(PacketSource& source, TraceShard& shard, double s
   // The one window is the whole trace, with the live registry and table.
   // The dispatcher can be dropped; events and registry outlive it.
   shard = std::move(win_);
+  take_hosts(shard);
   shard.registry = std::move(registry_);
   shard.table = std::move(table_);
   record_totals(shard.metrics, source_seconds, source_batches);

@@ -45,20 +45,22 @@
 
 #include "core/analyzer.h"
 #include "pcap/packet_source.h"
+#include "util/flat_index.h"
 
 namespace entrace {
 
 namespace detail {
 
-// Direct-mapped filter in front of the per-shard host std::sets.  Which set
-// an address lands in is a pure function of the address (site config and
-// subnet id are fixed per trace) and the sets dedup anyway, so suppressing
-// repeats of recently seen addresses cannot change any result — it only
-// skips the rb-tree walk that otherwise runs twice per IPv4 packet.
-// Persisting the cache across window rotations is equally harmless: a
-// suppressed repeat lands in some earlier window's set, and the sets union
-// at fold.  Sentinel 0xFFFFFFFF is the broadcast address, which is filtered
-// out before the cache is consulted.
+// Direct-mapped filter in front of TraceStream's window host set.  Which
+// host run an address lands in is a pure function of the address (site
+// config and subnet id are fixed per trace) and the set dedups anyway, so
+// suppressing repeats of recently seen addresses cannot change a folded
+// result.  The cache persists across window rotations: a suppressed repeat
+// lands in some earlier window's runs, and the runs union at fold.  That
+// makes it part of the window images the golden digests pin, and it is
+// cheaper per packet than probing the set for every address.  Sentinel
+// 0xFFFFFFFF is the broadcast address, which is filtered out before the
+// cache is consulted.
 class HostSeenCache {
  public:
   HostSeenCache() { slots_.fill(0xFFFFFFFFu); }
@@ -77,13 +79,14 @@ class HostSeenCache {
 };
 
 // Same idea for ScannerDetector::observe, which is idempotent per
-// (src, dst) pair — a repeat insert into the per-source seen-set changes
+// (src, dst) pair — a repeat insert into the detector's pair set changes
 // nothing — so suppressing recently seen pairs cannot alter the verdict
 // (ScannerDetector::merge drops already-seen destinations the same way).
 // Packet streams are bursty per connection, so a small direct-mapped cache
-// absorbs most of the per-packet hash-map lookups.  A separate valid flag
-// (not a sentinel key) keeps even degenerate pairs like broadcast->broadcast
-// exact under fuzzed traces.
+// absorbs most of the per-packet pair-set probes, and like HostSeenCache it
+// decides which window first records a repeated pair.  A separate valid
+// flag (not a sentinel key) keeps even degenerate pairs like
+// broadcast->broadcast exact under fuzzed traces.
 class PairSeenCache {
  public:
   PairSeenCache() { valid_.fill(0); }
@@ -172,6 +175,8 @@ class TraceStream {
 
  private:
   void tally_one(const DecodedPacket& d);
+  // Move the window's hosts into the shard's three sorted runs.
+  void take_hosts(TraceShard& shard);
   void flow_one(const DecodedPacket& d, std::uint64_t key_lo, std::uint64_t key_hi, bool keyed);
   void start_window();
   void accumulate_window_totals();
@@ -196,6 +201,7 @@ class TraceStream {
   ProtocolDispatcher dispatcher_;
   std::unique_ptr<FlowTable> table_;
   detail::HostSeenCache host_cache_;
+  FlatIndex<std::uint32_t> hosts_;  // the current window's hosts
   detail::PairSeenCache pair_cache_;
   TraceTotals totals_;     // cumulative (excludes the current window until rotate)
   obs::Histogram* pkt_bytes_ = nullptr;  // in win_.metrics

@@ -7,22 +7,9 @@
 #include <string>
 
 #include "net/ip_address.h"
+#include "util/flat_index.h"
 
 namespace entrace {
-
-// SplitMix64 finalizer: a full-avalanche 64-bit mixer.  Shared by
-// std::hash<FiveTuple> and the flow table's open-addressing map so both
-// index structures see the same (strong) bit diffusion; the old FNV-1a
-// fold left the low bits of near-sequential address/port patterns
-// clustered, which is exactly what a power-of-two-masked table probes on.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
 
 struct FiveTuple {
   Ipv4Address src;
@@ -55,7 +42,8 @@ struct FiveTuple {
   friend auto operator<=>(const FiveTuple&, const FiveTuple&) = default;
 };
 
-// The one hash both FiveTuple index structures use.
+// The one hash both FiveTuple index structures use, built on the mix64
+// finalizer (util/flat_index.h) every open-addressing table here shares.
 inline std::uint64_t hash_packed_tuple(std::uint64_t lo, std::uint64_t hi) {
   return mix64(lo ^ mix64(hi ^ 0x9E3779B97F4A7C15ULL));
 }

@@ -85,6 +85,12 @@ class FieldWriter {
     for (const auto& e : c) each(e);
   }
 
+  // A seq the writer emits strictly ascending.
+  template <typename C, typename Fn>
+  void ascending_seq(const C& c, Fn&& each, const char*) {
+    seq(c, each);
+  }
+
   // The shard's connections (none when it has no table).
   template <typename Fn>
   void table(const std::unique_ptr<FlowTable>& t, Fn&& each) {
@@ -156,17 +162,29 @@ class FieldReader {
     }
   }
 
-  // Elements are built fresh, read, then appended (push_back, or insert at
-  // the end for sets).
+  // Elements are built fresh, read, then appended.
   template <typename C, typename Fn>
   void seq(C&& c, Fn&& each) {
     const std::uint64_t n = r_.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
       typename std::remove_cvref_t<C>::value_type e{};
       each(e);
-      if constexpr (requires { c.push_back(std::move(e)); }) c.push_back(std::move(e));
-      else c.insert(c.end(), std::move(e));
+      c.push_back(std::move(e));
     }
+  }
+
+  // Rejects an element not above the one before it: the writer never
+  // emits one, and the reader does not repair it.
+  template <typename C, typename Fn>
+  void ascending_seq(C& c, Fn&& each, const char* what) {
+    seq(c, [&](auto& e) {
+      const std::size_t at = r_.offset();
+      each(e);
+      if (!c.empty() && !(c.back() < e)) {
+        throw SnapshotError(at, std::string(what) + " " + std::to_string(e) +
+                                    " not above the previous " + std::to_string(c.back()));
+      }
+    });
   }
 
   template <typename Fn>
@@ -242,22 +260,46 @@ void scanner_state(FieldWriter& io, const TraceShard& s) {
   for (const Ipv4Address addr : known) w.u32(addr.value());
 }
 
+// The reader holds the file to the writer's canonical form: sources
+// strictly ascending, extra_seen strictly ascending, and no destination
+// twice within one source.
 void scanner_state(FieldReader& io, TraceShard& s) {
   ByteReader& r = io.bytes();
   const std::uint64_t n = r.u64();
-  std::vector<ScannerDetector::SourceObservations> observations;
-  observations.reserve(n < 4096 ? static_cast<std::size_t>(n) : 4096);
+  ScannerDetector::SourceObservations obs;
   for (std::uint64_t i = 0; i < n; ++i) {
-    ScannerDetector::SourceObservations obs;
-    obs.source = r.u32();
+    const std::uint32_t source = r.u32();
+    if (i > 0 && source <= obs.source) {
+      throw SnapshotError(r.offset() - 4, "scanner source " + std::to_string(source) +
+                                              " not above the previous " +
+                                              std::to_string(obs.source));
+    }
+    obs.source = source;
+    obs.order.clear();
+    obs.extra_seen.clear();
     const std::uint32_t order_len = r.u32();
-    obs.order.reserve(order_len < 4096 ? order_len : 4096);
+    const std::size_t order_at = r.offset();
     for (std::uint32_t j = 0; j < order_len; ++j) obs.order.push_back(r.u32());
     const std::uint32_t extra_len = r.u32();
-    for (std::uint32_t j = 0; j < extra_len; ++j) obs.extra_seen.push_back(r.u32());
-    observations.push_back(std::move(obs));
+    const std::size_t extra_at = r.offset();
+    for (std::uint32_t j = 0; j < extra_len; ++j) {
+      const std::uint32_t dst = r.u32();
+      if (j > 0 && dst <= obs.extra_seen.back()) {
+        throw SnapshotError(r.offset() - 4, "scanner extra_seen " + std::to_string(dst) +
+                                                " not above the previous " +
+                                                std::to_string(obs.extra_seen.back()));
+      }
+      obs.extra_seen.push_back(dst);
+    }
+    const std::ptrdiff_t repeat = s.detector.import_source(obs);
+    if (repeat >= 0) {
+      const auto k = static_cast<std::size_t>(repeat);
+      const std::size_t at =
+          k < order_len ? order_at + 4 * k : extra_at + 4 * (k - order_len);
+      throw SnapshotError(at, "scanner source " + std::to_string(source) +
+                                  " names a destination twice");
+    }
   }
-  s.detector.import_observations(observations);
   const std::uint32_t known = r.u32();
   for (std::uint32_t i = 0; i < known; ++i) s.detector.add_known_scanner(Ipv4Address(r.u32()));
 }
@@ -403,7 +445,7 @@ void ip_proto_counts(IO& io, S& s) {
 template <typename IO, typename S>
 void host_sets(IO& io, S& s) {
   for (auto* hosts : {&s.monitored_hosts, &s.lbnl_hosts, &s.remote_hosts}) {
-    io.seq(*hosts, [&](auto& h) { io.fields(h); });
+    io.ascending_seq(*hosts, [&](auto& h) { io.fields(h); }, "host");
   }
 }
 

@@ -5,13 +5,14 @@
 // that appends each field's bytes; the reader runs the same template with
 // a field-reader that reads each field back and validates it (every
 // one-byte enum against its last enumerator, every event's connection
-// reference against the restored flow table).  Three payloads stay
-// explicit read/write pairs: the scanner observations (exported and
-// imported through ScannerDetector), the semantic metrics (the writer
-// filters by class, the reader checks histogram shape) and the load-series
-// bins (the reader checks widths and duplicates).  The framing around the
-// payloads (headers, CRCs, trace indexes, the kShardRun order) belongs to
-// writer.cc and reader.cc.
+// reference against the restored flow table, every host run strictly
+// ascending).  Three payloads stay explicit read/write pairs: the scanner
+// observations (exported and imported through ScannerDetector; the reader
+// holds them to the export's canonical form), the semantic metrics (the
+// writer filters by class, the reader checks histogram shape) and the
+// load-series bins (the reader checks widths and duplicates).  The framing
+// around the payloads (headers, CRCs, trace indexes, the kShardRun order)
+// belongs to writer.cc and reader.cc.
 #pragma once
 
 #include "core/analyzer.h"

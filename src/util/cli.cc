@@ -11,7 +11,7 @@ double env_scale(double fallback) {
   const char* s = std::getenv("ENTRACE_SCALE");
   if (s == nullptr) return fallback;
   const double v = std::atof(s);
-  return v > 0 ? v : fallback;
+  return v > 0 && std::isfinite(v) ? v : fallback;
 }
 
 int env_int(const char* name, int fallback) {
@@ -29,7 +29,7 @@ bool parse_scale(const std::string& s, double& out) {
   if (s.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || v <= 0) return false;
+  if (end != s.c_str() + s.size() || !(v > 0) || !std::isfinite(v)) return false;
   out = v;
   return true;
 }

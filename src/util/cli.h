@@ -11,7 +11,8 @@
 
 namespace entrace::cli {
 
-// ENTRACE_SCALE, falling back to `fallback` when unset or non-positive.
+// ENTRACE_SCALE, falling back to `fallback` when unset, non-positive or
+// not finite.
 double env_scale(double fallback = 0.02);
 // A positive integer environment knob (ENTRACE_BENCH_REPS, ...), falling
 // back to `fallback` when unset or non-positive.
@@ -20,7 +21,8 @@ int env_int(const char* name, int fallback);
 // True for the five paper dataset names D0..D4 (case-sensitive, as
 // dataset_by_name expects them).
 bool is_dataset_name(const std::string& s);
-// Strict positive-double parse ("0.01"); false on garbage or <= 0.
+// Strict positive-double parse ("0.01"); false on garbage, <= 0, NaN, or a
+// non-finite value ("inf", or "1e999", which overflows).
 bool parse_scale(const std::string& s, double& out);
 // Strict non-negative integer parse ("42"); false on a sign, garbage,
 // trailing characters, or overflow.  The flag-hardening parser: unlike

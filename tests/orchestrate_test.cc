@@ -443,8 +443,8 @@ TEST(OrchestrateTest, OnceWorkerStopsWhenItsSpawnerDies) {
 
 // Every numeric flag of the dispatch tools is parsed strictly: a bad value
 // is a usage error (exit 2), never a silent default, a wrapped integer, a
-// port taken modulo 65536, or a non-finite or oversized number of seconds
-// cast to an integer.  entrace_merge likewise rejects an unknown flag or a
+// port taken modulo 65536, a non-finite scale, or a non-finite, oversized or
+// sub-millisecond number of seconds cast to an integer.  entrace_merge likewise rejects an unknown flag or a
 // flag missing its value instead of opening it as a snapshot path.
 TEST(OrchestrateTest, BinariesRejectGarbageNumericFlags) {
   const std::string esnap = temp_path("entrace_orch_badflags.esnap");
@@ -460,6 +460,9 @@ TEST(OrchestrateTest, BinariesRejectGarbageNumericFlags) {
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-timeout", "inf"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-timeout", "1e300"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-interval", "5000000"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-interval", "0.0001"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--hb-timeout", "0.0005"},
+      {ENTRACE_ORCHESTRATE_BIN, "D0", "inf"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--seed", "x"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--cluster", "127.0.0.1:70000"},
       {ENTRACE_ORCHESTRATE_BIN, "D0", "0.002", "--inject", "crash=0.5"},

@@ -13,6 +13,7 @@
 
 #include "core/analyzer.h"
 #include "synth/generator.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace entrace {
@@ -97,27 +98,141 @@ TEST(ThreadPool, EnvThreadCountHonorsOverride) {
 
 // ---- merge primitives -------------------------------------------------------
 
-TEST(MergePrimitives, ScannerDetectorShardedEqualsSerial) {
-  // One source scanning 128.3.1.1..120 in ascending order, split across two
-  // shards, must be flagged exactly as a serial detector flags it.
-  const Ipv4Address scanner = Ipv4Address::parse("10.0.0.7");
-  const Ipv4Address benign = Ipv4Address::parse("10.0.0.8");
-  ScannerDetector serial, shard_a, shard_b;
-  for (std::uint32_t i = 1; i <= 120; ++i) {
-    const Ipv4Address dst(Ipv4Address::parse("128.3.1.0").value() + i);
-    serial.observe(scanner, dst);
-    (i <= 60 ? shard_a : shard_b).observe(scanner, dst);
-    if (i <= 10) {
-      serial.observe(benign, dst);
-      shard_a.observe(benign, dst);
-    }
+// One (source, destination) contact stream, cut into per-trace shards.
+// Each shard's detector merges, in shard order, into a fresh one; a serial
+// detector observes the whole stream.
+struct ScannerCase {
+  const char* name;
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> shards;
+};
+
+ScannerDetector observe_all(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& contacts) {
+  ScannerDetector det;
+  for (const auto& [src, dst] : contacts) det.observe(Ipv4Address(src), Ipv4Address(dst));
+  return det;
+}
+
+void expect_same_observations(const std::vector<ScannerDetector::SourceObservations>& got,
+                              const std::vector<ScannerDetector::SourceObservations>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].source, want[i].source) << "source " << i;
+    EXPECT_EQ(got[i].order, want[i].order) << "order of source " << want[i].source;
+    EXPECT_EQ(got[i].extra_seen, want[i].extra_seen) << "extra_seen of source " << want[i].source;
   }
-  ScannerDetector merged;
-  merged.merge(shard_a);
-  merged.merge(shard_b);
-  EXPECT_EQ(merged.scanners(), serial.scanners());
-  EXPECT_TRUE(merged.is_scanner(scanner));
-  EXPECT_FALSE(merged.is_scanner(benign));
+}
+
+// Export -> import into a fresh detector -> export must be the identity.
+void expect_round_trip(const ScannerDetector& det) {
+  ScannerDetector copy;
+  copy.import_observations(det.export_observations());
+  expect_same_observations(copy.export_observations(), det.export_observations());
+  EXPECT_EQ(copy.scanners(), det.scanners());
+}
+
+std::vector<ScannerCase> scanner_cases() {
+  constexpr std::uint32_t kNet = 0x80030000;  // 128.3.0.0
+  std::vector<ScannerCase> cases;
+
+  // One source sweeping 128.3.1.1..120 ascending over two shards, and a
+  // benign one contacting ten of the same hosts.
+  {
+    ScannerCase c{"two-shard sweep", {{}, {}}};
+    const std::uint32_t scanner = 0x0A000007, benign = 0x0A000008;
+    for (std::uint32_t i = 1; i <= 120; ++i) {
+      c.shards[i <= 60 ? 0 : 1].push_back({scanner, kNet + 0x100 + i});
+      if (i <= 10) c.shards[0].push_back({benign, kNet + 0x100 + i});
+    }
+    cases.push_back(std::move(c));
+  }
+  // One source, 5,000 distinct ascending destinations: past the
+  // 4,096-entry first-contact cap.
+  {
+    ScannerCase c{"past the cap, alone", {{}}};
+    for (std::uint32_t i = 0; i < 5000; ++i) c.shards[0].push_back({0x0A000001, kNet + i});
+    cases.push_back(std::move(c));
+  }
+  // The same source over three shards: the second repeats half of the
+  // first before adding new destinations, and the third (descending from
+  // above) passes the cap on its own.
+  {
+    ScannerCase c{"past the cap, three shards", {{}, {}, {}}};
+    for (std::uint32_t i = 0; i < 2000; ++i) c.shards[0].push_back({0x0A000001, kNet + i});
+    for (std::uint32_t i = 1000; i < 3000; ++i) c.shards[1].push_back({0x0A000001, kNet + i});
+    for (std::uint32_t i = 6000; i-- > 1500;) c.shards[2].push_back({0x0A000001, kNet + i});
+    cases.push_back(std::move(c));
+  }
+  // 2,000 sources, each contacting the same 60 destinations (ascending for
+  // even sources, shuffled for odd ones) with repeats, cut into 8 shards.
+  {
+    ScannerCase c{"2,000 sources over 8 shards", {}};
+    std::vector<std::uint32_t> shuffled(60);
+    std::iota(shuffled.begin(), shuffled.end(), 0u);
+    Rng rng(7);
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.uniform_int(0, i - 1)]);
+    }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> stream;
+    for (std::uint32_t round = 0; round < 60; ++round) {
+      for (std::uint32_t s = 0; s < 2000; ++s) {
+        const std::uint32_t src = 0x0A010000 + s;
+        const std::uint32_t d = s % 2 == 0 ? round : shuffled[round];
+        stream.push_back({src, kNet + 0x200 + d});
+        if (round > 0 && s % 3 == 0) stream.push_back({src, kNet + 0x200 + (d + 59) % 60});
+      }
+    }
+    c.shards.resize(8);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      c.shards[i * 8 / stream.size()].push_back(stream[i]);
+    }
+    cases.push_back(std::move(c));
+  }
+  // The all-zeros and all-ones pairs: no key value may stand for "empty".
+  cases.push_back({"all-zeros and all-ones pairs",
+                   {{{0u, 0u}, {0xFFFFFFFFu, 0xFFFFFFFFu}},
+                    {{0xFFFFFFFFu, 0xFFFFFFFFu}, {0u, 0xFFFFFFFFu}, {0u, 0u}}}});
+  return cases;
+}
+
+TEST(MergePrimitives, ScannerDetectorShardedEqualsSerial) {
+  // Per-trace detectors merged in trace order must export exactly what one
+  // serial detector exports, field for field, and every export must survive
+  // an import unchanged.
+  for (const ScannerCase& c : scanner_cases()) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> all;
+    ScannerDetector merged;
+    for (const auto& contacts : c.shards) {
+      all.insert(all.end(), contacts.begin(), contacts.end());
+      const ScannerDetector shard = observe_all(contacts);
+      expect_round_trip(shard);
+      merged.merge(shard);
+    }
+    const ScannerDetector serial = observe_all(all);
+    expect_same_observations(merged.export_observations(), serial.export_observations());
+    EXPECT_EQ(merged.scanners(), serial.scanners());
+    expect_round_trip(serial);
+    expect_round_trip(merged);
+  }
+}
+
+TEST(MergePrimitives, ScannerDetectorCapsFirstContactOrder) {
+  const auto cases = scanner_cases();
+  const ScannerDetector det = observe_all(cases[1].shards[0]);
+  const auto obs = det.export_observations();
+  ASSERT_EQ(obs.size(), 1u);
+  ASSERT_EQ(obs[0].order.size(), 4096u);
+  ASSERT_EQ(obs[0].extra_seen.size(), 904u);
+  for (std::uint32_t i = 0; i < 4096; ++i) EXPECT_EQ(obs[0].order[i], 0x80030000 + i);
+  for (std::uint32_t i = 0; i < 904; ++i) EXPECT_EQ(obs[0].extra_seen[i], 0x80031000 + i);
+  EXPECT_TRUE(det.is_scanner(Ipv4Address(0x0A000001)));
+
+  // The merged two-shard sweep flags its scanner and not the benign source.
+  ScannerDetector sweep;
+  for (const auto& contacts : cases[0].shards) sweep.merge(observe_all(contacts));
+  EXPECT_TRUE(sweep.is_scanner(Ipv4Address(0x0A000007)));
+  EXPECT_FALSE(sweep.is_scanner(Ipv4Address(0x0A000008)));
 }
 
 TEST(MergePrimitives, IntervalSeriesMergeSumsBins) {

@@ -8,8 +8,9 @@
 //      to single-process analyze_dataset.
 //   3. Untrusted input: damaged snapshots (bad magic, future version,
 //      truncation, flipped bits, missing end marker, out-of-range enum
-//      bytes) are rejected with a SnapshotError naming the byte offset —
-//      never misdecoded.
+//      bytes, host runs or scanner observations out of the writer's
+//      canonical form) are rejected with a SnapshotError naming the byte
+//      offset — never misdecoded or quietly repaired.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -19,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -87,6 +89,52 @@ class SnapshotTest : public ::testing::Test {
       return b;
     }();
     return bytes;
+  }
+
+  // A one-trace image of `shard`, written like a cluster worker's.
+  static std::vector<std::uint8_t> image_of(const TraceShard& shard) {
+    std::ostringstream out(std::ios::binary);
+    snap::SnapshotWriter writer(out, meta());
+    writer.add_shard(0, shard);
+    writer.close();
+    const std::string image = std::move(out).str();
+    return {image.begin(), image.end()};
+  }
+
+  static std::uint32_t u32_at(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4 && at + i < bytes.size(); ++i) {
+      v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+    }
+    return v;
+  }
+  static void set_u32(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) bytes.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+
+  // The payload offset of the image's first section of `type`, walking the
+  // section headers (type u32, length u64).
+  static std::size_t payload_offset(const std::vector<std::uint8_t>& bytes,
+                                    snap::SectionType type) {
+    std::size_t at = snap::kHeaderSize;
+    while (at + snap::kSectionHeaderSize <= bytes.size()) {
+      const std::uint64_t length =
+          u32_at(bytes, at + 4) | static_cast<std::uint64_t>(u32_at(bytes, at + 8)) << 32;
+      if (u32_at(bytes, at) == static_cast<std::uint32_t>(type)) {
+        return at + snap::kSectionHeaderSize;
+      }
+      at += snap::kSectionHeaderSize + length + snap::kSectionTrailerSize;
+    }
+    ADD_FAILURE() << "no section " << snap::to_string(type);
+    return 0;
+  }
+
+  // Recompute the CRC of the image's section of `type` after a patch.
+  static void reseal(std::vector<std::uint8_t>& bytes, snap::SectionType type) {
+    const std::size_t payload = payload_offset(bytes, type);
+    const std::size_t length = u32_at(bytes, payload - 8);
+    set_u32(bytes, payload + length,
+            snap::crc32(std::span<const std::uint8_t>(bytes.data() + payload, length)));
   }
 
   static std::string report_of(const DatasetAnalysis& analysis) {
@@ -416,12 +464,7 @@ TEST_F(SnapshotTest, RejectsOutOfRangeEnumFields) {
     TraceShard shard;
     shard.table = std::make_unique<FlowTable>();
     c.plant(shard, c.one_past_last);
-    std::ostringstream out(std::ios::binary);
-    snap::SnapshotWriter writer(out, meta());
-    writer.add_shard(0, shard);
-    writer.close();
-    const std::string image = std::move(out).str();
-    const std::vector<std::uint8_t> bytes(image.begin(), image.end());
+    const std::vector<std::uint8_t> bytes = image_of(shard);
     try {
       snap::decode_snapshot(bytes);
       ADD_FAILURE() << "decoded " << c.field << " " << int{c.one_past_last};
@@ -432,6 +475,84 @@ TEST_F(SnapshotTest, RejectsOutOfRangeEnumFields) {
       EXPECT_NE(std::string(e.what()).find("byte offset " + std::to_string(e.offset())),
                 std::string::npos)
           << e.what();
+    }
+  }
+}
+
+// The writer emits every host run strictly ascending, so the reader takes
+// an unsorted or repeated host as damage instead of sorting and dedup'ing
+// it.  Both go in through the writer, which does not validate.
+TEST_F(SnapshotTest, RejectsUnsortedOrRepeatedHosts) {
+  struct Case {
+    const char* name;
+    std::vector<std::uint32_t> TraceShard::*hosts;
+    std::vector<std::uint32_t> run;
+    std::uint32_t bad;  // the host the error must point at
+  };
+  const std::vector<Case> cases = {
+      {"unsorted monitored hosts", &TraceShard::monitored_hosts, {3, 9, 5}, 5},
+      {"repeated lbnl host", &TraceShard::lbnl_hosts, {3, 7, 7}, 7},
+      {"unsorted remote hosts", &TraceShard::remote_hosts, {0xFFFFFFFFu, 0}, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TraceShard shard;
+    shard.*c.hosts = c.run;
+    const std::vector<std::uint8_t> bytes = image_of(shard);
+    try {
+      snap::decode_snapshot(bytes);
+      ADD_FAILURE() << "decoded " << c.name;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::kMalformed) << e.what();
+      EXPECT_EQ(u32_at(bytes, e.offset()), c.bad) << e.what();
+      EXPECT_NE(std::string(e.what()).find("host"), std::string::npos) << e.what();
+    }
+  }
+}
+
+// The scanner section's canonical form: sources strictly ascending,
+// extra_seen strictly ascending, and no destination twice within a source.
+// Each break is patched into a valid section, whose CRC is then recomputed,
+// so only the reader's own checks can catch it.
+TEST_F(SnapshotTest, RejectsRepeatedScannerSourceOrDestination) {
+  // Source 10 -> {20}, source 11 -> {21, 22} in order and {30, 31} beyond it.
+  TraceShard shard;
+  shard.detector.import_observations({{10, {20}, {}}, {11, {21, 22}, {30, 31}}});
+  const std::vector<std::uint8_t> valid = image_of(shard);
+  ASSERT_NO_THROW(snap::decode_snapshot(valid));
+  // Payload layout: trace index u32, source count u64, then per source its
+  // address, order length, order, extra_seen length and extra_seen (u32s).
+  const std::size_t payload = payload_offset(valid, snap::SectionType::kScannerState);
+  const std::size_t second_source = payload + 4 + 8 + 4 * 4;
+  const std::size_t order = second_source + 8;
+  const std::size_t extra = order + 2 * 4 + 4;
+  ASSERT_EQ(u32_at(valid, second_source), 11u);
+  ASSERT_EQ(u32_at(valid, order + 4), 22u);
+  ASSERT_EQ(u32_at(valid, extra + 4), 31u);
+  struct Case {
+    const char* name;
+    std::size_t at;
+    std::uint32_t value;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"repeated source", second_source, 10, "scanner source 10 not above"},
+      {"repeated destination in order", order + 4, 21, "names a destination twice"},
+      {"order destination repeated beyond it", extra, 22, "names a destination twice"},
+      {"descending extra_seen", extra + 4, 29, "extra_seen 29 not above"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::uint8_t> bytes = valid;
+    set_u32(bytes, c.at, c.value);
+    reseal(bytes, snap::SectionType::kScannerState);
+    try {
+      snap::decode_snapshot(bytes);
+      ADD_FAILURE() << "decoded " << c.name;
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.kind(), SnapshotError::Kind::kMalformed) << e.what();
+      EXPECT_EQ(e.offset(), c.at) << e.what();
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos) << e.what();
     }
   }
 }

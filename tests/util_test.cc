@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <string>
 
 #include "util/cdf_plot.h"
 #include "util/cli.h"
@@ -384,6 +386,33 @@ TEST(Cli, NonNegDoubleRejectsNonFinite) {
     v = 7.0;
     EXPECT_FALSE(cli::parse_nonneg_double(bad, v)) << bad;
     EXPECT_EQ(v, 7.0) << bad;  // a rejected value leaves the output alone
+  }
+}
+
+// A scale multiplies packet budgets and durations, so a non-finite one
+// ("inf", "1e999", "nan") must not parse, and an ENTRACE_SCALE holding one
+// falls back to the default.
+TEST(Cli, ScaleRejectsNonFinite) {
+  double v = 7.0;
+  EXPECT_TRUE(cli::parse_scale("0.01", v));
+  EXPECT_EQ(v, 0.01);
+  for (const char* bad : {"inf", "infinity", "nan", "1e999", "-inf", "0", "-1", "x", ""}) {
+    v = 7.0;
+    EXPECT_FALSE(cli::parse_scale(bad, v)) << bad;
+    EXPECT_EQ(v, 7.0) << bad;
+  }
+  const char* saved = std::getenv("ENTRACE_SCALE");
+  const std::string restore = saved != nullptr ? saved : "";
+  for (const char* bad : {"inf", "1e999", "nan", "0", "-1"}) {
+    ASSERT_EQ(setenv("ENTRACE_SCALE", bad, 1), 0);
+    EXPECT_EQ(cli::env_scale(0.5), 0.5) << bad;
+  }
+  ASSERT_EQ(setenv("ENTRACE_SCALE", "0.25", 1), 0);
+  EXPECT_EQ(cli::env_scale(0.5), 0.25);
+  if (saved != nullptr) {
+    setenv("ENTRACE_SCALE", restore.c_str(), 1);
+  } else {
+    unsetenv("ENTRACE_SCALE");
   }
 }
 

@@ -39,8 +39,9 @@ using namespace entrace;
 
 namespace {
 
-// The longest heartbeat interval or deadline, in seconds: UINT32_MAX
-// milliseconds, rounded down.
+// The shortest and longest heartbeat interval or deadline, in seconds: one
+// millisecond, and UINT32_MAX milliseconds rounded down.
+constexpr double kMinHeartbeatSeconds = 0.001;
 constexpr double kMaxHeartbeatSeconds = 4294967.0;
 
 int usage(const char* argv0) {
@@ -110,11 +111,13 @@ int main(int argc, char** argv) {
       return true;
     };
     // The heartbeat cadence travels as u32 milliseconds in the JOB frame,
-    // and the deadline becomes a millisecond count too.
+    // and the deadline becomes a millisecond count too.  Below a millisecond
+    // the count would be 0, which the worker reads as "use the default".
     const auto heartbeat_value = [&](double& out) {
-      if (seconds_value(out, true) && out > kMaxHeartbeatSeconds) {
-        std::fprintf(stderr, "%s: '%s' is above %.0f seconds\n", argv[i - 1], argv[i],
-                     kMaxHeartbeatSeconds);
+      if (seconds_value(out, true) &&
+          (out < kMinHeartbeatSeconds || out > kMaxHeartbeatSeconds)) {
+        std::fprintf(stderr, "%s: '%s' is not between %.3f and %.0f seconds\n", argv[i - 1],
+                     argv[i], kMinHeartbeatSeconds, kMaxHeartbeatSeconds);
         parse_error = true;
       }
     };
