@@ -64,7 +64,7 @@ std::vector<std::uint8_t> encode_frame(MsgType type, std::span<const std::uint8_
   for (char c : kFrameMagic) w.u8(static_cast<std::uint8_t>(c));
   w.u32(static_cast<std::uint32_t>(type));
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  std::vector<std::uint8_t> out = w.bytes();
+  std::vector<std::uint8_t> out(w.bytes().begin(), w.bytes().end());
   out.insert(out.end(), payload.begin(), payload.end());
   const std::uint32_t crc = crc32(payload);
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
@@ -187,7 +187,7 @@ std::vector<std::uint8_t> SnapshotChunkMsg::encode() const {
   w.u64(job_id);
   w.u64(offset);
   w.u32(static_cast<std::uint32_t>(bytes.size()));
-  std::vector<std::uint8_t> payload = w.bytes();
+  std::vector<std::uint8_t> payload(w.bytes().begin(), w.bytes().end());
   payload.insert(payload.end(), bytes.begin(), bytes.end());
   return encode_frame(MsgType::kSnapshotChunk, payload);
 }

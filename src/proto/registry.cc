@@ -1,5 +1,8 @@
 #include "proto/registry.h"
 
+#include <algorithm>
+#include <array>
+
 #include "net/headers.h"
 
 namespace entrace {
@@ -141,74 +144,105 @@ AppCategory category_of(AppProtocol p) {
   return AppCategory::kOtherTcp;  // caller refines unknown by transport
 }
 
-AppRegistry::AppRegistry() {
-  auto tcp = [this](std::uint16_t port, AppProtocol p) { ports_[{ipproto::kTcp, port}] = p; };
-  auto udp = [this](std::uint16_t port, AppProtocol p) { ports_[{ipproto::kUdp, port}] = p; };
+namespace {
 
-  tcp(ports::kHttp, AppProtocol::kHttp);
-  tcp(ports::kHttpAlt, AppProtocol::kHttp);
-  tcp(ports::kHttps, AppProtocol::kHttps);
-  tcp(ports::kSmtp, AppProtocol::kSmtp);
-  tcp(ports::kImap4, AppProtocol::kImap4);
-  tcp(ports::kImapS, AppProtocol::kImapS);
-  tcp(ports::kPop3, AppProtocol::kPop3);
-  tcp(ports::kPopS, AppProtocol::kPopS);
-  tcp(ports::kLdap, AppProtocol::kLdap);
-  udp(ports::kLdap, AppProtocol::kLdap);
-  tcp(ports::kFtp, AppProtocol::kFtp);
-  tcp(ports::kFtpData, AppProtocol::kFtpData);
-  tcp(ports::kHpss, AppProtocol::kHpss);
-  tcp(ports::kSsh, AppProtocol::kSsh);
-  tcp(ports::kTelnet, AppProtocol::kTelnet);
-  tcp(ports::kRlogin, AppProtocol::kRlogin);
-  tcp(ports::kX11, AppProtocol::kX11);
-  tcp(ports::kDns, AppProtocol::kDns);
-  udp(ports::kDns, AppProtocol::kDns);
-  udp(ports::kNetbiosNs, AppProtocol::kNetbiosNs);
-  udp(ports::kNetbiosDgm, AppProtocol::kNetbiosDgm);
-  tcp(ports::kNetbiosSsn, AppProtocol::kNetbiosSsn);
-  tcp(ports::kSrvLoc, AppProtocol::kSrvLoc);
-  udp(ports::kSrvLoc, AppProtocol::kSrvLoc);
-  tcp(ports::kPortmap, AppProtocol::kSunRpcPortmap);
-  udp(ports::kPortmap, AppProtocol::kSunRpcPortmap);
-  tcp(ports::kNfs, AppProtocol::kNfs);
-  udp(ports::kNfs, AppProtocol::kNfs);
-  tcp(ports::kNcp, AppProtocol::kNcp);
-  udp(ports::kDhcpServer, AppProtocol::kDhcp);
-  udp(ports::kDhcpClient, AppProtocol::kDhcp);
-  tcp(ports::kIdent, AppProtocol::kIdent);
-  udp(ports::kNtp, AppProtocol::kNtp);
-  udp(ports::kSnmp, AppProtocol::kSnmp);
-  udp(ports::kNavPing, AppProtocol::kNavPing);
-  udp(ports::kSap, AppProtocol::kSap);
-  udp(ports::kNetInfoLocal, AppProtocol::kNetInfoLocal);
-  tcp(ports::kNetInfoLocal, AppProtocol::kNetInfoLocal);
-  tcp(ports::kRtsp, AppProtocol::kRtsp);
-  udp(ports::kIpVideo, AppProtocol::kIpVideo);
-  tcp(ports::kRealStream, AppProtocol::kRealStream);
-  udp(ports::kRealStream, AppProtocol::kRealStream);
-  tcp(ports::kCifs, AppProtocol::kCifs);
-  tcp(ports::kEpm, AppProtocol::kEndpointMapper);
-  udp(ports::kEpm, AppProtocol::kEndpointMapper);
-  tcp(ports::kVeritasCtrl, AppProtocol::kVeritasCtrl);
-  tcp(ports::kVeritasData, AppProtocol::kVeritasData);
-  tcp(ports::kDantz, AppProtocol::kDantz);
-  udp(ports::kDantz, AppProtocol::kDantz);
-  tcp(ports::kConnected, AppProtocol::kConnectedBackup);
-  tcp(ports::kSteltor, AppProtocol::kSteltor);
-  tcp(ports::kMetaSys, AppProtocol::kMetaSys);
-  udp(ports::kMetaSys, AppProtocol::kMetaSys);
-  tcp(ports::kLpd, AppProtocol::kLpd);
-  tcp(ports::kIpp, AppProtocol::kIpp);
-  tcp(ports::kOracleSql, AppProtocol::kOracleSql);
-  tcp(ports::kMsSql, AppProtocol::kMsSql);
-  udp(ports::kMsSql, AppProtocol::kMsSql);
+struct WellKnownPort {
+  std::uint8_t proto;
+  std::uint16_t port;
+  AppProtocol app;
+
+  friend constexpr bool operator<(const WellKnownPort& a, const WellKnownPort& b) {
+    return a.proto != b.proto ? a.proto < b.proto : a.port < b.port;
+  }
+};
+
+constexpr WellKnownPort tcp(std::uint16_t port, AppProtocol app) {
+  return {ipproto::kTcp, port, app};
+}
+constexpr WellKnownPort udp(std::uint16_t port, AppProtocol app) {
+  return {ipproto::kUdp, port, app};
 }
 
-AppProtocol AppRegistry::lookup(std::uint8_t proto, std::uint16_t port) const {
-  auto it = ports_.find({proto, port});
-  return it == ports_.end() ? AppProtocol::kUnknown : it->second;
+// The (transport, port) -> protocol table, sorted by (transport, port) at
+// compile time for binary search.
+constexpr auto kWellKnownPorts = [] {
+  auto table = std::to_array<WellKnownPort>({
+      tcp(ports::kHttp, AppProtocol::kHttp),
+      tcp(ports::kHttpAlt, AppProtocol::kHttp),
+      tcp(ports::kHttps, AppProtocol::kHttps),
+      tcp(ports::kSmtp, AppProtocol::kSmtp),
+      tcp(ports::kImap4, AppProtocol::kImap4),
+      tcp(ports::kImapS, AppProtocol::kImapS),
+      tcp(ports::kPop3, AppProtocol::kPop3),
+      tcp(ports::kPopS, AppProtocol::kPopS),
+      tcp(ports::kLdap, AppProtocol::kLdap),
+      udp(ports::kLdap, AppProtocol::kLdap),
+      tcp(ports::kFtp, AppProtocol::kFtp),
+      tcp(ports::kFtpData, AppProtocol::kFtpData),
+      tcp(ports::kHpss, AppProtocol::kHpss),
+      tcp(ports::kSsh, AppProtocol::kSsh),
+      tcp(ports::kTelnet, AppProtocol::kTelnet),
+      tcp(ports::kRlogin, AppProtocol::kRlogin),
+      tcp(ports::kX11, AppProtocol::kX11),
+      tcp(ports::kDns, AppProtocol::kDns),
+      udp(ports::kDns, AppProtocol::kDns),
+      udp(ports::kNetbiosNs, AppProtocol::kNetbiosNs),
+      udp(ports::kNetbiosDgm, AppProtocol::kNetbiosDgm),
+      tcp(ports::kNetbiosSsn, AppProtocol::kNetbiosSsn),
+      tcp(ports::kSrvLoc, AppProtocol::kSrvLoc),
+      udp(ports::kSrvLoc, AppProtocol::kSrvLoc),
+      tcp(ports::kPortmap, AppProtocol::kSunRpcPortmap),
+      udp(ports::kPortmap, AppProtocol::kSunRpcPortmap),
+      tcp(ports::kNfs, AppProtocol::kNfs),
+      udp(ports::kNfs, AppProtocol::kNfs),
+      tcp(ports::kNcp, AppProtocol::kNcp),
+      udp(ports::kDhcpServer, AppProtocol::kDhcp),
+      udp(ports::kDhcpClient, AppProtocol::kDhcp),
+      tcp(ports::kIdent, AppProtocol::kIdent),
+      udp(ports::kNtp, AppProtocol::kNtp),
+      udp(ports::kSnmp, AppProtocol::kSnmp),
+      udp(ports::kNavPing, AppProtocol::kNavPing),
+      udp(ports::kSap, AppProtocol::kSap),
+      udp(ports::kNetInfoLocal, AppProtocol::kNetInfoLocal),
+      tcp(ports::kNetInfoLocal, AppProtocol::kNetInfoLocal),
+      tcp(ports::kRtsp, AppProtocol::kRtsp),
+      udp(ports::kIpVideo, AppProtocol::kIpVideo),
+      tcp(ports::kRealStream, AppProtocol::kRealStream),
+      udp(ports::kRealStream, AppProtocol::kRealStream),
+      tcp(ports::kCifs, AppProtocol::kCifs),
+      tcp(ports::kEpm, AppProtocol::kEndpointMapper),
+      udp(ports::kEpm, AppProtocol::kEndpointMapper),
+      tcp(ports::kVeritasCtrl, AppProtocol::kVeritasCtrl),
+      tcp(ports::kVeritasData, AppProtocol::kVeritasData),
+      tcp(ports::kDantz, AppProtocol::kDantz),
+      udp(ports::kDantz, AppProtocol::kDantz),
+      tcp(ports::kConnected, AppProtocol::kConnectedBackup),
+      tcp(ports::kSteltor, AppProtocol::kSteltor),
+      tcp(ports::kMetaSys, AppProtocol::kMetaSys),
+      udp(ports::kMetaSys, AppProtocol::kMetaSys),
+      tcp(ports::kLpd, AppProtocol::kLpd),
+      tcp(ports::kIpp, AppProtocol::kIpp),
+      tcp(ports::kOracleSql, AppProtocol::kOracleSql),
+      tcp(ports::kMsSql, AppProtocol::kMsSql),
+      udp(ports::kMsSql, AppProtocol::kMsSql),
+  });
+  std::sort(table.begin(), table.end());
+  return table;
+}();
+
+static_assert(std::adjacent_find(kWellKnownPorts.begin(), kWellKnownPorts.end(),
+                                 [](const WellKnownPort& a, const WellKnownPort& b) {
+                                   return !(a < b);
+                                 }) == kWellKnownPorts.end(),
+              "a (transport, port) pair is listed twice");
+
+AppProtocol lookup(std::uint8_t proto, std::uint16_t port) {
+  const WellKnownPort key{proto, port, AppProtocol::kUnknown};
+  const auto it = std::lower_bound(kWellKnownPorts.begin(), kWellKnownPorts.end(), key);
+  return it != kWellKnownPorts.end() && !(key < *it) ? it->app : AppProtocol::kUnknown;
 }
+
+}  // namespace
 
 AppProtocol AppRegistry::identify(const Connection& conn) const {
   const std::uint8_t proto = conn.key.proto;

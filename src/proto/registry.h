@@ -4,7 +4,10 @@
 // Identification is primarily port-based (as in the paper's Bro policy),
 // with one dynamic element: DCE/RPC services on ephemeral ports are
 // identified by watching Endpoint Mapper traffic (§5.2.1), which the
-// dispatcher registers here at parse time.
+// dispatcher registers here at parse time.  The well-known port table is
+// one sorted constant array shared by the whole process; an AppRegistry
+// holds only its dynamic endpoints, so a fresh one allocates nothing.
+// Every TraceShard carries one and every window rotation copies one.
 #pragma once
 
 #include <cstdint>
@@ -152,8 +155,6 @@ inline constexpr std::uint16_t kMsSql = 1433;
 
 class AppRegistry {
  public:
-  AppRegistry();
-
   // Identify a connection by its (proto, port) pair, preferring the
   // responder port, falling back to the originator port, then to any
   // dynamically registered DCE/RPC endpoint.
@@ -166,7 +167,7 @@ class AppRegistry {
   std::size_t dynamic_endpoint_count() const { return dcerpc_endpoints_.size(); }
 
   // Fold the dynamic endpoints learned by another (per-trace) registry into
-  // this one.  The static port table is identical in every registry.
+  // this one.  The static port table is shared, not per registry.
   void merge_dynamic_endpoints(const AppRegistry& other);
 
   // Snapshot support (src/snapshot): the dynamic endpoints in deterministic
@@ -177,9 +178,6 @@ class AppRegistry {
   }
 
  private:
-  AppProtocol lookup(std::uint8_t proto, std::uint16_t port) const;
-
-  std::map<std::pair<std::uint8_t, std::uint16_t>, AppProtocol> ports_;
   std::map<std::pair<std::uint32_t, std::uint16_t>, bool> dcerpc_endpoints_;
 };
 

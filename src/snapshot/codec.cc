@@ -6,9 +6,10 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "util/flat_index.h"
 
 namespace entrace::snapshot {
 
@@ -98,12 +99,13 @@ class FieldWriter {
     seq(t != nullptr ? t->connections() : kNone, each);
   }
 
-  // Connection pointers written after this refer to `t`'s connections.
+  // Connection pointers written after this refer to `t`'s connections: each
+  // address's ordinal in conns_ is its index in the deque.
   void link_connections(const std::unique_ptr<FlowTable>& t) {
     conns_.clear();
     if (t == nullptr) return;
-    std::uint32_t i = 0;
-    for (const Connection& conn : t->connections()) conns_.emplace(&conn, i++);
+    conns_.reserve(t->connections().size());
+    for (const Connection& conn : t->connections()) conns_.insert(address(&conn));
   }
 
  private:
@@ -123,20 +125,24 @@ class FieldWriter {
     else static_assert(kNoWireForm<T>, "no wire form for this field type");
   }
 
+  static std::uint64_t address(const Connection* conn) {
+    return reinterpret_cast<std::uintptr_t>(conn);
+  }
+
   std::uint32_t conn_ref(const Connection* conn) const {
     if (conn == nullptr) return kNoConn;
-    const auto it = conns_.find(conn);
-    if (it == conns_.end()) {
+    const std::uint32_t index = conns_.find(address(conn));
+    if (index == FlatIndex<std::uint64_t>::kAbsent) {
       // An event pointing outside its own trace's flow table cannot be
       // snapshotted positionally; the per-trace pipeline never produces one.
       throw std::runtime_error(
           "snapshot writer: application event references a connection outside its trace shard");
     }
-    return it->second;
+    return index;
   }
 
   ByteWriter& w_;
-  std::unordered_map<const Connection*, std::uint32_t> conns_;
+  FlatIndex<std::uint64_t> conns_;
 };
 
 // Runs the same section templates backwards, validating each field.

@@ -27,6 +27,8 @@
 // readers reject versions they do not know (no silent forward parsing).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -84,7 +86,8 @@ const char* to_string(SectionType type);
 
 // CRC-32 (IEEE 802.3 polynomial, reflected — the zlib crc32) over bytes.
 // Like zlib's, it continues a running CRC: crc32(b, crc32(a)) is the CRC
-// of a followed by b.
+// of a followed by b.  Computed by slicing-by-8: eight bytes per step
+// through eight 256-entry tables, then the tail one byte at a time.
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc = 0);
 
 // Decode failure; `offset` is the absolute file offset the failure was
@@ -116,9 +119,14 @@ class SnapshotError : public std::runtime_error {
 
 // ---- little-endian encode ---------------------------------------------------
 
+// Appends little-endian fields to one growing buffer.  The writer frames
+// sections in it in place (writer.cc): it appends a section header with a
+// placeholder length, the payload after it, then patches the length.  A
+// field append is one capacity check and one 8-byte store; the stored bytes
+// past the field lie beyond size(), where the next append overwrites them.
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
+  void u8(std::uint8_t v) { append(v, 1); }
   void u16(std::uint16_t v) { append(v, 2); }
   void u32(std::uint32_t v) { append(v, 4); }
   void u64(std::uint64_t v) { append(v, 8); }
@@ -131,17 +139,37 @@ class ByteWriter {
   }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    room(s.size());
+    std::memcpy(buf_.data() + size_, s.data(), s.size());
+    size_ += s.size();
   }
 
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+  // Overwrite the u64 at `at`, which an earlier u64() wrote.
+  void patch_u64(std::size_t at, std::uint64_t v) { store(at, v); }
+
+  std::span<const std::uint8_t> bytes() const { return {buf_.data(), size_}; }
+  std::size_t size() const { return size_; }
+  // Empty the buffer and keep its capacity.
+  void clear() { size_ = 0; }
 
  private:
-  void append(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  // At least n writable bytes past size_.
+  void room(std::size_t n) {
+    if (buf_.size() - size_ < n) buf_.resize(std::max(2 * buf_.size(), size_ + n));
+  }
+  void store(std::size_t at, std::uint64_t v) {
+    if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+    std::memcpy(buf_.data() + at, &v, sizeof(v));
+  }
+  // The low n bytes of v.
+  void append(std::uint64_t v, std::size_t n) {
+    room(sizeof(v));
+    store(size_, v);
+    size_ += n;
   }
 
-  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t> buf_;  // its size is the capacity
+  std::size_t size_ = 0;           // the bytes written
 };
 
 // ---- little-endian decode ---------------------------------------------------

@@ -1,11 +1,16 @@
 #include "snapshot/reader.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <utility>
 
 #include "snapshot/codec.h"
+#include "util/net_io.h"
 
 namespace entrace::snapshot {
 
@@ -193,14 +198,25 @@ std::string describe_range_mismatch(const Snapshot& snap, const SnapshotMeta& ex
 }
 
 Snapshot read_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("snapshot reader: cannot open " + path);
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0 && !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw std::runtime_error("snapshot reader: cannot read " + path);
+  const util::ScopedFd fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (!fd.valid()) throw std::runtime_error("snapshot reader: cannot open " + path);
+  // A directory opens too, and its size is no byte count: only a regular
+  // file is read.
+  struct stat st {};
+  if (::fstat(fd.get(), &st) != 0) throw std::runtime_error("snapshot reader: cannot stat " + path);
+  if (!S_ISREG(st.st_mode)) {
+    throw std::runtime_error("snapshot reader: " + path + " is not a regular file");
   }
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd.get(), bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) throw std::runtime_error("snapshot reader: cannot read " + path);
+    if (n == 0) break;  // the file shrank: decode rejects what is missing
+    got += static_cast<std::size_t>(n);
+  }
+  bytes.resize(got);
   return decode_snapshot(bytes);
 }
 

@@ -34,33 +34,34 @@ SnapshotWriter::~SnapshotWriter() {
 }
 
 void SnapshotWriter::write_header(const SnapshotMeta& meta) {
-  sink_->write(kMagic, kMagicSize);
-  ByteWriter version;
-  version.u32(kFormatVersion);
-  sink_->write(reinterpret_cast<const char*>(version.bytes().data()),
-               static_cast<std::streamsize>(version.bytes().size()));
-  offset_ = kHeaderSize;
-
-  ByteWriter w;
-  encode_meta(meta, w);
-  write_section(SectionType::kDatasetMeta, w);
+  for (const char c : kMagic) buf_.u8(static_cast<std::uint8_t>(c));
+  buf_.u32(kFormatVersion);
+  const std::size_t at = begin_section(SectionType::kDatasetMeta);
+  encode_meta(meta, buf_);
+  end_section(at);
+  flush_buffer();
 }
 
-void SnapshotWriter::write_section(SectionType type, const ByteWriter& payload) {
-  const std::vector<std::uint8_t>& bytes = payload.bytes();
-  ByteWriter frame;
-  frame.u32(static_cast<std::uint32_t>(type));
-  frame.u64(bytes.size());
-  sink_->write(reinterpret_cast<const char*>(frame.bytes().data()),
-               static_cast<std::streamsize>(frame.bytes().size()));
+std::size_t SnapshotWriter::begin_section(SectionType type) {
+  const std::size_t at = buf_.size();
+  buf_.u32(static_cast<std::uint32_t>(type));
+  buf_.u64(0);
+  return at;
+}
+
+void SnapshotWriter::end_section(std::size_t at) {
+  const std::size_t payload_at = at + kSectionHeaderSize;
+  buf_.patch_u64(at + 4, buf_.size() - payload_at);
+  buf_.u32(crc32(buf_.bytes().subspan(payload_at)));
+}
+
+void SnapshotWriter::flush_buffer() {
+  const std::span<const std::uint8_t> bytes = buf_.bytes();
   sink_->write(reinterpret_cast<const char*>(bytes.data()),
                static_cast<std::streamsize>(bytes.size()));
-  ByteWriter trailer;
-  trailer.u32(crc32(bytes));
-  sink_->write(reinterpret_cast<const char*>(trailer.bytes().data()),
-               static_cast<std::streamsize>(trailer.bytes().size()));
   if (!*sink_) throw std::runtime_error("snapshot writer: write failed on " + path_);
-  offset_ += kSectionHeaderSize + bytes.size() + kSectionTrailerSize;
+  offset_ += bytes.size();
+  buf_.clear();
 }
 
 void SnapshotWriter::add_shard(std::uint32_t trace_index, const TraceShard& shard) {
@@ -70,16 +71,18 @@ void SnapshotWriter::add_shard(std::uint32_t trace_index, const TraceShard& shar
   }
   last_index_ = static_cast<std::int64_t>(trace_index);
   for (const SectionType type : kShardRun) {
-    ByteWriter w;
-    w.u32(trace_index);
-    encode_section(type, shard, w);
-    write_section(type, w);
+    const std::size_t at = begin_section(type);
+    buf_.u32(trace_index);
+    encode_section(type, shard, buf_);
+    end_section(at);
   }
+  flush_buffer();
 }
 
 void SnapshotWriter::close() {
   if (closed_) return;
-  write_section(SectionType::kEnd, ByteWriter());
+  end_section(begin_section(SectionType::kEnd));
+  flush_buffer();
   sink_->flush();
   if (!*sink_) throw std::runtime_error("snapshot writer: flush failed on " + tmp_path_);
   if (tmp_path_.empty()) {

@@ -46,9 +46,11 @@ class SnapshotWriter {
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
-  // Encode one trace shard (the ten per-trace sections of kShardRun).  Shards must be
-  // added in ascending trace-index order (the reader enforces the same, so
-  // violations fail fast at write time instead of at merge time).
+  // Encode one trace shard (the ten per-trace sections of kShardRun) into
+  // the writer's buffer and hand the buffer to the file or sink in one
+  // write.  Shards must be added in ascending trace-index order (the reader
+  // enforces the same, so violations fail fast at write time instead of at
+  // merge time).
   void add_shard(std::uint32_t trace_index, const TraceShard& shard);
 
   // Write the end section, flush, and atomically rename the .tmp onto the
@@ -61,12 +63,20 @@ class SnapshotWriter {
 
  private:
   void write_header(const SnapshotMeta& meta);
-  void write_section(SectionType type, const ByteWriter& payload);
+  // Frame a section in buf_ in place: begin_section appends the type and a
+  // placeholder length and returns where the section starts; the payload is
+  // appended after it; end_section patches the length and appends the
+  // payload's CRC.
+  std::size_t begin_section(SectionType type);
+  void end_section(std::size_t at);
+  // Write buf_ to the sink and empty it.
+  void flush_buffer();
 
   std::string path_;      // empty in stream-sink mode
   std::string tmp_path_;  // empty in stream-sink mode
   std::ofstream out_;     // unopened in stream-sink mode
   std::ostream* sink_ = nullptr;  // &out_ in file mode, the caller's stream otherwise
+  ByteWriter buf_;                // the sections not yet written, reused per shard
   std::uint64_t offset_ = 0;
   std::int64_t last_index_ = -1;
   bool closed_ = false;

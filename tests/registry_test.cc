@@ -58,6 +58,24 @@ TEST(Registry, DynamicDceRpcEndpoints) {
   EXPECT_TRUE(reg.is_dcerpc_endpoint(c.key.dst, 3456));
   EXPECT_FALSE(reg.is_dcerpc_endpoint(c.key.dst, 3457));
   EXPECT_EQ(reg.dynamic_endpoint_count(), 1u);
+
+  // The well-known port table is shared by every registry, but each
+  // registry's dynamic endpoints are its own: a fresh registry and a copy
+  // taken before the registration do not see the endpoint, and a copy
+  // taken after does.
+  AppRegistry learner;
+  Connection other = make_conn(ipproto::kTcp, 40000, 4567);
+  learner.register_dcerpc_endpoint(other.key.dst, 4567);
+  const AppRegistry copy_before = learner;
+  learner.register_dcerpc_endpoint(c.key.dst, 3456);
+  const AppRegistry copy_after = learner;
+  EXPECT_EQ(AppRegistry().identify(c), AppProtocol::kUnknown);
+  EXPECT_EQ(AppRegistry().dynamic_endpoint_count(), 0u);
+  EXPECT_EQ(copy_before.identify(c), AppProtocol::kUnknown);
+  EXPECT_EQ(copy_before.identify(other), AppProtocol::kDceRpc);
+  EXPECT_EQ(copy_after.identify(c), AppProtocol::kDceRpc);
+  EXPECT_EQ(copy_after.dynamic_endpoint_count(), 2u);
+  EXPECT_EQ(copy_after.identify(make_conn(ipproto::kTcp, 40000, 80)), AppProtocol::kHttp);
 }
 
 TEST(Categories, Table4Grouping) {

@@ -10,7 +10,12 @@
 //      truncation, flipped bits, missing end marker, out-of-range enum
 //      bytes, host runs or scanner observations out of the writer's
 //      canonical form) are rejected with a SnapshotError naming the byte
-//      offset — never misdecoded or quietly repaired.
+//      offset — never misdecoded or quietly repaired.  A seeded
+//      structure-aware mutation loop (section types, lengths and payload
+//      fields, CRCs recomputed) holds every decode to "succeed or throw
+//      SnapshotError".
+//   4. The CRC-32 every section carries is zlib's, pinned on its own: the
+//      golden digests are computed with the same function.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,9 +25,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <random>
 #include <span>
 #include <sstream>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "core/analyzer.h"
@@ -111,19 +118,33 @@ class SnapshotTest : public ::testing::Test {
   static void set_u32(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint32_t v) {
     for (std::size_t i = 0; i < 4; ++i) bytes.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
   }
+  static void set_u64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i) bytes.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+  }
 
-  // The payload offset of the image's first section of `type`, walking the
-  // section headers (type u32, length u64).
+  // The payload length the section header at `at` (type u32, length u64)
+  // declares.
+  static std::uint64_t section_length(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+    return u32_at(bytes, at + 4) | static_cast<std::uint64_t>(u32_at(bytes, at + 8)) << 32;
+  }
+
+  // The offsets of a valid image's section headers, in file order.
+  static std::vector<std::size_t> section_offsets(const std::vector<std::uint8_t>& bytes) {
+    std::vector<std::size_t> out;
+    for (std::size_t at = snap::kHeaderSize; at + snap::kSectionHeaderSize <= bytes.size();
+         at += snap::kSectionHeaderSize + section_length(bytes, at) + snap::kSectionTrailerSize) {
+      out.push_back(at);
+    }
+    return out;
+  }
+
+  // The payload offset of the image's first section of `type`.
   static std::size_t payload_offset(const std::vector<std::uint8_t>& bytes,
                                     snap::SectionType type) {
-    std::size_t at = snap::kHeaderSize;
-    while (at + snap::kSectionHeaderSize <= bytes.size()) {
-      const std::uint64_t length =
-          u32_at(bytes, at + 4) | static_cast<std::uint64_t>(u32_at(bytes, at + 8)) << 32;
+    for (const std::size_t at : section_offsets(bytes)) {
       if (u32_at(bytes, at) == static_cast<std::uint32_t>(type)) {
         return at + snap::kSectionHeaderSize;
       }
-      at += snap::kSectionHeaderSize + length + snap::kSectionTrailerSize;
     }
     ADD_FAILURE() << "no section " << snap::to_string(type);
     return 0;
@@ -555,6 +576,152 @@ TEST_F(SnapshotTest, RejectsRepeatedScannerSourceOrDestination) {
       EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos) << e.what();
     }
   }
+}
+
+// ---- the CRC and the file layer ------------------------------------------------
+
+// The reflected IEEE polynomial, one bit at a time: the definition the
+// sliced snapshot::crc32 must agree with.
+std::uint32_t bitwise_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST_F(SnapshotTest, Crc32IsZlibsAtEveryLengthAndAlignment) {
+  const std::string check = "123456789";
+  const std::span<const std::uint8_t> digits(reinterpret_cast<const std::uint8_t*>(check.data()),
+                                             check.size());
+  EXPECT_EQ(snap::crc32(digits), 0xCBF43926u);
+  EXPECT_EQ(snap::crc32({}), 0u);
+  EXPECT_EQ(snap::crc32(digits.subspan(4), snap::crc32(digits.first(4))), 0xCBF43926u);
+
+  std::mt19937_64 rng(23);
+  std::vector<std::uint8_t> buffer(64 + 8);
+  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const auto bytes = std::span<const std::uint8_t>(buffer).subspan(start, length);
+      const std::uint32_t want = bitwise_crc32(bytes);
+      ASSERT_EQ(snap::crc32(bytes), want) << "start " << start << ", length " << length;
+      for (std::size_t cut = 0; cut <= length; ++cut) {
+        ASSERT_EQ(snap::crc32(bytes.subspan(cut), snap::crc32(bytes.first(cut))), want)
+            << "start " << start << ", length " << length << ", chained at " << cut;
+      }
+    }
+  }
+}
+
+// A directory opens like a file, but its seek offset is no byte count;
+// sizing the read buffer from it asked for an impossible allocation.
+TEST_F(SnapshotTest, ReadSnapshotRejectsADirectoryByName) {
+  const std::string dir = temp_path("entrace_snap_dir");
+  std::filesystem::create_directories(dir);
+  try {
+    snap::read_snapshot(dir);
+    ADD_FAILURE() << "read a directory as a snapshot";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+  }
+  std::filesystem::remove(dir);
+}
+
+// Seeded structure-aware mutation, a fixed 2,000 iterations over a
+// two-trace D3 image.  Each iteration picks one section and rewrites its
+// type, its length (past the end of the file too) or 1, 4 or 8 payload
+// bytes (random, zero, all-ones or a huge count), then recomputes the
+// section's CRC, so the damage reaches the field decoders rather than
+// stopping at the CRC check.  Decode must succeed or throw SnapshotError:
+// any other exception fails here, and a crash or a sanitizer report fails
+// the run (`ctest --preset snapshot-asan`).
+TEST_F(SnapshotTest, StructureAwareMutationIsDecodedOrRejected) {
+  const std::vector<std::uint8_t> image = [] {
+    EnterpriseModel m;
+    const SyntheticTraceSourceSet d3(dataset_by_name("D3", 0.004), m);
+    std::vector<TraceShard> shards =
+        analyze_trace_shards(d3, default_config_for_model(m.site()), 0, 2);
+    std::ostringstream out(std::ios::binary);
+    snap::SnapshotWriter writer(out, {"D3", 0.004, static_cast<std::uint32_t>(d3.size())});
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      writer.add_shard(static_cast<std::uint32_t>(i), shards[i]);
+    }
+    writer.close();
+    const std::string bytes = std::move(out).str();
+    return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+  }();
+  ASSERT_NO_THROW(snap::decode_snapshot(image));
+
+  const std::vector<std::size_t> sections = section_offsets(image);
+  ASSERT_EQ(sections.size(), 2 + 2 * std::size(snap::kShardRun));
+
+  const std::uint64_t extremes[] = {0, ~std::uint64_t{0}, 0xFFFFFFFFu, 0x7FFFFFFFu,
+                                    std::uint64_t{1} << 40, 1};
+  std::size_t accepted = 0, field_rejects = 0, escapes = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint8_t> bytes = image;
+    const std::size_t at = sections[rng() % sections.size()];
+    const std::size_t payload = at + snap::kSectionHeaderSize;
+    const std::uint64_t old_length = section_length(image, at);
+    std::uint64_t length = old_length;
+    const char* what = "";
+    switch (rng() % 3) {
+      case 0: {
+        what = "type";
+        const std::uint32_t types[] = {0x01, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16,
+                                       0x17, 0x18, 0x19, 0x7F, static_cast<std::uint32_t>(rng())};
+        set_u32(bytes, at, types[rng() % std::size(types)]);
+        break;
+      }
+      case 1: {
+        what = "length";
+        const std::uint64_t lengths[] = {rng() % (2 * old_length + 16),
+                                         old_length + 1 - rng() % 3,
+                                         bytes.size() - payload + rng() % 8,
+                                         bytes.size() + rng() % 4096,
+                                         extremes[rng() % std::size(extremes)]};
+        length = lengths[rng() % std::size(lengths)];
+        set_u64(bytes, at + 4, length);
+        break;
+      }
+      default: {
+        what = "payload";
+        const std::size_t widths[] = {1, 4, 8};
+        const std::size_t w = widths[rng() % std::size(widths)];
+        if (old_length < w) continue;
+        const std::size_t field = payload + rng() % (old_length - w + 1);
+        const std::uint64_t value =
+            rng() % 2 == 0 ? rng() : extremes[rng() % std::size(extremes)];
+        for (std::size_t i = 0; i < w; ++i) {
+          bytes[field + i] = static_cast<std::uint8_t>(value >> (8 * i));
+        }
+        break;
+      }
+    }
+    // Reseal: the CRC of the (possibly re-lengthed) payload, where the
+    // reader will look for it.
+    if (length <= bytes.size() - payload && bytes.size() - payload - length >= 4) {
+      set_u32(bytes, payload + length,
+              snap::crc32(std::span<const std::uint8_t>(bytes.data() + payload, length)));
+    }
+    try {
+      snap::decode_snapshot(bytes);
+      ++accepted;
+    } catch (const SnapshotError& e) {
+      if (std::string(e.what()).find("CRC mismatch") == std::string::npos) ++field_rejects;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "seed " << seed << " (" << what << " of the section at byte " << at
+                    << ") escaped as " << typeid(e).name() << ": " << e.what();
+      if (++escapes == 10) break;
+    }
+  }
+  // Mutations got past the CRC into the decoders: some decode, and some
+  // are caught by a field or framing check rather than by the CRC.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(field_rejects, 0u);
 }
 
 TEST_F(SnapshotTest, WriterRefusesOutOfOrderShards) {
