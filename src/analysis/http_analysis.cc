@@ -36,8 +36,8 @@ std::string coarse_content_type(const std::string& content_type) {
   return "other";
 }
 
-bool conn_is_wan(const Connection& c, const SiteConfig& site) {
-  return !site.is_internal(c.key.src) || !site.is_internal(c.key.dst);
+bool is_wan(Ipv4Address src, Ipv4Address dst, const SiteConfig& site) {
+  return !site.is_internal(src) || !site.is_internal(dst);
 }
 
 }  // namespace
@@ -66,8 +66,7 @@ HttpAnalysis HttpAnalysis::compute(std::span<const HttpTransaction> txns,
   PeerCounter servers(txns.size());
 
   for (const auto& txn : txns) {
-    if (txn.conn == nullptr) continue;
-    const bool wan = conn_is_wan(*txn.conn, site);
+    const bool wan = is_wan(txn.src, txn.dst, site);
     const HttpClientKind kind = classify_http_client(txn);
     const std::uint64_t body = txn.has_response ? txn.resp_body_len : 0;
 
@@ -83,7 +82,7 @@ HttpAnalysis HttpAnalysis::compute(std::span<const HttpTransaction> txns,
     }
 
     if (kind != HttpClientKind::kNormal) continue;  // excluded from the rest
-    servers.add(txn.conn->key.src, txn.conn->key.dst);
+    servers.add(txn.src, txn.dst);
 
     // Conditional GET accounting.
     if (wan) {
@@ -122,9 +121,9 @@ HttpAnalysis HttpAnalysis::compute(std::span<const HttpTransaction> txns,
     if (app == AppProtocol::kHttp) http_conns.push_back(c);
   }
   out.ent_success = HostPairOutcomes::compute(
-      http_conns, [&site](const Connection& c) { return !conn_is_wan(c, site); });
+      http_conns, [&site](const Connection& c) { return !is_wan(c.key.src, c.key.dst, site); });
   out.wan_success = HostPairOutcomes::compute(
-      http_conns, [&site](const Connection& c) { return conn_is_wan(c, site); });
+      http_conns, [&site](const Connection& c) { return is_wan(c.key.src, c.key.dst, site); });
 
   servers.count(site, out.fanout.ent, out.fanout.wan, [](Ipv4Address) { return true; });
   return out;

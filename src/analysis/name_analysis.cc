@@ -15,7 +15,7 @@ NameAnalysis NameAnalysis::compute(std::span<const DnsTransaction> dns,
   std::map<std::uint32_t, std::uint64_t> dns_clients;
   for (const auto& txn : dns) {
     ++out.dns_requests;
-    if (txn.conn != nullptr) ++dns_clients[txn.conn->key.src.value()];
+    ++dns_clients[txn.src.value()];
     switch (txn.qtype) {
       case dnstype::kA:
         ++out.dns_a;
@@ -42,9 +42,9 @@ NameAnalysis NameAnalysis::compute(std::span<const DnsTransaction> dns,
       } else {
         ++out.dns_other_rcode;
       }
-      if (txn.conn != nullptr && txn.latency() >= 0) {
+      if (txn.latency() >= 0) {
         // The server is the responder of the flow.
-        const bool wan = !site.is_internal(txn.conn->key.dst);
+        const bool wan = !site.is_internal(txn.dst);
         (wan ? out.dns_latency_wan : out.dns_latency_ent).add(txn.latency());
       }
     }
@@ -66,7 +66,7 @@ NameAnalysis NameAnalysis::compute(std::span<const DnsTransaction> dns,
   std::map<std::pair<std::uint32_t, std::string>, int> ops;  // 1 ok, -1 fail
   for (const auto& txn : nbns) {
     ++out.nbns_requests;
-    if (txn.conn != nullptr) ++nbns_clients[txn.conn->key.src.value()];
+    ++nbns_clients[txn.src.value()];
     switch (txn.opcode) {
       case NbnsOpcode::kQuery:
         ++out.nbns_queries;
@@ -96,8 +96,8 @@ NameAnalysis NameAnalysis::compute(std::span<const DnsTransaction> dns,
         ++out.nbns_type_other;
         break;
     }
-    if (txn.opcode == NbnsOpcode::kQuery && txn.has_response && txn.conn != nullptr) {
-      auto& verdict = ops[{txn.conn->key.src.value(), txn.name}];
+    if (txn.opcode == NbnsOpcode::kQuery && txn.has_response) {
+      auto& verdict = ops[{txn.src.value(), txn.name}];
       if (txn.rcode == 0) {
         verdict = 1;
       } else if (verdict == 0) {

@@ -101,12 +101,8 @@ NetFileAnalysis NetFileAnalysis::compute(const AppEvents& events,
       ++out.nfs_replies;
       if (call.status == 0) ++out.nfs_ok;
     }
-    if (call.conn != nullptr) {
-      const auto pair =
-          std::make_pair(std::min(call.conn->key.src.value(), call.conn->key.dst.value()),
-                         std::max(call.conn->key.src.value(), call.conn->key.dst.value()));
-      ++nfs_pair_reqs[pair];
-    }
+    const std::uint32_t a = call.src.value(), b = call.dst.value();
+    ++nfs_pair_reqs[{std::min(a, b), std::max(a, b)}];
   }
 
   // ---- NCP request breakdown --------------------------------------------------
@@ -123,12 +119,8 @@ NetFileAnalysis NetFileAnalysis::compute(const AppEvents& events,
       ++out.ncp_replies;
       if (call.completion_code == 0) ++out.ncp_ok;
     }
-    if (call.conn != nullptr) {
-      const auto pair =
-          std::make_pair(std::min(call.conn->key.src.value(), call.conn->key.dst.value()),
-                         std::max(call.conn->key.src.value(), call.conn->key.dst.value()));
-      ++ncp_pair_reqs[pair];
-    }
+    const std::uint32_t a = call.src.value(), b = call.dst.value();
+    ++ncp_pair_reqs[{std::min(a, b), std::max(a, b)}];
   }
 
   for (const auto& [pair, n] : nfs_pair_reqs) out.nfs_reqs_per_pair.add(static_cast<double>(n));

@@ -30,8 +30,7 @@ WindowsAnalysis WindowsAnalysis::compute(const AppEvents& events,
   // NBSS handshake outcomes by host pair.
   std::map<std::pair<std::uint32_t, std::uint32_t>, int> handshake;  // 1 ok, -1 neg
   for (const auto& evt : events.nbss) {
-    if (evt.conn == nullptr) continue;
-    auto key = std::make_pair(evt.conn->key.src.value(), evt.conn->key.dst.value());
+    auto key = std::make_pair(evt.src.value(), evt.dst.value());
     if (evt.type == NbssEventType::kPositiveResponse) {
       handshake[key] = 1;
     } else if (evt.type == NbssEventType::kNegativeResponse) {

@@ -45,14 +45,13 @@ void unite_hosts(std::vector<std::uint32_t>& into, std::vector<std::uint32_t>&& 
 
 void ShardTotals::merge_from(ShardTotals&& other) {
   // Binding every member by name compiles only while ShardTotals has
-  // exactly these eleven.  A new member must be added to the declaration
+  // exactly these ten.  A new member must be added to the declaration
   // (core/analyzer.h), merged here, and encoded in snapshot/codec.cc.
-  auto& [packets, wire_bytes, l3_counts, protos, monitored, lbnl, remote, quality_in, events_in,
+  auto& [packets, wire_bytes, l3_counts, monitored, lbnl, remote, quality_in, events_in,
          registry_in, metrics_in] = other;
   total_packets += packets;
   total_wire_bytes += wire_bytes;
   l3.merge(l3_counts);
-  ip_proto_packets.merge(protos);
   unite_hosts(monitored_hosts, std::move(monitored));
   unite_hosts(lbnl_hosts, std::move(lbnl));
   unite_hosts(remote_hosts, std::move(remote));

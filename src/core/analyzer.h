@@ -30,9 +30,7 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -80,40 +78,14 @@ struct AnalyzerConfig {
 // order).  The golden digests (tests/golden/reports.txt) pin the results.
 inline constexpr std::size_t kBatchSize = 256;
 
-// IP packets tallied by transport protocol number.  A flat 256-entry array
-// instead of a std::map: the increment sits in the per-packet hot loop and
-// must not pay red-black-tree costs.  as_map() keeps the old map-like view
-// for report code.
-class IpProtoCounts {
- public:
-  std::uint64_t& operator[](std::uint8_t proto) { return counts_[proto]; }
-  std::uint64_t operator[](std::uint8_t proto) const { return counts_[proto]; }
-
-  void merge(const IpProtoCounts& other) {
-    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  }
-
-  // Nonzero entries ordered by protocol number (the old std::map interface).
-  std::map<std::uint8_t, std::uint64_t> as_map() const {
-    std::map<std::uint8_t, std::uint64_t> out;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      if (counts_[i] != 0) out.emplace(static_cast<std::uint8_t>(i), counts_[i]);
-    }
-    return out;
-  }
-
- private:
-  std::array<std::uint64_t, 256> counts_{};
-};
-
-// The members a DatasetAnalysis and a TraceShard share, declared once.  A
-// shard's totals cover one trace (or one window of one trace); the
+// The ten members a DatasetAnalysis and a TraceShard share, declared once.
+// A shard's totals cover one trace (or one window of one trace); the
 // dataset's are every shard's, folded by merge_from.
 struct ShardTotals {
   // ---- packet-level tallies (Tables 1-2) ----------------------------------
   // Accounting rule: every headline tally — total_packets, total_wire_bytes,
-  // l3, ip_proto_packets, the host sets and the load series — counts only
-  // packets that survived decode and checksum verification, i.e. exactly
+  // l3, the host sets and the load series — counts only packets that
+  // survived decode and checksum verification, i.e. exactly
   // quality.packets_ok.  Packets dropped for undecodable or demonstrably
   // corrupt headers are accounted solely in `quality`
   // (packets_seen == packets_ok + packets_dropped), so the invariant
@@ -123,8 +95,6 @@ struct ShardTotals {
   std::uint64_t total_packets = 0;
   std::uint64_t total_wire_bytes = 0;
   NetworkLayerBreakdown l3;
-  // IP packets by transport protocol number (rare transports of §3).
-  IpProtoCounts ip_proto_packets;
   // Host sets as sorted, duplicate-free address runs: merge_from is a
   // linear set union and membership a binary search.
   std::vector<std::uint32_t> monitored_hosts;  // hosts in monitored subnets

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <stdexcept>
 
 #include "net/decoder.h"
 #include "obs/stage_timer.h"
@@ -114,7 +113,6 @@ void TraceStream::tally_one(const DecodedPacket& d) {
   win_.l3.add(d.l3);
   win_.load.add_packet(d.ts, d.wire_len);
   if (d.l3 != L3Kind::kIpv4) return;
-  ++win_.ip_proto_packets[d.ip_proto];
   if (!pair_cache_.test_and_set(d.src.value(), d.dst.value())) {
     win_.detector.observe(d.src, d.dst);
   }
@@ -240,24 +238,11 @@ TraceShard TraceStream::rotate() {
   const std::vector<std::uint32_t> dirty = table_->take_dirty();
   shard.table = std::make_unique<FlowTable>();
   std::deque<Connection>& out_conns = shard.table->connections();
-  std::unordered_map<const Connection*, const Connection*> remap;
-  remap.reserve(dirty.size());
   const std::deque<Connection>& live = table_->connections();
   for (std::uint32_t i : dirty) {
     out_conns.push_back(live[i]);
     out_conns.back().parser_slot = Connection::kNoParser;
-    remap.emplace(&live[i], &out_conns.back());
   }
-
-  // Events emitted this window necessarily reference connections touched
-  // this window (a parser only fires on on_data/on_close), so the remap is
-  // total; a miss means the dirty-tracking invariant broke — fail loudly.
-  remap_event_connections(shard.events, [&](const Connection* c) {
-    const auto it = remap.find(c);
-    if (it == remap.end())
-      throw std::logic_error("window event references a connection not touched this window");
-    return it->second;
-  });
   dispatcher_.on_events_rotated();
   return shard;
 }

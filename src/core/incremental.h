@@ -23,8 +23,10 @@
 //     this window (FlowTable::take_dirty), ordered and keyed by
 //     Connection::open_seq so cross-window upsert (last writer wins)
 //     reassembles the exact batch connection order;
-//   - application events reference the window's own connection copies, so
-//     every window shard is self-contained for the snapshot writer.
+//   - application events carry their connection's endpoints by value
+//     (proto/events.h), so every window shard is self-contained by
+//     construction: rotation copies the dirty connections and moves the
+//     events, with nothing to translate between them.
 //
 // Trace-total metrics (source.*, decode.*, flow.*, app.events.*) are
 // recorded once, into the final window, from cumulative counters the
@@ -40,7 +42,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/analyzer.h"

@@ -172,13 +172,15 @@ void CifsParser::parse_stream(Connection& conn, Direction dir, double ts, Stream
 
     switch (type) {
       case nbss::kSessionRequest:
-        events_.nbss.push_back({&conn, ts, NbssEventType::kRequest});
+        events_.nbss.push_back({conn.key.src, conn.key.dst, ts, NbssEventType::kRequest});
         break;
       case nbss::kPositiveResponse:
-        events_.nbss.push_back({&conn, ts, NbssEventType::kPositiveResponse});
+        events_.nbss.push_back(
+            {conn.key.src, conn.key.dst, ts, NbssEventType::kPositiveResponse});
         break;
       case nbss::kNegativeResponse:
-        events_.nbss.push_back({&conn, ts, NbssEventType::kNegativeResponse});
+        events_.nbss.push_back(
+            {conn.key.src, conn.key.dst, ts, NbssEventType::kNegativeResponse});
         break;
       case nbss::kSessionMessage:
         handle_smb(conn, dir, ts, payload, len + 4);
@@ -293,7 +295,8 @@ void CifsParser::handle_smb(Connection& conn, Direction dir, double ts,
   }
 
   CifsCommand evt;
-  evt.conn = &conn;
+  evt.src = conn.key.src;
+  evt.dst = conn.key.dst;
   evt.ts = ts;
   evt.command = cmd;
   evt.category = classify(cmd, fid, trans_name);

@@ -283,7 +283,8 @@ void DceRpcSession::handle_pdu(Connection& conn, double ts, const DcePdu& pdu) {
     case dce_ptype::kRequest: {
       call_opnums_[pdu.call_id] = pdu.opnum;
       DceRpcCall call;
-      call.conn = &conn;
+      call.src = conn.key.src;
+      call.dst = conn.key.dst;
       call.ts = ts;
       call.iface = iface_;
       call.opnum = pdu.opnum;
@@ -295,7 +296,8 @@ void DceRpcSession::handle_pdu(Connection& conn, double ts, const DcePdu& pdu) {
     }
     case dce_ptype::kResponse: {
       DceRpcCall call;
-      call.conn = &conn;
+      call.src = conn.key.src;
+      call.dst = conn.key.dst;
       call.ts = ts;
       call.iface = iface_;
       auto it = call_opnums_.find(pdu.call_id);
@@ -311,7 +313,8 @@ void DceRpcSession::handle_pdu(Connection& conn, double ts, const DcePdu& pdu) {
         std::uint16_t port;
         if (decode_epm_map_stub(pdu.stub, uuid, server, port)) {
           EpmMapping m;
-          m.conn = &conn;
+          m.src = conn.key.src;
+          m.dst = conn.key.dst;
           m.ts = ts;
           m.server = server;
           m.port = port;

@@ -115,7 +115,8 @@ void DnsParser::on_data(Connection& conn, Direction dir, double ts,
   }
   if (!msg->is_response) {
     DnsTransaction txn;
-    txn.conn = &conn;
+    txn.src = conn.key.src;
+    txn.dst = conn.key.dst;
     txn.query_ts = ts;
     txn.qtype = msg->qtype;
     txn.qname = msg->qname;

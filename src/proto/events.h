@@ -1,6 +1,13 @@
 // Typed application-layer events emitted by the protocol parsers and
 // consumed by the analysis modules.  One AppEvents instance accumulates all
 // events of a dataset.
+//
+// Every event carries its connection's originator and responder by value
+// (src, dst: Connection::key.src and key.dst at emission), the way Zeek's
+// application logs carry id.orig_h / id.resp_h.  Those two addresses are
+// all an analysis reads of an event's connection, so an event holds no
+// pointer into a FlowTable: a shard's events stay valid when its table is
+// copied, rotated, folded or decoded, and .esnap writes them as they are.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +21,7 @@ namespace entrace {
 
 // ---- HTTP (§5.1.1) ---------------------------------------------------------
 struct HttpTransaction {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double req_ts = 0.0;
   double resp_ts = 0.0;
   std::string method;
@@ -30,7 +37,7 @@ struct HttpTransaction {
 
 // ---- Email -----------------------------------------------------------------
 struct SmtpCommand {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double ts = 0.0;
   std::string verb;  // HELO, MAIL, RCPT, DATA, QUIT ...
 };
@@ -49,7 +56,7 @@ inline constexpr int kNxDomain = 3;
 }  // namespace dnsrcode
 
 struct DnsTransaction {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double query_ts = 0.0;
   double resp_ts = 0.0;
   std::uint16_t qtype = 0;
@@ -63,7 +70,7 @@ enum class NbnsOpcode : std::uint8_t { kQuery, kRegistration, kRelease, kRefresh
 enum class NbnsNameType : std::uint8_t { kWorkstation, kServer, kDomain, kOther };
 
 struct NbnsTransaction {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double query_ts = 0.0;
   double resp_ts = 0.0;
   NbnsOpcode opcode = NbnsOpcode::kQuery;
@@ -77,7 +84,7 @@ struct NbnsTransaction {
 enum class NbssEventType : std::uint8_t { kRequest, kPositiveResponse, kNegativeResponse };
 
 struct NbssEvent {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double ts = 0.0;
   NbssEventType type = NbssEventType::kRequest;
 };
@@ -93,7 +100,7 @@ enum class CifsCategory : std::uint8_t {
 const char* to_string(CifsCategory c);
 
 struct CifsCommand {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double ts = 0.0;
   std::uint8_t command = 0;
   CifsCategory category = CifsCategory::kOther;
@@ -106,7 +113,7 @@ enum class DceIface : std::uint8_t { kNetLogon, kLsaRpc, kSpoolss, kEpm, kSamr, 
 const char* to_string(DceIface i);
 
 struct DceRpcCall {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double ts = 0.0;
   DceIface iface = DceIface::kOther;
   std::uint16_t opnum = 0;
@@ -124,7 +131,7 @@ inline constexpr std::uint16_t kOpenPrinter = 1;
 }  // namespace spoolss_op
 
 struct EpmMapping {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double ts = 0.0;
   Ipv4Address server;
   std::uint16_t port = 0;
@@ -142,7 +149,7 @@ inline constexpr std::uint32_t kWrite = 7;
 }  // namespace nfsproc
 
 struct NfsCall {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double req_ts = 0.0;
   double resp_ts = 0.0;
   std::uint32_t proc = 0;
@@ -166,7 +173,7 @@ enum class NcpFunction : std::uint8_t {
 const char* to_string(NcpFunction f);
 
 struct NcpCall {
-  const Connection* conn = nullptr;
+  Ipv4Address src, dst;  // the connection's originator and responder
   double req_ts = 0.0;
   double resp_ts = 0.0;
   NcpFunction function = NcpFunction::kOther;
@@ -198,26 +205,5 @@ struct AppEvents {
   // in trace-index order reproduces the event order of a serial pass.
   void merge(AppEvents&& other);
 };
-
-// Rewrite every event's connection pointer through `fn` (old pointer in,
-// new pointer out).  The windowed engine uses this twice: once at rotation
-// to point a window's events at the window's own connection copies, and
-// once at reconstruction to point them at the reassembled per-trace table.
-template <typename Fn>
-void remap_event_connections(AppEvents& ev, Fn&& fn) {
-  auto apply = [&](auto& vec) {
-    for (auto& e : vec) e.conn = fn(e.conn);
-  };
-  apply(ev.http);
-  apply(ev.smtp);
-  apply(ev.dns);
-  apply(ev.nbns);
-  apply(ev.nbss);
-  apply(ev.cifs);
-  apply(ev.dcerpc);
-  apply(ev.epm);
-  apply(ev.nfs);
-  apply(ev.ncp);
-}
 
 }  // namespace entrace

@@ -89,7 +89,8 @@ void HttpParser::parse_requests(Connection& conn, double ts) {
       return;
     }
     HttpTransaction txn;
-    txn.conn = &conn;
+    txn.src = conn.key.src;
+    txn.dst = conn.key.dst;
     txn.req_ts = ts;
     txn.method = std::string(parts[0]);
     txn.uri = std::string(parts[1]);

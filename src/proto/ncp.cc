@@ -109,7 +109,8 @@ void NcpParser::on_data(Connection& conn, Direction dir, double ts,
 void NcpParser::handle_message(Connection& conn, double ts, const NcpMessage& msg) {
   if (msg.is_request) {
     NcpCall call;
-    call.conn = &conn;
+    call.src = conn.key.src;
+    call.dst = conn.key.dst;
     call.req_ts = ts;
     call.function = ncp_function_enum(msg.function);
     call.req_bytes = msg.total_len;

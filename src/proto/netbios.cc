@@ -127,7 +127,8 @@ void NbnsParser::on_data(Connection& conn, Direction dir, double ts,
   }
   if (!msg->is_response) {
     NbnsTransaction txn;
-    txn.conn = &conn;
+    txn.src = conn.key.src;
+    txn.dst = conn.key.dst;
     txn.query_ts = ts;
     txn.opcode = nbns_opcode_enum(msg->opcode);
     txn.name_type = nbns_name_type(msg->suffix);

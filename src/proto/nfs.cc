@@ -177,7 +177,8 @@ void NfsParser::handle_message(Connection& conn, double ts, std::span<const std:
   if (rpc->is_call) {
     if (rpc->prog != kNfsProgram) return;
     NfsCall call;
-    call.conn = &conn;
+    call.src = conn.key.src;
+    call.dst = conn.key.dst;
     call.req_ts = ts;
     call.proc = rpc->proc;
     call.req_bytes = size;

@@ -38,7 +38,7 @@ void SmtpParser::on_data(Connection& conn, Direction dir, double ts,
     if (verb.empty()) continue;
     for (char& c : verb) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
     if (verb == "DATA") in_data_ = true;
-    out_.push_back({&conn, ts, std::move(verb)});
+    out_.push_back({conn.key.src, conn.key.dst, ts, std::move(verb)});
   }
 }
 

@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/flat_index.h"
-
 namespace entrace::snapshot {
 
 namespace {
@@ -27,8 +25,6 @@ static_assert(sizeof(TraceShard) == sizeof(ShardTotals) + sizeof(std::int64_t) +
               "folds (fold_shards in core/analyzer.cc, WindowFold::add in snapshot/window.cc) "
               "and the codec (snapshot/codec.cc)");
 #endif
-
-inline constexpr std::uint32_t kNoConn = 0xFFFFFFFFu;
 
 // The last enumerator of every one-byte enum the format carries, and the
 // name decode errors give it.  The reader rejects any byte past `last`, so
@@ -60,8 +56,8 @@ inline constexpr bool kNoWireForm = false;
 
 // Runs a section template forwards, appending each field's bytes.  The
 // wire form follows the C++ type: bool and enums as u8, integers at their
-// width, doubles as their bit pattern, strings length-prefixed, addresses
-// as u32, and connection pointers as their index in the shard's flow table.
+// width, doubles as their bit pattern, strings length-prefixed and
+// addresses as u32.
 class FieldWriter {
  public:
   explicit FieldWriter(ByteWriter& w) : w_(w) {}
@@ -99,15 +95,6 @@ class FieldWriter {
     seq(t != nullptr ? t->connections() : kNone, each);
   }
 
-  // Connection pointers written after this refer to `t`'s connections: each
-  // address's ordinal in conns_ is its index in the deque.
-  void link_connections(const std::unique_ptr<FlowTable>& t) {
-    conns_.clear();
-    if (t == nullptr) return;
-    conns_.reserve(t->connections().size());
-    for (const Connection& conn : t->connections()) conns_.insert(address(&conn));
-  }
-
  private:
   template <typename T>
   void field(const T& v) {
@@ -121,28 +108,10 @@ class FieldWriter {
     else if constexpr (std::is_same_v<T, double>) w_.f64(v);
     else if constexpr (std::is_same_v<T, std::string>) w_.str(v);
     else if constexpr (std::is_same_v<T, Ipv4Address>) w_.u32(v.value());
-    else if constexpr (std::is_same_v<T, const Connection*>) w_.u32(conn_ref(v));
     else static_assert(kNoWireForm<T>, "no wire form for this field type");
   }
 
-  static std::uint64_t address(const Connection* conn) {
-    return reinterpret_cast<std::uintptr_t>(conn);
-  }
-
-  std::uint32_t conn_ref(const Connection* conn) const {
-    if (conn == nullptr) return kNoConn;
-    const std::uint32_t index = conns_.find(address(conn));
-    if (index == FlatIndex<std::uint64_t>::kAbsent) {
-      // An event pointing outside its own trace's flow table cannot be
-      // snapshotted positionally; the per-trace pipeline never produces one.
-      throw std::runtime_error(
-          "snapshot writer: application event references a connection outside its trace shard");
-    }
-    return index;
-  }
-
   ByteWriter& w_;
-  FlatIndex<std::uint64_t> conns_;
 };
 
 // Runs the same section templates backwards, validating each field.
@@ -199,11 +168,6 @@ class FieldReader {
     seq(t->connections(), each);
   }
 
-  void link_connections(const std::unique_ptr<FlowTable>& t) {
-    if (t == nullptr) throw SnapshotError(r_.offset(), "app-events section before connections");
-    table_ = t.get();
-  }
-
  private:
   template <typename T>
   void field(T& v) {
@@ -217,7 +181,6 @@ class FieldReader {
     else if constexpr (std::is_same_v<T, double>) v = r_.f64();
     else if constexpr (std::is_same_v<T, std::string>) v = r_.str();
     else if constexpr (std::is_same_v<T, Ipv4Address>) v = Ipv4Address(r_.u32());
-    else if constexpr (std::is_same_v<T, const Connection*>) v = resolve_conn();
     else static_assert(kNoWireForm<T>, "no wire form for this field type");
   }
 
@@ -232,19 +195,7 @@ class FieldReader {
     return static_cast<E>(raw);
   }
 
-  const Connection* resolve_conn() {
-    const std::uint32_t ref = r_.u32();
-    if (ref == kNoConn) return nullptr;
-    if (ref >= table_->connections().size()) {
-      throw SnapshotError(r_.offset() - 4, "event references connection " + std::to_string(ref) +
-                                               " of " +
-                                               std::to_string(table_->connections().size()));
-    }
-    return &table_->connections()[ref];
-  }
-
   ByteReader& r_;
-  const FlowTable* table_ = nullptr;
 };
 
 // ---- the three read/write pairs ----------------------------------------------
@@ -444,11 +395,6 @@ void trace_header(IO& io, S& s) {
 }
 
 template <typename IO, typename S>
-void ip_proto_counts(IO& io, S& s) {
-  for (int p = 0; p < 256; ++p) io.fields(s.ip_proto_packets[static_cast<std::uint8_t>(p)]);
-}
-
-template <typename IO, typename S>
 void host_sets(IO& io, S& s) {
   for (auto* hosts : {&s.monitored_hosts, &s.lbnl_hosts, &s.remote_hosts}) {
     io.ascending_seq(*hosts, [&](auto& h) { io.fields(h); }, "host");
@@ -486,36 +432,36 @@ void connections(IO& io, S& s) {
   });
 }
 
-// Events refer to connections by their index in the shard's flow table.
+// Each event leads with its connection's originator and responder.
 template <typename IO, typename S>
 void app_events(IO& io, S& s) {
-  io.link_connections(s.table);
   auto& ev = s.events;
   io.seq(ev.http, [&](auto& e) {
-    io.fields(e.conn, e.req_ts, e.resp_ts, e.method, e.uri, e.host, e.user_agent, e.conditional,
-              e.has_response, e.status, e.content_type, e.resp_body_len);
+    io.fields(e.src, e.dst, e.req_ts, e.resp_ts, e.method, e.uri, e.host, e.user_agent,
+              e.conditional, e.has_response, e.status, e.content_type, e.resp_body_len);
   });
-  io.seq(ev.smtp, [&](auto& e) { io.fields(e.conn, e.ts, e.verb); });
+  io.seq(ev.smtp, [&](auto& e) { io.fields(e.src, e.dst, e.ts, e.verb); });
   io.seq(ev.dns, [&](auto& e) {
-    io.fields(e.conn, e.query_ts, e.resp_ts, e.qtype, e.qname, e.has_response, e.rcode);
+    io.fields(e.src, e.dst, e.query_ts, e.resp_ts, e.qtype, e.qname, e.has_response, e.rcode);
   });
   io.seq(ev.nbns, [&](auto& e) {
-    io.fields(e.conn, e.query_ts, e.resp_ts, e.opcode, e.name_type, e.name, e.has_response,
-              e.rcode);
+    io.fields(e.src, e.dst, e.query_ts, e.resp_ts, e.opcode, e.name_type, e.name,
+              e.has_response, e.rcode);
   });
-  io.seq(ev.nbss, [&](auto& e) { io.fields(e.conn, e.ts, e.type); });
-  io.seq(ev.cifs,
-         [&](auto& e) { io.fields(e.conn, e.ts, e.command, e.category, e.dir, e.msg_bytes); });
+  io.seq(ev.nbss, [&](auto& e) { io.fields(e.src, e.dst, e.ts, e.type); });
+  io.seq(ev.cifs, [&](auto& e) {
+    io.fields(e.src, e.dst, e.ts, e.command, e.category, e.dir, e.msg_bytes);
+  });
   io.seq(ev.dcerpc, [&](auto& e) {
-    io.fields(e.conn, e.ts, e.iface, e.opnum, e.over_pipe, e.is_request, e.bytes);
+    io.fields(e.src, e.dst, e.ts, e.iface, e.opnum, e.over_pipe, e.is_request, e.bytes);
   });
-  io.seq(ev.epm, [&](auto& e) { io.fields(e.conn, e.ts, e.server, e.port, e.iface); });
+  io.seq(ev.epm, [&](auto& e) { io.fields(e.src, e.dst, e.ts, e.server, e.port, e.iface); });
   io.seq(ev.nfs, [&](auto& e) {
-    io.fields(e.conn, e.req_ts, e.resp_ts, e.proc, e.has_reply, e.status, e.req_bytes,
+    io.fields(e.src, e.dst, e.req_ts, e.resp_ts, e.proc, e.has_reply, e.status, e.req_bytes,
               e.resp_bytes);
   });
   io.seq(ev.ncp, [&](auto& e) {
-    io.fields(e.conn, e.req_ts, e.resp_ts, e.function, e.has_reply, e.completion_code,
+    io.fields(e.src, e.dst, e.req_ts, e.resp_ts, e.function, e.has_reply, e.completion_code,
               e.req_bytes, e.resp_bytes);
   });
 }
@@ -547,7 +493,6 @@ template <typename IO, typename S>
 void shard_section(SectionType type, IO& io, S& s) {
   switch (type) {
     case SectionType::kTraceHeader: return trace_header(io, s);
-    case SectionType::kIpProtoCounts: return ip_proto_counts(io, s);
     case SectionType::kHostSets: return host_sets(io, s);
     case SectionType::kScannerState: return scanner_state(io, s);
     case SectionType::kDynamicEndpoints: return dynamic_endpoints(io, s);

@@ -4,9 +4,9 @@
 // section's fields in wire order.  The writer runs it with a field-writer
 // that appends each field's bytes; the reader runs the same template with
 // a field-reader that reads each field back and validates it (every
-// one-byte enum against its last enumerator, every event's connection
-// reference against the restored flow table, every host run strictly
-// ascending).  Three payloads stay explicit read/write pairs: the scanner
+// one-byte enum against its last enumerator, every host run strictly
+// ascending).  No section refers into another: an event carries its
+// connection's endpoints, so the sections decode independently.  Three payloads stay explicit read/write pairs: the scanner
 // observations (exported and imported through ScannerDetector; the reader
 // holds them to the export's canonical form), the semantic metrics (the
 // writer filters by class, the reader checks histogram shape) and the

@@ -8,7 +8,6 @@ const char* to_string(SectionType type) {
   switch (type) {
     case SectionType::kDatasetMeta: return "dataset-meta";
     case SectionType::kTraceHeader: return "trace-header";
-    case SectionType::kIpProtoCounts: return "ip-proto-counts";
     case SectionType::kHostSets: return "host-sets";
     case SectionType::kScannerState: return "scanner-state";
     case SectionType::kDynamicEndpoints: return "dynamic-endpoints";

@@ -47,7 +47,9 @@ inline constexpr char kMagic[kMagicSize] = {'E', 'N', 'T', 'R', 'S', 'N', 'A', '
 // v3: each encoded connection carries open_seq (u64, per-trace open order),
 // the reassembly key the windowed incremental engine uses to merge
 // per-window connection deltas back into exact batch deque order.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// v4: an application event carries its connection's two addresses instead
+// of a connection index, and ip-proto-counts (0x11, unread) is retired.
+inline constexpr std::uint32_t kFormatVersion = 4;
 // magic + version: where the first section begins.
 inline constexpr std::size_t kHeaderSize = kMagicSize + 4;
 // type + length preceding each payload, and the trailing crc.
@@ -60,12 +62,12 @@ enum class SectionType : std::uint32_t {
   kDatasetMeta = 0x01,  // dataset name, scale, total trace count
 
   kTraceHeader = 0x10,      // trace index, subnet id, headline tallies, L3
-  kIpProtoCounts = 0x11,    // 256 per-protocol packet counters
+  // 0x11 was ip-proto-counts (v1-v3), retired in v4; never reuse it.
   kHostSets = 0x12,         // monitored / lbnl / remote host sets
   kScannerState = 0x13,     // per-source first-contact observations
   kDynamicEndpoints = 0x14, // DCE/RPC endpoints learned from EPM traffic
   kConnections = 0x15,      // flow-table connection summaries
-  kAppEvents = 0x16,        // application events (conns by index)
+  kAppEvents = 0x16,        // application events, each with its endpoints
   kTraceLoad = 0x17,        // §6 utilization series + retransmission tallies
   kCaptureQuality = 0x18,   // packet accounting + anomaly counters
   kTraceMetrics = 0x19,     // semantic-class telemetry (obs::Registry), v2+
@@ -76,10 +78,9 @@ enum class SectionType : std::uint32_t {
 // The per-trace section run, in file order.  The writer emits it once per
 // shard and the reader requires it in exactly this order.
 inline constexpr SectionType kShardRun[] = {
-    SectionType::kTraceHeader,    SectionType::kIpProtoCounts, SectionType::kHostSets,
-    SectionType::kScannerState,   SectionType::kDynamicEndpoints,
-    SectionType::kConnections,    SectionType::kAppEvents,     SectionType::kTraceLoad,
-    SectionType::kCaptureQuality, SectionType::kTraceMetrics};
+    SectionType::kTraceHeader,  SectionType::kHostSets,       SectionType::kScannerState,
+    SectionType::kDynamicEndpoints, SectionType::kConnections, SectionType::kAppEvents,
+    SectionType::kTraceLoad,    SectionType::kCaptureQuality, SectionType::kTraceMetrics};
 
 // Stable name for error messages and tests.
 const char* to_string(SectionType type);
@@ -91,16 +92,17 @@ const char* to_string(SectionType type);
 std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc = 0);
 
 // Decode failure; `offset` is the absolute file offset the failure was
-// detected at, and what() always names it.  `kind` separates the two ways
-// a snapshot can be bad — cut short (a worker died mid-write; the bytes
-// that exist may be fine) versus malformed (framing/CRC/enum damage in
-// bytes that are all present) — because the dispatch coordinator retries
-// and accounts for them as different worker faults (cluster/fault.h).
+// detected at, and what() always names it.  `kind` separates a cut-short
+// file (a worker died mid-write; the bytes that exist may be fine), which
+// the dispatch coordinator accounts as its own worker fault
+// (cluster/fault.h), from a malformed one, and both from a whole file of
+// another format version, which daemon recovery keeps (retention.h).
 class SnapshotError : public std::runtime_error {
  public:
   enum class Kind : std::uint8_t {
-    kMalformed,  // structural damage: bad magic/version/CRC/enums/framing
-    kTruncated,  // the file ends before the declared content does
+    kMalformed,     // structural damage: bad magic/CRC/enums/framing
+    kTruncated,     // the file ends before the declared content does
+    kOtherVersion,  // a whole file of a format version not this build's
   };
 
   SnapshotError(std::size_t offset, const std::string& message, Kind kind = Kind::kMalformed)

@@ -50,12 +50,19 @@ struct Decoder {
     }
     ByteReader r(bytes.subspan(kMagicSize, 4), kMagicSize);
     const std::uint32_t version = r.u32();
-    if (version != kFormatVersion) {
-      throw SnapshotError(kMagicSize, "format version " + std::to_string(version) +
-                                          " unsupported (this reader knows version " +
-                                          std::to_string(kFormatVersion) + ")");
-    }
     pos = kHeaderSize;
+    if (version != kFormatVersion) {
+      // Only a whole file is another version's: the section framing (type,
+      // length, payload, CRC, end marker) is the same in every version so
+      // far, so a torn or damaged file fails it here and says so instead.
+      while (next_section().first != SectionType::kEnd) {
+      }
+      throw SnapshotError(kMagicSize,
+                          "format version " + std::to_string(version) +
+                              " unsupported (this reader knows version " +
+                              std::to_string(kFormatVersion) + ")",
+                          SnapshotError::Kind::kOtherVersion);
+    }
   }
 
   // Reads one framed section, verifies its CRC, returns (type, payload).

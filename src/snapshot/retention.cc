@@ -81,6 +81,23 @@ std::optional<std::uint64_t> summary_line_index(const std::string& line) {
   return static_cast<std::uint64_t>(v);
 }
 
+// Decode a retained window or sketch file; nullopt when it is torn or
+// damaged.  An intact file of another format version is neither: it is
+// another build's history, so recovery stops before deleting anything.
+std::optional<WindowShard> read_retained(const std::string& path) {
+  try {
+    return read_window_snapshot(path);
+  } catch (const SnapshotError& e) {
+    if (e.kind() == SnapshotError::Kind::kOtherVersion) {
+      throw std::runtime_error("retention recovery: " + path + ": " + e.what() +
+                               "; every retained file is left in place (use a fresh directory)");
+    }
+    return std::nullopt;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 std::string to_json_line(const WindowSummary& s) {
@@ -371,6 +388,9 @@ void RetentionManager::recover_scan() {
   };
   std::vector<WindowCandidate> windows;
   std::vector<FileEntry> tier1, tier2;
+  // Deleted once the whole directory has been read: a file of another
+  // format version found later must find every file still in place.
+  std::vector<std::string> torn;
 
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
@@ -384,30 +404,31 @@ void RetentionManager::recover_scan() {
       // the decoded shards also rebuild the headline summary the entry
       // needs when it eventually ages (timestamps are not in the format and
       // recover as zero — headline counts stay exact).
-      try {
-        WindowShard w = read_window_snapshot(path);
-        w.index = index;
-        WindowCandidate c;
-        c.index = index;
-        c.path = path;
-        c.bytes = file_size_or_zero(path);
-        c.summary = summarize_window(w);
-        c.summary.snapshot_bytes = c.bytes;
-        windows.push_back(std::move(c));
-      } catch (const std::exception&) {
-        ++recovery_rejected_;
-        std::remove(path.c_str());
+      std::optional<WindowShard> w = read_retained(path);
+      if (!w.has_value()) {
+        torn.push_back(path);
+        continue;
       }
+      w->index = index;
+      WindowCandidate c;
+      c.index = index;
+      c.path = path;
+      c.bytes = file_size_or_zero(path);
+      c.summary = summarize_window(*w);
+      c.summary.snapshot_bytes = c.bytes;
+      windows.push_back(std::move(c));
     } else if (parse_sketch_file(name, tier, first, last)) {
-      try {
-        read_window_snapshot(path);  // torn sketch rejected, run continues
-        FileEntry e{first, last, path, file_size_or_zero(path)};
-        (tier == 1 ? tier1 : tier2).push_back(std::move(e));
-      } catch (const std::exception&) {
-        ++recovery_rejected_;
-        std::remove(path.c_str());
+      if (!read_retained(path).has_value()) {  // torn sketch rejected, run continues
+        torn.push_back(path);
+        continue;
       }
+      FileEntry e{first, last, path, file_size_or_zero(path)};
+      (tier == 1 ? tier1 : tier2).push_back(std::move(e));
     }
+  }
+  for (const std::string& path : torn) {
+    ++recovery_rejected_;
+    std::remove(path.c_str());
   }
 
   const auto by_first = [](const FileEntry& a, const FileEntry& b) { return a.first < b.first; };

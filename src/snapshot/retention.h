@@ -59,7 +59,9 @@
 // directory and recovers: torn or unreadable sketches are rejected
 // (deleted) and the run continues; files whose window range is already
 // covered by a higher tier (a crash landed between the sketch rename and
-// the input deletes) are dropped so no window is ever folded twice.
+// the input deletes) are dropped so no window is ever folded twice.  An
+// intact file of another .esnap format version is not damage: recovery
+// throws and deletes nothing, so a format bump needs a fresh directory.
 //
 // Memory: the fold thread's allocations come from its own malloc arena,
 // which keeps freed pages that the caller's thread cannot reuse.  The
@@ -132,7 +134,9 @@ class RetentionManager {
   // Scans `dir` and recovers prior state: readable window/sketch files
   // re-enter their tiers, torn files are rejected, and range duplicates
   // from a crash mid-fold are dropped.  Throws std::invalid_argument when
-  // opts.sketch_every < 2.
+  // opts.sketch_every < 2, and std::runtime_error naming the file and both
+  // versions, with every file left in place, when a window or sketch file
+  // is of another format version.
   RetentionManager(std::string dir, const RetentionOptions& opts, const AnalyzerConfig& config,
                    const SnapshotMeta& meta);
 

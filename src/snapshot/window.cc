@@ -1,7 +1,6 @@
 #include "snapshot/window.h"
 
 #include <cstdio>
-#include <stdexcept>
 
 #include "core/report.h"
 #include "snapshot/reader.h"
@@ -60,10 +59,8 @@ void WindowFold::add(WindowShard&& window) {
 
     // Upsert this window's connection deltas: a delta is the connection's
     // cumulative state as of the window end, so the latest window's copy
-    // wins wholesale.
-    std::unordered_map<const Connection*, const Connection*> remap;
+    // wins wholesale.  Events carry their endpoints and append as they are.
     if (ws.table != nullptr) {
-      remap.reserve(ws.table->connections().size());
       for (const Connection& c : ws.table->connections()) {
         const auto [it, fresh] = by_seq.try_emplace(c.open_seq, conns.size());
         if (fresh) {
@@ -71,17 +68,8 @@ void WindowFold::add(WindowShard&& window) {
         } else {
           conns[it->second] = c;
         }
-        remap.emplace(&c, &conns[it->second]);
       }
     }
-    remap_event_connections(ws.events, [&](const Connection* c) {
-      const auto it = remap.find(c);
-      if (it == remap.end()) {
-        throw std::logic_error(
-            "window event references a connection absent from its window's delta");
-      }
-      return it->second;
-    });
     dst.merge_from(std::move(ws));
   }
 }

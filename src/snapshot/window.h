@@ -2,13 +2,14 @@
 //
 // The windowed engine (core/incremental.h) rotates self-contained per-trace
 // deltas: every member of a window's TraceShard either sums associatively
-// (tallies, interval series, capture quality, semantic metrics) or carries
-// its own keys for exact reassembly (connections by Connection::open_seq,
-// events referencing the window's own connection copies).  That makes a
-// WindowShard expressible in the unmodified .esnap format (format v3 adds
-// open_seq to the connection encoding) — a window checkpoint IS an ordinary
-// snapshot file, written by the same crash-safe writer the shard processes
-// use, and readable by the same hardened reader.
+// (tallies, interval series, capture quality, semantic metrics), carries
+// its own keys for exact reassembly (connections by Connection::open_seq)
+// or carries what it refers to by value (events name their connection's
+// endpoints, proto/events.h).  A window shard is self-contained by
+// construction, so it is expressible in the .esnap format as it is — a
+// window checkpoint IS an ordinary snapshot file, written by the same
+// crash-safe writer the shard processes use, and readable by the same
+// hardened reader.
 //
 // merge_window_shards() is the inverse of rotation: folding the window
 // deltas of a run — in window order — back into one TraceShard per trace
@@ -16,8 +17,8 @@
 // which is the invariant the daemon's checkpoints are trusted on
 // (tests/daemon_test.cc pins it at 1 and 4 threads).  Connection deltas
 // upsert by open_seq (a later window's copy of the same connection is its
-// cumulative state — last writer wins); events remap onto the reassembled
-// deque and append in window order, reproducing the serial emission order.
+// cumulative state — last writer wins); events append in window order,
+// reproducing the serial emission order.
 #pragma once
 
 #include <cstdint>

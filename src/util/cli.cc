@@ -55,12 +55,11 @@ bool parse_nonneg_double(const std::string& s, double& out) {
 
 bool parse_index_range(const std::string& s, std::size_t& lo, std::size_t& hi) {
   const std::size_t colon = s.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) return false;
-  char* end = nullptr;
-  const unsigned long long a = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + colon) return false;
-  const unsigned long long b = std::strtoull(s.c_str() + colon + 1, &end, 10);
-  if (end != s.c_str() + s.size() || a >= b) return false;
+  if (colon == std::string::npos) return false;
+  std::uint64_t a = 0, b = 0;
+  if (!parse_uint(s.substr(0, colon), a) || !parse_uint(s.substr(colon + 1), b) || a >= b) {
+    return false;
+  }
   lo = static_cast<std::size_t>(a);
   hi = static_cast<std::size_t>(b);
   return true;

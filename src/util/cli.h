@@ -32,7 +32,8 @@ bool parse_uint(const std::string& s, std::uint64_t& out);
 // Strict non-negative double parse ("0", "1.5"); false on garbage, < 0,
 // NaN, or a non-finite value ("inf", or "1e999", which overflows).
 bool parse_nonneg_double(const std::string& s, double& out);
-// "lo:hi" half-open index range; false unless lo < hi parse cleanly.
+// "lo:hi" half-open index range; false unless both halves parse by
+// parse_uint's rules (digits only, no overflow) and lo < hi.
 bool parse_index_range(const std::string& s, std::size_t& lo, std::size_t& hi);
 
 // The positional "[D0..D4] [scale]" dataset selection: consume up to two

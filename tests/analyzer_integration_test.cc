@@ -2,6 +2,9 @@
 // and check that the paper's qualitative findings hold on our traffic.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "analysis/breakdown.h"
 #include "analysis/email_analysis.h"
 #include "analysis/http_analysis.h"
@@ -179,14 +182,27 @@ TEST_F(IntegrationTest, NetFileFindings) {
   EXPECT_LT(ok, 0.99);
 }
 
+// Each event's endpoints are the originator and responder of a connection
+// its own protocol was identified on.
 TEST_F(IntegrationTest, EventsPointToValidConnections) {
+  const auto endpoints_of = [&](AppProtocol app) {
+    std::set<std::pair<Ipv4Address, Ipv4Address>> out;
+    for (const Connection* c : analysis_->all_connections) {
+      if (static_cast<AppProtocol>(c->app_id) == app) out.emplace(c->key.src, c->key.dst);
+    }
+    return out;
+  };
+  const auto http = endpoints_of(AppProtocol::kHttp);
+  ASSERT_FALSE(analysis_->events.http.empty());
   for (const auto& txn : analysis_->events.http) {
-    ASSERT_NE(txn.conn, nullptr);
-    EXPECT_EQ(static_cast<AppProtocol>(txn.conn->app_id), AppProtocol::kHttp);
+    EXPECT_TRUE(http.contains({txn.src, txn.dst}))
+        << txn.src.to_string() << " -> " << txn.dst.to_string();
   }
+  const auto nfs = endpoints_of(AppProtocol::kNfs);
+  ASSERT_FALSE(analysis_->events.nfs.empty());
   for (const auto& call : analysis_->events.nfs) {
-    ASSERT_NE(call.conn, nullptr);
-    EXPECT_EQ(static_cast<AppProtocol>(call.conn->app_id), AppProtocol::kNfs);
+    EXPECT_TRUE(nfs.contains({call.src, call.dst}))
+        << call.src.to_string() << " -> " << call.dst.to_string();
   }
 }
 

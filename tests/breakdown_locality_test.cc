@@ -158,7 +158,8 @@ TEST(Fan, AppFanOutSelectsApp) {
   std::vector<HttpTransaction> txns;
   for (const Connection& c : conns) {
     HttpTransaction txn;
-    txn.conn = &c;
+    txn.src = c.key.src;
+    txn.dst = c.key.dst;
     txn.user_agent = "Mozilla/4.0";
     txns.push_back(txn);
   }
@@ -283,15 +284,16 @@ TEST(Fan, HttpFanOutMatchesNodeBasedReference) {
     ReferencePeers servers;
     for (int i = 0; i < 3000; ++i) {
       HttpTransaction txn;
-      txn.conn = &conns[rng() % conns.size()];
+      const Connection& c = conns[rng() % conns.size()];
+      txn.src = c.key.src;
+      txn.dst = c.key.dst;
       switch (rng() % 8) {
         case 0: txn.user_agent = "Scanner"; break;
         case 1: txn.user_agent = "Googlebot/2.1"; break;
-        case 2: txn.conn = nullptr; break;
         default: txn.user_agent = "Mozilla/5.0"; break;
       }
-      if (txn.conn != nullptr && classify_http_client(txn) == HttpClientKind::kNormal) {
-        servers.add(txn.conn->key.src, !site.is_internal(txn.conn->key.dst), txn.conn->key.dst);
+      if (classify_http_client(txn) == HttpClientKind::kNormal) {
+        servers.add(txn.src, !site.is_internal(txn.dst), txn.dst);
       }
       txns.push_back(txn);
     }

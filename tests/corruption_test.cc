@@ -2,7 +2,8 @@
 // captures without crashing, account for every packet
 // (packets_seen == packets_ok + packets_dropped), classify what it dropped,
 // produce thread-count-independent anomaly counts, and keep the headline
-// numbers stable when the fault rate is low.
+// numbers stable when the fault rate is low.  The application parsers get
+// their own seeded mutation loop over raw byte streams (below).
 //
 // These run in their own executable (entrace_corruption_tests) under the
 // CTest label "corruption" so they can also be driven under ASan+UBSan
@@ -10,10 +11,24 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "core/report.h"
+#include "net/encoder.h"
+#include "net/headers.h"
+#include "proto/cifs.h"
+#include "proto/dcerpc.h"
+#include "proto/dispatcher.h"
+#include "proto/dns.h"
+#include "proto/ncp.h"
+#include "proto/netbios.h"
+#include "proto/nfs.h"
 #include "synth/corruptor.h"
 #include "synth/generator.h"
 
@@ -63,7 +78,7 @@ TEST_F(CorruptionTest, CleanDatasetHasNoDropsAndNoAnomalies) {
 
 // The self-consistency rule of analyzer.h: dropped packets are excluded
 // from *every* headline tally, not just some of them, so total_packets,
-// l3.total and the per-protocol sums all describe the same packet set.
+// l3.total and the L3 breakdown's sum all describe the same packet set.
 TEST_F(CorruptionTest, HeadlineTalliesExcludeDroppedPacketsConsistently) {
   TraceSet corrupted = clean_traces();
   CorruptionConfig config;
@@ -77,13 +92,6 @@ TEST_F(CorruptionTest, HeadlineTalliesExcludeDroppedPacketsConsistently) {
   EXPECT_LT(a.total_packets, a.quality.packets_seen);
   EXPECT_EQ(a.l3.total, a.total_packets);
   EXPECT_EQ(a.l3.ip + a.l3.arp + a.l3.ipx + a.l3.other, a.l3.total);
-  // IP transport counts partition the IP tally.
-  std::uint64_t ip_sum = 0;
-  for (const auto& [proto, count] : a.ip_proto_packets.as_map()) {
-    (void)proto;
-    ip_sum += count;
-  }
-  EXPECT_EQ(ip_sum, a.l3.ip);
 }
 
 TEST_F(CorruptionTest, ZeroRateLeavesTracesUntouched) {
@@ -247,6 +255,268 @@ TEST_F(CorruptionTest, SummaryMapNamesEveryAppliedFault) {
     total += count;
   }
   EXPECT_EQ(total, summary.total());
+}
+
+// ---- app-parser mutation ------------------------------------------------------
+//
+// Every parser the dispatcher runs takes seeded byte streams.  Half are
+// valid conversations built by the proto encoders (or HTTP/SMTP text) with
+// bytes flipped, half are random bytes.  Each stream opens a connection,
+// arrives in random-length chunks (TCP) or datagrams (UDP) in random
+// directions, and closes.  Nothing may crash or trip a sanitizer, and every
+// event a parser emits must carry its connection's originator and responder.
+
+using Bytes = std::vector<std::uint8_t>;
+
+struct Message {
+  Direction dir;
+  Bytes bytes;
+};
+
+constexpr Direction kToResp = Direction::kOrigToResp;
+constexpr Direction kToOrig = Direction::kRespToOrig;
+
+Bytes text(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+std::vector<Message> http_conversation() {
+  return {{kToResp, text("GET /a.gif HTTP/1.1\r\nHost: www\r\nUser-Agent: Mozilla/5.0\r\n"
+                         "If-Modified-Since: Tue\r\n\r\n")},
+          {kToOrig, text("HTTP/1.1 200 OK\r\nContent-Type: image/gif\r\n"
+                         "Content-Length: 5\r\n\r\nGIF89")},
+          {kToResp, text("POST /f HTTP/1.1\r\nHost: www\r\nContent-Length: 3\r\n\r\nabc")},
+          {kToOrig, text("HTTP/1.1 304 Not Modified\r\n\r\n")}};
+}
+
+std::vector<Message> smtp_conversation() {
+  return {{kToOrig, text("220 mail ESMTP\r\n")},      {kToResp, text("HELO client\r\n")},
+          {kToOrig, text("250 ok\r\n")},              {kToResp, text("MAIL FROM:<a@b>\r\n")},
+          {kToResp, text("RCPT TO:<c@d>\r\n")},       {kToResp, text("DATA\r\n")},
+          {kToResp, text("Subject: x\r\n\r\nbody\r\n.\r\n")}, {kToResp, text("QUIT\r\n")}};
+}
+
+std::vector<Message> dns_conversation() {
+  DnsMessage query;
+  query.id = 0x1234;
+  query.qname = "www.example.com";
+  query.qtype = dnstype::kAaaa;
+  DnsMessage answer = query;
+  answer.is_response = true;
+  answer.ancount = 2;
+  DnsMessage nx = query;
+  nx.id = 0x77;
+  DnsMessage nx_answer = nx;
+  nx_answer.is_response = true;
+  nx_answer.rcode = dnsrcode::kNxDomain;
+  return {{kToResp, encode_dns(query)},
+          {kToResp, encode_dns(nx)},
+          {kToOrig, encode_dns(answer)},
+          {kToOrig, encode_dns(nx_answer)}};
+}
+
+std::vector<Message> nbns_conversation() {
+  NbnsMessage query;
+  query.id = 9;
+  query.name = "FILESERVER";
+  query.suffix = nbns_suffix::kServer;
+  NbnsMessage answer = query;
+  answer.is_response = true;
+  NbnsMessage reg = query;
+  reg.id = 10;
+  reg.opcode = nbns_opcode::kRegistration;
+  reg.suffix = nbns_suffix::kDomainGroup;
+  return {{kToResp, encode_nbns(query)}, {kToOrig, encode_nbns(answer)},
+          {kToResp, encode_nbns(reg)}};
+}
+
+// SMB over a named pipe: create, a DCE/RPC bind and call through
+// write/read, a LANMAN transaction, and a file read.
+std::vector<Message> smb_conversation() {
+  const std::uint16_t fid = 0x7007;
+  return {
+      {kToResp, smb_simple(smbcmd::kNegotiate, 1, false, 40)},
+      {kToOrig, smb_simple(smbcmd::kNegotiate, 1, true, 60)},
+      {kToResp, smb_ntcreate_request(2, "\\spoolss")},
+      {kToOrig, smb_ntcreate_response(2, fid)},
+      {kToResp, smb_write_request(3, fid, encode_dce_bind(1, dce_uuid(DceIface::kSpoolss)))},
+      {kToOrig, smb_write_response(3, fid)},
+      {kToResp, smb_read_request(4, fid, 1024)},
+      {kToOrig, smb_read_response(4, fid, encode_dce_bind_ack(1))},
+      {kToResp, smb_write_request(5, fid, encode_dce_request(2, spoolss_op::kWritePrinter, 96))},
+      {kToOrig, smb_read_response(6, fid, encode_dce_response(2, 32))},
+      {kToResp, smb_trans(7, false, "\\PIPE\\LANMAN", 40)},
+      {kToOrig, smb_trans(7, true, "\\PIPE\\LANMAN", 120)},
+      {kToResp, smb_read_request(8, 0x4001, 512)},
+      {kToOrig, smb_read_response(8, 0x4001, filler_payload(512))},
+  };
+}
+
+std::vector<Message> nbss_conversation() {
+  std::vector<Message> out = {{kToResp, nbss_session_request("SERVER", "CLIENT")},
+                              {kToOrig, nbss_session_response(false)},
+                              {kToResp, nbss_session_request("SERVER", "CLIENT")},
+                              {kToOrig, nbss_session_response(true)}};
+  for (Message& m : smb_conversation()) out.push_back(std::move(m));
+  return out;
+}
+
+std::vector<Message> epm_conversation() {
+  const Bytes stub =
+      encode_epm_map_stub(dce_uuid(DceIface::kSpoolss), Ipv4Address(10, 0, 0, 9), 2345);
+  return {{kToResp, encode_dce_bind(1, dce_uuid(DceIface::kEpm))},
+          {kToOrig, encode_dce_bind_ack(1)},
+          {kToResp, encode_dce_request_stub(2, 3, stub)},
+          {kToOrig, encode_dce_response_stub(2, stub)}};
+}
+
+std::vector<Message> dcerpc_conversation() {
+  return {{kToResp, encode_dce_bind(1, dce_uuid(DceIface::kSamr))},
+          {kToOrig, encode_dce_bind_ack(1)},
+          {kToResp, encode_dce_request(2, 5, 200)},
+          {kToOrig, encode_dce_response(2, 48)},
+          {kToResp, encode_dce_request(3, 7, 20)}};
+}
+
+std::vector<Message> nfs_udp_conversation() {
+  return {{kToResp, encode_rpc_call(1, kNfsProgram, kNfsVersion, nfsproc::kLookup, 64)},
+          {kToResp, encode_rpc_call(2, kNfsProgram, kNfsVersion, nfsproc::kRead, 32)},
+          {kToOrig, encode_rpc_reply(1, 0, 120)},
+          {kToOrig, encode_rpc_reply(2, 70, 8)}};
+}
+
+std::vector<Message> nfs_tcp_conversation() {
+  std::vector<Message> out = nfs_udp_conversation();
+  for (Message& m : out) m.bytes = rpc_record_mark(m.bytes);
+  return out;
+}
+
+std::vector<Message> ncp_conversation() {
+  return {{kToResp, encode_ncp_request(1, ncpfn::kOpen, 40)},
+          {kToOrig, encode_ncp_reply(1, 0, 20)},
+          {kToResp, encode_ncp_request(2, ncpfn::kRead, 16)},
+          {kToOrig, encode_ncp_reply(2, 0, 900)},
+          {kToResp, encode_ncp_request(3, ncpfn::kNds, 60)}};
+}
+
+struct ParserCase {
+  const char* name;
+  std::uint8_t proto;
+  std::uint16_t port;
+  AppProtocol app;  // what the registry must identify the connection as
+  std::vector<Message> (*conversation)();
+};
+
+// True when every event in `events` names `conn`'s originator and responder.
+bool events_carry_endpoints(const AppEvents& events, const Connection& conn) {
+  bool ok = true;
+  const auto check = [&](const auto& vec) {
+    for (const auto& e : vec) ok = ok && e.src == conn.key.src && e.dst == conn.key.dst;
+  };
+  check(events.http);
+  check(events.smtp);
+  check(events.dns);
+  check(events.nbns);
+  check(events.nbss);
+  check(events.cifs);
+  check(events.dcerpc);
+  check(events.epm);
+  check(events.nfs);
+  check(events.ncp);
+  return ok;
+}
+
+TEST(ParserMutationTest, RandomAndMutatedStreamsKeepEveryParserSafe) {
+  static constexpr std::uint16_t kDynamicDcePort = 2345;
+  const std::vector<ParserCase> cases = {
+      {"HTTP", ipproto::kTcp, ports::kHttp, AppProtocol::kHttp, http_conversation},
+      {"SMTP", ipproto::kTcp, ports::kSmtp, AppProtocol::kSmtp, smtp_conversation},
+      {"DNS", ipproto::kUdp, ports::kDns, AppProtocol::kDns, dns_conversation},
+      {"NBNS", ipproto::kUdp, ports::kNetbiosNs, AppProtocol::kNetbiosNs, nbns_conversation},
+      {"NBSS", ipproto::kTcp, ports::kNetbiosSsn, AppProtocol::kNetbiosSsn, nbss_conversation},
+      {"CIFS", ipproto::kTcp, ports::kCifs, AppProtocol::kCifs, smb_conversation},
+      {"EPM", ipproto::kTcp, ports::kEpm, AppProtocol::kEndpointMapper, epm_conversation},
+      {"DCE-RPC", ipproto::kTcp, kDynamicDcePort, AppProtocol::kDceRpc, dcerpc_conversation},
+      {"NFS/UDP", ipproto::kUdp, ports::kNfs, AppProtocol::kNfs, nfs_udp_conversation},
+      {"NFS/TCP", ipproto::kTcp, ports::kNfs, AppProtocol::kNfs, nfs_tcp_conversation},
+      {"NCP", ipproto::kTcp, ports::kNcp, AppProtocol::kNcp, ncp_conversation},
+  };
+  constexpr int kStreamsPerCase = 1000;
+  std::mt19937_64 rng(2005);
+  const auto started = std::chrono::steady_clock::now();
+  std::uint64_t events_checked = 0;
+  for (const ParserCase& c : cases) {
+    std::uint64_t valid_events = 0;
+    for (int stream = 0; stream < kStreamsPerCase; ++stream) {
+      SCOPED_TRACE(std::string(c.name) + " stream " + std::to_string(stream));
+      const bool mutated = stream % 2 == 0;
+      std::vector<Message> messages;
+      if (mutated) {
+        messages = c.conversation();
+        // Flip 0-7 bytes anywhere in the conversation (0 keeps it valid).
+        std::size_t total = 0;
+        for (const Message& m : messages) total += m.bytes.size();
+        for (std::uint64_t flips = rng() % 8; flips > 0; --flips) {
+          std::size_t at = rng() % total;
+          for (Message& m : messages) {
+            if (at < m.bytes.size()) {
+              m.bytes[at] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+              break;
+            }
+            at -= m.bytes.size();
+          }
+        }
+      } else {
+        for (std::uint64_t n = 1 + rng() % 6; n > 0; --n) {
+          Bytes b(rng() % 600);
+          for (std::uint8_t& x : b) x = static_cast<std::uint8_t>(rng());
+          messages.push_back({rng() % 2 == 0 ? kToResp : kToOrig, std::move(b)});
+        }
+      }
+
+      AppRegistry registry;
+      AppEvents events;
+      AnomalyCounts anomalies;
+      ProtocolDispatcher dispatcher(registry, events, /*payload_analysis=*/true, &anomalies);
+      Connection conn;
+      const Ipv4Address client(10, 1, 2, static_cast<std::uint8_t>(1 + rng() % 200));
+      // Ephemeral ports above every well-known one the registry lists.
+      const auto client_port = static_cast<std::uint16_t>(40000 + rng() % 25000);
+      conn.key = FiveTuple{client, Ipv4Address(10, 0, 0, 9), client_port, c.port, c.proto};
+      if (c.port == kDynamicDcePort) registry.register_dcerpc_endpoint(conn.key.dst, c.port);
+      dispatcher.on_new_connection(conn);
+      ASSERT_EQ(static_cast<AppProtocol>(conn.app_id), c.app);
+
+      double ts = 1000.0;
+      for (const Message& m : messages) {
+        // A datagram is delivered whole; a TCP message in random-length
+        // chunks, a mutated one's chunks sometimes sent the wrong way.
+        std::size_t at = 0;
+        do {
+          const std::size_t left = m.bytes.size() - at;
+          const std::size_t n =
+              c.proto == ipproto::kUdp ? left : std::min<std::size_t>(left, 1 + rng() % 200);
+          Direction dir = m.dir;
+          if (c.proto == ipproto::kTcp && mutated && rng() % 16 == 0) {
+            dir = dir == kToResp ? kToOrig : kToResp;
+          }
+          dispatcher.on_data(conn, dir, ts += 0.001,
+                             std::span<const std::uint8_t>(m.bytes.data() + at, n),
+                             static_cast<std::uint32_t>(n));
+          at += n;
+        } while (at < m.bytes.size());
+      }
+      dispatcher.on_close(conn);
+
+      EXPECT_TRUE(events_carry_endpoints(events, conn));
+      events_checked += events.total();
+      if (mutated) valid_events += events.total();
+    }
+    // The encoders' conversations reach the parsers' event paths.
+    EXPECT_GT(valid_events, 0u) << c.name;
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  std::printf("parser mutation: %zu cases x %d streams, %llu events, %.2f s\n", cases.size(),
+              kStreamsPerCase, static_cast<unsigned long long>(events_checked), seconds);
 }
 
 }  // namespace

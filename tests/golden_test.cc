@@ -27,8 +27,8 @@
 // The suite also pins the one packet path's regrouping contract: however a
 // source cuts its batches, analyze_dataset renders the same bytes.
 //
-// tests/golden/snapshots.txt pins the .esnap encoding the same way: the
-// byte length and CRC-32 of
+// tests/golden/snapshots.txt pins the .esnap encoding the same way, with
+// FNV-1a (64-bit) in place of the CRC-32: the byte length and FNV-1a of
 //
 //   - each dataset's full image, D0-D4 at 0.004 with every trace, written
 //     through SnapshotWriter(std::ostream&) as cluster workers write it (the
@@ -88,6 +88,16 @@ std::string digest(const std::string& bytes) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%zu %08x", bytes.size(), snapshot::crc32(span));
   return buf;
+}
+
+// FNV-1a, 64-bit, continuing from `h`.  The .esnap digests use it, not the
+// CRC-32: every section stores the CRC-32 of its payload right after the
+// payload, and the CRC-32 of bytes followed by their own CRC-32 does not
+// depend on those bytes, so an image's CRC-32 misses every change that
+// keeps each section's length (swapped event endpoints, say).
+std::uint64_t fnv1a(const std::string& bytes, std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : bytes) h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ull;
+  return h;
 }
 
 // "<case> <report bytes> <report crc32> <metrics bytes> <metrics crc32>"
@@ -306,7 +316,13 @@ TEST(BatchRegroupingTest, CorruptedCappedBatchesKeepReportAndTaxonomy) {
 
 // ---- snapshot images ---------------------------------------------------------
 
-// "<case> <image bytes> <image crc32>"
+// "<case> <image bytes> <image fnv1a>"
+std::string snapshot_line(const std::string& name, std::size_t bytes, std::uint64_t fnv) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), " %zu %016llx", bytes, static_cast<unsigned long long>(fnv));
+  return name + buf;
+}
+
 void expect_snapshot_line(const std::string& got_line) {
   static const std::map<std::string, std::string> lines = read_golden(ENTRACE_GOLDEN_SNAPSHOTS);
   const std::string name = got_line.substr(0, got_line.find(' '));
@@ -351,7 +367,7 @@ TEST_P(GoldenSnapshotTest, DatasetImageMatchesDigest) {
       sources, default_config_for_model(model().site()), 0, sources.size());
   const std::string image =
       encode_image({spec.name, kScale, static_cast<std::uint32_t>(sources.size())}, shards);
-  expect_snapshot_line(name + " " + digest(image));
+  expect_snapshot_line(snapshot_line(name, image.size(), fnv1a(image)));
   expect_reencodes(image);
 }
 
@@ -364,8 +380,8 @@ INSTANTIATE_TEST_SUITE_P(Datasets, GoldenSnapshotTest,
 // A windowed replay of D3 the way entrace_daemon runs it (every tap merged
 // into one time-ordered stream), each rotated window encoded as its
 // checkpoint image.  Returns the digest line of the images concatenated in
-// window order, kept as a running length and CRC (the concatenation is
-// ~60 MB).
+// window order, kept as a running length and FNV-1a (the concatenation is
+// ~20 MB).
 std::string d3_window_images_line(const std::string& name, bool evict_and_reclaim) {
   const DatasetSpec spec = dataset_d3(kScale);
   const SyntheticTraceSourceSet sources(spec, model());
@@ -384,13 +400,12 @@ std::string d3_window_images_line(const std::string& name, bool evict_and_reclai
   const snapshot::SnapshotMeta meta{spec.name, kScale,
                                     static_cast<std::uint32_t>(sources.size())};
   std::size_t bytes = 0;
-  std::uint32_t crc = 0;
+  std::uint64_t fnv = fnv1a("");
   const auto append = [&](const WindowShard& window) {
     const std::string image = encode_image(meta, window.shards);
     expect_reencodes(image);
     bytes += image.size();
-    crc = snapshot::crc32({reinterpret_cast<const std::uint8_t*>(image.data()), image.size()},
-                          crc);
+    fnv = fnv1a(image, fnv);
   };
   std::vector<PacketView> views(kBatchSize);
   for (;;) {
@@ -400,9 +415,7 @@ std::string d3_window_images_line(const std::string& name, bool evict_and_reclai
     while (analyzer.window_complete()) append(analyzer.rotate());
   }
   append(analyzer.finish(&stream));
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), " %zu %08x", bytes, crc);
-  return name + buf;
+  return snapshot_line(name, bytes, fnv);
 }
 
 TEST(GoldenWindowSnapshotTest, ExactWindowImagesMatchDigest) {

@@ -471,6 +471,12 @@ TEST(OrchestrateTest, BinariesRejectGarbageNumericFlags) {
       {ENTRACE_WORKER_BIN, "--once", "--port", "-1"},
       {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--threads", "x"},
       {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--threads", "-1"},
+      {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--traces", "0:-1"},
+      {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--traces", "0:99999999999999999999999"},
+      {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--traces", "-0:2"},
+      {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--traces", "+0:2"},
+      {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--traces", " 0:2"},
+      {ENTRACE_SHARD_BIN, esnap, "D0", "0.002", "--traces", "0: 3"},
       {ENTRACE_MERGE_BIN, "--allow-partail", esnap},
       {ENTRACE_MERGE_BIN, esnap, "--metrics-out"},
   };

@@ -246,21 +246,6 @@ TEST(MergePrimitives, IntervalSeriesMergeSumsBins) {
   EXPECT_EQ(a.values(), expected);
 }
 
-TEST(MergePrimitives, IpProtoCountsMapView) {
-  IpProtoCounts counts;
-  counts[6] += 3;
-  counts[17] += 2;
-  IpProtoCounts other;
-  other[6] += 1;
-  other[255] += 7;
-  counts.merge(other);
-  const auto map = counts.as_map();
-  ASSERT_EQ(map.size(), 3u);
-  EXPECT_EQ(map.at(6), 4u);
-  EXPECT_EQ(map.at(17), 2u);
-  EXPECT_EQ(map.at(255), 7u);
-}
-
 // ---- determinism across thread counts ---------------------------------------
 
 class ParallelDeterminismTest : public ::testing::Test {
@@ -289,7 +274,6 @@ TEST_F(ParallelDeterminismTest, OneAndFourThreadsProduceIdenticalResults) {
   EXPECT_EQ(a.l3.arp, b.l3.arp);
   EXPECT_EQ(a.l3.ipx, b.l3.ipx);
   EXPECT_EQ(a.l3.other, b.l3.other);
-  EXPECT_EQ(a.ip_proto_packets.as_map(), b.ip_proto_packets.as_map());
   EXPECT_EQ(a.monitored_subnets, b.monitored_subnets);
 
   // Host sets.

@@ -8,7 +8,8 @@
 // report does not depend on how windows were grouped into sketches; a
 // crash-restart recovery scan rejects torn files, drops range duplicates
 // left mid-fold (including a sketch renamed ahead of its inputs' deletion
-// by the fold thread), and resumes window numbering; I/O failures surface
+// by the fold thread), and resumes window numbering, but stops, deleting
+// nothing, at a file of another format version; I/O failures surface
 // in AgeResult / io_errors() instead of vanishing; and a >= 128-window
 // soak with --retain 4 --sketch-every 8 geometry keeps disk within the
 // documented bound after every add_window() while /report still covers
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -340,6 +342,46 @@ TEST_F(RetentionTest, CrashRestartRecoversTiersAndRejectsTornFiles) {
   const std::string report =
       snap::render_windowed_report(second.report_paths(), small_spec(), config());
   EXPECT_EQ(report, batch_report());
+  fs::remove_all(dir);
+}
+
+// A window file of another .esnap format version is not torn: it is
+// another build's history.  Recovery stops with an error naming the file
+// and both versions, and deletes nothing, not even a torn file beside it.
+TEST_F(RetentionTest, RecoveryStopsAtAnotherFormatVersionAndDeletesNothing) {
+  const fs::path dir = fresh_dir("entrace_retention_version");
+  const std::vector<WindowShard> windows = make_windows(3);
+  const std::string path = (dir / snap::window_file_name(0)).string();
+  snap::write_window_snapshot(path, snap_meta(), windows[0]);
+  const auto read_all = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
+  std::string bytes = read_all(path);
+  ASSERT_GT(bytes.size(), snap::kHeaderSize);
+  bytes[snap::kMagicSize] = static_cast<char>(snap::kFormatVersion - 1);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+  const std::string torn = (dir / snap::window_file_name(7)).string();
+  std::ofstream(torn) << "torn";
+
+  snap::RetentionOptions opts;
+  opts.keep_full = 2;
+  opts.sketch_every = 2;
+  try {
+    snap::RetentionManager manager(dir.string(), opts, config(), snap_meta());
+    ADD_FAILURE() << "recovered a directory holding a window of another format version";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("format version " + std::to_string(snap::kFormatVersion - 1)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("knows version " + std::to_string(snap::kFormatVersion)),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(read_all(path), bytes);
+  EXPECT_TRUE(fs::exists(torn));
   fs::remove_all(dir);
 }
 

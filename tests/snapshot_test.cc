@@ -6,7 +6,7 @@
 //   2. Partition determinism: for ANY split of a dataset's traces into
 //      shard files, merging the snapshots folds to a report byte-identical
 //      to single-process analyze_dataset.
-//   3. Untrusted input: damaged snapshots (bad magic, future version,
+//   3. Untrusted input: damaged snapshots (bad magic, another version,
 //      truncation, flipped bits, missing end marker, out-of-range enum
 //      bytes, host runs or scanner observations out of the writer's
 //      canonical form) are rejected with a SnapshotError naming the byte
@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -212,7 +213,6 @@ TEST_F(SnapshotTest, RoundTripReproducesEveryShardField) {
     EXPECT_EQ(got.l3.arp, want.l3.arp);
     EXPECT_EQ(got.l3.ipx, want.l3.ipx);
     EXPECT_EQ(got.l3.other, want.l3.other);
-    EXPECT_EQ(got.ip_proto_packets.as_map(), want.ip_proto_packets.as_map());
     EXPECT_EQ(got.monitored_hosts, want.monitored_hosts);
     EXPECT_EQ(got.lbnl_hosts, want.lbnl_hosts);
     EXPECT_EQ(got.remote_hosts, want.remote_hosts);
@@ -244,29 +244,35 @@ TEST_F(SnapshotTest, RoundTripReproducesEveryShardField) {
       EXPECT_EQ(gc[i].retransmissions, wc[i].retransmissions) << "connection " << i;
     }
 
-    // App events: identical counts, and the conn links resolve to the
-    // connection with the same key as the original's.
+    // App events: identical counts, and every event of every kind names
+    // the original's originator and responder.
     EXPECT_EQ(got.events.total(), want.events.total());
-    ASSERT_EQ(got.events.http.size(), want.events.http.size());
+    const auto same_endpoints = [](const auto& g, const auto& w, const char* kind) {
+      ASSERT_EQ(g.size(), w.size()) << kind;
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        EXPECT_EQ(g[i].src, w[i].src) << kind << " event " << i;
+        EXPECT_EQ(g[i].dst, w[i].dst) << kind << " event " << i;
+      }
+    };
+    same_endpoints(got.events.http, want.events.http, "http");
+    same_endpoints(got.events.smtp, want.events.smtp, "smtp");
+    same_endpoints(got.events.dns, want.events.dns, "dns");
+    same_endpoints(got.events.nbns, want.events.nbns, "nbns");
+    same_endpoints(got.events.nbss, want.events.nbss, "nbss");
+    same_endpoints(got.events.cifs, want.events.cifs, "cifs");
+    same_endpoints(got.events.dcerpc, want.events.dcerpc, "dcerpc");
+    same_endpoints(got.events.epm, want.events.epm, "epm");
+    same_endpoints(got.events.nfs, want.events.nfs, "nfs");
+    same_endpoints(got.events.ncp, want.events.ncp, "ncp");
     for (std::size_t i = 0; i < got.events.http.size(); ++i) {
       EXPECT_EQ(got.events.http[i].host, want.events.http[i].host);
       EXPECT_EQ(got.events.http[i].uri, want.events.http[i].uri);
       EXPECT_EQ(got.events.http[i].resp_body_len, want.events.http[i].resp_body_len);
-      ASSERT_EQ(got.events.http[i].conn != nullptr, want.events.http[i].conn != nullptr);
-      if (got.events.http[i].conn != nullptr) {
-        EXPECT_EQ(got.events.http[i].conn->key, want.events.http[i].conn->key);
-      }
     }
-    ASSERT_EQ(got.events.dns.size(), want.events.dns.size());
     for (std::size_t i = 0; i < got.events.dns.size(); ++i) {
       EXPECT_EQ(got.events.dns[i].qname, want.events.dns[i].qname);
       EXPECT_EQ(got.events.dns[i].qtype, want.events.dns[i].qtype);
     }
-    EXPECT_EQ(got.events.smtp.size(), want.events.smtp.size());
-    EXPECT_EQ(got.events.cifs.size(), want.events.cifs.size());
-    EXPECT_EQ(got.events.dcerpc.size(), want.events.dcerpc.size());
-    EXPECT_EQ(got.events.nfs.size(), want.events.nfs.size());
-    EXPECT_EQ(got.events.ncp.size(), want.events.ncp.size());
 
     // §6 load series, bit-exact bins.
     EXPECT_EQ(got.load.trace_name, want.load.trace_name);
@@ -360,7 +366,24 @@ TEST_F(SnapshotTest, RejectsFutureFormatVersion) {
     FAIL() << "decoded a snapshot with a future format version";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.offset(), snap::kMagicSize);
+    EXPECT_EQ(e.kind(), SnapshotError::Kind::kOtherVersion);
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos) << e.what();
+  }
+}
+
+// v3 images carry event connections as indexes and the ip-proto-counts
+// section; this reader has no v3 path and says which version it met.
+TEST_F(SnapshotTest, RejectsFormatVersion3ByName) {
+  std::vector<std::uint8_t> bytes = valid_image();
+  bytes[snap::kMagicSize] = 3;
+  try {
+    snap::decode_snapshot(bytes);
+    FAIL() << "decoded a snapshot stamped format version 3";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.offset(), snap::kMagicSize);
+    EXPECT_EQ(e.kind(), SnapshotError::Kind::kOtherVersion);
+    EXPECT_NE(std::string(e.what()).find("format version 3 unsupported"), std::string::npos)
+        << e.what();
   }
 }
 
@@ -720,6 +743,8 @@ TEST_F(SnapshotTest, StructureAwareMutationIsDecodedOrRejected) {
   }
   // Mutations got past the CRC into the decoders: some decode, and some
   // are caught by a field or framing check rather than by the CRC.
+  std::printf("structure-aware mutation: %zu decoded, %zu rejected by a field or framing check\n",
+              accepted, field_rejects);
   EXPECT_GT(accepted, 0u);
   EXPECT_GT(field_rejects, 0u);
 }

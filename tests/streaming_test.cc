@@ -181,7 +181,6 @@ void expect_identical_analyses(const DatasetAnalysis& a, const DatasetAnalysis& 
   EXPECT_EQ(a.l3.arp, b.l3.arp);
   EXPECT_EQ(a.l3.ipx, b.l3.ipx);
   EXPECT_EQ(a.l3.other, b.l3.other);
-  EXPECT_EQ(a.ip_proto_packets.as_map(), b.ip_proto_packets.as_map());
   EXPECT_EQ(a.monitored_subnets, b.monitored_subnets);
 
   // Capture quality, including every anomaly counter.

@@ -389,6 +389,26 @@ TEST(Cli, NonNegDoubleRejectsNonFinite) {
   }
 }
 
+// Each half of a "lo:hi" trace range follows parse_uint: digits only, no
+// sign, no space, no overflow; and lo < hi.
+TEST(Cli, IndexRangeParsesEachHalfStrictly) {
+  std::size_t lo = 7, hi = 9;
+  EXPECT_TRUE(cli::parse_index_range("0:22", lo, hi));
+  EXPECT_EQ(lo, 0u);
+  EXPECT_EQ(hi, 22u);
+  EXPECT_TRUE(cli::parse_index_range("11:18446744073709551615", lo, hi));
+  EXPECT_EQ(lo, 11u);
+  EXPECT_EQ(hi, 18446744073709551615u);
+  for (const char* bad : {"0:-1", "0:99999999999999999999999", "-0:2", "+0:2", " 0:2", "0: 3",
+                          "0:2 ", "0:+2", "2:2", "3:2", "0:1:2", ":2", "0:", ":", "", "x:2"}) {
+    lo = 7;
+    hi = 9;
+    EXPECT_FALSE(cli::parse_index_range(bad, lo, hi)) << "'" << bad << "'";
+    EXPECT_EQ(lo, 7u) << bad;  // a rejected range leaves the outputs alone
+    EXPECT_EQ(hi, 9u) << bad;
+  }
+}
+
 // A scale multiplies packet budgets and durations, so a non-finite one
 // ("inf", "1e999", "nan") must not parse, and an ENTRACE_SCALE holding one
 // falls back to the default.
