@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       return r < 0 ? std::string("(n/a)") : std::to_string(r * 100).substr(0, 5) + "%";
     };
     std::printf("%-14s %9.2fM %9.2fM %9.2fM %12s %12s\n", t.trace_name.c_str(),
-                LoadAnalysis::peak_mbps(t.bits_1s), LoadAnalysis::peak_mbps(t.bits_10s),
-                LoadAnalysis::peak_mbps(t.bits_60s),
+                LoadAnalysis::peak_mbps(t.bits_1s, 1), LoadAnalysis::peak_mbps(t.bits_1s, 10),
+                LoadAnalysis::peak_mbps(t.bits_1s, 60),
                 fmt_rate(load.retx_ent_by_trace[i]).c_str(),
                 fmt_rate(load.retx_wan_by_trace[i]).c_str());
   }

@@ -7,16 +7,30 @@ namespace {
 
 constexpr double kMbps = 1e6;
 
-double peak_of(const std::vector<double>& bits, double bin_width) {
-  double best = 0.0;
-  for (double b : bits) best = std::max(best, b / bin_width);
-  return best / kMbps;
+// Floor division: a negative second belongs to the interval below zero.
+std::int64_t interval_of(std::int64_t bin, std::int64_t seconds) {
+  const std::int64_t q = bin / seconds;
+  return q * seconds > bin ? q - 1 : q;
 }
 
 }  // namespace
 
-double LoadAnalysis::peak_mbps(const IntervalSeries& series) {
-  return peak_of(series.values(), series.bin_width());
+double LoadAnalysis::peak_mbps(const IntervalSeries& series, std::int64_t seconds) {
+  // The bins are in ascending order, so each interval's bins are adjacent.
+  const auto width = static_cast<double>(seconds);
+  double best = 0.0;
+  double sum = 0.0;
+  std::int64_t interval = 0;
+  for (const auto& [bin, bits] : series.bins()) {
+    const std::int64_t i = interval_of(bin, seconds);
+    if (i != interval) {
+      best = std::max(best, sum / width);
+      sum = 0.0;
+      interval = i;
+    }
+    sum += bits;
+  }
+  return std::max(best, sum / width) / kMbps;
 }
 
 LoadAnalysis LoadAnalysis::compute(const std::vector<TraceLoadRaw>& traces,
@@ -27,9 +41,9 @@ LoadAnalysis LoadAnalysis::compute(const std::vector<TraceLoadRaw>& traces,
     out.keepalives_excluded += t.keepalive_excluded;
     if (!t.bits_1s.empty()) {
       const std::vector<double> bits_1s = t.bits_1s.values();
-      out.peak_1s.add(peak_of(bits_1s, t.bits_1s.bin_width()));
-      out.peak_10s.add(peak_mbps(t.bits_10s));
-      out.peak_60s.add(peak_mbps(t.bits_60s));
+      out.peak_1s.add(peak_mbps(t.bits_1s, 1));
+      out.peak_10s.add(peak_mbps(t.bits_1s, 10));
+      out.peak_60s.add(peak_mbps(t.bits_1s, 60));
 
       EmpiricalCdf one_sec;
       for (double bits : bits_1s) one_sec.add(bits / kMbps);

@@ -1,9 +1,12 @@
 // Network load analysis (§6) — Figure 9 utilization distributions and
 // Figure 10 TCP retransmission rates.
 //
-// The core pipeline fills one TraceLoadRaw per trace (utilization interval
-// series at three timescales plus retransmission tallies split by
-// locality); LoadAnalysis turns those into the paper's distributions.
+// The core pipeline fills one TraceLoadRaw per trace (a 1 s utilization
+// series plus retransmission tallies split by locality); LoadAnalysis turns
+// those into the paper's distributions.  Figure 9's 10 s and 60 s peaks are
+// summed from the 1 s bins: every coarse bin is the sum of the 1 s bins
+// whose seconds fall in it, and the sums are exact (each bin sums
+// integer-valued bit counts).
 #pragma once
 
 #include <cstdint>
@@ -16,9 +19,7 @@ namespace entrace {
 
 struct TraceLoadRaw {
   std::string trace_name;
-  IntervalSeries bits_1s{1.0};
-  IntervalSeries bits_10s{10.0};
-  IntervalSeries bits_60s{60.0};
+  IntervalSeries bits_1s;
 
   // TCP data packets (potential retransmissions), keepalives excluded.
   std::uint64_t ent_tcp_pkts = 0;
@@ -27,19 +28,12 @@ struct TraceLoadRaw {
   std::uint64_t wan_retx = 0;
   std::uint64_t keepalive_excluded = 0;
 
-  void add_packet(double ts, std::uint32_t wire_len) {
-    const double bits = 8.0 * wire_len;
-    bits_1s.add(ts, bits);
-    bits_10s.add(ts, bits);
-    bits_60s.add(ts, bits);
-  }
+  void add_packet(double ts, std::uint32_t wire_len) { bits_1s.add(ts, 8.0 * wire_len); }
 
   // Fold another shard of the same trace (sub-trace parallelism); the
   // utilization bins sum and the retransmission tallies add.
   void merge(const TraceLoadRaw& other) {
     bits_1s.merge(other.bits_1s);
-    bits_10s.merge(other.bits_10s);
-    bits_60s.merge(other.bits_60s);
     ent_tcp_pkts += other.ent_tcp_pkts;
     ent_retx += other.ent_retx;
     wan_tcp_pkts += other.wan_tcp_pkts;
@@ -64,9 +58,9 @@ struct LoadAnalysis {
   static LoadAnalysis compute(const std::vector<TraceLoadRaw>& traces,
                               std::uint64_t min_packets = 1000);
 
-  // One trace's peak utilization (Mbps) at the series' timescale: its
-  // busiest bin's bits over the bin width.
-  static double peak_mbps(const IntervalSeries& series);
+  // One trace's peak utilization (Mbps) over `seconds`-long intervals: the
+  // 1 s bins summed by floor(bin / seconds), the busiest sum over `seconds`.
+  static double peak_mbps(const IntervalSeries& series, std::int64_t seconds);
 };
 
 }  // namespace entrace

@@ -16,13 +16,9 @@ void ScannerDetector::observe(Ipv4Address src, Ipv4Address dst) {
   Source& s = source(src.value());
   ++s.distinct;
   if (s.order.size() < kOrderCap) s.order.push_back(dst.value());
-  cache_valid_ = false;
 }
 
-void ScannerDetector::add_known_scanner(Ipv4Address addr) {
-  known_.insert(addr);
-  cache_valid_ = false;
-}
+void ScannerDetector::add_known_scanner(Ipv4Address addr) { known_.insert(addr); }
 
 void ScannerDetector::merge(const ScannerDetector& other) {
   pairs_.reserve(pairs_.size() + other.pairs_.size());
@@ -47,7 +43,6 @@ void ScannerDetector::merge(const ScannerDetector& other) {
     });
   }
   known_.insert(other.known_.begin(), other.known_.end());
-  cache_valid_ = false;
 }
 
 std::vector<ScannerDetector::SourceObservations> ScannerDetector::export_observations() const {
@@ -93,7 +88,6 @@ std::ptrdiff_t ScannerDetector::import_source(const SourceObservations& obs) {
   Source& s = source(obs.source);
   pairs_.reserve(pairs_.size() + obs.order.size() + obs.extra_seen.size());
   s.order.reserve(obs.order.size());
-  cache_valid_ = false;
   std::ptrdiff_t at = 0;
   for (const auto* dsts : {&obs.order, &obs.extra_seen}) {
     for (const std::uint32_t dst : *dsts) {
@@ -127,19 +121,11 @@ bool ScannerDetector::is_ordered_probe(const Source& s) {
 }
 
 std::set<Ipv4Address> ScannerDetector::scanners() const {
-  if (!cache_valid_) {
-    cache_ = known_;
-    for (const Source& s : sources_) {
-      if (is_ordered_probe(s)) cache_.insert(Ipv4Address(s.addr));
-    }
-    cache_valid_ = true;
+  std::set<Ipv4Address> out = known_;
+  for (const Source& s : sources_) {
+    if (is_ordered_probe(s)) out.insert(Ipv4Address(s.addr));
   }
-  return cache_;
-}
-
-bool ScannerDetector::is_scanner(Ipv4Address addr) const {
-  if (!cache_valid_) scanners();
-  return cache_.count(addr) > 0;
+  return out;
 }
 
 }  // namespace entrace

@@ -40,8 +40,6 @@ class ScannerDetector {
   // Evaluate the heuristic over everything observed so far.
   std::set<Ipv4Address> scanners() const;
 
-  bool is_scanner(Ipv4Address addr) const;  // evaluates lazily, cached
-
   // ---- snapshot support (src/snapshot) --------------------------------------
   // Everything merge() consumes, in a deterministic layout: one entry per
   // source, ascending by source address; `order` is the capped first-contact
@@ -89,8 +87,6 @@ class ScannerDetector {
   FlatIndex<std::uint32_t> source_index_;
   std::vector<Source> sources_;
   std::set<Ipv4Address> known_;
-  mutable bool cache_valid_ = false;
-  mutable std::set<Ipv4Address> cache_;
 };
 
 }  // namespace entrace

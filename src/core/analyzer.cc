@@ -61,12 +61,6 @@ void ShardTotals::merge_from(ShardTotals&& other) {
   metrics.merge(metrics_in);
 }
 
-std::uint64_t DatasetAnalysis::payload_bytes() const {
-  std::uint64_t total = 0;
-  for (const Connection* c : connections) total += c->total_bytes();
-  return total;
-}
-
 AnalyzerConfig default_config_for_model(const SiteConfig& site) {
   AnalyzerConfig config;
   config.site = site;
@@ -147,12 +141,13 @@ DatasetAnalysis fold_shards(std::string dataset_name, std::vector<TraceShard>&& 
   for (Ipv4Address known : config.site.known_scanners) detector.add_known_scanner(known);
 
   // Across traces the detector merges into a fold-local one, and each
-  // trace keeps its own connection table and load series.
+  // trace keeps its own connections and load series.
+  out.trace_connections.reserve(shards.size());
   for (TraceShard& shard : shards) {
     if (shard.subnet_id >= 0) out.monitored_subnets.push_back(shard.subnet_id);
     detector.merge(shard.detector);
     out.load_raw.push_back(std::move(shard.load));
-    out.tables.push_back(std::move(shard.table));
+    out.trace_connections.push_back(std::move(shard.connections));
     out.merge_from(std::move(shard));
   }
   // Scanner identification is global: only the merged detector has seen a
@@ -161,8 +156,8 @@ DatasetAnalysis fold_shards(std::string dataset_name, std::vector<TraceShard>&& 
   out.scanners = detector.scanners();
 
   // ---- assemble connection lists, remove scanner traffic ---------------------
-  for (const auto& table : out.tables) {
-    for (const Connection& conn : table->connections()) {
+  for (const std::vector<Connection>& conns : out.trace_connections) {
+    for (const Connection& conn : conns) {
       out.all_connections.push_back(&conn);
       if (out.scanners.count(conn.key.src) > 0) {
         ++out.scanner_conns_removed;

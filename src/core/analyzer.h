@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -138,8 +137,9 @@ class DatasetAnalysis : public ShardTotals {
   std::vector<int> monitored_subnets;
 
   // ---- connections -----------------------------------------------------------
-  // Flow state (owns the Connection objects everything else points into).
-  std::vector<std::unique_ptr<FlowTable>> tables;
+  // Each trace's connections in open order (owns the Connection objects
+  // all_connections and connections point into).
+  std::vector<std::vector<Connection>> trace_connections;
   std::vector<const Connection*> all_connections;  // scanner traffic included
   std::vector<const Connection*> connections;      // scanner traffic removed
   std::set<Ipv4Address> scanners;
@@ -157,21 +157,20 @@ class DatasetAnalysis : public ShardTotals {
   bool is_monitored_host(Ipv4Address a) const {
     return std::binary_search(monitored_hosts.begin(), monitored_hosts.end(), a.value());
   }
-  std::uint64_t payload_bytes() const;
 };
 
 // Everything one per-trace job produces: the shared totals plus four
-// members of its own.  A shard is the per-trace unit of every mode: a
-// thread job, a .esnap file (src/snapshot), a cluster worker's reply and a
-// daemon window (core/incremental.h), and any of them folds to the same
-// DatasetAnalysis as a single-process run.  The two folds differ only in
-// the own members: fold_shards keeps each trace's connections and load
-// series, while WindowFold::add upserts connections by open_seq and sums
-// the load series.
+// members of its own.  A shard is plain data, the per-trace unit of every
+// mode: a thread job, one section of a .esnap file (src/snapshot), a
+// cluster worker's reply and a daemon window (core/incremental.h), and any
+// of them folds to the same DatasetAnalysis as a single-process run.  The
+// two folds differ only in the own members: fold_shards keeps each trace's
+// connections and load series, while WindowFold::add upserts connections
+// by open_seq and sums the load series.
 struct TraceShard : ShardTotals {
   int subnet_id = -1;
   ScannerDetector detector;
-  std::unique_ptr<FlowTable> table;
+  std::vector<Connection> connections;  // in open order (open_seq)
   TraceLoadRaw load;
 };
 

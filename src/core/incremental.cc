@@ -85,7 +85,7 @@ TraceStream::TraceStream(const TraceMeta& meta, const AnalyzerConfig& config)
       collect_(config.collect_metrics),
       dispatcher_(registry_, win_.events, config.payload_analysis.value_or(meta.snaplen >= 200),
                   &win_.quality.anomalies),
-      table_(std::make_unique<FlowTable>(&dispatcher_)) {
+      flows_(std::make_unique<FlowTable>(&dispatcher_)) {
   start_window();
 }
 
@@ -144,7 +144,7 @@ void TraceStream::take_hosts(TraceShard& shard) {
 void TraceStream::flow_one(const DecodedPacket& d, std::uint64_t key_lo, std::uint64_t key_hi,
                            bool keyed) {
   if (d.l3 != L3Kind::kIpv4) return;
-  const PacketVerdict verdict = keyed ? table_->process(d, key_lo, key_hi) : table_->process(d);
+  const PacketVerdict verdict = keyed ? flows_->process(d, key_lo, key_hi) : flows_->process(d);
   if (verdict.conn != nullptr && d.is_tcp()) {
     const bool wan = !config_.site.is_internal(verdict.conn->key.src) ||
                      !config_.site.is_internal(verdict.conn->key.dst);
@@ -235,22 +235,21 @@ TraceShard TraceStream::rotate() {
   // Connections touched this window, copied in open_seq order.  Copies get
   // parser_slot cleared: it is transient dispatcher state that must not
   // leak into snapshots.
-  const std::vector<std::uint32_t> dirty = table_->take_dirty();
-  shard.table = std::make_unique<FlowTable>();
-  std::deque<Connection>& out_conns = shard.table->connections();
-  const std::deque<Connection>& live = table_->connections();
+  const std::vector<std::uint32_t> dirty = flows_->take_dirty();
+  const std::vector<Connection>& live = flows_->connections();
+  shard.connections.reserve(dirty.size());
   for (std::uint32_t i : dirty) {
-    out_conns.push_back(live[i]);
-    out_conns.back().parser_slot = Connection::kNoParser;
+    shard.connections.push_back(live[i]);
+    shard.connections.back().parser_slot = Connection::kNoParser;
   }
   dispatcher_.on_events_rotated();
   return shard;
 }
 
 void TraceStream::drain(const AnomalyCounts* source_anomalies) {
-  table_->drain_all();
-  totals_.flow = table_->stats();
-  totals_.flow_packets = table_->packets_processed();
+  flows_->drain_all();
+  totals_.flow = flows_->stats();
+  totals_.flow_packets = flows_->packets_processed();
   // TCP 5-tuple reuse is a capture-accounting fact (informational flag on
   // ok packets), recorded whether or not telemetry is on, once, into the
   // final window.
@@ -285,12 +284,14 @@ void TraceStream::finish_batch(PacketSource& source, TraceShard& shard, double s
   // dataset's anomaly accounting covers the file layer too.
   drain(&source.anomalies());
   accumulate_window_totals();
-  // The one window is the whole trace, with the live registry and table.
-  // The dispatcher can be dropped; events and registry outlive it.
+  // The one window is the whole trace, with the live registry and
+  // connections.  The dispatcher and the flow engine stay behind and die
+  // with the stream, on the thread that ran it; events and registry outlive
+  // them.
   shard = std::move(win_);
   take_hosts(shard);
   shard.registry = std::move(registry_);
-  shard.table = std::move(table_);
+  shard.connections = flows_->take_connections();
   record_totals(shard.metrics, source_seconds, source_batches);
 }
 

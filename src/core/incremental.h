@@ -154,9 +154,9 @@ class TraceStream {
   // mode; both change post-close attribution, so exact-equality runs leave
   // them off).  reclaim() must run after rotate() so every connection's
   // final state has been snapshotted.
-  std::size_t evict_idle(double now) { return table_->evict_idle(now); }
-  void enable_reclaim() { table_->enable_reclaim(); }
-  std::size_t reclaim() { return table_->reclaim_closed(); }
+  std::size_t evict_idle(double now) { return flows_->evict_idle(now); }
+  void enable_reclaim() { flows_->enable_reclaim(); }
+  std::size_t reclaim() { return flows_->reclaim_closed(); }
 
   // End of stream, windowed: drain still-open flows (flow.drained), fold in
   // end-of-stream anomalies, harvest the final window, and record the
@@ -165,14 +165,14 @@ class TraceStream {
   // attribute them (null otherwise).
   TraceShard finish_window(const AnomalyCounts* source_anomalies);
 
-  // End of stream, batch: drain, then move the one window and the live
-  // flow table into `shard` without the windowed copy step.
+  // End of stream, batch: drain, then move the one window and the flow
+  // table's connections into `shard` without the windowed copy step.
   // `source_seconds`/`source_batches` are the caller-timed ingest stage.
   void finish_batch(PacketSource& source, TraceShard& shard, double source_seconds,
                     std::uint64_t source_batches);
 
-  std::size_t live_entries() const { return table_->live_entries(); }
-  const FlowStats& flow_stats() const { return table_->stats(); }
+  std::size_t live_entries() const { return flows_->live_entries(); }
+  const FlowStats& flow_stats() const { return flows_->stats(); }
 
  private:
   void tally_one(const DecodedPacket& d);
@@ -193,14 +193,14 @@ class TraceStream {
   bool collect_;
 
   // The trace's registry persists across windows; the current window is
-  // accumulated in place in win_, whose table and registry stay empty (the
-  // live ones are table_ and registry_).  Declaration order matters: the
+  // accumulated in place in win_, whose connections and registry stay empty
+  // (the live ones are flows_ and registry_).  Declaration order matters: the
   // dispatcher holds references to registry_, win_.events and
   // win_.quality.anomalies, which rotation keeps at the same addresses.
   AppRegistry registry_;
   TraceShard win_;
   ProtocolDispatcher dispatcher_;
-  std::unique_ptr<FlowTable> table_;
+  std::unique_ptr<FlowTable> flows_;
   detail::HostSeenCache host_cache_;
   FlatIndex<std::uint32_t> hosts_;  // the current window's hosts
   detail::PairSeenCache pair_cache_;

@@ -866,10 +866,10 @@ std::string figure10_retransmissions(Inputs in, RenderCache& cache) {
     EmpiricalCdf counted;
     for (std::size_t k = 0; k < a.load_raw.size(); ++k) {
       if (load.retx_ent_by_trace[k] < 0) continue;  // outside Figure 10's population
-      // The trace's own table: TraceLoadRaw::keepalive_excluded also
+      // The trace's own connections: TraceLoadRaw::keepalive_excluded also
       // counts WAN keepalives.
       std::uint64_t keepalives = 0;
-      for (const Connection& c : a.tables[k]->connections()) {
+      for (const Connection& c : a.trace_connections[k]) {
         if (a.site.is_internal(c.key.src) && a.site.is_internal(c.key.dst))
           keepalives += c.keepalive_retx;
       }

@@ -64,9 +64,9 @@ struct Connection {
 
   // Per-trace open order: the value of the owning FlowTable's conns_opened
   // counter when this connection was created.  In a plain batch run it
-  // equals the connection's deque index; the windowed incremental engine
-  // uses it to reassemble per-window connection deltas into the exact batch
-  // deque order (every .esnap format since v3 carries it).
+  // equals the connection's index; the windowed incremental engine uses it
+  // to reassemble per-window connection deltas into the exact batch order
+  // (every .esnap format since v3 carries it).
   std::uint64_t open_seq = 0;
 
   // Transient dispatcher state: index of this connection's application

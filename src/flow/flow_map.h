@@ -5,9 +5,8 @@
 // Layout: linear probing over a power-of-two slot array at <=0.7 load, one
 // 24-byte slot per flow (16-byte key + 4-byte index), no per-node heap
 // allocation and exactly one cache line touched for most probes.  The slot
-// array is allocated by the first insert(), not by the constructor: the
-// tables of rotated windows, decoded snapshots and window folds hold
-// connections but never look one up, so they never pay for the 24 KB.  Deletion
+// array is allocated by the first insert(), not by the constructor: a
+// trace that opens no flow never pays for the 24 KB.  Deletion
 // uses backward shifting instead of tombstones because the analyzer's
 // UDP/ICMP idle splits and TCP tuple reuse churn keys heavily within a
 // trace, and tombstone build-up would degrade probes over time.

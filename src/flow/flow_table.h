@@ -3,6 +3,10 @@
 // (retransmission) detection, and in-order stream delivery to an observer.
 //
 // This is our stand-in for the Bro connection engine the paper relied on.
+// The engine (entries, flow map, dirty and free lists) exists only while a
+// trace is processed: the batch pipeline takes the connection vector out of
+// it at the end of the trace (take_connections), and a shard holds only
+// that vector.
 //
 // Thread-compatibility: FlowTable holds no static or global state — every
 // instance is fully self-contained — so distinct instances may be driven
@@ -12,9 +16,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "flow/connection.h"
@@ -93,8 +97,8 @@ class FlowTable {
  public:
   explicit FlowTable(FlowObserver* observer = nullptr) : observer_(observer) {}
 
-  // Process one decoded packet.  The returned pointers remain valid until
-  // the FlowTable is destroyed (connections live in a stable deque).
+  // Process one decoded packet.  The verdict's connection pointer is valid
+  // until the next process() call: a new connection may grow the vector.
   PacketVerdict process(const DecodedPacket& pkt);
 
   // Hot-path variant with the packed canonical flow key precomputed by the
@@ -131,16 +135,18 @@ class FlowTable {
 
   // Bounded-memory mode for endless streams: after take_dirty() has
   // captured a window, reclaim_closed() recycles the slots of connections
-  // that are closed and already snapshotted, so the deque stops growing
+  // that are closed and already snapshotted, so the vector stops growing
   // once churn is balanced.  Recycling breaks the index == open order
   // identity (open_seq keeps the true order), so batch runs — whose report
-  // path walks the deque — must never enable it.
+  // path walks the vector — must never enable it.
   void enable_reclaim() { reclaim_ = true; }
   std::size_t reclaim_closed();
   std::size_t live_entries() const { return entries_.size() - free_entries_.size(); }
 
-  const std::deque<Connection>& connections() const { return connections_; }
-  std::deque<Connection>& connections() { return connections_; }
+  const std::vector<Connection>& connections() const { return connections_; }
+  // End of a batch trace: move the connections out, in open order.  The
+  // table holds none afterwards.
+  std::vector<Connection> take_connections() { return std::move(connections_); }
   std::uint64_t packets_processed() const { return packets_; }
   const FlowStats& stats() const { return stats_; }
 
@@ -180,14 +186,14 @@ class FlowTable {
   void unmap_if_owner(std::size_t index);
 
   FlowObserver* observer_;
-  std::deque<Connection> connections_;
+  std::vector<Connection> connections_;
   // Entries are created 1:1 with connections (entries_[i].conn_index == i)
   // and erased never — an entry whose key leaves the active map keeps its
   // terminal state here, which gives drain_all() a deterministic
   // creation-order walk (close_entry is idempotent, so closing everything
   // equals closing the live subset).  In reclaim mode a closed, already-
   // snapshotted slot is parked on free_entries_ and reused by the next
-  // connection instead of growing the deque.  active_ only maps the packed
+  // connection instead of growing the vector.  active_ only maps the packed
   // canonical key of live flows to an index.
   std::vector<Entry> entries_;
   FlowMap active_;

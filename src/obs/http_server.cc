@@ -18,10 +18,13 @@ namespace {
 // hundred bytes, so anything approaching the cap is garbage or abuse.
 constexpr std::size_t kMaxRequestBytes = 8192;
 // A connected client that never finishes its request line is cut off after
-// this long so it cannot wedge the single accept thread.
+// this long so it cannot wedge a worker.
 constexpr int kRequestReadTimeoutMs = 2000;
-// With a worker pool, at most this many accepted connections may wait for
-// a handler; beyond it the accept loop sheds load by closing.
+// Handler threads: one serves a slow endpoint while the other answers
+// probes.
+constexpr std::size_t kWorkers = 2;
+// At most this many accepted connections may wait for a handler; beyond it
+// the accept loop sheds load by closing.
 constexpr std::size_t kMaxQueuedConnections = 64;
 
 const char* status_text(int status) {
@@ -39,8 +42,7 @@ const char* status_text(int status) {
 
 }  // namespace
 
-HttpServer::HttpServer(std::uint16_t port, Handler handler, std::size_t workers)
-    : handler_(std::move(handler)), workers_(workers) {
+HttpServer::HttpServer(std::uint16_t port, Handler handler) : handler_(std::move(handler)) {
   std::string error;
   util::ScopedFd fd = util::tcp_listen(port, &port_, &error);
   if (!fd.valid()) throw std::runtime_error("http: " + error);
@@ -56,7 +58,7 @@ void HttpServer::start() {
   if (started_) return;
   started_ = true;
   stopping_.store(false, std::memory_order_release);
-  for (std::size_t i = 0; i < workers_; ++i) {
+  for (std::size_t i = 0; i < kWorkers; ++i) {
     pool_.emplace_back([this] { worker_loop(); });
   }
   thread_ = std::thread([this] { serve_loop(); });
@@ -86,11 +88,6 @@ void HttpServer::serve_loop() {
     if (ready <= 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    if (workers_ == 0) {
-      handle_connection(fd);
-      ::close(fd);
-      continue;
-    }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (queue_.size() >= kMaxQueuedConnections) {

@@ -12,13 +12,11 @@
 // metric endpoints in collectors ship — enough for
 // `curl http://host:port/metrics` and a Prometheus scrape loop.
 //
-// Concurrency: by default (workers == 0) connections are handled inline on
-// the single accept thread — fine when every handler is fast.  A handler
-// set that mixes slow endpoints with liveness probes (the daemon's
-// multi-second /report fold next to /healthz) passes workers >= 2: accepted
-// connections are queued to a small worker pool, so a probe is answered
-// while a slow render is still in flight instead of starving behind it.
-// Handlers must then be safe to run concurrently with themselves.
+// Concurrency: the accept thread queues each connection to a pool of two
+// handler threads, so a liveness probe is answered while a slow endpoint
+// (the daemon's multi-second /report fold next to /healthz) is still in
+// flight instead of starving behind it.  Handlers must be safe to run
+// concurrently with themselves.
 //
 // Lifecycle: the constructor binds + listens (throwing on failure, e.g.
 // port in use), start() launches the accept loop (and workers), and
@@ -48,14 +46,12 @@ struct HttpResponse {
 class HttpServer {
  public:
   // Called with the request path, query/fragment already stripped (e.g.
-  // "/metrics").  Runs on the accept thread (workers == 0) or on a worker
-  // thread, possibly concurrently with other requests (workers >= 2).
+  // "/metrics").  Runs on a worker thread, possibly concurrently with
+  // another request.
   using Handler = std::function<HttpResponse(const std::string& path)>;
 
   // Binds 127.0.0.1:port and listens; throws std::runtime_error on failure.
-  // `workers` 0 serves inline on the accept thread; >= 1 dispatches each
-  // accepted connection to a pool of that many handler threads.
-  HttpServer(std::uint16_t port, Handler handler, std::size_t workers = 0);
+  HttpServer(std::uint16_t port, Handler handler);
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -75,7 +71,6 @@ class HttpServer {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   Handler handler_;
-  std::size_t workers_;
   std::thread thread_;
   std::vector<std::thread> pool_;
   // Accepted fds awaiting a worker.  Bounded: past kMaxQueuedConnections

@@ -60,10 +60,8 @@ struct TraceMeta {
   double duration = 0.0;
 };
 
-// Ingest volume a source has delivered so far — the telemetry ground truth
-// for `source.*` metrics.  Maintained by PacketSource::next_batch() and
-// next() themselves so every implementation (memory, pcap file, synthetic)
-// self-counts without duplicated bookkeeping.
+// Ingest volume of one trace — the telemetry ground truth for `source.*`
+// metrics, counted by the consumer as it decodes (TraceStream::feed).
 struct SourceStats {
   std::uint64_t packets = 0;
   std::uint64_t captured_bytes = 0;  // sum of data.size() after snaplen clip
@@ -81,35 +79,13 @@ class PacketSource {
   // this source.  Sources may return short batches at internal buffer
   // boundaries (slice refills, merged-stream head exhaustion) — a short
   // batch is NOT end-of-stream; only 0 is.  This is the packet path: one
-  // virtual dispatch and one stats update per batch.
-  std::size_t next_batch(PacketView* out, std::size_t n) {
-    const std::size_t got = pull_batch(out, n);
-    std::uint64_t captured = 0, wire = 0;
-    for (std::size_t i = 0; i < got; ++i) {
-      captured += out[i].data.size();
-      wire += out[i].wire_len;
-    }
-    stats_.packets += got;
-    stats_.captured_bytes += captured;
-    stats_.wire_bytes += wire;
-    return got;
-  }
+  // virtual dispatch per batch.
+  std::size_t next_batch(PacketView* out, std::size_t n) { return pull_batch(out, n); }
 
   // One-packet adapter for tools and tests (trace_inspector): the next
   // packet as an owned RawPacket, or nullptr at end of stream.  The pointee
   // stays valid only until the next next()/next_batch() call.
-  const RawPacket* next() {
-    const RawPacket* pkt = pull();
-    if (pkt != nullptr) {
-      ++stats_.packets;
-      stats_.captured_bytes += pkt->data.size();
-      stats_.wire_bytes += pkt->wire_len;
-    }
-    return pkt;
-  }
-
-  // Volume delivered so far; complete once the stream is drained.
-  const SourceStats& stats() const { return stats_; }
+  const RawPacket* next() { return pull(); }
 
   // Source-layer anomalies (pcap record damage, salvaged truncations)
   // accumulated so far; complete once the stream is drained.
@@ -132,7 +108,6 @@ class PacketSource {
   }
 
  private:
-  SourceStats stats_;
   RawPacket one_;
 };
 

@@ -24,31 +24,17 @@ std::string hex32(std::uint32_t v) {
 }  // namespace
 
 PcapReader::PcapReader(const std::string& path) {
-  const std::string err = init(path);
-  if (!err.empty()) throw std::runtime_error(err);
-}
-
-PcapReader::~PcapReader() = default;
-
-std::unique_ptr<PcapReader> PcapReader::open(const std::string& path, std::string* error) {
-  std::unique_ptr<PcapReader> reader(new PcapReader());
-  const std::string err = reader->init(path);
-  if (!err.empty()) {
-    if (error) *error = err;
-    return nullptr;
-  }
-  return reader;
-}
-
-std::string PcapReader::init(const std::string& path) {
   file_.reset(std::fopen(path.c_str(), "rb"));
-  if (!file_) return "PcapReader: cannot open " + path;
+  if (!file_) throw std::runtime_error("PcapReader: cannot open " + path);
   std::array<std::uint8_t, pcapfmt::kGlobalHeaderSize> hdr;
   const std::size_t got = std::fread(hdr.data(), 1, hdr.size(), file_.get());
-  if (got == 0) return "PcapReader: " + path + " is empty (no pcap global header)";
+  if (got == 0) {
+    throw std::runtime_error("PcapReader: " + path + " is empty (no pcap global header)");
+  }
   if (got < hdr.size()) {
-    return "PcapReader: short global header in " + path + " (got " + std::to_string(got) +
-           " of " + std::to_string(hdr.size()) + " bytes)";
+    throw std::runtime_error("PcapReader: short global header in " + path + " (got " +
+                             std::to_string(got) + " of " + std::to_string(hdr.size()) +
+                             " bytes)");
   }
   // Magic read little-endian first.
   const std::uint32_t magic_le = static_cast<std::uint32_t>(hdr[0]) |
@@ -60,21 +46,23 @@ std::string PcapReader::init(const std::string& path) {
   } else if (magic_le == pcapfmt::kMagicUsecSwap) {
     swapped_ = true;
   } else {
-    return "PcapReader: bad magic " + hex32(magic_le) + " at offset 0 in " + path +
-           " (expected " + hex32(pcapfmt::kMagicUsec) + " or " + hex32(pcapfmt::kMagicUsecSwap) +
-           ")";
+    throw std::runtime_error("PcapReader: bad magic " + hex32(magic_le) + " at offset 0 in " +
+                             path + " (expected " + hex32(pcapfmt::kMagicUsec) + " or " +
+                             hex32(pcapfmt::kMagicUsecSwap) + ")");
   }
   snaplen_ = read_u32(hdr.data() + 16);
   if (snaplen_ == 0 || snaplen_ > kMaxCapLen) snaplen_ = kMaxCapLen;
   link_type_ = read_u32(hdr.data() + 20);
   if (link_type_ != pcapfmt::kLinkTypeEthernet) {
-    return "PcapReader: unsupported link type " + std::to_string(link_type_) +
-           " at offset 20 in " + path + " (expected " +
-           std::to_string(pcapfmt::kLinkTypeEthernet) + ", Ethernet)";
+    throw std::runtime_error("PcapReader: unsupported link type " +
+                             std::to_string(link_type_) + " at offset 20 in " + path +
+                             " (expected " + std::to_string(pcapfmt::kLinkTypeEthernet) +
+                             ", Ethernet)");
   }
   offset_ = hdr.size();
-  return "";
 }
+
+PcapReader::~PcapReader() = default;
 
 std::uint32_t PcapReader::read_u32(const std::uint8_t* p) const {
   if (!swapped_) {

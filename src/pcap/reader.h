@@ -1,11 +1,10 @@
 // pcap capture-file reader; handles both byte orders.
 //
-// Opening a file either throws (the constructor) or returns nullptr with a
-// descriptive error (PcapReader::open()); the two read a file the same
-// way.  A record whose body is cut off by EOF is salvaged (the partial
-// bytes are returned as a snap-style truncated capture), and every
-// corrupt-record condition is classified into anomalies() so callers can
-// account for what the file actually contained.  next() clips every record
+// Opening a file that cannot be read as a pcap capture throws.  A record
+// whose body is cut off by EOF is salvaged (the partial bytes are returned
+// as a snap-style truncated capture), and every corrupt-record condition
+// is classified into anomalies() so callers can account for what the file
+// actually contained.  next() clips every record
 // to the global header's snaplen (a snaplen of 0 reads as 262,144,
 // libpcap's rule for a bogus one).  Only Ethernet captures (link type 1)
 // are accepted.
@@ -32,9 +31,6 @@ class PcapReader {
   PcapReader(const PcapReader&) = delete;
   PcapReader& operator=(const PcapReader&) = delete;
 
-  // Non-throwing factory: returns nullptr and fills *error on failure.
-  static std::unique_ptr<PcapReader> open(const std::string& path, std::string* error);
-
   // Next packet, or nullopt at end of file.  Corrupt-record conditions
   // (short record header, truncated body, absurd caplen) are counted in
   // anomalies(); a truncated body is salvaged, the others end the file.
@@ -47,10 +43,6 @@ class PcapReader {
   const AnomalyCounts& anomalies() const { return anomalies_; }
 
  private:
-  PcapReader() = default;  // used by open()
-
-  // Opens and validates the global header; returns an error message or "".
-  std::string init(const std::string& path);
   std::uint32_t read_u32(const std::uint8_t* p) const;
 
   struct FileCloser {

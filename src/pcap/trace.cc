@@ -13,21 +13,13 @@ std::uint64_t Trace::total_wire_bytes() const {
   return total;
 }
 
-void Trace::apply_snaplen() {
-  for (auto& p : packets) {
-    if (p.data.size() > snaplen) p.data.resize(snaplen);
-  }
-}
-
 void Trace::save(const std::string& path) const {
   PcapWriter writer(path, snaplen);
   for (const auto& p : packets) writer.write(p);
 }
 
-namespace {
-
-Trace drain_reader(PcapReader& reader, const std::string& path, const std::string& name,
-                   int subnet_id) {
+Trace Trace::load(const std::string& path, const std::string& name, int subnet_id) {
+  PcapReader reader(path);
   Trace t;
   t.name = name.empty() ? path : name;
   t.subnet_id = subnet_id;
@@ -39,20 +31,6 @@ Trace drain_reader(PcapReader& reader, const std::string& path, const std::strin
     t.duration = t.packets.back().ts - t.packets.front().ts;
   }
   return t;
-}
-
-}  // namespace
-
-Trace Trace::load(const std::string& path, const std::string& name, int subnet_id) {
-  PcapReader reader(path);
-  return drain_reader(reader, path, name, subnet_id);
-}
-
-std::optional<Trace> Trace::try_load(const std::string& path, const std::string& name,
-                                     int subnet_id, std::string* error) {
-  auto reader = PcapReader::open(path, error);
-  if (!reader) return std::nullopt;
-  return drain_reader(*reader, path, name, subnet_id);
 }
 
 std::uint64_t TraceSet::total_packets() const {

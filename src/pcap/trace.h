@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,21 +28,13 @@ struct Trace {
   AnomalyCounts file_anomalies;
 
   std::uint64_t total_wire_bytes() const;
-  // Apply snaplen truncation in place (models the capture filter; the
-  // generator emits full frames and the tap snaps them).
-  void apply_snaplen();
 
-  // Round-trip through the pcap file format.  Both loads read a file as
+  // Round-trip through the pcap file format.  load() reads a file as
   // PcapFileSource does: corrupt trailing records are salvaged/skipped and
-  // counted in file_anomalies.  load() throws std::runtime_error when the
-  // file itself cannot be opened or has a malformed global header.
+  // counted in file_anomalies.  It throws std::runtime_error when the file
+  // itself cannot be opened or has a malformed global header.
   void save(const std::string& path) const;
   static Trace load(const std::string& path, const std::string& name = "", int subnet_id = -1);
-
-  // Non-throwing load: returns nullopt and fills *error where load()
-  // throws.
-  static std::optional<Trace> try_load(const std::string& path, const std::string& name = "",
-                                       int subnet_id = -1, std::string* error = nullptr);
 };
 
 struct TraceSet {

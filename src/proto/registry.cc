@@ -247,20 +247,20 @@ AppProtocol lookup(std::uint8_t proto, std::uint16_t port) {
 AppProtocol AppRegistry::identify(const Connection& conn) const {
   const std::uint8_t proto = conn.key.proto;
   if (proto != ipproto::kTcp && proto != ipproto::kUdp) return AppProtocol::kUnknown;
+  // The responder's side first, port then endpoint: an ephemeral client
+  // port can be a listed port (8080, 6000, ...) too.
   AppProtocol p = lookup(proto, conn.key.dst_port);
   if (p != AppProtocol::kUnknown) return p;
+  const bool tcp = proto == ipproto::kTcp;
+  if (tcp && is_dcerpc_endpoint(conn.key.dst, conn.key.dst_port)) return AppProtocol::kDceRpc;
   p = lookup(proto, conn.key.src_port);
   if (p != AppProtocol::kUnknown) return p;
-  if (proto == ipproto::kTcp) {
-    if (is_dcerpc_endpoint(conn.key.dst, conn.key.dst_port) ||
-        is_dcerpc_endpoint(conn.key.src, conn.key.src_port))
-      return AppProtocol::kDceRpc;
-  }
+  if (tcp && is_dcerpc_endpoint(conn.key.src, conn.key.src_port)) return AppProtocol::kDceRpc;
   return AppProtocol::kUnknown;
 }
 
 void AppRegistry::register_dcerpc_endpoint(Ipv4Address server, std::uint16_t port) {
-  dcerpc_endpoints_[{server.value(), port}] = true;
+  dcerpc_endpoints_.insert({server.value(), port});
 }
 
 bool AppRegistry::is_dcerpc_endpoint(Ipv4Address server, std::uint16_t port) const {

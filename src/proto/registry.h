@@ -11,8 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "flow/connection.h"
 
@@ -155,9 +156,9 @@ inline constexpr std::uint16_t kMsSql = 1433;
 
 class AppRegistry {
  public:
-  // Identify a connection by its (proto, port) pair, preferring the
-  // responder port, falling back to the originator port, then to any
-  // dynamically registered DCE/RPC endpoint.
+  // Identify a connection by its (proto, port) pair and the dynamically
+  // registered DCE/RPC endpoints, in this order: the responder's port, the
+  // responder's endpoint, the originator's port, the originator's endpoint.
   AppProtocol identify(const Connection& conn) const;
 
   // Register a dynamically mapped DCE/RPC endpoint learned from Endpoint
@@ -170,15 +171,15 @@ class AppRegistry {
   // this one.  The static port table is shared, not per registry.
   void merge_dynamic_endpoints(const AppRegistry& other);
 
-  // Snapshot support (src/snapshot): the dynamic endpoints in deterministic
-  // (map) order; a registry rebuilt by register_dcerpc_endpoint over these
-  // entries is equivalent.
-  const std::map<std::pair<std::uint32_t, std::uint16_t>, bool>& dynamic_endpoints() const {
+  // Snapshot support (src/snapshot): the dynamic (server, port) endpoints
+  // in ascending order; a registry rebuilt by register_dcerpc_endpoint over
+  // them is equivalent.
+  const std::set<std::pair<std::uint32_t, std::uint16_t>>& dynamic_endpoints() const {
     return dcerpc_endpoints_;
   }
 
  private:
-  std::map<std::pair<std::uint32_t, std::uint16_t>, bool> dcerpc_endpoints_;
+  std::set<std::pair<std::uint32_t, std::uint16_t>> dcerpc_endpoints_;
 };
 
 }  // namespace entrace

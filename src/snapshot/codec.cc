@@ -1,9 +1,7 @@
 #include "snapshot/codec.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -20,7 +18,7 @@ namespace {
 #if defined(__x86_64__) && defined(__GLIBCXX__)
 static_assert(sizeof(TraceShard) == sizeof(ShardTotals) + sizeof(std::int64_t) +
                                         sizeof(ScannerDetector) +
-                                        sizeof(std::unique_ptr<FlowTable>) + sizeof(TraceLoadRaw),
+                                        sizeof(std::vector<Connection>) + sizeof(TraceLoadRaw),
               "TraceShard's members changed: update its declaration (core/analyzer.h), both "
               "folds (fold_shards in core/analyzer.cc, WindowFold::add in snapshot/window.cc) "
               "and the codec (snapshot/codec.cc)");
@@ -54,7 +52,7 @@ constexpr EnumLimit enum_limit(obs::MetricKind) {
 template <typename T>
 inline constexpr bool kNoWireForm = false;
 
-// Runs a section template forwards, appending each field's bytes.  The
+// Runs a payload template forwards, appending each field's bytes.  The
 // wire form follows the C++ type: bool and enums as u8, integers at their
 // width, doubles as their bit pattern, strings length-prefixed and
 // addresses as u32.
@@ -88,13 +86,6 @@ class FieldWriter {
     seq(c, each);
   }
 
-  // The shard's connections (none when it has no table).
-  template <typename Fn>
-  void table(const std::unique_ptr<FlowTable>& t, Fn&& each) {
-    static const std::deque<Connection> kNone;
-    seq(t != nullptr ? t->connections() : kNone, each);
-  }
-
  private:
   template <typename T>
   void field(const T& v) {
@@ -114,7 +105,7 @@ class FieldWriter {
   ByteWriter& w_;
 };
 
-// Runs the same section templates backwards, validating each field.
+// Runs the same payload templates backwards, validating each field.
 class FieldReader {
  public:
   explicit FieldReader(ByteReader& r) : r_(r) {}
@@ -160,12 +151,6 @@ class FieldReader {
                                     " not above the previous " + std::to_string(c.back()));
       }
     });
-  }
-
-  template <typename Fn>
-  void table(std::unique_ptr<FlowTable>& t, Fn&& each) {
-    t = std::make_unique<FlowTable>();
-    seq(t->connections(), each);
   }
 
  private:
@@ -352,11 +337,9 @@ void trace_metrics(FieldReader& io, TraceShard& s) {
   }
 }
 
-// An interval series: its bin width (checked against the series the shard
-// was built with), then (bin, value) pairs in bin order.
+// A 1 s interval series: (second, value) pairs in ascending order.
 void series(FieldWriter& io, const IntervalSeries& s) {
   ByteWriter& w = io.bytes();
-  w.f64(s.bin_width());
   w.u64(s.bins().size());
   for (const auto& [bin, value] : s.bins()) {
     w.i64(bin);
@@ -366,12 +349,6 @@ void series(FieldWriter& io, const IntervalSeries& s) {
 
 void series(FieldReader& io, IntervalSeries& s) {
   ByteReader& r = io.bytes();
-  const double width = r.f64();
-  if (width != s.bin_width()) {
-    throw SnapshotError(r.offset() - 8, "interval-series bin width " + std::to_string(width) +
-                                            " does not match the expected " +
-                                            std::to_string(s.bin_width()));
-  }
   const std::uint64_t n = r.u64();
   std::map<std::int64_t, double> bins;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -384,7 +361,7 @@ void series(FieldReader& io, IntervalSeries& s) {
   s.restore_bins(std::move(bins));
 }
 
-// ---- the symmetric sections ----------------------------------------------------
+// ---- the symmetric payloads ----------------------------------------------------
 //
 // S is `const TraceShard` when writing and `TraceShard` when reading.
 
@@ -401,16 +378,14 @@ void host_sets(IO& io, S& s) {
   }
 }
 
-// Dynamic DCE/RPC endpoints travel as ((server, port), enabled) rows in map
-// order.  Reading appends each row to EndpointRows, which registers the
-// enabled ones; a registry rebuilt that way is equivalent.
+// Dynamic DCE/RPC endpoints travel as (server, port) rows in ascending
+// order.  Reading appends each row to EndpointRows, which registers it; a
+// registry rebuilt that way is equivalent.
 struct EndpointRows {
-  using value_type = std::pair<std::pair<std::uint32_t, std::uint16_t>, bool>;
+  using value_type = std::pair<std::uint32_t, std::uint16_t>;
   AppRegistry& registry;
   void push_back(const value_type& row) {
-    if (row.second) {
-      registry.register_dcerpc_endpoint(Ipv4Address(row.first.first), row.first.second);
-    }
+    registry.register_dcerpc_endpoint(Ipv4Address(row.first), row.second);
   }
 };
 const auto& endpoint_rows(const AppRegistry& registry) { return registry.dynamic_endpoints(); }
@@ -418,13 +393,12 @@ EndpointRows endpoint_rows(AppRegistry& registry) { return {registry}; }
 
 template <typename IO, typename S>
 void dynamic_endpoints(IO& io, S& s) {
-  io.seq(endpoint_rows(s.registry),
-         [&](auto& row) { io.fields(row.first.first, row.first.second, row.second); });
+  io.seq(endpoint_rows(s.registry), [&](auto& row) { io.fields(row.first, row.second); });
 }
 
 template <typename IO, typename S>
 void connections(IO& io, S& s) {
-  io.table(s.table, [&](auto& c) {
+  io.seq(s.connections, [&](auto& c) {
     io.fields(c.key.src, c.key.dst, c.key.src_port, c.key.dst_port, c.key.proto, c.start_ts,
               c.last_ts, c.orig_pkts, c.resp_pkts, c.orig_bytes, c.resp_bytes, c.state, c.saw_syn,
               c.saw_synack, c.saw_fin, c.saw_rst, c.orig_isn, c.resp_isn, c.retransmissions,
@@ -471,14 +445,12 @@ void trace_load(IO& io, S& s) {
   auto& load = s.load;
   io.fields(load.trace_name);
   series(io, load.bits_1s);
-  series(io, load.bits_10s);
-  series(io, load.bits_60s);
   io.fields(load.ent_tcp_pkts, load.ent_retx, load.wan_tcp_pkts, load.wan_retx,
             load.keepalive_excluded);
 }
 
 // The anomaly taxonomy's size travels with the counters, so a build with a
-// different taxonomy rejects the section instead of misattributing them.
+// different taxonomy rejects the shard instead of misattributing them.
 template <typename IO, typename S>
 void capture_quality(IO& io, S& s) {
   auto& q = s.quality;
@@ -489,23 +461,18 @@ void capture_quality(IO& io, S& s) {
   }
 }
 
+// A shard's payloads, in wire order.
 template <typename IO, typename S>
-void shard_section(SectionType type, IO& io, S& s) {
-  switch (type) {
-    case SectionType::kTraceHeader: return trace_header(io, s);
-    case SectionType::kHostSets: return host_sets(io, s);
-    case SectionType::kScannerState: return scanner_state(io, s);
-    case SectionType::kDynamicEndpoints: return dynamic_endpoints(io, s);
-    case SectionType::kConnections: return connections(io, s);
-    case SectionType::kAppEvents: return app_events(io, s);
-    case SectionType::kTraceLoad: return trace_load(io, s);
-    case SectionType::kCaptureQuality: return capture_quality(io, s);
-    case SectionType::kTraceMetrics: return trace_metrics(io, s);
-    case SectionType::kDatasetMeta:
-    case SectionType::kEnd:
-      break;
-  }
-  throw std::logic_error(std::string(to_string(type)) + " is not a per-trace section");
+void shard_payloads(IO& io, S& s) {
+  trace_header(io, s);
+  host_sets(io, s);
+  scanner_state(io, s);
+  dynamic_endpoints(io, s);
+  connections(io, s);
+  app_events(io, s);
+  trace_load(io, s);
+  capture_quality(io, s);
+  trace_metrics(io, s);
 }
 
 template <typename IO, typename M>
@@ -525,14 +492,14 @@ void decode_meta(ByteReader& r, SnapshotMeta& meta) {
   meta_fields(io, meta);
 }
 
-void encode_section(SectionType type, const TraceShard& shard, ByteWriter& w) {
+void encode_shard(const TraceShard& shard, ByteWriter& w) {
   FieldWriter io(w);
-  shard_section(type, io, shard);
+  shard_payloads(io, shard);
 }
 
-void decode_section(SectionType type, ByteReader& r, TraceShard& shard) {
+void decode_shard(ByteReader& r, TraceShard& shard) {
   FieldReader io(r);
-  shard_section(type, io, shard);
+  shard_payloads(io, shard);
 }
 
 }  // namespace entrace::snapshot

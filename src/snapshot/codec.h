@@ -1,18 +1,20 @@
-// The .esnap section payloads, spelled once for the writer and the reader.
+// The .esnap payloads, spelled once for the writer and the reader.
 //
-// Each section's payload is a function template in codec.cc that names the
-// section's fields in wire order.  The writer runs it with a field-writer
-// that appends each field's bytes; the reader runs the same template with
-// a field-reader that reads each field back and validates it (every
-// one-byte enum against its last enumerator, every host run strictly
-// ascending).  No section refers into another: an event carries its
-// connection's endpoints, so the sections decode independently.  Three payloads stay explicit read/write pairs: the scanner
-// observations (exported and imported through ScannerDetector; the reader
-// holds them to the export's canonical form), the semantic metrics (the
-// writer filters by class, the reader checks histogram shape) and the
-// load-series bins (the reader checks widths and duplicates).  The framing
-// around the payloads (headers, CRCs, trace indexes, the kShardRun order)
-// belongs to writer.cc and reader.cc.
+// A trace shard's section holds nine payloads in a fixed order (trace
+// header, host sets, scanner state, dynamic endpoints, connections, app
+// events, trace load, capture quality, trace metrics).  Each is a function
+// template in codec.cc that names its fields in wire order.  The writer
+// runs them with a field-writer that appends each field's bytes; the reader
+// runs the same templates with a field-reader that reads each field back
+// and validates it (every one-byte enum against its last enumerator, every
+// host run strictly ascending).  No payload refers into another: an event
+// carries its connection's endpoints.  Three payloads stay explicit
+// read/write pairs: the scanner observations (exported and imported
+// through ScannerDetector; the reader holds them to the export's canonical
+// form), the semantic metrics (the writer filters by class, the reader
+// checks histogram shape) and the load-series bins (the reader rejects a
+// bin twice).  The framing around the payloads (headers, CRCs, the trace
+// index) belongs to writer.cc and reader.cc.
 #pragma once
 
 #include "core/analyzer.h"
@@ -25,12 +27,11 @@ void encode_meta(const SnapshotMeta& meta, ByteWriter& w);
 // Read the dataset-meta payload.
 void decode_meta(ByteReader& r, SnapshotMeta& meta);
 
-// Append the payload of per-trace section `type` (one of kShardRun) for
-// `shard`, after the trace index the caller wrote.
-void encode_section(SectionType type, const TraceShard& shard, ByteWriter& w);
-// Read the payload of per-trace section `type` into `shard`, which holds
-// the sections of its run decoded so far.  Throws SnapshotError naming the
-// byte offset of the first invalid field.
-void decode_section(SectionType type, ByteReader& r, TraceShard& shard);
+// Append the payloads of `shard`'s section, after the trace index the
+// caller wrote.
+void encode_shard(const TraceShard& shard, ByteWriter& w);
+// Read the payloads of a shard's section into `shard`, which must be fresh.
+// Throws SnapshotError naming the byte offset of the first invalid field.
+void decode_shard(ByteReader& r, TraceShard& shard);
 
 }  // namespace entrace::snapshot

@@ -7,15 +7,7 @@ namespace entrace::snapshot {
 const char* to_string(SectionType type) {
   switch (type) {
     case SectionType::kDatasetMeta: return "dataset-meta";
-    case SectionType::kTraceHeader: return "trace-header";
-    case SectionType::kHostSets: return "host-sets";
-    case SectionType::kScannerState: return "scanner-state";
-    case SectionType::kDynamicEndpoints: return "dynamic-endpoints";
-    case SectionType::kConnections: return "connections";
-    case SectionType::kAppEvents: return "app-events";
-    case SectionType::kTraceLoad: return "trace-load";
-    case SectionType::kCaptureQuality: return "capture-quality";
-    case SectionType::kTraceMetrics: return "trace-metrics";
+    case SectionType::kTraceShard: return "trace-shard";
     case SectionType::kEnd: return "end";
   }
   return "unknown";

@@ -7,17 +7,16 @@
 // can fold the snapshots into a DatasetAnalysis bit-identical to a
 // single-process run.  Layout:
 //
-//   file    := magic[8] version:u32 section* end-section
+//   file    := magic[8] version:u32 dataset-meta trace-shard* end
 //   section := type:u32 length:u64 payload[length] crc32:u32
 //
 // All integers are little-endian regardless of host byte order; doubles
 // travel as the little-endian bytes of their IEEE-754 bit pattern.  The
 // CRC-32 (IEEE/zlib polynomial) covers the payload bytes only, so every
 // section is independently verifiable.  Section types form a registry
-// (SectionType below); per-trace sections carry their global trace index as
-// the first payload field and appear in the fixed order of kShardRun
-// (kTraceHeader .. kTraceMetrics), one run per trace.  The payloads
-// themselves are spelled once, in snapshot/codec.h.
+// (SectionType below).  Each trace shard is one section: its global trace
+// index (strictly ascending through the file), then the shard's payloads
+// in a fixed order.  The payloads are spelled once, in snapshot/codec.h.
 //
 // Decode treats files as untrusted input: bad magic, unsupported versions,
 // truncation (at the file, section, or field level), CRC mismatches,
@@ -41,46 +40,35 @@ namespace entrace::snapshot {
 
 inline constexpr std::size_t kMagicSize = 8;
 inline constexpr char kMagic[kMagicSize] = {'E', 'N', 'T', 'R', 'S', 'N', 'A', 'P'};
-// v2: kTraceMetrics section added to the per-trace run, and the anomaly
-// taxonomy gained kTcpTupleReuse (the kCaptureQuality section embeds the
-// kind count, so v1 readers reject v2 files at the version check first).
+// v2: a trace-metrics section (0x19) added to the per-trace run, and the
+// anomaly taxonomy gained kTcpTupleReuse (the capture-quality payload
+// embeds the kind count, so v1 readers reject v2 files at the version check
+// first).
 // v3: each encoded connection carries open_seq (u64, per-trace open order),
 // the reassembly key the windowed incremental engine uses to merge
 // per-window connection deltas back into exact batch deque order.
 // v4: an application event carries its connection's two addresses instead
 // of a connection index, and ip-proto-counts (0x11, unread) is retired.
-inline constexpr std::uint32_t kFormatVersion = 4;
+// v5: a trace shard is one section (0x20) instead of a run of nine, and its
+// load is the 1 s utilization series alone (no bin width, no 10 s and 60 s
+// series); a dynamic endpoint is (server, port) without a flag byte.
+inline constexpr std::uint32_t kFormatVersion = 5;
 // magic + version: where the first section begins.
 inline constexpr std::size_t kHeaderSize = kMagicSize + 4;
 // type + length preceding each payload, and the trailing crc.
 inline constexpr std::size_t kSectionHeaderSize = 4 + 8;
 inline constexpr std::size_t kSectionTrailerSize = 4;
 
-// The section registry.  Dataset-level sections first, then the per-trace
-// run (fixed order, one run per trace shard), then the end marker.
+// The section registry: the dataset's metadata first, then one section per
+// trace shard, then the end marker.
 enum class SectionType : std::uint32_t {
   kDatasetMeta = 0x01,  // dataset name, scale, total trace count
-
-  kTraceHeader = 0x10,      // trace index, subnet id, headline tallies, L3
-  // 0x11 was ip-proto-counts (v1-v3), retired in v4; never reuse it.
-  kHostSets = 0x12,         // monitored / lbnl / remote host sets
-  kScannerState = 0x13,     // per-source first-contact observations
-  kDynamicEndpoints = 0x14, // DCE/RPC endpoints learned from EPM traffic
-  kConnections = 0x15,      // flow-table connection summaries
-  kAppEvents = 0x16,        // application events, each with its endpoints
-  kTraceLoad = 0x17,        // §6 utilization series + retransmission tallies
-  kCaptureQuality = 0x18,   // packet accounting + anomaly counters
-  kTraceMetrics = 0x19,     // semantic-class telemetry (obs::Registry), v2+
-
-  kEnd = 0x7F,  // zero-length terminator; absence means truncation
+  // 0x10-0x19 were the nine per-trace sections of v1-v4 (0x11,
+  // ip-proto-counts, retired in v4), folded into kTraceShard in v5; never
+  // reuse them.
+  kTraceShard = 0x20,  // trace index, then the shard's payloads (codec.h)
+  kEnd = 0x7F,         // zero-length terminator; absence means truncation
 };
-
-// The per-trace section run, in file order.  The writer emits it once per
-// shard and the reader requires it in exactly this order.
-inline constexpr SectionType kShardRun[] = {
-    SectionType::kTraceHeader,  SectionType::kHostSets,       SectionType::kScannerState,
-    SectionType::kDynamicEndpoints, SectionType::kConnections, SectionType::kAppEvents,
-    SectionType::kTraceLoad,    SectionType::kCaptureQuality, SectionType::kTraceMetrics};
 
 // Stable name for error messages and tests.
 const char* to_string(SectionType type);

@@ -6,7 +6,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <iterator>
 #include <utility>
 
 #include "snapshot/codec.h"
@@ -31,8 +30,6 @@ struct Decoder {
   std::size_t pos = 0;
   Snapshot out;
   bool saw_meta = false;
-  // Position within kShardRun; 0 means "between shards".
-  std::size_t run_pos = 0;
 
   void check_header() {
     if (bytes.size() < kHeaderSize) {
@@ -111,11 +108,6 @@ struct Decoder {
       ByteReader r(payload, section_at + kSectionHeaderSize);
       if (type == SectionType::kEnd) {
         if (!saw_meta) throw SnapshotError(section_at, "end section before dataset-meta");
-        if (run_pos != 0) {
-          throw SnapshotError(section_at, "end section in the middle of a trace shard (next "
-                                          "expected: " +
-                                              std::string(to_string(kShardRun[run_pos])) + ")");
-        }
         r.expect_end("end");
         if (pos != bytes.size()) {
           throw SnapshotError(pos, std::to_string(bytes.size() - pos) +
@@ -133,35 +125,26 @@ struct Decoder {
         saw_meta = true;
         continue;
       }
-      if (type != kShardRun[run_pos]) {
-        throw SnapshotError(section_at, "unexpected section " + std::string(to_string(type)) +
-                                            " (expected " +
-                                            std::string(to_string(kShardRun[run_pos])) + ")");
+      if (type != SectionType::kTraceShard) {
+        throw SnapshotError(section_at, "section type " + std::to_string(
+                                            static_cast<std::uint32_t>(type)) +
+                                            " where a trace shard or the end belongs");
       }
-      decode_shard_section(type, r);
-      run_pos = (run_pos + 1) % std::size(kShardRun);
+      decode_trace_shard(r);
     }
   }
 
-  SnapshotShard& current() { return out.shards.back(); }
-
-  void decode_shard_section(SectionType type, ByteReader& r) {
+  void decode_trace_shard(ByteReader& r) {
     const std::uint32_t index = r.u32();
-    if (type == SectionType::kTraceHeader) {
-      if (!out.shards.empty() && index <= out.shards.back().trace_index) {
-        throw SnapshotError(r.offset() - 4,
-                            "trace index " + std::to_string(index) + " not ascending (previous " +
-                                std::to_string(out.shards.back().trace_index) + ")");
-      }
-      out.shards.emplace_back();
-      current().trace_index = index;
-    } else if (index != current().trace_index) {
-      throw SnapshotError(r.offset() - 4, std::string(to_string(type)) + " section for trace " +
-                                              std::to_string(index) + " inside the run of trace " +
-                                              std::to_string(current().trace_index));
+    if (!out.shards.empty() && index <= out.shards.back().trace_index) {
+      throw SnapshotError(r.offset() - 4,
+                          "trace index " + std::to_string(index) + " not ascending (previous " +
+                              std::to_string(out.shards.back().trace_index) + ")");
     }
-    decode_section(type, r, current().shard);
-    r.expect_end(to_string(type));
+    SnapshotShard& s = out.shards.emplace_back();
+    s.trace_index = index;
+    decode_shard(r, s.shard);
+    r.expect_end("trace-shard");
   }
 };
 

@@ -118,7 +118,7 @@ WindowSummary summarize_window(const WindowShard& win) {
   for (const TraceShard& shard : win.shards) {
     s.packets += shard.total_packets;
     s.wire_bytes += shard.total_wire_bytes;
-    if (shard.table != nullptr) s.connections += shard.table->connections().size();
+    s.connections += shard.connections.size();
     s.app_events += shard.events.total();
   }
   return s;

@@ -40,18 +40,17 @@ void WindowFold::add(WindowShard&& window) {
     TraceShard& dst = out_.emplace_back();
     dst.subnet_id = first.subnet_id;
     dst.load.trace_name = first.load.trace_name;
-    dst.table = std::make_unique<FlowTable>();
     by_seq_.emplace_back();
   }
   for (std::size_t t = 0; t < window.shards.size(); ++t) {
     TraceShard& dst = out_[t];
     TraceShard& ws = window.shards[t];
-    // open_seq -> reassembled deque index.  Windows partition time and
+    // open_seq -> reassembled connection index.  Windows partition time and
     // open_seq is assigned in creation order, so first appearances arrive
-    // already in open_seq order: the deque reassembles in exact batch order
-    // without a final sort.
+    // already in open_seq order: the vector reassembles in exact batch
+    // order without a final sort.
     std::unordered_map<std::uint64_t, std::size_t>& by_seq = by_seq_[t];
-    std::deque<Connection>& conns = dst.table->connections();
+    std::vector<Connection>& conns = dst.connections;
     // Across windows the detector merges into the trace's own and the load
     // series sums.
     dst.detector.merge(ws.detector);
@@ -60,14 +59,12 @@ void WindowFold::add(WindowShard&& window) {
     // Upsert this window's connection deltas: a delta is the connection's
     // cumulative state as of the window end, so the latest window's copy
     // wins wholesale.  Events carry their endpoints and append as they are.
-    if (ws.table != nullptr) {
-      for (const Connection& c : ws.table->connections()) {
-        const auto [it, fresh] = by_seq.try_emplace(c.open_seq, conns.size());
-        if (fresh) {
-          conns.push_back(c);
-        } else {
-          conns[it->second] = c;
-        }
+    for (const Connection& c : ws.connections) {
+      const auto [it, fresh] = by_seq.try_emplace(c.open_seq, conns.size());
+      if (fresh) {
+        conns.push_back(c);
+      } else {
+        conns[it->second] = c;
       }
     }
     dst.merge_from(std::move(ws));

@@ -63,13 +63,13 @@ class WindowFold {
 
  private:
   std::vector<TraceShard> out_;
-  // Per trace: open_seq -> reassembled connection deque index.
+  // Per trace: open_seq -> reassembled connection index.
   std::vector<std::unordered_map<std::uint64_t, std::size_t>> by_seq_;
 };
 
 // Fold window deltas (in window order) back into one TraceShard per trace,
 // byte-identical to a one-shot batch run over the same packets.  Consumes
-// the windows (events move out, connections copy into fresh tables).
+// the windows (events move out, connections copy into each trace's vector).
 // `config` is unused: the fold has no settings of its own.
 std::vector<TraceShard> merge_window_shards(std::vector<WindowShard>&& windows,
                                             const AnalyzerConfig& config);

@@ -70,12 +70,10 @@ void SnapshotWriter::add_shard(std::uint32_t trace_index, const TraceShard& shar
                              " not ascending (previous " + std::to_string(last_index_) + ")");
   }
   last_index_ = static_cast<std::int64_t>(trace_index);
-  for (const SectionType type : kShardRun) {
-    const std::size_t at = begin_section(type);
-    buf_.u32(trace_index);
-    encode_section(type, shard, buf_);
-    end_section(at);
-  }
+  const std::size_t at = begin_section(SectionType::kTraceShard);
+  buf_.u32(trace_index);
+  encode_shard(shard, buf_);
+  end_section(at);
   flush_buffer();
 }
 

@@ -46,9 +46,8 @@ class SnapshotWriter {
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
-  // Encode one trace shard (the ten per-trace sections of kShardRun) into
-  // the writer's buffer and hand the buffer to the file or sink in one
-  // write.  Shards must be added in ascending trace-index order (the reader
+  // Encode one trace shard (one trace-shard section) into the writer's
+  // buffer and hand the buffer to the file or sink in one write.  Shards must be added in ascending trace-index order (the reader
   // enforces the same, so violations fail fast at write time instead of at
   // merge time).
   void add_shard(std::uint32_t trace_index, const TraceShard& shard);

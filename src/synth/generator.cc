@@ -143,17 +143,4 @@ TraceSet generate_dataset(const DatasetSpec& spec, const EnterpriseModel& model)
   return set;
 }
 
-std::vector<std::string> generate_dataset_to_pcap(const DatasetSpec& spec,
-                                                  const EnterpriseModel& model,
-                                                  const std::string& dir) {
-  std::vector<std::string> paths;
-  for (const TracePlan& plan : plan_dataset(spec)) {
-    const Trace trace = generate_trace(spec, model, plan);
-    const std::string path = dir + "/" + trace.name + ".pcap";
-    trace.save(path);
-    paths.push_back(path);
-  }
-  return paths;
-}
-
 }  // namespace entrace

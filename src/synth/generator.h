@@ -48,11 +48,4 @@ Trace generate_trace(const DatasetSpec& spec, const EnterpriseModel& model,
 
 TraceSet generate_dataset(const DatasetSpec& spec, const EnterpriseModel& model);
 
-// Generate and write per-trace pcap files under `dir` (created by caller);
-// returns the paths written.  Streams each trace to its file holding at
-// most one trace in memory at a time.
-std::vector<std::string> generate_dataset_to_pcap(const DatasetSpec& spec,
-                                                  const EnterpriseModel& model,
-                                                  const std::string& dir);
-
 }  // namespace entrace

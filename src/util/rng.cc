@@ -178,22 +178,4 @@ std::size_t Rng::weighted(std::initializer_list<double> weights) {
 
 std::size_t Rng::index(std::size_t n) { return static_cast<std::size_t>(uniform_int(0, n - 1)); }
 
-ZipfDist::ZipfDist(std::size_t n, double s) {
-  cdf_.reserve(n);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf_.push_back(acc);
-  }
-  for (auto& c : cdf_) c /= acc;
-}
-
-std::size_t ZipfDist::sample(Rng& rng) const {
-  if (cdf_.empty()) return 0;
-  const double u = rng.uniform();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<std::size_t>(it - cdf_.begin());
-}
-
 }  // namespace entrace

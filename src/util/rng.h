@@ -67,18 +67,4 @@ class Rng {
   std::uint64_t s_[4];
 };
 
-// Zipf sampler with a precomputed CDF — O(log n) per sample.  Prefer this
-// over Rng::zipf (which recomputes the normalization) in hot loops such as
-// server-popularity selection in the trace generator.
-class ZipfDist {
- public:
-  ZipfDist(std::size_t n, double s);
-
-  std::size_t sample(Rng& rng) const;
-  std::size_t size() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
-};
-
 }  // namespace entrace

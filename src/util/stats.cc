@@ -1,50 +1,8 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace entrace {
-
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  // Population variance (divisor n); see the convention note in stats.h.
-  if (n_ == 0) return 0.0;
-  const double v = m2_ / static_cast<double>(n_);
-  // Floating-point cancellation can leave m2_ a hair below zero.
-  return v > 0.0 ? v : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_ + other.n_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / n;
-  mean_ = (mean_ * static_cast<double>(n_) + other.mean_ * static_cast<double>(other.n_)) / n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  n_ += other.n_;
-}
 
 EmpiricalCdf::EmpiricalCdf(const EmpiricalCdf& other) {
   std::lock_guard<std::mutex> lk(other.sort_mu_);
@@ -184,8 +142,6 @@ std::vector<std::string> BreakdownCounter::keys_by_count() const {
   });
   return keys;
 }
-
-IntervalSeries::IntervalSeries(double bin_width) : bin_width_(bin_width) {}
 
 void IntervalSeries::add_new_bin(std::int64_t bin, double value) {
   cached_bin_ = bin;

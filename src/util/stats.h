@@ -2,9 +2,10 @@
 //
 // The paper reports two kinds of statistical summaries: scalar aggregates
 // (counts, fractions, medians) and empirical CDFs (the bulk of its figures).
-// OnlineStats gives O(1)-memory scalar aggregates; EmpiricalCdf stores the
-// samples and answers quantile / fraction-below queries, and can be rendered
-// as a text figure by cdf_plot.h.
+// EmpiricalCdf stores the samples and answers quantile / fraction-below
+// queries, and can be rendered as a text figure by cdf_plot.h;
+// BreakdownCounter tallies keyed counts and bytes, and IntervalSeries bins a
+// value per second.
 #pragma once
 
 #include <atomic>
@@ -18,37 +19,6 @@
 #include <vector>
 
 namespace entrace {
-
-// Welford online mean/variance plus min/max.  No samples retained.
-//
-// Variance convention: *population* variance (divisor n, not n-1).  The
-// pipeline measures complete traces, not samples drawn from a larger
-// population, so the biased-sample correction would be wrong here; this
-// matches the merge() formula (Chan et al.), which combines population
-// moments exactly.  Edge cases: n=0 and n=1 both report variance 0.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  // population variance (see class comment)
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  // Merge another accumulator into this one (parallel-friendly).
-  void merge(const OnlineStats& other);
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Retains samples; sorts lazily on first query.
 //
@@ -133,29 +103,28 @@ class BreakdownCounter {
   std::uint64_t total_bytes_ = 0;
 };
 
-// Fixed-width time-series binning: accumulates a value (e.g. bits) into
-// interval bins; used by the §6 utilization analysis at 1 s / 10 s / 60 s.
+// Time-series binning by whole seconds: accumulates a value (e.g. bits)
+// into one bin per second, keyed by the floor of the timestamp.  The §6
+// utilization analysis reads coarser timescales by summing these bins
+// (LoadAnalysis::peak_mbps).  The bins are stored sparsely, since
+// timestamps are untrusted input; values() expands them densely.
 class IntervalSeries {
  public:
-  explicit IntervalSeries(double bin_width);
+  IntervalSeries() = default;
 
   // Copy/move must not carry the hot-bin cache across: the cached slot
   // points into *this* object's map nodes (stable under insert, but a
   // copied map owns different nodes).
-  IntervalSeries(const IntervalSeries& other)
-      : bin_width_(other.bin_width_), bins_(other.bins_) {}
-  IntervalSeries(IntervalSeries&& other) noexcept
-      : bin_width_(other.bin_width_), bins_(std::move(other.bins_)) {
+  IntervalSeries(const IntervalSeries& other) : bins_(other.bins_) {}
+  IntervalSeries(IntervalSeries&& other) noexcept : bins_(std::move(other.bins_)) {
     other.invalidate_cache();
   }
   IntervalSeries& operator=(const IntervalSeries& other) {
-    bin_width_ = other.bin_width_;
     bins_ = other.bins_;
     invalidate_cache();
     return *this;
   }
   IntervalSeries& operator=(IntervalSeries&& other) noexcept {
-    bin_width_ = other.bin_width_;
     bins_ = std::move(other.bins_);
     invalidate_cache();
     other.invalidate_cache();
@@ -164,9 +133,9 @@ class IntervalSeries {
 
   // Hot path inlined: repeated adds to the same bin (the common case — the
   // per-packet utilization series advances through bins monotonically) cost
-  // one divide, one floor and one pointer add, no map lookup.
+  // one floor and one pointer add, no map lookup.
   void add(double t, double value) {
-    const auto bin = static_cast<std::int64_t>(std::floor(t / bin_width_));
+    const auto bin = static_cast<std::int64_t>(std::floor(t));
     if (cached_slot_ != nullptr && cached_bin_ == bin) {
       *cached_slot_ += value;
       return;
@@ -174,11 +143,10 @@ class IntervalSeries {
     add_new_bin(bin, value);
   }
 
-  // Fold another series of the same bin width into this one (bins sum;
-  // the covered range is the union of both ranges).
+  // Fold another series into this one (bins sum; the covered range is the
+  // union of both ranges).
   void merge(const IntervalSeries& other);
 
-  double bin_width() const { return bin_width_; }
   // Values of all bins between the first and last populated bins,
   // including empty (zero) bins: one ordered walk over the sparse bins.
   std::vector<double> values() const;
@@ -197,7 +165,6 @@ class IntervalSeries {
   // Cold path of add(): first touch of a bin (map insert).
   void add_new_bin(std::int64_t bin, double value);
 
-  double bin_width_;
   std::map<std::int64_t, double> bins_;
   // Hot-bin cache: traffic timestamps are near-monotone, so consecutive
   // add() calls overwhelmingly hit the same bin.  Map nodes are

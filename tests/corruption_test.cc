@@ -478,8 +478,7 @@ TEST(ParserMutationTest, RandomAndMutatedStreamsKeepEveryParserSafe) {
       ProtocolDispatcher dispatcher(registry, events, /*payload_analysis=*/true, &anomalies);
       Connection conn;
       const Ipv4Address client(10, 1, 2, static_cast<std::uint8_t>(1 + rng() % 200));
-      // Ephemeral ports above every well-known one the registry lists.
-      const auto client_port = static_cast<std::uint16_t>(40000 + rng() % 25000);
+      const auto client_port = static_cast<std::uint16_t>(1024 + rng() % 60000);
       conn.key = FiveTuple{client, Ipv4Address(10, 0, 0, 9), client_port, c.port, c.proto};
       if (c.port == kDynamicDcePort) registry.register_dcerpc_endpoint(conn.key.dst, c.port);
       dispatcher.on_new_connection(conn);

@@ -386,10 +386,9 @@ TEST_F(DaemonTest, HttpServerServesHandlerResponses) {
   server.stop();
 }
 
-// The /healthz starvation regression: with a worker pool (the daemon passes
-// workers = 2), a liveness probe must be answered while a slow handler (the
-// daemon's multi-second /report fold) is still in flight, instead of
-// queueing behind it on the single accept thread.
+// The /healthz starvation regression: a liveness probe must be answered
+// while a slow handler (the daemon's multi-second /report fold) is still in
+// flight, instead of queueing behind it.
 TEST_F(DaemonTest, HttpServerAnswersHealthzDuringSlowHandler) {
   std::mutex mu;
   std::condition_variable cv;
@@ -409,8 +408,7 @@ TEST_F(DaemonTest, HttpServerAnswersHealthzDuringSlowHandler) {
           return obs::HttpResponse{200, "text/plain; charset=utf-8", "slow done\n"};
         }
         return obs::HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
-      },
-      /*workers=*/2);
+      });
   server.start();
   ASSERT_GT(server.port(), 0);
 

@@ -1,6 +1,11 @@
 // Tests for the §6 load analysis (Figures 9-10).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <vector>
+
 #include "analysis/load.h"
 
 namespace entrace {
@@ -26,9 +31,38 @@ TEST(Load, PeakMbpsAveragesTheBusiestBin) {
   TraceLoadRaw raw;
   // 10 Mbit inside one second: 1000 packets of 1250 bytes.
   for (int i = 0; i < 1000; ++i) raw.add_packet(30.0 + i * 0.001, 1250);
-  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_1s), 10.0, 1e-9);
-  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_10s), 1.0, 1e-9);
-  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_60s), 10.0 / 60.0, 1e-9);
+  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_1s, 1), 10.0, 1e-9);
+  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_1s, 10), 1.0, 1e-9);
+  EXPECT_NEAR(LoadAnalysis::peak_mbps(raw.bits_1s, 60), 10.0 / 60.0, 1e-9);
+}
+
+// Figure 9's 10 s and 60 s peaks are summed from the 1 s bins.  Each case
+// puts equal loads on both sides of an interval edge (or of zero): the
+// derived peaks must split them exactly as binning the timestamps directly
+// by floor(t / 10) and floor(t / 60) does.
+TEST(Load, DerivedPeaksMatchDirectBinningAtBinEdges) {
+  const std::vector<std::vector<double>> cases = {
+      {9.999999999999998, 10.0},
+      {59.99999999999999, 60.0},
+      {119.99999999999999, 60.0},
+      {-0.5, 0.5},
+      {9.999999999999998, 10.0, 59.99999999999999, 60.0, 119.99999999999999, -0.5}};
+  const auto direct_peak = [](const std::vector<double>& ts, double seconds) {
+    std::map<double, double> bins;
+    for (const double t : ts) bins[std::floor(t / seconds)] += 8.0 * 1250;
+    double best = 0.0;
+    for (const auto& [bin, bits] : bins) best = std::max(best, bits / seconds);
+    return best / 1e6;
+  };
+  for (const std::vector<double>& ts : cases) {
+    SCOPED_TRACE(::testing::PrintToString(ts));
+    TraceLoadRaw raw;
+    raw.trace_name = "edges";
+    for (const double t : ts) raw.add_packet(t, 1250);
+    const LoadAnalysis load = LoadAnalysis::compute({raw}, 1);
+    EXPECT_EQ(load.peak_10s.max(), direct_peak(ts, 10.0));
+    EXPECT_EQ(load.peak_60s.max(), direct_peak(ts, 60.0));
+  }
 }
 
 TEST(Load, TypicalUtilizationOrdersBelowPeak) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -213,17 +214,13 @@ TEST(Pcap, BadMagicErrorNamesOffsetAndObservedValue) {
         EXPECT_NE(what.find(want), std::string::npos) << what;
       }
     }
-    // The non-throwing factory reports the same message instead of throwing.
-    std::string error;
-    EXPECT_EQ(PcapReader::open(path, &error), nullptr);
-    EXPECT_NE(error.find(c.expected.front()), std::string::npos) << error;
   }
   std::remove(path.c_str());
 }
 
 // A capture cut off mid-record (tracer killed, disk full): however the
 // file is opened, the reader salvages the bytes it got and classifies the
-// damage, so Trace::load, Trace::try_load and PcapFileSource see the same
+// damage, so PcapReader, Trace::load and PcapFileSource see the same
 // packets.
 class PcapTruncationTest : public ::testing::Test {
  protected:
@@ -255,41 +252,17 @@ TEST_F(PcapTruncationTest, ThrowingReaderSalvagesPartialTrailingRecord) {
   EXPECT_EQ(reader.anomalies()[AnomalyKind::kPcapTruncatedRecord], 1u);
 }
 
-TEST_F(PcapTruncationTest, RecoverableReaderSalvagesPartialBody) {
-  std::string error;
-  auto reader = PcapReader::open(path_, &error);
-  ASSERT_NE(reader, nullptr) << error;
-  auto p1 = reader->next();
-  ASSERT_TRUE(p1.has_value());
-  EXPECT_EQ(p1->data.size(), 142u);
-  auto p2 = reader->next();
-  ASSERT_TRUE(p2.has_value());
-  EXPECT_EQ(p2->data.size(), 100u);   // the bytes that made it to disk
-  EXPECT_EQ(p2->wire_len, 342u);      // original length is still known
-  EXPECT_FALSE(reader->next().has_value());
-  EXPECT_EQ(reader->anomalies()[AnomalyKind::kPcapTruncatedRecord], 1u);
+TEST_F(PcapTruncationTest, LoadSalvagesAndRecordsFileAnomalies) {
+  const Trace trace = Trace::load(path_, "cut", 7);
+  ASSERT_EQ(trace.packets.size(), 2u);
+  EXPECT_EQ(trace.packets[1].data.size(), 100u);  // the bytes that made it to disk
+  EXPECT_EQ(trace.packets[1].wire_len, 342u);     // original length is still known
+  EXPECT_EQ(trace.file_anomalies[AnomalyKind::kPcapTruncatedRecord], 1u);
 }
 
-TEST_F(PcapTruncationTest, TryLoadSalvagesAndRecordsFileAnomalies) {
-  std::string error;
-  const auto trace = Trace::try_load(path_, "cut", 7, &error);
-  ASSERT_TRUE(trace.has_value()) << error;
-  ASSERT_EQ(trace->packets.size(), 2u);
-  EXPECT_EQ(trace->packets[1].data.size(), 100u);
-  EXPECT_EQ(trace->file_anomalies[AnomalyKind::kPcapTruncatedRecord], 1u);
-  // The throwing load keeps the same bytes.
-  const Trace loaded = Trace::load(path_, "cut", 7);
-  ASSERT_EQ(loaded.packets.size(), 2u);
-  EXPECT_EQ(loaded.packets[1].data, trace->packets[1].data);
-  EXPECT_EQ(loaded.file_anomalies[AnomalyKind::kPcapTruncatedRecord], 1u);
-}
-
-TEST(Pcap, TryLoadReportsUnopenableFile) {
-  std::string error;
-  const auto trace = Trace::try_load(temp_path("entrace_does_not_exist.pcap"),
-                                     "missing", -1, &error);
-  EXPECT_FALSE(trace.has_value());
-  EXPECT_FALSE(error.empty());
+TEST(Pcap, LoadThrowsOnUnopenableFile) {
+  EXPECT_THROW(Trace::load(temp_path("entrace_does_not_exist.pcap"), "missing", -1),
+               std::runtime_error);
 }
 
 TEST(Pcap, SwappedByteOrderMultiRecordWithShortTrailer) {
@@ -352,15 +325,6 @@ TEST(Trace, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.snaplen, 1500u);
   EXPECT_EQ(loaded.total_wire_bytes(), t.total_wire_bytes());
   std::remove(path.c_str());
-}
-
-TEST(Trace, ApplySnaplen) {
-  Trace t;
-  t.snaplen = 68;
-  t.packets.push_back(sample_packet(0.0, 500));
-  t.apply_snaplen();
-  EXPECT_EQ(t.packets[0].data.size(), 68u);
-  EXPECT_GT(t.packets[0].wire_len, 68u);
 }
 
 // The old TraceSet::merged() materialized a pointer vector over every

@@ -78,6 +78,23 @@ TEST(Registry, DynamicDceRpcEndpoints) {
   EXPECT_EQ(copy_after.identify(make_conn(ipproto::kTcp, 40000, 80)), AppProtocol::kHttp);
 }
 
+// The responder's side decides first: a client whose ephemeral port is a
+// listed port still reaches a registered DCE/RPC endpoint, and a client
+// port decides only when the responder is neither listed nor registered.
+TEST(Registry, ResponderEndpointBeforeOriginatorPort) {
+  AppRegistry reg;
+  const Ipv4Address server(10, 0, 0, 9);
+  reg.register_dcerpc_endpoint(server, 2345);
+  for (const std::uint16_t client_port : {6000, 7070, 8080, 1433}) {
+    Connection c;
+    c.key = {Ipv4Address(10, 1, 2, 3), server, client_port, 2345, ipproto::kTcp};
+    EXPECT_EQ(reg.identify(c), AppProtocol::kDceRpc) << "client port " << client_port;
+  }
+  Connection unregistered;
+  unregistered.key = {Ipv4Address(10, 1, 2, 3), server, 8080, 2346, ipproto::kTcp};
+  EXPECT_EQ(reg.identify(unregistered), AppProtocol::kHttp);
+}
+
 TEST(Categories, Table4Grouping) {
   EXPECT_EQ(category_of(AppProtocol::kHttp), AppCategory::kWeb);
   EXPECT_EQ(category_of(AppProtocol::kHttps), AppCategory::kWeb);

@@ -13,14 +13,14 @@ TEST(Scanner, AscendingSweepDetected) {
   ScannerDetector det;
   const Ipv4Address scanner(0x0A000001);
   for (std::uint32_t i = 0; i < 60; ++i) det.observe(scanner, addr(0x80030000 + i));
-  EXPECT_TRUE(det.is_scanner(scanner));
+  EXPECT_EQ(det.scanners().count(scanner), 1u);
 }
 
 TEST(Scanner, DescendingSweepDetected) {
   ScannerDetector det;
   const Ipv4Address scanner(0x0A000002);
   for (std::uint32_t i = 0; i < 60; ++i) det.observe(scanner, addr(0x80030100 - i));
-  EXPECT_TRUE(det.is_scanner(scanner));
+  EXPECT_EQ(det.scanners().count(scanner), 1u);
 }
 
 TEST(Scanner, FiftyHostsIsNotEnough) {
@@ -28,7 +28,7 @@ TEST(Scanner, FiftyHostsIsNotEnough) {
   const Ipv4Address src(0x0A000003);
   for (std::uint32_t i = 0; i < 50; ++i) det.observe(src, addr(0x80030000 + i));
   // "more than 50 distinct hosts" — exactly 50 must not trigger.
-  EXPECT_FALSE(det.is_scanner(src));
+  EXPECT_EQ(det.scanners().count(src), 0u);
 }
 
 TEST(Scanner, RandomOrderNotDetected) {
@@ -38,7 +38,7 @@ TEST(Scanner, RandomOrderNotDetected) {
   for (int i = 0; i < 300; ++i) {
     det.observe(src, addr(0x80030000 + static_cast<std::uint32_t>(rng.uniform_int(0, 5000))));
   }
-  EXPECT_FALSE(det.is_scanner(src));
+  EXPECT_EQ(det.scanners().count(src), 0u);
 }
 
 TEST(Scanner, BusyServerWithManyClientsNotDetected) {
@@ -66,14 +66,13 @@ TEST(Scanner, OrderedRunInterruptedResetsCount) {
     base += 0x1000;
     det.observe(src, addr(0x80020000 + static_cast<std::uint32_t>(run)));  // direction break
   }
-  EXPECT_FALSE(det.is_scanner(src));
+  EXPECT_EQ(det.scanners().count(src), 0u);
 }
 
 TEST(Scanner, KnownScannersAlwaysIncluded) {
   ScannerDetector det;
   const Ipv4Address known(0x80030C02);
   det.add_known_scanner(known);
-  EXPECT_TRUE(det.is_scanner(known));
   EXPECT_EQ(det.scanners().count(known), 1u);
 }
 
@@ -84,7 +83,7 @@ TEST(Scanner, DuplicateContactsDoNotInflate) {
   for (int sweep = 0; sweep < 10; ++sweep) {
     for (std::uint32_t i = 0; i < 40; ++i) det.observe(src, addr(0x80030000 + i));
   }
-  EXPECT_FALSE(det.is_scanner(src));  // still only 40 distinct hosts
+  EXPECT_EQ(det.scanners().count(src), 0u);  // still only 40 distinct hosts
 }
 
 // The paper's thresholds at their boundary: 51 distinct destinations (more
@@ -98,7 +97,7 @@ bool sweep_with_run_is_scanner(std::size_t run) {
   for (std::uint32_t i = 0; i < 51 - run; ++i) {
     det.observe(src, addr(base - (i % 2 == 0 ? 100 - i : 50 - i)));
   }
-  return det.is_scanner(src);
+  return det.scanners().count(src) > 0;
 }
 
 TEST(Scanner, OrderedRunOf45AmongFiftyOneHostsIsTheThreshold) {

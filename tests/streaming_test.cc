@@ -120,30 +120,28 @@ TEST_F(StreamingTest, PcapFileSourceMatchesLoadedTrace) {
       f.write(le, sizeof(le));
     }
 
-    std::string error;
-    const auto loaded = Trace::try_load(path, "t", 4, &error);
-    ASSERT_TRUE(loaded.has_value()) << error;
+    const Trace loaded = Trace::load(path, "t", 4);
 
     PcapFileSource source(path, "t", 4);
-    EXPECT_EQ(loaded->snaplen, snaplen);
+    EXPECT_EQ(loaded.snaplen, snaplen);
     EXPECT_EQ(source.meta().snaplen, snaplen);
     std::size_t i = 0;
     while (const RawPacket* pkt = source.next()) {
-      ASSERT_LT(i, loaded->packets.size());
-      ASSERT_EQ(pkt->ts, loaded->packets[i].ts);
-      ASSERT_EQ(pkt->wire_len, loaded->packets[i].wire_len);
-      ASSERT_EQ(pkt->data, loaded->packets[i].data);
+      ASSERT_LT(i, loaded.packets.size());
+      ASSERT_EQ(pkt->ts, loaded.packets[i].ts);
+      ASSERT_EQ(pkt->wire_len, loaded.packets[i].wire_len);
+      ASSERT_EQ(pkt->data, loaded.packets[i].data);
       ASSERT_EQ(pkt->data.size(),
                 std::min<std::size_t>(trace.packets[i].data.size(), snaplen));
       ++i;
     }
-    EXPECT_EQ(i, loaded->packets.size());
-    EXPECT_EQ(source.anomalies(), loaded->file_anomalies);
+    EXPECT_EQ(i, loaded.packets.size());
+    EXPECT_EQ(source.anomalies(), loaded.file_anomalies);
   }
   std::filesystem::remove(path);
 }
 
-TEST_F(StreamingTest, PcapFileSourceSalvagesTruncatedTailLikeTryLoad) {
+TEST_F(StreamingTest, PcapFileSourceSalvagesTruncatedTailLikeLoad) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "entrace_stream_cut.pcap").string();
   materialized().traces.front().save(path);
@@ -152,15 +150,13 @@ TEST_F(StreamingTest, PcapFileSourceSalvagesTruncatedTailLikeTryLoad) {
   const auto size = std::filesystem::file_size(path);
   std::filesystem::resize_file(path, size - 79);
 
-  std::string error;
-  const auto loaded = Trace::try_load(path, "cut", 4, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
+  const Trace loaded = Trace::load(path, "cut", 4);
 
   PcapFileSource source(path, "cut", 4);
   std::size_t streamed = 0;
   while (source.next() != nullptr) ++streamed;
-  EXPECT_EQ(streamed, loaded->packets.size());
-  EXPECT_EQ(source.anomalies(), loaded->file_anomalies);
+  EXPECT_EQ(streamed, loaded.packets.size());
+  EXPECT_EQ(source.anomalies(), loaded.file_anomalies);
   EXPECT_TRUE(source.anomalies().any());
   std::filesystem::remove(path);
 }
@@ -221,7 +217,6 @@ void expect_identical_analyses(const DatasetAnalysis& a, const DatasetAnalysis& 
     EXPECT_EQ(a.load_raw[i].wan_tcp_pkts, b.load_raw[i].wan_tcp_pkts);
     EXPECT_EQ(a.load_raw[i].wan_retx, b.load_raw[i].wan_retx);
     EXPECT_EQ(a.load_raw[i].bits_1s.values(), b.load_raw[i].bits_1s.values());
-    EXPECT_EQ(a.load_raw[i].bits_60s.values(), b.load_raw[i].bits_60s.values());
   }
 }
 
@@ -271,8 +266,11 @@ TEST_F(StreamingTest, PcapFileSourceSetAnalysisEqualsLoadedTraces) {
   const auto dir = std::filesystem::temp_directory_path() / "entrace_streaming_pcaps";
   std::filesystem::create_directories(dir);
   const DatasetSpec spec = small_spec();
-  const std::vector<std::string> paths =
-      generate_dataset_to_pcap(spec, model(), dir.string());
+  std::vector<std::string> paths;
+  for (const Trace& t : generate_dataset(spec, model()).traces) {
+    paths.push_back((dir / (t.name + ".pcap")).string());
+    t.save(paths.back());
+  }
   const std::vector<TracePlan> plans = plan_dataset(spec);
   ASSERT_EQ(paths.size(), plans.size());
 
@@ -282,10 +280,7 @@ TEST_F(StreamingTest, PcapFileSourceSetAnalysisEqualsLoadedTraces) {
   loaded.dataset_name = spec.name;
   std::vector<PcapTraceSpec> files;
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    std::string error;
-    auto t = Trace::try_load(paths[i], plans[i].name, plans[i].subnet, &error);
-    ASSERT_TRUE(t.has_value()) << error;
-    loaded.traces.push_back(std::move(*t));
+    loaded.traces.push_back(Trace::load(paths[i], plans[i].name, plans[i].subnet));
     files.push_back({paths[i], plans[i].name, plans[i].subnet});
   }
 

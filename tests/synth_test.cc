@@ -201,10 +201,11 @@ TEST(Generator, PcapExportRoundTrips) {
   spec.monitored_subnets = {1};
   const auto dir = std::filesystem::temp_directory_path() / "entrace_gen";
   std::filesystem::create_directories(dir);
-  const auto paths = generate_dataset_to_pcap(spec, model, dir.string());
-  ASSERT_EQ(paths.size(), 1u);
-  const Trace loaded = Trace::load(paths[0]);
   const TraceSet direct = generate_dataset(spec, model);
+  ASSERT_EQ(direct.traces.size(), 1u);
+  const std::string path = (dir / "trace.pcap").string();
+  direct.traces.front().save(path);
+  const Trace loaded = Trace::load(path);
   EXPECT_EQ(loaded.packets.size(), direct.traces.front().packets.size());
   std::filesystem::remove_all(dir);
 }

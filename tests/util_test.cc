@@ -100,15 +100,6 @@ TEST(Rng, ZipfFavorsLowRanks) {
   EXPECT_GT(rank0, 300);
 }
 
-TEST(ZipfDist, MatchesInlineZipfStatistically) {
-  Rng rng(15);
-  ZipfDist dist(50, 1.0);
-  int low = 0;
-  for (int i = 0; i < 2000; ++i)
-    if (dist.sample(rng) < 5) ++low;
-  EXPECT_GT(low, 700);  // head-heavy
-}
-
 TEST(Rng, WeightedRespectsWeights) {
   Rng rng(16);
   int counts[3] = {0, 0, 0};
@@ -121,44 +112,6 @@ TEST(Rng, WeightedRespectsWeights) {
 TEST(Rng, WeightedAllZeroReturnsLast) {
   Rng rng(17);
   EXPECT_EQ(rng.weighted({0.0, 0.0, 0.0}), 2u);
-}
-
-TEST(OnlineStats, BasicMoments) {
-  OnlineStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeEqualsCombined) {
-  OnlineStats a, b, all;
-  Rng rng(18);
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, empty;
-  a.add(1.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
 }
 
 TEST(EmpiricalCdf, QuantilesOnKnownData) {
@@ -196,29 +149,6 @@ TEST(EmpiricalCdf, AddNWeights) {
   EXPECT_DOUBLE_EQ(cdf.fraction_below(1.0), 0.99);
 }
 
-TEST(OnlineStats, PopulationVarianceConvention) {
-  // variance() divides by n, not n-1 (population convention, documented in
-  // stats.h): analyzed traces are complete populations, not samples.
-  OnlineStats s;
-  s.add(1.0);
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);  // sample variance would be 2.0
-}
-
-TEST(OnlineStats, VarianceEdgeCases) {
-  OnlineStats s;
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);  // n = 0
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  s.add(42.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);  // n = 1
-  // Catastrophic-cancellation residue must clamp at zero, never go
-  // negative (stddev would be NaN).
-  OnlineStats tight;
-  for (int i = 0; i < 1000; ++i) tight.add(1e15 + 0.5);
-  EXPECT_GE(tight.variance(), 0.0);
-  EXPECT_FALSE(std::isnan(tight.stddev()));
-}
-
 TEST(EmpiricalCdf, QuantileEdgeConventions) {
   // Documented in stats.h: empty -> 0.0, one sample -> that sample for any
   // q, q outside [0,1] clamps to the extremes.
@@ -251,7 +181,7 @@ TEST(BreakdownCounter, FractionsAndOrdering) {
 }
 
 TEST(IntervalSeries, BinsIncludeEmptyGaps) {
-  IntervalSeries s(1.0);
+  IntervalSeries s;
   s.add(0.5, 10.0);
   s.add(0.7, 5.0);
   s.add(3.2, 1.0);
@@ -263,25 +193,14 @@ TEST(IntervalSeries, BinsIncludeEmptyGaps) {
   EXPECT_DOUBLE_EQ(v[3], 1.0);
 }
 
-TEST(IntervalSeries, WiderBins) {
-  IntervalSeries s(10.0);
-  s.add(1.0, 1.0);
-  s.add(9.0, 1.0);
-  s.add(11.0, 1.0);
-  const auto v = s.values();
-  ASSERT_EQ(v.size(), 2u);
-  EXPECT_DOUBLE_EQ(v[0], 2.0);
-  EXPECT_DOUBLE_EQ(v[1], 1.0);
-}
-
 TEST(IntervalSeries, MergeOfDisjointRangesFillsTheGap) {
-  IntervalSeries a(1.0);
+  IntervalSeries a;
   a.add(0.5, 1.0);
   a.add(1.5, 2.0);
-  IntervalSeries b(1.0);
+  IntervalSeries b;
   b.add(5.5, 3.0);
   b.add(6.5, 4.0);
-  IntervalSeries empty(1.0);
+  IntervalSeries empty;
   empty.merge(b);
   EXPECT_EQ(empty.values(), b.values());
   a.merge(b);
@@ -292,12 +211,12 @@ TEST(IntervalSeries, MergeOfDisjointRangesFillsTheGap) {
 }
 
 TEST(IntervalSeries, ValuesAfterRestoreBins) {
-  IntervalSeries s(10.0);
-  s.add(5.0, 9.0);
+  IntervalSeries s;
+  s.add(0.5, 9.0);
   s.restore_bins({{2, 1.0}, {5, 3.0}});
   EXPECT_EQ(s.values(), (std::vector<double>{1.0, 0.0, 0.0, 3.0}));
-  s.add(61.0, 2.0);  // bin 6, after the restored range
-  s.add(55.0, 1.0);  // bin 5, a restored bin
+  s.add(6.1, 2.0);  // bin 6, after the restored range
+  s.add(5.5, 1.0);  // bin 5, a restored bin
   EXPECT_EQ(s.values(), (std::vector<double>{1.0, 0.0, 0.0, 4.0, 2.0}));
   s.restore_bins({});
   EXPECT_TRUE(s.empty());
@@ -305,7 +224,7 @@ TEST(IntervalSeries, ValuesAfterRestoreBins) {
 }
 
 TEST(IntervalSeries, NegativeBins) {
-  IntervalSeries s(1.0);
+  IntervalSeries s;
   s.add(0.5, 4.0);    // bin 0
   s.add(-2.5, 1.0);   // bin -3
   s.add(-0.5, 2.0);   // bin -1

@@ -354,14 +354,11 @@ int main(int argc, char** argv) try {
   }
   std::unique_ptr<obs::HttpServer> http;
   if (serve_http) {
-    // Two workers so /healthz (and /metrics scrapes) stay live while a
-    // multi-second /report fold is in flight on the other worker.
     http = std::make_unique<obs::HttpServer>(
         static_cast<std::uint16_t>(http_port),
         [&status, &report_cache, &retention, &spec, &config](const std::string& path) {
           return handle_http(status, report_cache, retention, spec, config, path);
-        },
-        /*workers=*/2);
+        });
     http->start();
     std::fprintf(stderr, "entrace_daemon: http on 127.0.0.1:%u\n", http->port());
   }
