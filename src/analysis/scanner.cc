@@ -80,10 +80,6 @@ std::vector<ScannerDetector::SourceObservations> ScannerDetector::export_observa
   return out;
 }
 
-void ScannerDetector::import_observations(const std::vector<SourceObservations>& observations) {
-  for (const SourceObservations& obs : observations) import_source(obs);
-}
-
 std::ptrdiff_t ScannerDetector::import_source(const SourceObservations& obs) {
   Source& s = source(obs.source);
   pairs_.reserve(pairs_.size() + obs.order.size() + obs.extra_seen.size());

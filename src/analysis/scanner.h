@@ -44,17 +44,14 @@ class ScannerDetector {
   // Everything merge() consumes, in a deterministic layout: one entry per
   // source, ascending by source address; `order` is the capped first-contact
   // sequence and `extra_seen` the distinct destinations beyond the cap,
-  // ascending.  A detector rebuilt by import_observations() merges exactly
-  // like the one that was exported.
+  // ascending.  A detector rebuilt by import_source(), one entry at a time,
+  // merges exactly like the one that was exported.
   struct SourceObservations {
     std::uint32_t source = 0;
     std::vector<std::uint32_t> order;
     std::vector<std::uint32_t> extra_seen;
   };
   std::vector<SourceObservations> export_observations() const;
-  // Rebuild per-source state from an export.  The detector must be fresh
-  // (no prior observations for the imported sources).
-  void import_observations(const std::vector<SourceObservations>& observations);
   // Import one source, which the detector must not hold yet.  Returns the
   // position (in `order`, then `extra_seen`) of the first destination that
   // repeats within `obs`, or -1 when none does; an export never repeats one.

@@ -23,10 +23,16 @@
 // state and results stay bit-identical for every thread count.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/anomaly.h"
@@ -219,20 +225,46 @@ class PcapFileSourceSet final : public TraceSourceSet {
 
 // Streams the union of several PacketSources in global timestamp order
 // (ties broken by source index, matching the old TraceSet::merged()
-// stable sort) while holding only one buffered batch per source in memory.
-// Precondition: each source yields nondecreasing timestamps, which holds
-// for generated traces (sorted at emission) and normal captures.
+// stable sort) while holding one buffered batch per source and a ring of
+// four chunks of merged packets.  Precondition: each source yields
+// nondecreasing timestamps, which holds for generated traces (sorted at
+// emission) and normal captures.
 //
 // A PacketSource itself, so it composes with any source consumer — the
 // paced replay wrapper (pcap/replay.h) and the daemon's ingest loop run on
-// the same next_batch() contract as single-trace analysis.  pull_batch is
-// the k-way merge at batch granularity (no per-packet virtual call); each
-// view's `source` field carries the originating sub-source index so a
-// demuxing consumer can attribute packets per trace.  next()'s RawPackets
-// carry no attribution.
+// the same next_batch() contract as single-trace analysis.  Each view's
+// `source` field carries the originating sub-source index so a demuxing
+// consumer can attribute packets per trace.  next()'s RawPackets carry no
+// attribution.
+//
+// The merge runs on a thread of its own, up to three chunks of about
+// 256 KiB ahead of the caller, so a consumer's feed and window checkpoints
+// overlap the next batches' merge (one chunk ahead left the merge idle
+// through most of each checkpoint):
+//   - the thread starts on the first pull (construction stays thread-free
+//     and fork-safe) and merges batches of the caller's last batch size n,
+//     copying each packet's bytes into the chunk so the sub-sources may
+//     refill; the chunk records where each batch ends, so a caller with a
+//     constant n gets exactly the batches of a synchronous merge, and one
+//     that varies n gets the same packets in the same order;
+//   - chunks are handed over whole, in order; views alias the chunk being
+//     served and stay valid until the next next_batch()/next() call, as
+//     for every source;
+//   - an exception thrown by a sub-source rethrows from next_batch() on
+//     the caller's thread, after the packets merged before it (and from
+//     every later call);
+//   - source(i) and anomalies() pause the read-ahead (wait for the chunk
+//     in progress, and start no other until the caller needs one) before
+//     touching a sub-source, so no sub-source is used by two threads; the
+//     stream has one caller thread;
+//   - destroying the stream, drained or not, stops and joins the thread.
 class MergedPacketStream final : public PacketSource {
  public:
   explicit MergedPacketStream(std::vector<std::unique_ptr<PacketSource>> sources);
+  ~MergedPacketStream() override;
+
+  MergedPacketStream(const MergedPacketStream&) = delete;
+  MergedPacketStream& operator=(const MergedPacketStream&) = delete;
 
   // Synthesized metadata: name "merged", snaplen = max over sub-sources,
   // start_ts = min, duration spanning all sub-source windows.
@@ -243,20 +275,54 @@ class MergedPacketStream final : public PacketSource {
   const AnomalyCounts& anomalies() const override;
 
   // Sub-source access for per-trace accounting (stats / anomalies of one
-  // constituent trace).
+  // constituent trace).  The reference may be used until the next pull.
   std::size_t source_count() const { return sources_.size(); }
-  const PacketSource& source(std::size_t i) const { return *sources_[i]; }
+  const PacketSource& source(std::size_t i) const {
+    pause();
+    return *sources_[i];
+  }
 
  protected:
-  // Each source keeps a buffered batch of heads, and the merge pops the
-  // global (ts, source index) minimum into `out`.  When a source's buffer
-  // runs dry mid-batch the call returns short (refilling would invalidate
-  // views already handed out); 0 means fully drained.
+  // Serves the current chunk's batches, taking the next chunk from the
+  // merge thread when this one is drained; 0 means fully drained.
   std::size_t pull_batch(PacketView* out, std::size_t n) override;
 
  private:
+  // Merged batches with their packets' bytes, handed from the merge
+  // thread to the caller whole.
+  struct Chunk {
+    struct Packet {
+      double ts;
+      std::uint32_t wire_len;
+      std::uint32_t source;
+      std::size_t offset;  // into bytes
+      std::size_t size;
+    };
+    std::vector<std::uint8_t> bytes;
+    std::vector<Packet> packets;
+    std::vector<std::size_t> batch_ends;  // one past each batch's last packet
+    bool last = false;         // the merge drained or threw after these batches
+    std::exception_ptr error;  // what it threw
+  };
+
+  // The k-way merge of one batch into `out` (merge thread): each source
+  // keeps a buffered batch of heads, and runs are taken from the minimum
+  // head while it stays below the runner-up.  When a source's buffer runs
+  // dry mid-batch the batch ends short, as it did when the caller's views
+  // aliased the heads: a windowed consumer rotates between batches, so
+  // batch boundaries decide its windows.  0 means fully drained.
+  std::size_t merge_batch(PacketView* out, std::size_t n);
+  // Fills `c` with whole batches until it holds about 256 KiB.
+  void fill(Chunk& c);
+  void read_ahead();  // the merge thread
+  // Caller side: waits for the next merged chunk and serves it.
+  void take_chunk();
+  // Returns once the merge thread is not touching any sub-source.
+  void pause() const;
+
   std::vector<std::unique_ptr<PacketSource>> sources_;
 
+  // ---- merge thread ----------------------------------------------------------
   // One buffered batch of views per source.
   struct SourceBuf {
     std::vector<PacketView> views;
@@ -264,9 +330,30 @@ class MergedPacketStream final : public PacketSource {
     bool eof = false;
   };
   std::vector<SourceBuf> bufs_;
+  std::vector<PacketView> merged_;  // the batch being copied into a chunk
 
+  // ---- caller thread ---------------------------------------------------------
   TraceMeta meta_;
   mutable AnomalyCounts merged_anomalies_;
+  std::size_t cur_ = kAhead;  // ring_ slot being served (the last one, empty, at first)
+  std::size_t pos_ = 0;       // its next packet
+  std::size_t batch_ = 0;     // its batch that holds pos_
+
+  // ---- handoff -----------------------------------------------------------------
+  // Chunks [head_, tail_) of the ring are merged and wait for the caller,
+  // slot (head_ - 1) is the caller's, and the merge thread fills slot tail_
+  // while fewer than kAhead wait and no pause holds.
+  static constexpr std::size_t kAhead = 3;
+  std::array<Chunk, kAhead + 1> ring_;
+  std::uint64_t head_ = 0;
+  std::uint64_t tail_ = 0;
+  bool filling_ = false;        // the merge thread is using the sub-sources
+  mutable bool pause_ = false;  // no fill may start until the caller takes a chunk
+  bool stop_ = false;
+  std::atomic<std::size_t> want_{0};  // the caller's last batch size
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  std::thread thread_;  // started by the first pull, joined by the destructor
 };
 
 // Convenience: a merged stream over the traces of an in-memory TraceSet

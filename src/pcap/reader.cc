@@ -59,7 +59,6 @@ PcapReader::PcapReader(const std::string& path) {
                              " (expected " + std::to_string(pcapfmt::kLinkTypeEthernet) +
                              ", Ethernet)");
   }
-  offset_ = hdr.size();
 }
 
 PcapReader::~PcapReader() = default;
@@ -77,11 +76,11 @@ std::optional<RawPacket> PcapReader::next() {
   if (!file_) return std::nullopt;
   std::array<std::uint8_t, pcapfmt::kRecordHeaderSize> rec;
   const std::size_t hdr_got = std::fread(rec.data(), 1, rec.size(), file_.get());
-  offset_ += hdr_got;
   if (hdr_got < rec.size()) {
     // A clean EOF lands exactly on a record boundary; leftover bytes mean
     // the file was cut mid-header.
     if (hdr_got > 0) anomalies_.add(AnomalyKind::kPcapShortRecordHeader);
+    file_.reset();
     return std::nullopt;
   }
   const std::uint32_t sec = read_u32(rec.data());
@@ -89,9 +88,11 @@ std::optional<RawPacket> PcapReader::next() {
   const std::uint32_t caplen = read_u32(rec.data() + 8);
   const std::uint32_t wirelen = read_u32(rec.data() + 12);
   // Guard against absurd record lengths from corrupt files.  The stream
-  // position cannot be trusted past this point, so reading stops here.
+  // position cannot be trusted past this point, so reading stops here,
+  // for every later call too.
   if (caplen > kMaxCapLen) {
     anomalies_.add(AnomalyKind::kPcapOversizedRecord);
+    file_.reset();
     return std::nullopt;
   }
 
@@ -100,9 +101,9 @@ std::optional<RawPacket> PcapReader::next() {
   pkt.wire_len = wirelen;
   pkt.data.resize(caplen);
   const std::size_t body_got = std::fread(pkt.data.data(), 1, caplen, file_.get());
-  offset_ += body_got;
   if (body_got < caplen) {
     anomalies_.add(AnomalyKind::kPcapTruncatedRecord);
+    file_.reset();  // the body ran into EOF: nothing follows
     if (body_got == 0) return std::nullopt;
     // Salvage the partial capture; downstream sees it as extra truncation.
     pkt.data.resize(body_got);

@@ -34,6 +34,8 @@ class PcapReader {
   // Next packet, or nullopt at end of file.  Corrupt-record conditions
   // (short record header, truncated body, absurd caplen) are counted in
   // anomalies(); a truncated body is salvaged, the others end the file.
+  // The first record that ends the file ends it for good: every later
+  // call returns nullopt too, whatever bytes follow it.
   std::optional<RawPacket> next();
 
   std::uint32_t snaplen() const { return snaplen_; }
@@ -54,7 +56,6 @@ class PcapReader {
   bool swapped_ = false;
   std::uint32_t snaplen_ = 0;
   std::uint32_t link_type_ = 0;
-  std::uint64_t offset_ = 0;  // file offset of the next unread byte
   AnomalyCounts anomalies_;
 };
 

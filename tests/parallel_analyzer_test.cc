@@ -127,7 +127,7 @@ void expect_same_observations(const std::vector<ScannerDetector::SourceObservati
 // Export -> import into a fresh detector -> export must be the identity.
 void expect_round_trip(const ScannerDetector& det) {
   ScannerDetector copy;
-  copy.import_observations(det.export_observations());
+  for (const auto& obs : det.export_observations()) copy.import_source(obs);
   expect_same_observations(copy.export_observations(), det.export_observations());
   EXPECT_EQ(copy.scanners(), det.scanners());
 }

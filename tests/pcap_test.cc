@@ -1,7 +1,6 @@
 // Tests for the pcap file format implementation and trace containers.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -11,7 +10,6 @@
 
 #include "net/encoder.h"
 #include "pcap/format.h"
-#include "pcap/packet_source.h"
 #include "pcap/reader.h"
 #include "pcap/trace.h"
 #include "pcap/writer.h"
@@ -325,88 +323,6 @@ TEST(Trace, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.snaplen, 1500u);
   EXPECT_EQ(loaded.total_wire_bytes(), t.total_wire_bytes());
   std::remove(path.c_str());
-}
-
-// The old TraceSet::merged() materialized a pointer vector over every
-// packet of every trace; merged_stream() is its streaming replacement — a
-// k-way merge holding one packet per source.
-TEST(MergedPacketStream, InterleavesTracesInTimestampOrder) {
-  TraceSet set;
-  Trace a, b;
-  a.packets.push_back(sample_packet(1.0, 10));
-  a.packets.push_back(sample_packet(3.0, 10));
-  b.packets.push_back(sample_packet(2.0, 10));
-  b.packets.push_back(sample_packet(4.0, 10));
-  set.traces.push_back(std::move(a));
-  set.traces.push_back(std::move(b));
-  EXPECT_EQ(set.total_packets(), 4u);
-
-  MergedPacketStream stream = merged_stream(set);
-  std::vector<double> order;
-  while (const RawPacket* pkt = stream.next()) order.push_back(pkt->ts);
-  const std::vector<double> expected{1.0, 2.0, 3.0, 4.0};
-  EXPECT_EQ(order, expected);
-  EXPECT_EQ(stream.next(), nullptr);  // stays drained
-}
-
-TEST(MergedPacketStream, EqualTimestampsKeepSourceOrder) {
-  // Ties resolve by source index (the stable order the old merged() kept),
-  // one packet at a time (next()) and within a multi-view batch alike.
-  Trace a, b;
-  a.packets.push_back(sample_packet(1.0, 16));
-  a.packets.push_back(sample_packet(2.0, 16));
-  b.packets.push_back(sample_packet(1.0, 48));
-  b.packets.push_back(sample_packet(2.0, 48));
-  const auto open_stream = [&a, &b] {
-    std::vector<std::unique_ptr<PacketSource>> sources;
-    sources.push_back(std::make_unique<MemoryTraceSource>(b));  // source 0: the 48s
-    sources.push_back(std::make_unique<MemoryTraceSource>(a));  // source 1: the 16s
-    return MergedPacketStream{std::move(sources)};
-  };
-  const std::size_t s16 = sample_packet(0, 16).data.size();
-  const std::size_t s48 = sample_packet(0, 48).data.size();
-  const std::vector<std::size_t> expected{s48, s16, s48, s16};
-
-  MergedPacketStream one = open_stream();
-  std::vector<std::size_t> sizes;
-  while (const RawPacket* pkt = one.next()) sizes.push_back(pkt->data.size());
-  EXPECT_EQ(sizes, expected);
-
-  MergedPacketStream batched = open_stream();
-  sizes.clear();
-  std::vector<std::uint32_t> attributed;
-  std::array<PacketView, 8> views;
-  while (const std::size_t got = batched.next_batch(views.data(), views.size())) {
-    for (std::size_t i = 0; i < got; ++i) {
-      sizes.push_back(views[i].data.size());
-      attributed.push_back(views[i].source);
-    }
-  }
-  EXPECT_EQ(sizes, expected);
-  EXPECT_EQ(attributed, (std::vector<std::uint32_t>{0, 1, 0, 1}));
-}
-
-TEST(MergedPacketStream, StreamsPcapFilesWithoutLoadingThem) {
-  const std::string p1 = temp_path("entrace_merge1.pcap");
-  const std::string p2 = temp_path("entrace_merge2.pcap");
-  {
-    PcapWriter w1(p1, 1500);
-    w1.write(sample_packet(1.0, 10));
-    w1.write(sample_packet(5.0, 10));
-    PcapWriter w2(p2, 1500);
-    w2.write(sample_packet(2.0, 10));
-    w2.write(sample_packet(3.0, 10));
-  }
-  std::vector<std::unique_ptr<PacketSource>> sources;
-  sources.push_back(std::make_unique<PcapFileSource>(p1));
-  sources.push_back(std::make_unique<PcapFileSource>(p2));
-  MergedPacketStream stream{std::move(sources)};
-  std::vector<double> order;
-  while (const RawPacket* pkt = stream.next()) order.push_back(pkt->ts);
-  const std::vector<double> expected{1.0, 2.0, 3.0, 5.0};
-  EXPECT_EQ(order, expected);
-  std::remove(p1.c_str());
-  std::remove(p2.c_str());
 }
 
 }  // namespace

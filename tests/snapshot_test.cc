@@ -561,7 +561,8 @@ TEST_F(SnapshotTest, RejectsUnsortedOrRepeatedHosts) {
 TEST_F(SnapshotTest, RejectsRepeatedScannerSourceOrDestination) {
   // Source 10 -> {20}, source 11 -> {21, 22} in order and {30, 31} beyond it.
   TraceShard shard;
-  shard.detector.import_observations({{10, {20}, {}}, {11, {21, 22}, {30, 31}}});
+  shard.detector.import_source({10, {20}, {}});
+  shard.detector.import_source({11, {21, 22}, {30, 31}});
   const std::vector<std::uint8_t> valid = image_of(shard);
   ASSERT_NO_THROW(snap::decode_snapshot(valid));
   // Scanner payload layout: source count u64, then per source its address,

@@ -3,9 +3,10 @@
 // The batch tools (entrace_shard/merge) answer "what was in this capture";
 // the daemon answers "what is on the wire right now".  It replays a
 // synthetic dataset as if it were a set of live taps — every trace merged
-// into one time-ordered stream (MergedPacketStream), released on the
-// capture's own timeline scaled by --speedup (PacedReplaySource) — and runs
-// the windowed incremental engine over it:
+// into one time-ordered stream (MergedPacketStream, which merges ahead of
+// ingest on a thread of its own), released on the capture's own timeline
+// scaled by --speedup (PacedReplaySource) — and runs the windowed
+// incremental engine over it:
 //
 //   ingest batches -> IncrementalAnalyzer::feed (per-trace demux)
 //     -> rotate() at each --window boundary
