@@ -48,9 +48,11 @@ int main(int argc, char** argv) try {
 
   AnalyzerConfig config = default_config_for_model(model.site());
   const DatasetAnalysis analysis = analyze_dataset(sources, config);
-  std::printf("%s: %llu packets, snaplen %u, ~%zu seconds spanned\n\n", path.c_str(),
-              static_cast<unsigned long long>(analysis.quality.packets_seen), snaplen,
-              analysis.load_raw.front().bits_1s.values().size());
+  // The seconds from the first 1 s load bin to the last.
+  const auto& bins = analysis.load_raw.front().bits_1s.bins();
+  const long long spanned = bins.empty() ? 0 : bins.rbegin()->first - bins.begin()->first + 1;
+  std::printf("%s: %llu packets, snaplen %u, ~%lld seconds spanned\n\n", path.c_str(),
+              static_cast<unsigned long long>(analysis.quality.packets_seen), snaplen, spanned);
 
   // Top connections by volume.
   std::vector<const Connection*> conns = analysis.all_connections;

@@ -6,7 +6,8 @@
 // those into the paper's distributions.  Figure 9's 10 s and 60 s peaks are
 // summed from the 1 s bins: every coarse bin is the sum of the 1 s bins
 // whose seconds fall in it, and the sums are exact (each bin sums
-// integer-valued bit counts).
+// integer-valued bit counts).  Figure 9(b)'s per-trace statistics count the
+// seconds between bins as zeros without storing them.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,6 @@ struct LoadAnalysis {
   // Figure 10: per-trace retransmission rates (fraction of packets).
   EmpiricalCdf retx_ent, retx_wan;
   std::vector<double> retx_ent_by_trace, retx_wan_by_trace;
-  std::vector<std::string> trace_names;
   std::uint64_t keepalives_excluded = 0;
 
   // min_packets: traces with fewer TCP packets in a locality class are

@@ -18,8 +18,6 @@ void ScannerDetector::observe(Ipv4Address src, Ipv4Address dst) {
   if (s.order.size() < kOrderCap) s.order.push_back(dst.value());
 }
 
-void ScannerDetector::add_known_scanner(Ipv4Address addr) { known_.insert(addr); }
-
 void ScannerDetector::merge(const ScannerDetector& other) {
   pairs_.reserve(pairs_.size() + other.pairs_.size());
   bool other_capped = false;
@@ -42,7 +40,6 @@ void ScannerDetector::merge(const ScannerDetector& other) {
       if (pairs_.insert(key).second) ++source(src).distinct;
     });
   }
-  known_.insert(other.known_.begin(), other.known_.end());
 }
 
 std::vector<ScannerDetector::SourceObservations> ScannerDetector::export_observations() const {
@@ -117,7 +114,7 @@ bool ScannerDetector::is_ordered_probe(const Source& s) {
 }
 
 std::set<Ipv4Address> ScannerDetector::scanners() const {
-  std::set<Ipv4Address> out = known_;
+  std::set<Ipv4Address> out;
   for (const Source& s : sources_) {
     if (is_ordered_probe(s)) out.insert(Ipv4Address(s.addr));
   }

@@ -3,8 +3,9 @@
 // "We first identify sources contacting more than 50 distinct hosts.  We
 // then determine whether at least 45 of the distinct addresses probed were
 // in ascending or descending order."  Sources flagged by the heuristic,
-// plus the site's known internal scanners, are removed prior to the
-// traffic-breakdown analyses.
+// plus the site's known internal scanners (which fold_shards adds from the
+// SiteConfig; a detector holds observations only), are removed prior to
+// the traffic-breakdown analyses.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +29,6 @@ class ScannerDetector {
   // Feed one observed (source, destination) packet pair, in trace order.
   void observe(Ipv4Address src, Ipv4Address dst);
 
-  void add_known_scanner(Ipv4Address addr);
-
   // Fold another detector's observations into this one.  Merging per-trace
   // detectors in trace-index order reproduces the exact per-source
   // first-contact order of a serial pass over the same traces: for each
@@ -37,7 +36,8 @@ class ScannerDetector {
   // this detector already saw.
   void merge(const ScannerDetector& other);
 
-  // Evaluate the heuristic over everything observed so far.
+  // Evaluate the heuristic over everything observed so far: the sources it
+  // flags.
   std::set<Ipv4Address> scanners() const;
 
   // ---- snapshot support (src/snapshot) --------------------------------------
@@ -56,7 +56,6 @@ class ScannerDetector {
   // position (in `order`, then `extra_seen`) of the first destination that
   // repeats within `obs`, or -1 when none does; an export never repeats one.
   std::ptrdiff_t import_source(const SourceObservations& obs);
-  const std::set<Ipv4Address>& known_scanners() const { return known_; }
 
  private:
   // Beyond a few thousand distinct targets the verdict cannot change, so a
@@ -83,7 +82,6 @@ class ScannerDetector {
   // Source address -> index into sources_.
   FlatIndex<std::uint32_t> source_index_;
   std::vector<Source> sources_;
-  std::set<Ipv4Address> known_;
 };
 
 }  // namespace entrace

@@ -45,10 +45,11 @@ void unite_hosts(std::vector<std::uint32_t>& into, std::vector<std::uint32_t>&& 
 
 void ShardTotals::merge_from(ShardTotals&& other) {
   // Binding every member by name compiles only while ShardTotals has
-  // exactly these ten.  A new member must be added to the declaration
-  // (core/analyzer.h), merged here, and encoded in snapshot/codec.cc.
+  // exactly these nine.  A new member must be added to the declaration
+  // (core/analyzer.h), merged here, encoded in snapshot/codec.cc and given
+  // a row in tests/field_audit_test.cc.
   auto& [packets, wire_bytes, l3_counts, monitored, lbnl, remote, quality_in, events_in,
-         registry_in, metrics_in] = other;
+         metrics_in] = other;
   total_packets += packets;
   total_wire_bytes += wire_bytes;
   l3.merge(l3_counts);
@@ -57,7 +58,6 @@ void ShardTotals::merge_from(ShardTotals&& other) {
   unite_hosts(remote_hosts, std::move(remote));
   quality.merge(quality_in);
   events.merge(std::move(events_in));
-  registry.merge_dynamic_endpoints(registry_in);
   metrics.merge(metrics_in);
 }
 
@@ -137,14 +137,11 @@ DatasetAnalysis fold_shards(std::string dataset_name, std::vector<TraceShard>&& 
   const auto fold_start = std::chrono::steady_clock::now();
 
   // ---- deterministic fold, in trace-index order ----------------------------
-  ScannerDetector detector;
-  for (Ipv4Address known : config.site.known_scanners) detector.add_known_scanner(known);
-
   // Across traces the detector merges into a fold-local one, and each
   // trace keeps its own connections and load series.
+  ScannerDetector detector;
   out.trace_connections.reserve(shards.size());
   for (TraceShard& shard : shards) {
-    if (shard.subnet_id >= 0) out.monitored_subnets.push_back(shard.subnet_id);
     detector.merge(shard.detector);
     out.load_raw.push_back(std::move(shard.load));
     out.trace_connections.push_back(std::move(shard.connections));
@@ -152,8 +149,10 @@ DatasetAnalysis fold_shards(std::string dataset_name, std::vector<TraceShard>&& 
   }
   // Scanner identification is global: only the merged detector has seen a
   // source's contacts across all traces, so the removal filter runs here,
-  // post-merge, exactly as in the serial two-pass pipeline.
+  // post-merge, exactly as in the serial two-pass pipeline.  The site's
+  // known internal scanners are removed whatever they did.
   out.scanners = detector.scanners();
+  out.scanners.insert(config.site.known_scanners.begin(), config.site.known_scanners.end());
 
   // ---- assemble connection lists, remove scanner traffic ---------------------
   for (const std::vector<Connection>& conns : out.trace_connections) {

@@ -26,7 +26,12 @@
 // scanner-removal filter runs after the fold.  Dynamic DCE/RPC endpoints
 // learned from Endpoint Mapper traffic apply within the trace that
 // observed them (EPM mappings and the ephemeral-port connections they
-// describe share a subnet trace).
+// describe share a subnet trace): they live in the trace's own engine and
+// are never part of a shard.
+//
+// A shard member exists only because a report line, a semantic metric, a
+// digest, a shipped tool or an example reads it (DESIGN.md §9 has the
+// member -> reader table, and tests/field_audit_test.cc checks it).
 #pragma once
 
 #include <algorithm>
@@ -77,7 +82,7 @@ struct AnalyzerConfig {
 // order).  The golden digests (tests/golden/reports.txt) pin the results.
 inline constexpr std::size_t kBatchSize = 256;
 
-// The ten members a DatasetAnalysis and a TraceShard share, declared once.
+// The nine members a DatasetAnalysis and a TraceShard share, declared once.
 // A shard's totals cover one trace (or one window of one trace); the
 // dataset's are every shard's, folded by merge_from.
 struct ShardTotals {
@@ -111,8 +116,6 @@ struct ShardTotals {
 
   // ---- application events -----------------------------------------------------
   AppEvents events;
-  // Dynamic DCE/RPC endpoints learned from Endpoint Mapper traffic.
-  AppRegistry registry;
 
   // ---- runtime telemetry -----------------------------------------------------
   // Semantic-class metrics are deterministic (same dataset => same values
@@ -123,7 +126,7 @@ struct ShardTotals {
   obs::Registry metrics;
 
   // Fold another trace's (or window's) totals in: counts and metrics sum,
-  // host sets and endpoints union, events append (moved out of `other`).
+  // host sets union, events append (moved out of `other`).
   // Folding in trace-index or window order reproduces a serial pass.  A new
   // member must be merged here and encoded in snapshot/codec.cc; the build
   // fails until it is.
@@ -134,7 +137,6 @@ class DatasetAnalysis : public ShardTotals {
  public:
   std::string name;
   SiteConfig site;
-  std::vector<int> monitored_subnets;
 
   // ---- connections -----------------------------------------------------------
   // Each trace's connections in open order (owns the Connection objects
@@ -159,7 +161,7 @@ class DatasetAnalysis : public ShardTotals {
   }
 };
 
-// Everything one per-trace job produces: the shared totals plus four
+// Everything one per-trace job produces: the shared totals plus three
 // members of its own.  A shard is plain data, the per-trace unit of every
 // mode: a thread job, one section of a .esnap file (src/snapshot), a
 // cluster worker's reply and a daemon window (core/incremental.h), and any
@@ -168,7 +170,6 @@ class DatasetAnalysis : public ShardTotals {
 // connections and load series, while WindowFold::add upserts connections
 // by open_seq and sums the load series.
 struct TraceShard : ShardTotals {
-  int subnet_id = -1;
   ScannerDetector detector;
   std::vector<Connection> connections;  // in open order (open_seq)
   TraceLoadRaw load;

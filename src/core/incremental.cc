@@ -71,8 +71,8 @@ void record_trace_metrics(const TraceTotals& totals, obs::Registry& reg) {
 namespace {
 
 std::array<std::uint64_t, 10> event_sizes(const AppEvents& ev) {
-  return {ev.http.size(), ev.smtp.size(),   ev.dns.size(), ev.nbns.size(), ev.nbss.size(),
-          ev.cifs.size(), ev.dcerpc.size(), ev.epm.size(), ev.nfs.size(),  ev.ncp.size()};
+  return {ev.http.size(), ev.smtp,          ev.dns.size(), ev.nbns.size(), ev.nbss.size(),
+          ev.cifs.size(), ev.dcerpc.size(), ev.epm,        ev.nfs.size(),  ev.ncp.size()};
 }
 
 }  // namespace
@@ -95,7 +95,6 @@ TraceStream::~TraceStream() = default;
 // the dispatcher's references into it stay valid.
 void TraceStream::start_window() {
   win_ = TraceShard();
-  win_.subnet_id = meta_.subnet_id;
   win_.load.trace_name = meta_.name;
   pkt_bytes_ = collect_ ? win_.metrics.histogram("source.packet_bytes", obs::MetricClass::kSemantic,
                                                  {64, 128, 256, 512, 1024, 1514, 4096, 16384},
@@ -228,9 +227,6 @@ TraceShard TraceStream::rotate() {
   TraceShard shard = std::move(win_);
   take_hosts(shard);
   start_window();
-  // Full dynamic-endpoint export each window: merge_dynamic_endpoints is an
-  // idempotent map union, so re-exporting already-known endpoints is exact.
-  shard.registry = registry_;
 
   // Connections touched this window, copied in open_seq order.  Copies get
   // parser_slot cleared: it is transient dispatcher state that must not
@@ -242,7 +238,6 @@ TraceShard TraceStream::rotate() {
     shard.connections.push_back(live[i]);
     shard.connections.back().parser_slot = Connection::kNoParser;
   }
-  dispatcher_.on_events_rotated();
   return shard;
 }
 
@@ -284,13 +279,11 @@ void TraceStream::finish_batch(PacketSource& source, TraceShard& shard, double s
   // dataset's anomaly accounting covers the file layer too.
   drain(&source.anomalies());
   accumulate_window_totals();
-  // The one window is the whole trace, with the live registry and
-  // connections.  The dispatcher and the flow engine stay behind and die
-  // with the stream, on the thread that ran it; events and registry outlive
-  // them.
+  // The one window is the whole trace, with the live connections.  The
+  // dispatcher, the registry and the flow engine stay behind and die with
+  // the stream, on the thread that ran it; the events outlive them.
   shard = std::move(win_);
   take_hosts(shard);
-  shard.registry = std::move(registry_);
   shard.connections = flows_->take_connections();
   record_totals(shard.metrics, source_seconds, source_batches);
 }

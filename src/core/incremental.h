@@ -14,8 +14,8 @@
 // window-fresh deltas:
 //
 //   - the ShardTotals members fold with ShardTotals::merge_from: tallies
-//     and capture quality sum exactly, host sets and dynamic endpoints
-//     union, and events append in window order;
+//     and capture quality sum exactly, host sets union, and events append
+//     in window order;
 //   - scanner first-contact observations merge idempotently in window
 //     order, reproducing the serial observation order, and the interval
 //     series sum exactly (every summed double is integer-valued);
@@ -192,11 +192,13 @@ class TraceStream {
   TraceMeta meta_;
   bool collect_;
 
-  // The trace's registry persists across windows; the current window is
-  // accumulated in place in win_, whose connections and registry stay empty
-  // (the live ones are flows_ and registry_).  Declaration order matters: the
-  // dispatcher holds references to registry_, win_.events and
-  // win_.quality.anomalies, which rotation keeps at the same addresses.
+  // The trace's AppRegistry (its dynamic DCE/RPC endpoints) persists across
+  // windows and never leaves the stream: identification is its only reader.
+  // The current window is accumulated in place in win_, whose connections
+  // stay empty (the live ones are in flows_).  Declaration order matters:
+  // the dispatcher and its parsers hold references to registry_,
+  // win_.events and win_.quality.anomalies, which rotation keeps at the
+  // same addresses.
   AppRegistry registry_;
   TraceShard win_;
   ProtocolDispatcher dispatcher_;

@@ -1,6 +1,12 @@
 // Connection records — the equivalent of Bro's conn.log summaries on which
 // the paper bases its analysis (§5: "We base our analysis on connection
 // summaries generated by Bro").
+//
+// A Connection holds only the summary: what a report line, a metric or a
+// shipped tool reads (DESIGN.md §9 names each member's reader).  The TCP
+// state machine's own bookkeeping (SYN/SYN-ACK/FIN flags, initial sequence
+// numbers) lives in FlowTable's per-connection entry and never leaves the
+// engine.
 #pragma once
 
 #include <cstdint>
@@ -41,21 +47,11 @@ struct Connection {
 
   ConnState state = ConnState::kPending;
 
-  // TCP bookkeeping.
-  bool saw_syn = false;
-  bool saw_synack = false;
-  bool saw_fin = false;
-  bool saw_rst = false;
-  std::uint32_t orig_isn = 0;
-  std::uint32_t resp_isn = 0;
-
-  // Retransmissions (paper §6: loss proxy) with 1-byte keepalive
-  // retransmissions counted separately (the paper excludes them).
-  std::uint32_t retransmissions = 0;
+  // 1-byte keepalive retransmissions (NCP/SSH style, §6), which the paper
+  // excludes from its loss proxy; Table 12 counts the keepalive-only NCP
+  // connections.  Other retransmissions are counted per packet
+  // (PacketVerdict, flow.tcp_retransmissions), not per connection.
   std::uint32_t keepalive_retx = 0;
-
-  // ICMP flows record the type of the first packet.
-  std::uint8_t icmp_type = 0;
 
   // Application protocol id, assigned by proto::identify (0 = unknown).
   std::uint16_t app_id = 0;

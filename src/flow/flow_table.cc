@@ -34,14 +34,14 @@ FlowTable::Entry& FlowTable::find_or_create(const DecodedPacket& pkt, std::uint6
     // Port reuse: a pure SYN carrying a *different* ISN from the original
     // originator while the old connection is still live means the client
     // skipped TIME_WAIT and reused the 5-tuple.  Treating it as the same
-    // connection used to overwrite orig_isn and corrupt the sequence-based
-    // byte accounting; instead the old entry closes and a fresh Connection
-    // starts.  (A SYN with the *same* ISN stays a retransmission, handled
+    // connection used to overwrite the originator's ISN and corrupt the
+    // sequence-based byte accounting; instead the old entry closes and a
+    // fresh Connection starts.  (A SYN with the *same* ISN stays a retransmission, handled
     // by process_tcp.)
     const bool orig_dir =
         pkt.src == conn.key.src && (pkt.is_icmp() || pkt.src_port == conn.key.src_port);
-    const bool reused_tuple = syn_only && !e.closed && orig_dir && conn.saw_syn &&
-                              pkt.tcp_seq != conn.orig_isn;
+    const bool reused_tuple = syn_only && !e.closed && orig_dir && e.orig.saw_syn &&
+                              pkt.tcp_seq != e.orig.isn;
     if (fresh_syn || idle_expired || reused_tuple) {
       if (reused_tuple) ++stats_.tcp_tuple_reuse;
       if (idle_expired) ++stats_.idle_splits;
@@ -60,7 +60,6 @@ FlowTable::Entry& FlowTable::find_or_create(const DecodedPacket& pkt, std::uint6
   conn.key = flow_tuple_of(pkt);  // orientation: first packet's sender is the originator
   conn.start_ts = pkt.ts;
   conn.last_ts = pkt.ts;
-  if (pkt.is_icmp()) conn.icmp_type = pkt.icmp_type;
   conn.multicast = pkt.dst.is_multicast() || pkt.dst.is_broadcast();
   conn.open_seq = stats_.conns_opened;
   ++stats_.conns_opened;
@@ -69,11 +68,11 @@ FlowTable::Entry& FlowTable::find_or_create(const DecodedPacket& pkt, std::uint6
     index = free_entries_.back();
     free_entries_.pop_back();
     connections_[index] = conn;
-    entries_[index] = Entry{index, {}, {}, false};
+    entries_[index] = Entry{index};
   } else {
     index = connections_.size();
     connections_.push_back(conn);
-    entries_.push_back(Entry{index, {}, {}, false});
+    entries_.push_back(Entry{index});
   }
   Entry& e = entries_[index];
   e.key_lo = key_lo;
@@ -143,13 +142,10 @@ PacketVerdict FlowTable::process_tcp(Entry& e, const DecodedPacket& pkt, Directi
   // --- handshake state -------------------------------------------------
   if ((flags & tcpflag::kSyn) && !(flags & tcpflag::kAck)) {
     if (dir == Direction::kOrigToResp) {
-      if (conn.saw_syn && seq == conn.orig_isn) {
-        // Retransmitted SYN: the connection attempt is not progressing.
-        ++conn.retransmissions;
-        verdict.tcp_retransmission = true;
-      }
-      conn.saw_syn = true;
-      conn.orig_isn = seq;
+      // Retransmitted SYN: the connection attempt is not progressing.
+      if (ds.saw_syn && seq == ds.isn) verdict.tcp_retransmission = true;
+      ds.saw_syn = true;
+      ds.isn = seq;
       ds.have_seq = true;
       ds.next_seq = seq + 1;
       ds.max_seq_end = seq + 1;
@@ -158,12 +154,9 @@ PacketVerdict FlowTable::process_tcp(Entry& e, const DecodedPacket& pkt, Directi
   }
   if ((flags & tcpflag::kSyn) && (flags & tcpflag::kAck)) {
     if (dir == Direction::kRespToOrig) {
-      if (conn.saw_synack && seq == conn.resp_isn) {
-        ++conn.retransmissions;
-        verdict.tcp_retransmission = true;
-      }
-      conn.saw_synack = true;
-      conn.resp_isn = seq;
+      if (ds.saw_syn && seq == ds.isn) verdict.tcp_retransmission = true;
+      ds.saw_syn = true;
+      ds.isn = seq;
       if (conn.state == ConnState::kPending) conn.state = ConnState::kEstablished;
       ds.have_seq = true;
       ds.next_seq = seq + 1;
@@ -172,7 +165,6 @@ PacketVerdict FlowTable::process_tcp(Entry& e, const DecodedPacket& pkt, Directi
     return verdict;
   }
   if (flags & tcpflag::kRst) {
-    conn.saw_rst = true;
     if (conn.state == ConnState::kPending) {
       // RST answering a SYN from the responder side = rejected.
       conn.state = dir == Direction::kRespToOrig ? ConnState::kRejected
@@ -198,7 +190,6 @@ PacketVerdict FlowTable::process_tcp(Entry& e, const DecodedPacket& pkt, Directi
     const std::uint32_t seq_end = seq + payload_len;
     if (seq_leq(seq_end, ds.max_seq_end)) {
       // Entirely old data: a retransmission.
-      ++conn.retransmissions;
       verdict.tcp_retransmission = true;
       if (payload_len == 1 && seq + 1 == ds.next_seq) {
         // 1-byte keepalive probe (NCP/SSH style, §6).
@@ -229,7 +220,7 @@ PacketVerdict FlowTable::process_tcp(Entry& e, const DecodedPacket& pkt, Directi
       }
       ds.next_seq = seq_end;
       ds.max_seq_end = seq_end;
-      if (conn.state == ConnState::kPending && conn.saw_syn && conn.saw_synack)
+      if (conn.state == ConnState::kPending && e.orig.saw_syn && e.resp.saw_syn)
         conn.state = ConnState::kEstablished;
     }
   }
@@ -237,8 +228,8 @@ PacketVerdict FlowTable::process_tcp(Entry& e, const DecodedPacket& pkt, Directi
   if (flags & tcpflag::kFin) {
     ds.next_seq = seq + payload_len + 1;
     ds.max_seq_end = ds.next_seq;
-    const bool other_fin = conn.saw_fin;
-    conn.saw_fin = true;
+    const bool other_fin = e.saw_fin;
+    e.saw_fin = true;
     if (other_fin) {
       if (conn.successful() || conn.state == ConnState::kPending)
         conn.state = ConnState::kClosed;
@@ -268,7 +259,7 @@ void FlowTable::close_entry(Entry& e) {
   ++stats_.conns_closed;
   Connection& conn = conn_of(e);
   if (conn.state == ConnState::kPending) {
-    if (conn.key.proto == ipproto::kTcp && conn.saw_syn && conn.resp_pkts == 0) {
+    if (conn.key.proto == ipproto::kTcp && e.orig.saw_syn && conn.resp_pkts == 0) {
       conn.state = ConnState::kUnanswered;
     } else if (conn.resp_pkts > 0 || conn.multicast) {
       conn.state = ConnState::kEstablished;

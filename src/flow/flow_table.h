@@ -6,7 +6,9 @@
 // The engine (entries, flow map, dirty and free lists) exists only while a
 // trace is processed: the batch pipeline takes the connection vector out of
 // it at the end of the trace (take_connections), and a shard holds only
-// that vector.
+// that vector.  What only the state machine reads (each direction's SYN
+// flag and ISN, the FIN flag) lives in the entry, so a Connection is the
+// conn.log summary alone; retransmissions are per-packet verdicts.
 //
 // Thread-compatibility: FlowTable holds no static or global state — every
 // instance is fully self-contained — so distinct instances may be driven
@@ -153,6 +155,10 @@ class FlowTable {
  private:
   struct DirState {
     bool have_seq = false;
+    // This direction's handshake segment: the SYN from the originator, the
+    // SYN-ACK from the responder, and the sequence number it carried.
+    bool saw_syn = false;
+    std::uint32_t isn = 0;
     std::uint32_t next_seq = 0;      // next expected sequence number
     std::uint32_t max_seq_end = 0;   // highest seq+len seen
   };
@@ -160,6 +166,7 @@ class FlowTable {
     std::size_t conn_index;
     DirState orig;
     DirState resp;
+    bool saw_fin = false;  // either side has sent a FIN
     bool closed = false;
     bool dirty = false;  // touched since the last take_dirty()
     bool freed = false;  // slot parked on the reclaim free list

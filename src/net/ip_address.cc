@@ -37,8 +37,4 @@ Subnet Subnet::parse(const std::string& cidr) {
   return Subnet(base, len);
 }
 
-std::string Subnet::to_string() const {
-  return Ipv4Address(base_).to_string() + "/" + std::to_string(prefix_len_);
-}
-
 }  // namespace entrace

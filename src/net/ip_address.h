@@ -53,7 +53,6 @@ class Subnet {
   constexpr int prefix_len() const { return prefix_len_; }
   // Host address at the given offset within the subnet.
   constexpr Ipv4Address host(std::uint32_t offset) const { return Ipv4Address(base_ + offset); }
-  std::string to_string() const;
 
   friend constexpr auto operator<=>(const Subnet&, const Subnet&) = default;
 

@@ -145,11 +145,12 @@ std::optional<DceIface> pipe_iface(const std::string& name) {
 
 // ---- Parser -----------------------------------------------------------------
 
-CifsParser::CifsParser(AppEvents& events, bool netbios_framing)
-    : events_(events), netbios_framing_(netbios_framing) {}
+CifsParser::CifsParser(AppEvents& events, AppRegistry& registry, bool netbios_framing)
+    : events_(events), registry_(registry), netbios_framing_(netbios_framing) {}
 
 void CifsParser::on_data(Connection& conn, Direction dir, double ts,
                          std::span<const std::uint8_t> data) {
+  (void)ts;
   if (broken_) return;
   StreamBuffer& buf = dir == Direction::kOrigToResp ? client_buf_ : server_buf_;
   buf.append(data);
@@ -158,10 +159,10 @@ void CifsParser::on_data(Connection& conn, Direction dir, double ts,
     note_anomaly(AnomalyKind::kAppParseError);
     return;
   }
-  parse_stream(conn, dir, ts, buf);
+  parse_stream(conn, dir, buf);
 }
 
-void CifsParser::parse_stream(Connection& conn, Direction dir, double ts, StreamBuffer& buf) {
+void CifsParser::parse_stream(const Connection& conn, Direction dir, StreamBuffer& buf) {
   for (;;) {
     auto avail = buf.data();
     if (avail.size() < 4) return;
@@ -172,18 +173,16 @@ void CifsParser::parse_stream(Connection& conn, Direction dir, double ts, Stream
 
     switch (type) {
       case nbss::kSessionRequest:
-        events_.nbss.push_back({conn.key.src, conn.key.dst, ts, NbssEventType::kRequest});
+        events_.nbss.push_back({conn.key.src, conn.key.dst, NbssEventType::kRequest});
         break;
       case nbss::kPositiveResponse:
-        events_.nbss.push_back(
-            {conn.key.src, conn.key.dst, ts, NbssEventType::kPositiveResponse});
+        events_.nbss.push_back({conn.key.src, conn.key.dst, NbssEventType::kPositiveResponse});
         break;
       case nbss::kNegativeResponse:
-        events_.nbss.push_back(
-            {conn.key.src, conn.key.dst, ts, NbssEventType::kNegativeResponse});
+        events_.nbss.push_back({conn.key.src, conn.key.dst, NbssEventType::kNegativeResponse});
         break;
       case nbss::kSessionMessage:
-        handle_smb(conn, dir, ts, payload, len + 4);
+        handle_smb(dir, payload, len + 4);
         break;
       default:
         // Unknown NBSS frame type: the framing is lost, bail on the stream.
@@ -200,14 +199,14 @@ CifsParser::PipeState& CifsParser::pipe_state(std::uint16_t fid) {
   if (it == pipes_.end()) {
     auto [new_it, _] = pipes_.emplace(fid, PipeState{});
     new_it->second.session =
-        std::make_unique<DceRpcSession>(events_.dcerpc, events_.epm, /*over_pipe=*/true);
+        std::make_unique<DceRpcSession>(events_.dcerpc, registry_, events_.epm, /*over_pipe=*/true);
     return new_it->second;
   }
   return it->second;
 }
 
-void CifsParser::handle_smb(Connection& conn, Direction dir, double ts,
-                            std::span<const std::uint8_t> smb, std::uint32_t framed_len) {
+void CifsParser::handle_smb(Direction dir, std::span<const std::uint8_t> smb,
+                            std::uint32_t framed_len) {
   ByteReader r(smb);
   if (r.u8() != 0xFF || r.string(3) != "SMB") {
     broken_ = true;
@@ -278,7 +277,7 @@ void CifsParser::handle_smb(Connection& conn, Direction dir, double ts,
         } else if (cmd == smbcmd::kReadAndX && dir == Direction::kRespToOrig) {
           ps.to_client.feed(bytes, pdus, anomaly_sink());
         }
-        for (const auto& pdu : pdus) ps.session->handle_pdu(conn, ts, pdu);
+        for (const auto& pdu : pdus) ps.session->handle_pdu(pdu);
       }
       break;
     }
@@ -295,10 +294,6 @@ void CifsParser::handle_smb(Connection& conn, Direction dir, double ts,
   }
 
   CifsCommand evt;
-  evt.src = conn.key.src;
-  evt.dst = conn.key.dst;
-  evt.ts = ts;
-  evt.command = cmd;
   evt.category = classify(cmd, fid, trans_name);
   evt.dir = dir;
   evt.msg_bytes = framed_len;

@@ -85,8 +85,9 @@ std::optional<DceIface> pipe_iface(const std::string& name);
 class CifsParser : public AppParser {
  public:
   // netbios_framing: true for TCP 139 (session request handshake precedes
-  // SMB), false for TCP 445 (direct).  Both use NBSS record framing.
-  CifsParser(AppEvents& events, bool netbios_framing);
+  // SMB), false for TCP 445 (direct).  Both use NBSS record framing.  Pipe
+  // sessions register the Endpoint Mapper replies they decode in `registry`.
+  CifsParser(AppEvents& events, AppRegistry& registry, bool netbios_framing);
 
   void on_data(Connection& conn, Direction dir, double ts,
                std::span<const std::uint8_t> data) override;
@@ -98,13 +99,13 @@ class CifsParser : public AppParser {
     std::unique_ptr<DceRpcSession> session;
   };
 
-  void parse_stream(Connection& conn, Direction dir, double ts, StreamBuffer& buf);
-  void handle_smb(Connection& conn, Direction dir, double ts,
-                  std::span<const std::uint8_t> smb, std::uint32_t framed_len);
+  void parse_stream(const Connection& conn, Direction dir, StreamBuffer& buf);
+  void handle_smb(Direction dir, std::span<const std::uint8_t> smb, std::uint32_t framed_len);
   CifsCategory classify(std::uint8_t cmd, std::uint16_t fid, const std::string& trans_name);
   PipeState& pipe_state(std::uint16_t fid);
 
   AppEvents& events_;
+  AppRegistry& registry_;
   bool netbios_framing_;
   StreamBuffer client_buf_;
   StreamBuffer server_buf_;

@@ -271,11 +271,11 @@ void DceRpcStream::feed(std::span<const std::uint8_t> data, std::vector<DcePdu>&
   if (resynced && anomalies) anomalies->add(AnomalyKind::kAppParseError);
 }
 
-DceRpcSession::DceRpcSession(std::vector<DceRpcCall>& calls, std::vector<EpmMapping>& mappings,
-                             bool over_pipe)
-    : calls_(calls), mappings_(mappings), over_pipe_(over_pipe) {}
+DceRpcSession::DceRpcSession(std::vector<DceRpcCall>& calls, AppRegistry& registry,
+                             std::uint64_t& mappings, bool over_pipe)
+    : calls_(calls), registry_(registry), mappings_(mappings), over_pipe_(over_pipe) {}
 
-void DceRpcSession::handle_pdu(Connection& conn, double ts, const DcePdu& pdu) {
+void DceRpcSession::handle_pdu(const DcePdu& pdu) {
   switch (pdu.ptype) {
     case dce_ptype::kBind:
       if (pdu.bind_uuid) iface_ = dce_iface_from_uuid(*pdu.bind_uuid);
@@ -283,9 +283,6 @@ void DceRpcSession::handle_pdu(Connection& conn, double ts, const DcePdu& pdu) {
     case dce_ptype::kRequest: {
       call_opnums_[pdu.call_id] = pdu.opnum;
       DceRpcCall call;
-      call.src = conn.key.src;
-      call.dst = conn.key.dst;
-      call.ts = ts;
       call.iface = iface_;
       call.opnum = pdu.opnum;
       call.over_pipe = over_pipe_;
@@ -296,9 +293,6 @@ void DceRpcSession::handle_pdu(Connection& conn, double ts, const DcePdu& pdu) {
     }
     case dce_ptype::kResponse: {
       DceRpcCall call;
-      call.src = conn.key.src;
-      call.dst = conn.key.dst;
-      call.ts = ts;
       call.iface = iface_;
       auto it = call_opnums_.find(pdu.call_id);
       call.opnum = it != call_opnums_.end() ? it->second : 0;
@@ -312,14 +306,8 @@ void DceRpcSession::handle_pdu(Connection& conn, double ts, const DcePdu& pdu) {
         Ipv4Address server;
         std::uint16_t port;
         if (decode_epm_map_stub(pdu.stub, uuid, server, port)) {
-          EpmMapping m;
-          m.src = conn.key.src;
-          m.dst = conn.key.dst;
-          m.ts = ts;
-          m.server = server;
-          m.port = port;
-          m.iface = dce_iface_from_uuid(uuid);
-          mappings_.push_back(m);
+          registry_.register_dcerpc_endpoint(server, port);
+          ++mappings_;
         }
       }
       break;
@@ -329,14 +317,17 @@ void DceRpcSession::handle_pdu(Connection& conn, double ts, const DcePdu& pdu) {
   }
 }
 
-DceRpcParser::DceRpcParser(std::vector<DceRpcCall>& calls, std::vector<EpmMapping>& mappings)
-    : session_(calls, mappings, /*over_pipe=*/false) {}
+DceRpcParser::DceRpcParser(std::vector<DceRpcCall>& calls, AppRegistry& registry,
+                           std::uint64_t& mappings)
+    : session_(calls, registry, mappings, /*over_pipe=*/false) {}
 
 void DceRpcParser::on_data(Connection& conn, Direction dir, double ts,
                            std::span<const std::uint8_t> data) {
+  (void)conn;
+  (void)ts;
   std::vector<DcePdu> pdus;
   (dir == Direction::kOrigToResp ? orig_stream_ : resp_stream_).feed(data, pdus, anomaly_sink());
-  for (const auto& pdu : pdus) session_.handle_pdu(conn, ts, pdu);
+  for (const auto& pdu : pdus) session_.handle_pdu(pdu);
 }
 
 }  // namespace entrace

@@ -18,6 +18,7 @@
 #include "net/ip_address.h"
 #include "proto/events.h"
 #include "proto/parser.h"
+#include "proto/registry.h"
 #include "proto/stream_buffer.h"
 
 namespace entrace {
@@ -79,18 +80,21 @@ class DceRpcStream {
 };
 
 // Sink shared by the stand-alone parser and the CIFS pipe path: translates
-// PDUs into DceRpcCall / EpmMapping events.
+// PDUs into DceRpcCall events.  A decoded Endpoint Mapper reply registers
+// its (server, port) in `registry` at once, so the next connection to that
+// endpoint is identified as DCE/RPC, and adds one to `mappings`.
 class DceRpcSession {
  public:
-  DceRpcSession(std::vector<DceRpcCall>& calls, std::vector<EpmMapping>& mappings,
+  DceRpcSession(std::vector<DceRpcCall>& calls, AppRegistry& registry, std::uint64_t& mappings,
                 bool over_pipe);
 
-  void handle_pdu(Connection& conn, double ts, const DcePdu& pdu);
+  void handle_pdu(const DcePdu& pdu);
   DceIface bound_iface() const { return iface_; }
 
  private:
   std::vector<DceRpcCall>& calls_;
-  std::vector<EpmMapping>& mappings_;
+  AppRegistry& registry_;
+  std::uint64_t& mappings_;
   bool over_pipe_;
   DceIface iface_ = DceIface::kOther;
   std::map<std::uint32_t, std::uint16_t> call_opnums_;
@@ -98,7 +102,7 @@ class DceRpcSession {
 
 class DceRpcParser : public AppParser {
  public:
-  DceRpcParser(std::vector<DceRpcCall>& calls, std::vector<EpmMapping>& mappings);
+  DceRpcParser(std::vector<DceRpcCall>& calls, AppRegistry& registry, std::uint64_t& mappings);
 
   void on_data(Connection& conn, Direction dir, double ts,
                std::span<const std::uint8_t> data) override;

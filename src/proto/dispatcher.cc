@@ -50,13 +50,13 @@ std::unique_ptr<AppParser> ProtocolDispatcher::make_parser(const Connection& con
     case AppProtocol::kNetbiosNs:
       return std::make_unique<NbnsParser>(events_.nbns);
     case AppProtocol::kNetbiosSsn:
-      return std::make_unique<CifsParser>(events_, /*netbios_framing=*/true);
+      return std::make_unique<CifsParser>(events_, registry_, /*netbios_framing=*/true);
     case AppProtocol::kCifs:
-      return std::make_unique<CifsParser>(events_, /*netbios_framing=*/false);
+      return std::make_unique<CifsParser>(events_, registry_, /*netbios_framing=*/false);
     case AppProtocol::kEndpointMapper:
     case AppProtocol::kDceRpc:
       if (conn.key.proto == ipproto::kTcp)
-        return std::make_unique<DceRpcParser>(events_.dcerpc, events_.epm);
+        return std::make_unique<DceRpcParser>(events_.dcerpc, registry_, events_.epm);
       return nullptr;
     case AppProtocol::kNfs:
       return std::make_unique<NfsParser>(events_.nfs, conn.key.proto == ipproto::kTcp);
@@ -76,14 +76,6 @@ void ProtocolDispatcher::on_data(Connection& conn, Direction dir, double ts,
     parser->on_datagram(conn, dir, ts, data, wire_len);
   } else {
     parser->on_data(conn, dir, ts, data);
-  }
-  register_new_epm_mappings();
-}
-
-void ProtocolDispatcher::register_new_epm_mappings() {
-  while (registered_epm_ < events_.epm.size()) {
-    const EpmMapping& m = events_.epm[registered_epm_++];
-    registry_.register_dcerpc_endpoint(m.server, m.port);
   }
 }
 

@@ -1,7 +1,8 @@
 // ProtocolDispatcher: the glue between the flow table and the application
 // parsers.  Identifies each connection (port-based plus dynamic DCE/RPC
-// endpoints), instantiates the right parser, feeds it stream data, and
-// registers Endpoint Mapper results back into the registry so later
+// endpoints), instantiates the right parser and feeds it stream data.  The
+// DCE/RPC parsers (stand-alone and CIFS pipes) register each Endpoint
+// Mapper reply in the same registry as they decode it, so later
 // ephemeral-port connections are classified — mirroring the two-channel
 // DCE/RPC analysis of §5.2.1.
 #pragma once
@@ -30,15 +31,8 @@ class ProtocolDispatcher : public FlowObserver {
                std::uint32_t wire_len) override;
   void on_close(Connection& conn) override;
 
-  // The windowed engine moves the contents of `events_` out at each window
-  // rotation (the vectors themselves stay alive, so parser references remain
-  // valid).  This resets the EPM registration cursor to match the now-empty
-  // event vectors; dynamic endpoints already registered stay registered.
-  void on_events_rotated() { registered_epm_ = 0; }
-
  private:
   std::unique_ptr<AppParser> make_parser(const Connection& conn, AppProtocol app);
-  void register_new_epm_mappings();
 
   AppRegistry& registry_;
   AppEvents& events_;
@@ -51,7 +45,6 @@ class ProtocolDispatcher : public FlowObserver {
   // simultaneously open parsed connections.
   std::vector<std::unique_ptr<AppParser>> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::size_t registered_epm_ = 0;
 };
 
 }  // namespace entrace

@@ -119,7 +119,6 @@ void DnsParser::on_data(Connection& conn, Direction dir, double ts,
     txn.dst = conn.key.dst;
     txn.query_ts = ts;
     txn.qtype = msg->qtype;
-    txn.qname = msg->qname;
     pending_[msg->id] = std::move(txn);
   } else {
     auto it = pending_.find(msg->id);

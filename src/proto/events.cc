@@ -35,13 +35,13 @@ void AppEvents::merge(AppEvents&& other) {
     src.clear();
   };
   append(http, other.http);
-  append(smtp, other.smtp);
+  smtp += other.smtp;
   append(dns, other.dns);
   append(nbns, other.nbns);
   append(nbss, other.nbss);
   append(cifs, other.cifs);
   append(dcerpc, other.dcerpc);
-  append(epm, other.epm);
+  epm += other.epm;
   append(nfs, other.nfs);
   append(ncp, other.ncp);
 }

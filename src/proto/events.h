@@ -2,12 +2,19 @@
 // consumed by the analysis modules.  One AppEvents instance accumulates all
 // events of a dataset.
 //
-// Every event carries its connection's originator and responder by value
-// (src, dst: Connection::key.src and key.dst at emission), the way Zeek's
-// application logs carry id.orig_h / id.resp_h.  Those two addresses are
-// all an analysis reads of an event's connection, so an event holds no
-// pointer into a FlowTable: a shard's events stay valid when its table is
-// copied, rotated, folded or decoded, and .esnap writes them as they are.
+// An event holds only what a report line, a metric or a shipped tool reads
+// of it (DESIGN.md §9 lists each field's reader, and tests/field_audit_test.cc
+// checks that mutating it moves the report).  Parsers still parse whatever
+// they need for framing (an HTTP request line, a DNS question), but keep
+// none of it.  SMTP commands and Endpoint Mapper mappings are counts: the
+// report reads only how many there were, and a mapping's endpoint goes
+// straight into the stream's AppRegistry.
+//
+// An event that a per-host analysis groups carries its connection's
+// endpoints by value (src, dst: Connection::key.src and key.dst at
+// emission), the way Zeek's application logs carry id.orig_h / id.resp_h.
+// No event holds a pointer into a FlowTable, so a shard's events stay valid
+// when its connections are copied, rotated, folded or decoded.
 #pragma once
 
 #include <cstdint>
@@ -22,24 +29,12 @@ namespace entrace {
 // ---- HTTP (§5.1.1) ---------------------------------------------------------
 struct HttpTransaction {
   Ipv4Address src, dst;  // the connection's originator and responder
-  double req_ts = 0.0;
-  double resp_ts = 0.0;
-  std::string method;
-  std::string uri;
-  std::string host;
   std::string user_agent;
   bool conditional = false;  // carried an If-Modified-Since / If-None-Match
   bool has_response = false;
   int status = 0;
   std::string content_type;     // media type only, e.g. "image/gif"
   std::uint64_t resp_body_len = 0;
-};
-
-// ---- Email -----------------------------------------------------------------
-struct SmtpCommand {
-  Ipv4Address src, dst;  // the connection's originator and responder
-  double ts = 0.0;
-  std::string verb;  // HELO, MAIL, RCPT, DATA, QUIT ...
 };
 
 // ---- DNS / Netbios-NS (§5.1.3) ----------------------------------------------
@@ -60,7 +55,6 @@ struct DnsTransaction {
   double query_ts = 0.0;
   double resp_ts = 0.0;
   std::uint16_t qtype = 0;
-  std::string qname;
   bool has_response = false;
   int rcode = -1;
   double latency() const { return resp_ts - query_ts; }
@@ -70,9 +64,7 @@ enum class NbnsOpcode : std::uint8_t { kQuery, kRegistration, kRelease, kRefresh
 enum class NbnsNameType : std::uint8_t { kWorkstation, kServer, kDomain, kOther };
 
 struct NbnsTransaction {
-  Ipv4Address src, dst;  // the connection's originator and responder
-  double query_ts = 0.0;
-  double resp_ts = 0.0;
+  Ipv4Address src;  // the connection's originator
   NbnsOpcode opcode = NbnsOpcode::kQuery;
   NbnsNameType name_type = NbnsNameType::kWorkstation;
   std::string name;
@@ -85,7 +77,6 @@ enum class NbssEventType : std::uint8_t { kRequest, kPositiveResponse, kNegative
 
 struct NbssEvent {
   Ipv4Address src, dst;  // the connection's originator and responder
-  double ts = 0.0;
   NbssEventType type = NbssEventType::kRequest;
 };
 
@@ -100,9 +91,6 @@ enum class CifsCategory : std::uint8_t {
 const char* to_string(CifsCategory c);
 
 struct CifsCommand {
-  Ipv4Address src, dst;  // the connection's originator and responder
-  double ts = 0.0;
-  std::uint8_t command = 0;
   CifsCategory category = CifsCategory::kOther;
   Direction dir = Direction::kOrigToResp;
   std::uint32_t msg_bytes = 0;  // whole SMB message incl. data payload
@@ -113,8 +101,6 @@ enum class DceIface : std::uint8_t { kNetLogon, kLsaRpc, kSpoolss, kEpm, kSamr, 
 const char* to_string(DceIface i);
 
 struct DceRpcCall {
-  Ipv4Address src, dst;  // the connection's originator and responder
-  double ts = 0.0;
   DceIface iface = DceIface::kOther;
   std::uint16_t opnum = 0;
   bool over_pipe = false;  // named pipe vs stand-alone TCP
@@ -130,14 +116,6 @@ inline constexpr std::uint16_t kEndDocPrinter = 23;
 inline constexpr std::uint16_t kOpenPrinter = 1;
 }  // namespace spoolss_op
 
-struct EpmMapping {
-  Ipv4Address src, dst;  // the connection's originator and responder
-  double ts = 0.0;
-  Ipv4Address server;
-  std::uint16_t port = 0;
-  DceIface iface = DceIface::kOther;
-};
-
 // ---- NFS / NCP (§5.2.2) -------------------------------------------------------
 // NFSv3 procedure numbers (RFC 1813).
 namespace nfsproc {
@@ -150,8 +128,6 @@ inline constexpr std::uint32_t kWrite = 7;
 
 struct NfsCall {
   Ipv4Address src, dst;  // the connection's originator and responder
-  double req_ts = 0.0;
-  double resp_ts = 0.0;
   std::uint32_t proc = 0;
   bool has_reply = false;
   std::uint32_t status = 0;  // 0 = NFS3_OK
@@ -174,8 +150,6 @@ const char* to_string(NcpFunction f);
 
 struct NcpCall {
   Ipv4Address src, dst;  // the connection's originator and responder
-  double req_ts = 0.0;
-  double resp_ts = 0.0;
   NcpFunction function = NcpFunction::kOther;
   bool has_reply = false;
   std::uint8_t completion_code = 0;  // 0 = success
@@ -186,23 +160,24 @@ struct NcpCall {
 // ---- Collector ----------------------------------------------------------------
 struct AppEvents {
   std::vector<HttpTransaction> http;
-  std::vector<SmtpCommand> smtp;
+  std::uint64_t smtp = 0;  // SMTP commands (HELO, MAIL, RCPT, DATA, QUIT ...)
   std::vector<DnsTransaction> dns;
   std::vector<NbnsTransaction> nbns;
   std::vector<NbssEvent> nbss;
   std::vector<CifsCommand> cifs;
   std::vector<DceRpcCall> dcerpc;
-  std::vector<EpmMapping> epm;
+  std::uint64_t epm = 0;  // Endpoint Mapper mappings decoded
   std::vector<NfsCall> nfs;
   std::vector<NcpCall> ncp;
 
   std::size_t total() const {
-    return http.size() + smtp.size() + dns.size() + nbns.size() + nbss.size() + cifs.size() +
-           dcerpc.size() + epm.size() + nfs.size() + ncp.size();
+    return http.size() + smtp + dns.size() + nbns.size() + nbss.size() + cifs.size() +
+           dcerpc.size() + epm + nfs.size() + ncp.size();
   }
 
-  // Append another shard's events (moved from).  Folding per-trace shards
-  // in trace-index order reproduces the event order of a serial pass.
+  // Append another shard's events (moved from) and add its counts.
+  // Folding per-trace shards in trace-index order reproduces the event
+  // order of a serial pass.
   void merge(AppEvents&& other);
 };
 

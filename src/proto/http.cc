@@ -53,6 +53,7 @@ bool HttpParser::extract_header_block(const StreamBuffer& buf, std::string_view&
 
 void HttpParser::on_data(Connection& conn, Direction dir, double ts,
                          std::span<const std::uint8_t> data) {
+  (void)ts;
   if (dir == Direction::kOrigToResp) {
     if (client_broken_) return;
     client_buf_.append(data);
@@ -61,7 +62,7 @@ void HttpParser::on_data(Connection& conn, Direction dir, double ts,
       note_anomaly(AnomalyKind::kAppParseError);
       return;
     }
-    parse_requests(conn, ts);
+    parse_requests(conn);
   } else {
     if (server_broken_) return;
     server_buf_.append(data);
@@ -70,11 +71,11 @@ void HttpParser::on_data(Connection& conn, Direction dir, double ts,
       note_anomaly(AnomalyKind::kAppParseError);
       return;
     }
-    parse_responses(conn, ts);
+    parse_responses();
   }
 }
 
-void HttpParser::parse_requests(Connection& conn, double ts) {
+void HttpParser::parse_requests(const Connection& conn) {
   std::string_view block;
   std::size_t consumed;
   while (extract_header_block(client_buf_, block, consumed)) {
@@ -91,10 +92,6 @@ void HttpParser::parse_requests(Connection& conn, double ts) {
     HttpTransaction txn;
     txn.src = conn.key.src;
     txn.dst = conn.key.dst;
-    txn.req_ts = ts;
-    txn.method = std::string(parts[0]);
-    txn.uri = std::string(parts[1]);
-    txn.host = std::string(httpdetail::find_header(block, "Host"));
     txn.user_agent = std::string(httpdetail::find_header(block, "User-Agent"));
     txn.conditional = !httpdetail::find_header(block, "If-Modified-Since").empty() ||
                       !httpdetail::find_header(block, "If-None-Match").empty();
@@ -105,8 +102,7 @@ void HttpParser::parse_requests(Connection& conn, double ts) {
   }
 }
 
-void HttpParser::parse_responses(Connection& conn, double ts) {
-  (void)conn;
+void HttpParser::parse_responses() {
   std::string_view block;
   std::size_t consumed;
   while (extract_header_block(server_buf_, block, consumed)) {
@@ -133,7 +129,6 @@ void HttpParser::parse_responses(Connection& conn, double ts) {
     HttpTransaction txn = std::move(pending_.front());
     pending_.pop_front();
     txn.has_response = true;
-    txn.resp_ts = ts;
     txn.status = status;
     txn.content_type = std::string(ctype);
     txn.resp_body_len = body;

@@ -1,9 +1,10 @@
 // HTTP/1.x request/response parsing (§5.1.1).
 //
-// Extracts the fields the paper's web analysis needs: method, URI, Host,
-// User-Agent (automated-client identification), conditional-GET headers,
-// response status, Content-Type and body length.  Handles pipelined
-// transactions by pairing requests and responses FIFO.
+// Extracts the fields the paper's web analysis reads: User-Agent
+// (automated-client identification), conditional-GET headers, response
+// status, Content-Type and body length.  The request line is checked for
+// framing only.  Handles pipelined transactions by pairing requests and
+// responses FIFO.
 #pragma once
 
 #include <deque>
@@ -25,8 +26,8 @@ class HttpParser : public AppParser {
   void on_close(Connection& conn) override;
 
  private:
-  void parse_requests(Connection& conn, double ts);
-  void parse_responses(Connection& conn, double ts);
+  void parse_requests(const Connection& conn);
+  void parse_responses();
   // Returns the header block (up to but excluding the blank line) if a
   // complete one is buffered, and its total size including the terminator.
   static bool extract_header_block(const StreamBuffer& buf, std::string_view& block,

@@ -65,6 +65,7 @@ NcpParser::NcpParser(std::vector<NcpCall>& out) : out_(out) {}
 
 void NcpParser::on_data(Connection& conn, Direction dir, double ts,
                         std::span<const std::uint8_t> data) {
+  (void)ts;
   StreamBuffer& buf = dir == Direction::kOrigToResp ? orig_buf_ : resp_buf_;
   if (broken_) return;
   buf.append(data);
@@ -100,18 +101,17 @@ void NcpParser::on_data(Connection& conn, Direction dir, double ts,
       msg.completion = code;
     }
     msg.total_len = total;
-    handle_message(conn, ts, msg);
+    handle_message(conn, msg);
     buf.consume(total);
   }
   if (resynced) note_anomaly(AnomalyKind::kAppParseError);
 }
 
-void NcpParser::handle_message(Connection& conn, double ts, const NcpMessage& msg) {
+void NcpParser::handle_message(const Connection& conn, const NcpMessage& msg) {
   if (msg.is_request) {
     NcpCall call;
     call.src = conn.key.src;
     call.dst = conn.key.dst;
-    call.req_ts = ts;
     call.function = ncp_function_enum(msg.function);
     call.req_bytes = msg.total_len;
     pending_[msg.sequence] = call;
@@ -121,7 +121,6 @@ void NcpParser::handle_message(Connection& conn, double ts, const NcpMessage& ms
     NcpCall call = it->second;
     pending_.erase(it);
     call.has_reply = true;
-    call.resp_ts = ts;
     call.completion_code = msg.completion;
     call.resp_bytes = msg.total_len;
     out_.push_back(call);

@@ -56,7 +56,7 @@ class NcpParser : public AppParser {
   void on_close(Connection& conn) override;
 
  private:
-  void handle_message(Connection& conn, double ts, const NcpMessage& msg);
+  void handle_message(const Connection& conn, const NcpMessage& msg);
 
   std::vector<NcpCall>& out_;
   bool broken_ = false;  // a stream buffer overflowed; stop parsing

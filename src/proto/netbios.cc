@@ -120,6 +120,7 @@ NbnsParser::NbnsParser(std::vector<NbnsTransaction>& out) : out_(out) {}
 void NbnsParser::on_data(Connection& conn, Direction dir, double ts,
                          std::span<const std::uint8_t> data) {
   (void)dir;
+  (void)ts;
   auto msg = decode_nbns(data);
   if (!msg) {
     note_anomaly(AnomalyKind::kAppParseError);
@@ -128,8 +129,6 @@ void NbnsParser::on_data(Connection& conn, Direction dir, double ts,
   if (!msg->is_response) {
     NbnsTransaction txn;
     txn.src = conn.key.src;
-    txn.dst = conn.key.dst;
-    txn.query_ts = ts;
     txn.opcode = nbns_opcode_enum(msg->opcode);
     txn.name_type = nbns_name_type(msg->suffix);
     txn.name = msg->name;
@@ -140,7 +139,6 @@ void NbnsParser::on_data(Connection& conn, Direction dir, double ts,
     NbnsTransaction txn = std::move(it->second);
     pending_.erase(it);
     txn.has_response = true;
-    txn.resp_ts = ts;
     txn.rcode = msg->rcode;
     out_.push_back(std::move(txn));
   }

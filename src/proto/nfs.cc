@@ -126,7 +126,7 @@ NfsParser::NfsParser(std::vector<NfsCall>& out, bool is_tcp) : out_(out), is_tcp
 void NfsParser::on_datagram(Connection& conn, Direction dir, double ts,
                             std::span<const std::uint8_t> data, std::uint32_t wire_len) {
   if (!is_tcp_) {
-    handle_message(conn, ts, data, wire_len);
+    handle_message(conn, data, wire_len);
     return;
   }
   on_data(conn, dir, ts, data);
@@ -134,8 +134,9 @@ void NfsParser::on_datagram(Connection& conn, Direction dir, double ts,
 
 void NfsParser::on_data(Connection& conn, Direction dir, double ts,
                         std::span<const std::uint8_t> data) {
+  (void)ts;
   if (!is_tcp_) {
-    handle_message(conn, ts, data, static_cast<std::uint32_t>(data.size()));
+    handle_message(conn, data, static_cast<std::uint32_t>(data.size()));
     return;
   }
   StreamBuffer& buf = dir == Direction::kOrigToResp ? orig_buf_ : resp_buf_;
@@ -160,13 +161,13 @@ void NfsParser::on_data(Connection& conn, Direction dir, double ts,
       continue;
     }
     if (avail.size() < 4 + len) break;
-    handle_message(conn, ts, avail.subspan(4, len), len);
+    handle_message(conn, avail.subspan(4, len), len);
     buf.consume(4 + len);
   }
   if (resynced) note_anomaly(AnomalyKind::kAppParseError);
 }
 
-void NfsParser::handle_message(Connection& conn, double ts, std::span<const std::uint8_t> msg,
+void NfsParser::handle_message(const Connection& conn, std::span<const std::uint8_t> msg,
                                std::uint32_t wire_len) {
   auto rpc = decode_rpc(msg);
   if (!rpc) {
@@ -179,7 +180,6 @@ void NfsParser::handle_message(Connection& conn, double ts, std::span<const std:
     NfsCall call;
     call.src = conn.key.src;
     call.dst = conn.key.dst;
-    call.req_ts = ts;
     call.proc = rpc->proc;
     call.req_bytes = size;
     pending_[rpc->xid] = call;
@@ -189,7 +189,6 @@ void NfsParser::handle_message(Connection& conn, double ts, std::span<const std:
     NfsCall call = it->second;
     pending_.erase(it);
     call.has_reply = true;
-    call.resp_ts = ts;
     call.status = rpc->status;
     call.resp_bytes = size;
     out_.push_back(call);

@@ -56,7 +56,7 @@ class NfsParser : public AppParser {
   void on_close(Connection& conn) override;
 
  private:
-  void handle_message(Connection& conn, double ts, std::span<const std::uint8_t> msg,
+  void handle_message(const Connection& conn, std::span<const std::uint8_t> msg,
                       std::uint32_t wire_len);
 
   std::vector<NfsCall>& out_;

@@ -267,8 +267,4 @@ bool AppRegistry::is_dcerpc_endpoint(Ipv4Address server, std::uint16_t port) con
   return dcerpc_endpoints_.count({server.value(), port}) > 0;
 }
 
-void AppRegistry::merge_dynamic_endpoints(const AppRegistry& other) {
-  dcerpc_endpoints_.insert(other.dcerpc_endpoints_.begin(), other.dcerpc_endpoints_.end());
-}
-
 }  // namespace entrace

@@ -4,10 +4,11 @@
 // Identification is primarily port-based (as in the paper's Bro policy),
 // with one dynamic element: DCE/RPC services on ephemeral ports are
 // identified by watching Endpoint Mapper traffic (§5.2.1), which the
-// dispatcher registers here at parse time.  The well-known port table is
-// one sorted constant array shared by the whole process; an AppRegistry
-// holds only its dynamic endpoints, so a fresh one allocates nothing.
-// Every TraceShard carries one and every window rotation copies one.
+// DCE/RPC parsers register here as they decode it.  The well-known port
+// table is one sorted constant array shared by the whole process; an
+// AppRegistry holds only its dynamic endpoints, so a fresh one allocates
+// nothing.  Each trace's engine (TraceStream) owns one for the life of the
+// trace; identification is its only reader, so no shard carries one.
 #pragma once
 
 #include <cstdint>
@@ -166,17 +167,6 @@ class AppRegistry {
   void register_dcerpc_endpoint(Ipv4Address server, std::uint16_t port);
   bool is_dcerpc_endpoint(Ipv4Address server, std::uint16_t port) const;
   std::size_t dynamic_endpoint_count() const { return dcerpc_endpoints_.size(); }
-
-  // Fold the dynamic endpoints learned by another (per-trace) registry into
-  // this one.  The static port table is shared, not per registry.
-  void merge_dynamic_endpoints(const AppRegistry& other);
-
-  // Snapshot support (src/snapshot): the dynamic (server, port) endpoints
-  // in ascending order; a registry rebuilt by register_dcerpc_endpoint over
-  // them is equivalent.
-  const std::set<std::pair<std::uint32_t, std::uint16_t>>& dynamic_endpoints() const {
-    return dcerpc_endpoints_;
-  }
 
  private:
   std::set<std::pair<std::uint32_t, std::uint16_t>> dcerpc_endpoints_;

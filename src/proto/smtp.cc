@@ -1,15 +1,17 @@
 #include "proto/smtp.h"
 
-#include <string>
+#include <string_view>
 
 #include "util/strings.h"
 
 namespace entrace {
 
-SmtpParser::SmtpParser(std::vector<SmtpCommand>& out) : out_(out) {}
+SmtpParser::SmtpParser(std::uint64_t& commands) : commands_(commands) {}
 
 void SmtpParser::on_data(Connection& conn, Direction dir, double ts,
                          std::span<const std::uint8_t> data) {
+  (void)conn;
+  (void)ts;
   if (dir != Direction::kOrigToResp) return;  // only command stream
   if (broken_) return;
   client_buf_.append(data);
@@ -27,18 +29,17 @@ void SmtpParser::on_data(Connection& conn, Direction dir, double ts,
       if (in_data_ && buf.size() > 4096) client_buf_.consume(buf.size() - 4);
       return;
     }
-    const std::string line(trim(buf.substr(0, eol)));
-    client_buf_.consume(eol + 2);
+    const std::string_view line = trim(buf.substr(0, eol));
+    const std::string_view verb = line.substr(0, line.find(' '));
+    const bool body_ends = line == ".";
+    const bool body_starts = verb.size() == 4 && starts_with_icase(verb, "DATA");
+    client_buf_.consume(eol + 2);  // invalidates line and verb
     if (in_data_) {
-      if (line == ".") in_data_ = false;
-      continue;
+      in_data_ = !body_ends;
+    } else if (!verb.empty()) {
+      in_data_ = body_starts;
+      ++commands_;
     }
-    const std::size_t sp = line.find(' ');
-    std::string verb = to_lower(sp == std::string::npos ? line : line.substr(0, sp));
-    if (verb.empty()) continue;
-    for (char& c : verb) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-    if (verb == "DATA") in_data_ = true;
-    out_.push_back({conn.key.src, conn.key.dst, ts, std::move(verb)});
   }
 }
 

@@ -1,10 +1,10 @@
 // Light SMTP command parsing.  The paper analyzes email mostly at the
 // transport layer (payloads are often encrypted); we parse the SMTP command
-// stream where visible, both to validate the email traffic model and to
-// classify connections.
+// stream where visible to validate the email traffic model, counting the
+// commands (app.events.smtp) and skipping message bodies.
 #pragma once
 
-#include <vector>
+#include <cstdint>
 
 #include "proto/events.h"
 #include "proto/parser.h"
@@ -14,13 +14,14 @@ namespace entrace {
 
 class SmtpParser : public AppParser {
  public:
-  explicit SmtpParser(std::vector<SmtpCommand>& out);
+  // Each command line adds one to `commands`.
+  explicit SmtpParser(std::uint64_t& commands);
 
   void on_data(Connection& conn, Direction dir, double ts,
                std::span<const std::uint8_t> data) override;
 
  private:
-  std::vector<SmtpCommand>& out_;
+  std::uint64_t& commands_;
   StreamBuffer client_buf_;
   bool in_data_ = false;  // between DATA and the dot terminator
   bool broken_ = false;   // command buffer overflowed; stop parsing

@@ -13,15 +13,14 @@ namespace {
 
 // TraceShard's own members, beside the ShardTotals members that
 // ShardTotals::merge_from checks (core/analyzer.cc).  A new member changes
-// the size (unless it is four bytes or less and lands in the padding after
-// subnet_id).
+// the size.  The records inside carry static_asserts of their own, next to
+// their rows in tests/field_audit_test.cc.
 #if defined(__x86_64__) && defined(__GLIBCXX__)
-static_assert(sizeof(TraceShard) == sizeof(ShardTotals) + sizeof(std::int64_t) +
-                                        sizeof(ScannerDetector) +
+static_assert(sizeof(TraceShard) == sizeof(ShardTotals) + sizeof(ScannerDetector) +
                                         sizeof(std::vector<Connection>) + sizeof(TraceLoadRaw),
               "TraceShard's members changed: update its declaration (core/analyzer.h), both "
-              "folds (fold_shards in core/analyzer.cc, WindowFold::add in snapshot/window.cc) "
-              "and the codec (snapshot/codec.cc)");
+              "folds (fold_shards in core/analyzer.cc, WindowFold::add in snapshot/window.cc), "
+              "the codec (snapshot/codec.cc) and tests/field_audit_test.cc");
 #endif
 
 // The last enumerator of every one-byte enum the format carries, and the
@@ -197,9 +196,6 @@ void scanner_state(FieldWriter& io, const TraceShard& s) {
     w.u32(static_cast<std::uint32_t>(obs.extra_seen.size()));
     for (const std::uint32_t dst : obs.extra_seen) w.u32(dst);
   }
-  const auto& known = s.detector.known_scanners();
-  w.u32(static_cast<std::uint32_t>(known.size()));
-  for (const Ipv4Address addr : known) w.u32(addr.value());
 }
 
 // The reader holds the file to the writer's canonical form: sources
@@ -242,8 +238,6 @@ void scanner_state(FieldReader& io, TraceShard& s) {
                                   " names a destination twice");
     }
   }
-  const std::uint32_t known = r.u32();
-  for (std::uint32_t i = 0; i < known; ++i) s.detector.add_known_scanner(Ipv4Address(r.u32()));
 }
 
 // Semantic-class telemetry only: timing metrics describe the shard
@@ -367,8 +361,8 @@ void series(FieldReader& io, IntervalSeries& s) {
 
 template <typename IO, typename S>
 void trace_header(IO& io, S& s) {
-  io.fields(s.subnet_id, s.total_packets, s.total_wire_bytes, s.l3.total, s.l3.ip, s.l3.arp,
-            s.l3.ipx, s.l3.other);
+  io.fields(s.total_packets, s.total_wire_bytes, s.l3.total, s.l3.ip, s.l3.arp, s.l3.ipx,
+            s.l3.other);
 }
 
 template <typename IO, typename S>
@@ -378,65 +372,43 @@ void host_sets(IO& io, S& s) {
   }
 }
 
-// Dynamic DCE/RPC endpoints travel as (server, port) rows in ascending
-// order.  Reading appends each row to EndpointRows, which registers it; a
-// registry rebuilt that way is equivalent.
-struct EndpointRows {
-  using value_type = std::pair<std::uint32_t, std::uint16_t>;
-  AppRegistry& registry;
-  void push_back(const value_type& row) {
-    registry.register_dcerpc_endpoint(Ipv4Address(row.first), row.second);
-  }
-};
-const auto& endpoint_rows(const AppRegistry& registry) { return registry.dynamic_endpoints(); }
-EndpointRows endpoint_rows(AppRegistry& registry) { return {registry}; }
-
-template <typename IO, typename S>
-void dynamic_endpoints(IO& io, S& s) {
-  io.seq(endpoint_rows(s.registry), [&](auto& row) { io.fields(row.first, row.second); });
-}
-
 template <typename IO, typename S>
 void connections(IO& io, S& s) {
   io.seq(s.connections, [&](auto& c) {
     io.fields(c.key.src, c.key.dst, c.key.src_port, c.key.dst_port, c.key.proto, c.start_ts,
-              c.last_ts, c.orig_pkts, c.resp_pkts, c.orig_bytes, c.resp_bytes, c.state, c.saw_syn,
-              c.saw_synack, c.saw_fin, c.saw_rst, c.orig_isn, c.resp_isn, c.retransmissions,
-              c.keepalive_retx, c.icmp_type, c.app_id, c.multicast, c.open_seq);
+              c.last_ts, c.orig_pkts, c.resp_pkts, c.orig_bytes, c.resp_bytes, c.state,
+              c.keepalive_retx, c.app_id, c.multicast, c.open_seq);
   });
 }
 
-// Each event leads with its connection's originator and responder.
+// An event that carries endpoints leads with them; SMTP commands and EPM
+// mappings are counts.
 template <typename IO, typename S>
 void app_events(IO& io, S& s) {
   auto& ev = s.events;
   io.seq(ev.http, [&](auto& e) {
-    io.fields(e.src, e.dst, e.req_ts, e.resp_ts, e.method, e.uri, e.host, e.user_agent,
-              e.conditional, e.has_response, e.status, e.content_type, e.resp_body_len);
+    io.fields(e.src, e.dst, e.user_agent, e.conditional, e.has_response, e.status,
+              e.content_type, e.resp_body_len);
   });
-  io.seq(ev.smtp, [&](auto& e) { io.fields(e.src, e.dst, e.ts, e.verb); });
+  io.fields(ev.smtp);
   io.seq(ev.dns, [&](auto& e) {
-    io.fields(e.src, e.dst, e.query_ts, e.resp_ts, e.qtype, e.qname, e.has_response, e.rcode);
+    io.fields(e.src, e.dst, e.query_ts, e.resp_ts, e.qtype, e.has_response, e.rcode);
   });
   io.seq(ev.nbns, [&](auto& e) {
-    io.fields(e.src, e.dst, e.query_ts, e.resp_ts, e.opcode, e.name_type, e.name,
-              e.has_response, e.rcode);
+    io.fields(e.src, e.opcode, e.name_type, e.name, e.has_response, e.rcode);
   });
-  io.seq(ev.nbss, [&](auto& e) { io.fields(e.src, e.dst, e.ts, e.type); });
-  io.seq(ev.cifs, [&](auto& e) {
-    io.fields(e.src, e.dst, e.ts, e.command, e.category, e.dir, e.msg_bytes);
-  });
+  io.seq(ev.nbss, [&](auto& e) { io.fields(e.src, e.dst, e.type); });
+  io.seq(ev.cifs, [&](auto& e) { io.fields(e.category, e.dir, e.msg_bytes); });
   io.seq(ev.dcerpc, [&](auto& e) {
-    io.fields(e.src, e.dst, e.ts, e.iface, e.opnum, e.over_pipe, e.is_request, e.bytes);
+    io.fields(e.iface, e.opnum, e.over_pipe, e.is_request, e.bytes);
   });
-  io.seq(ev.epm, [&](auto& e) { io.fields(e.src, e.dst, e.ts, e.server, e.port, e.iface); });
+  io.fields(ev.epm);
   io.seq(ev.nfs, [&](auto& e) {
-    io.fields(e.src, e.dst, e.req_ts, e.resp_ts, e.proc, e.has_reply, e.status, e.req_bytes,
-              e.resp_bytes);
+    io.fields(e.src, e.dst, e.proc, e.has_reply, e.status, e.req_bytes, e.resp_bytes);
   });
   io.seq(ev.ncp, [&](auto& e) {
-    io.fields(e.src, e.dst, e.req_ts, e.resp_ts, e.function, e.has_reply, e.completion_code,
-              e.req_bytes, e.resp_bytes);
+    io.fields(e.src, e.dst, e.function, e.has_reply, e.completion_code, e.req_bytes,
+              e.resp_bytes);
   });
 }
 
@@ -467,7 +439,6 @@ void shard_payloads(IO& io, S& s) {
   trace_header(io, s);
   host_sets(io, s);
   scanner_state(io, s);
-  dynamic_endpoints(io, s);
   connections(io, s);
   app_events(io, s);
   trace_load(io, s);

@@ -1,8 +1,10 @@
 // The .esnap payloads, spelled once for the writer and the reader.
 //
-// A trace shard's section holds nine payloads in a fixed order (trace
-// header, host sets, scanner state, dynamic endpoints, connections, app
-// events, trace load, capture quality, trace metrics).  Each is a function
+// A trace shard's section holds eight payloads in a fixed order (trace
+// header, host sets, scanner state, connections, app events, trace load,
+// capture quality, trace metrics).  They carry exactly the shard's members,
+// and a member exists only because a report line, a metric, a digest or a
+// shipped tool reads it (DESIGN.md §9; tests/field_audit_test.cc).  Each is a function
 // template in codec.cc that names its fields in wire order.  The writer
 // runs them with a field-writer that appends each field's bytes; the reader
 // runs the same templates with a field-reader that reads each field back

@@ -52,7 +52,12 @@ inline constexpr char kMagic[kMagicSize] = {'E', 'N', 'T', 'R', 'S', 'N', 'A', '
 // v5: a trace shard is one section (0x20) instead of a run of nine, and its
 // load is the 1 s utilization series alone (no bin width, no 10 s and 60 s
 // series); a dynamic endpoint is (server, port) without a flag byte.
-inline constexpr std::uint32_t kFormatVersion = 5;
+// v6: a shard carries only what a report line, a metric, a digest or a
+// shipped tool reads (DESIGN.md §9): no subnet id, dynamic endpoints or
+// known-scanner list; SMTP commands and EPM mappings are u64 counts; the
+// event fields nothing reads and the TCP engine's flags, ISNs,
+// retransmission count and ICMP type are gone from the records.
+inline constexpr std::uint32_t kFormatVersion = 6;
 // magic + version: where the first section begins.
 inline constexpr std::size_t kHeaderSize = kMagicSize + 4;
 // type + length preceding each payload, and the trailing crc.

@@ -38,7 +38,6 @@ void WindowFold::add(WindowShard&& window) {
   while (out_.size() < window.shards.size()) {
     const TraceShard& first = window.shards[out_.size()];
     TraceShard& dst = out_.emplace_back();
-    dst.subnet_id = first.subnet_id;
     dst.load.trace_name = first.load.trace_name;
     by_seq_.emplace_back();
   }

@@ -176,6 +176,4 @@ std::size_t Rng::weighted(std::initializer_list<double> weights) {
   return weighted(std::span<const double>(weights.begin(), weights.size()));
 }
 
-std::size_t Rng::index(std::size_t n) { return static_cast<std::size_t>(uniform_int(0, n - 1)); }
-
 }  // namespace entrace

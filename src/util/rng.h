@@ -60,9 +60,6 @@ class Rng {
   std::size_t weighted(std::span<const double> weights);
   std::size_t weighted(std::initializer_list<double> weights);
 
-  // Pick a uniformly random element index of a container of size n (n > 0).
-  std::size_t index(std::size_t n);
-
  private:
   std::uint64_t s_[4];
 };

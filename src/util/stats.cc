@@ -91,13 +91,6 @@ double EmpiricalCdf::fraction_below(double x) const {
   return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
 }
 
-std::vector<double> EmpiricalCdf::evaluate(std::span<const double> xs) const {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back(fraction_below(x));
-  return out;
-}
-
 const std::vector<double>& EmpiricalCdf::sorted() const {
   ensure_sorted();
   return samples_;
@@ -151,15 +144,6 @@ void IntervalSeries::add_new_bin(std::int64_t bin, double value) {
 
 void IntervalSeries::merge(const IntervalSeries& other) {
   for (const auto& [bin, value] : other.bins_) bins_[bin] += value;
-}
-
-std::vector<double> IntervalSeries::values() const {
-  std::vector<double> out;
-  if (bins_.empty()) return out;
-  const std::int64_t first = bins_.begin()->first;
-  out.assign(static_cast<std::size_t>(bins_.rbegin()->first - first + 1), 0.0);
-  for (const auto& [bin, value] : bins_) out[static_cast<std::size_t>(bin - first)] = value;
-  return out;
 }
 
 }  // namespace entrace

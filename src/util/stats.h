@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -61,9 +60,6 @@ class EmpiricalCdf {
   // Fraction of samples <= x.
   double fraction_below(double x) const;
 
-  // Evaluate the CDF at the given x positions (for plotting/comparison).
-  std::vector<double> evaluate(std::span<const double> xs) const;
-
   // Access to the sorted samples.
   const std::vector<double>& sorted() const;
 
@@ -107,7 +103,8 @@ class BreakdownCounter {
 // into one bin per second, keyed by the floor of the timestamp.  The §6
 // utilization analysis reads coarser timescales by summing these bins
 // (LoadAnalysis::peak_mbps).  The bins are stored sparsely, since
-// timestamps are untrusted input; values() expands them densely.
+// timestamps are untrusted input: a second with no bin holds zero, and no
+// reader expands the gaps (LoadAnalysis counts them instead).
 class IntervalSeries {
  public:
   IntervalSeries() = default;
@@ -147,9 +144,6 @@ class IntervalSeries {
   // union of both ranges).
   void merge(const IntervalSeries& other);
 
-  // Values of all bins between the first and last populated bins,
-  // including empty (zero) bins: one ordered walk over the sparse bins.
-  std::vector<double> values() const;
   bool empty() const { return bins_.empty(); }
 
   // Snapshot support (src/snapshot): the raw sparse bins, and exact

@@ -405,22 +405,20 @@ struct ParserCase {
   std::vector<Message> (*conversation)();
 };
 
-// True when every event in `events` names `conn`'s originator and responder.
+// True when every event in `events` that carries endpoints names `conn`'s
+// originator (and responder, where it keeps one).  CIFS commands and
+// DCE/RPC calls carry none; SMTP commands and EPM mappings are counts.
 bool events_carry_endpoints(const AppEvents& events, const Connection& conn) {
   bool ok = true;
   const auto check = [&](const auto& vec) {
     for (const auto& e : vec) ok = ok && e.src == conn.key.src && e.dst == conn.key.dst;
   };
   check(events.http);
-  check(events.smtp);
   check(events.dns);
-  check(events.nbns);
   check(events.nbss);
-  check(events.cifs);
-  check(events.dcerpc);
-  check(events.epm);
   check(events.nfs);
   check(events.ncp);
+  for (const NbnsTransaction& e : events.nbns) ok = ok && e.src == conn.key.src;
   return ok;
 }
 

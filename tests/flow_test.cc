@@ -96,12 +96,13 @@ TEST(FlowTable, RejectedConnection) {
 TEST(FlowTable, UnansweredSyn) {
   Driver d;
   d.tcp(true, 0.0, 100, 0, tcpflag::kSyn);
-  d.tcp(true, 3.0, 100, 0, tcpflag::kSyn);  // retry
+  const PacketVerdict retry = d.tcp(true, 3.0, 100, 0, tcpflag::kSyn);
   d.table.drain_all();
   ASSERT_EQ(d.table.connections().size(), 1u);
   const Connection& c = d.table.connections().front();
   EXPECT_EQ(c.state, ConnState::kUnanswered);
-  EXPECT_EQ(c.retransmissions, 1u);  // duplicate SYN
+  EXPECT_TRUE(retry.tcp_retransmission);  // duplicate SYN
+  EXPECT_EQ(d.table.stats().tcp_retransmissions, 1u);
 }
 
 TEST(FlowTable, EstablishedThenReset) {
@@ -126,7 +127,7 @@ TEST(FlowTable, RetransmissionDetected) {
   EXPECT_FALSE(v.keepalive_retx);
   d.table.drain_all();
   const Connection& c = d.table.connections().front();
-  EXPECT_EQ(c.retransmissions, 1u);
+  EXPECT_EQ(d.table.stats().tcp_retransmissions, 1u);
   EXPECT_EQ(c.orig_bytes, 100u);       // retransmitted bytes not double-counted
   EXPECT_EQ(rec.orig.size(), 100u);    // delivered exactly once
 }
@@ -237,7 +238,7 @@ TEST(FlowTable, SynWithNewIsnOnLiveTupleStartsFreshConnection) {
   // connection while the table still holds the first (no FIN/RST seen).
   // The pure SYN carries a new ISN, so it must close the old entry and
   // start a fresh Connection — not be miscounted as a retransmission that
-  // silently overwrites orig_isn.
+  // silently overwrites the originator's ISN.
   Recorder rec;
   Driver d(&rec);
   d.tcp(true, 0.0, 100, 0, tcpflag::kSyn);
@@ -252,12 +253,11 @@ TEST(FlowTable, SynWithNewIsnOnLiveTupleStartsFreshConnection) {
   ASSERT_EQ(d.table.connections().size(), 2u);
   const Connection& first = d.table.connections()[0];
   const Connection& second = d.table.connections()[1];
-  EXPECT_EQ(first.orig_isn, 100u);
+  EXPECT_EQ(first.start_ts, 0.0);
   EXPECT_EQ(first.orig_bytes, 10u);
-  EXPECT_EQ(first.retransmissions, 0u);
-  EXPECT_EQ(second.orig_isn, 9000u);
+  EXPECT_EQ(second.start_ts, 5.0);
   EXPECT_EQ(second.orig_bytes, 25u);
-  EXPECT_EQ(second.retransmissions, 0u);
+  EXPECT_EQ(d.table.stats().tcp_retransmissions, 0u);
   EXPECT_EQ(d.table.stats().tcp_tuple_reuse, 1u);
   EXPECT_EQ(d.table.stats().conns_opened, 2u);
   EXPECT_EQ(d.table.stats().conns_closed, 2u);
@@ -272,12 +272,14 @@ TEST(FlowTable, DuplicateSynSameIsnStaysOneConnection) {
   d.tcp(true, 0.0, 100, 0, tcpflag::kSyn);
   d.tcp(false, 0.001, 500, 101, tcpflag::kSyn | tcpflag::kAck);
   d.tcp(true, 0.002, 101, 501, tcpflag::kAck, 10);
-  d.tcp(true, 0.5, 100, 0, tcpflag::kSyn);  // stale duplicate of the original SYN
+  // A stale duplicate of the original SYN.
+  const PacketVerdict stale = d.tcp(true, 0.5, 100, 0, tcpflag::kSyn);
   d.table.drain_all();
 
   ASSERT_EQ(d.table.connections().size(), 1u);
-  EXPECT_EQ(d.table.connections().front().orig_isn, 100u);
-  EXPECT_EQ(d.table.connections().front().retransmissions, 1u);
+  EXPECT_TRUE(stale.tcp_retransmission);
+  EXPECT_EQ(d.table.connections().front().orig_bytes, 10u);
+  EXPECT_EQ(d.table.stats().tcp_retransmissions, 1u);
   EXPECT_EQ(d.table.stats().tcp_tuple_reuse, 0u);
 }
 

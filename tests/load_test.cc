@@ -3,10 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "analysis/load.h"
+#include "util/rng.h"
 
 namespace entrace {
 namespace {
@@ -106,6 +109,81 @@ TEST(Load, KeepalivesTracked) {
   a.add_packet(0.0, 100);
   LoadAnalysis load = LoadAnalysis::compute({a}, 1);
   EXPECT_EQ(load.keepalives_excluded, 42u);
+}
+
+// Figure 9(b)'s statistics the dense way: one sample per second from the
+// first bin to the last, an empty second as 0 Mbps, queried in
+// LoadAnalysis::compute's order (min() sorts, so mean() sums ascending).
+struct SecondStats {
+  double min, max, mean, p25, median, p75;
+};
+
+SecondStats dense_reference(const IntervalSeries& series) {
+  const auto& bins = series.bins();
+  EmpiricalCdf cdf;
+  for (std::int64_t s = bins.begin()->first; s <= bins.rbegin()->first; ++s) {
+    const auto it = bins.find(s);
+    cdf.add((it == bins.end() ? 0.0 : it->second) / 1e6);
+  }
+  const double min = cdf.min();
+  return {min, cdf.max(), cdf.mean(), cdf.quantile(0.25), cdf.median(), cdf.quantile(0.75)};
+}
+
+// One trace's statistics as LoadAnalysis computes them from the sparse bins.
+SecondStats sparse_stats(const IntervalSeries& series) {
+  TraceLoadRaw raw;
+  raw.bits_1s = series;
+  const LoadAnalysis load = LoadAnalysis::compute({raw}, 1);
+  return {load.min_1s.max(),    load.max_1s.max(),    load.avg_1s.max(),
+          load.p25_1s.max(),    load.median_1s.max(), load.p75_1s.max()};
+}
+
+void expect_same_bits(const SecondStats& got, const SecondStats& want) {
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.p25, want.p25);
+  EXPECT_EQ(got.median, want.median);
+  EXPECT_EQ(got.p75, want.p75);
+}
+
+// Exact, bit for bit, against the dense reference: bins on both sides of
+// zero seconds, gaps of every size, populated bins holding zero and, from
+// a decoded file, negative values.
+TEST(Load, SparseSecondStatsMatchDenseReference) {
+  Rng rng(2005);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::map<std::int64_t, double> bins;
+    const std::uint64_t n = rng.uniform_int(1, 12);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const auto second = static_cast<std::int64_t>(rng.uniform_int(0, 60)) - 30;
+      double bits = 8.0 * static_cast<double>(rng.uniform_int(0, 2000000));
+      if (rng.bernoulli(0.15)) bits = 0.0;
+      if (round % 5 == 4 && rng.bernoulli(0.3)) bits = -bits;
+      bins[second] = bits;
+    }
+    IntervalSeries series;
+    series.restore_bins(std::move(bins));
+    expect_same_bits(sparse_stats(series), dense_reference(series));
+  }
+}
+
+// Two packets 10^13 seconds apart: the statistics count 10^13 - 1 empty
+// seconds without allocating one slot per second.
+TEST(Load, FarApartBinsCountTheGapWithoutStoringIt) {
+  TraceLoadRaw raw;
+  raw.add_packet(0.5, 500000);   // 4 Mbit in second 0
+  raw.add_packet(1e13, 250000);  // 2 Mbit in second 10^13
+  const LoadAnalysis load = LoadAnalysis::compute({raw}, 1);
+  const double seconds = 1e13 + 1;
+  EXPECT_EQ(load.min_1s.max(), 0.0);
+  EXPECT_EQ(load.max_1s.max(), 4.0);
+  EXPECT_EQ(load.avg_1s.max(), (0.0 + 2.0 + 4.0) / seconds);
+  EXPECT_EQ(load.p25_1s.max(), 0.0);
+  EXPECT_EQ(load.median_1s.max(), 0.0);
+  EXPECT_EQ(load.p75_1s.max(), 0.0);
+  EXPECT_EQ(load.peak_1s.max(), 4.0);
 }
 
 TEST(Load, EmptyTraceIsSafe) {

@@ -28,7 +28,8 @@ class CifsTest : public ::testing::Test {
 
   Connection conn;
   AppEvents events;
-  CifsParser parser{events, /*netbios_framing=*/false};
+  AppRegistry registry;
+  CifsParser parser{events, registry, /*netbios_framing=*/false};
   double ts_ = 0.0;
 };
 
@@ -96,7 +97,7 @@ TEST_F(CifsTest, MessagesSplitAcrossSegments) {
 }
 
 TEST_F(CifsTest, NbssHandshakeEventsEmitted) {
-  CifsParser nb(events, /*netbios_framing=*/true);
+  CifsParser nb(events, registry, /*netbios_framing=*/true);
   nb.on_data(conn, Direction::kOrigToResp, 0.0, nbss_session_request("SRV", "CLI"));
   nb.on_data(conn, Direction::kRespToOrig, 0.001, nbss_session_response(true));
   ASSERT_EQ(events.nbss.size(), 2u);
@@ -175,18 +176,20 @@ TEST(DceRpc, EpmStubRoundTripAndSessionMapping) {
   EXPECT_EQ(server, Ipv4Address(128, 3, 15, 2));
   EXPECT_EQ(port, 1234);
 
-  // Run the full EPM exchange through a parser.
+  // Run the full EPM exchange through a parser: the decoded mapping is
+  // registered and counted.
   Connection conn;
   std::vector<DceRpcCall> calls;
-  std::vector<EpmMapping> mappings;
-  DceRpcParser parser(calls, mappings);
+  AppRegistry registry;
+  std::uint64_t mappings = 0;
+  DceRpcParser parser(calls, registry, mappings);
   parser.on_data(conn, Direction::kOrigToResp, 0.0, encode_dce_bind(1, dce_uuid(DceIface::kEpm)));
   parser.on_data(conn, Direction::kRespToOrig, 0.001, encode_dce_bind_ack(1));
   parser.on_data(conn, Direction::kOrigToResp, 0.002, encode_dce_request_stub(2, 3, stub));
   parser.on_data(conn, Direction::kRespToOrig, 0.003, encode_dce_response_stub(2, stub));
-  ASSERT_EQ(mappings.size(), 1u);
-  EXPECT_EQ(mappings[0].port, 1234);
-  EXPECT_EQ(mappings[0].iface, DceIface::kSpoolss);
+  EXPECT_EQ(mappings, 1u);
+  EXPECT_TRUE(registry.is_dcerpc_endpoint(Ipv4Address(128, 3, 15, 2), 1234));
+  EXPECT_EQ(registry.dynamic_endpoint_count(), 1u);
   // Response inherits the request's opnum via call-id matching.
   ASSERT_EQ(calls.size(), 2u);
   EXPECT_EQ(calls[1].opnum, 3);

@@ -35,17 +35,12 @@ TEST_F(HttpParserTest, SimpleTransaction) {
       "Content-Length: 5\r\n\r\nhello");
   ASSERT_EQ(out.size(), 1u);
   const HttpTransaction& t = out[0];
-  EXPECT_EQ(t.method, "GET");
-  EXPECT_EQ(t.uri, "/index.html");
-  EXPECT_EQ(t.host, "www.lbl.example");
   EXPECT_EQ(t.user_agent, "Mozilla/4.0");
   EXPECT_EQ(t.status, 200);
   EXPECT_EQ(t.content_type, "text/html");  // parameters stripped
   EXPECT_EQ(t.resp_body_len, 5u);
   EXPECT_FALSE(t.conditional);
   EXPECT_TRUE(t.has_response);
-  EXPECT_DOUBLE_EQ(t.req_ts, 1.0);
-  EXPECT_DOUBLE_EQ(t.resp_ts, 2.0);
 }
 
 TEST_F(HttpParserTest, ConditionalGetAnd304) {
@@ -62,35 +57,37 @@ TEST_F(HttpParserTest, ConditionalGetAnd304) {
 TEST_F(HttpParserTest, HeadersSplitAcrossSegments) {
   feed_client("GET /a HTTP/1.1\r\nHo");
   feed_client("st: x\r\nUser-Ag");
-  feed_client("ent: probe\r\n\r\n");
+  feed_client("ent: probe\r\nIf-None-");
+  feed_client("Match: \"v1\"\r\n\r\n");
   feed_server("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n");
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].host, "x");
   EXPECT_EQ(out[0].user_agent, "probe");
+  EXPECT_TRUE(out[0].conditional);
 }
 
 TEST_F(HttpParserTest, PipelinedRequestsPairedFifo) {
-  feed_client("GET /1 HTTP/1.1\r\nHost: h\r\n\r\nGET /2 HTTP/1.1\r\nHost: h\r\n\r\n");
+  feed_client("GET /1 HTTP/1.1\r\nUser-Agent: one\r\n\r\n"
+              "GET /2 HTTP/1.1\r\nUser-Agent: two\r\n\r\n");
   feed_server("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nab"
               "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n");
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].uri, "/1");
+  EXPECT_EQ(out[0].user_agent, "one");
   EXPECT_EQ(out[0].status, 200);
-  EXPECT_EQ(out[1].uri, "/2");
+  EXPECT_EQ(out[1].user_agent, "two");
   EXPECT_EQ(out[1].status, 404);
 }
 
 TEST_F(HttpParserTest, PostBodySkippedWithoutBuffering) {
   const std::string body(100000, 'x');
-  feed_client("POST /upload HTTP/1.1\r\nHost: h\r\nContent-Length: " +
+  feed_client("POST /upload HTTP/1.1\r\nUser-Agent: poster\r\nContent-Length: " +
               std::to_string(body.size()) + "\r\n\r\n" + body.substr(0, 100));
   feed_client(body.substr(100));
-  feed_client("GET /after HTTP/1.1\r\nHost: h\r\n\r\n");
+  feed_client("GET /after HTTP/1.1\r\nUser-Agent: after\r\n\r\n");
   feed_server("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n");
   feed_server("HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n");
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].method, "POST");
-  EXPECT_EQ(out[1].uri, "/after");
+  EXPECT_EQ(out[0].user_agent, "poster");
+  EXPECT_EQ(out[1].user_agent, "after");
 }
 
 TEST_F(HttpParserTest, LargeResponseBodySkipped) {
@@ -105,7 +102,8 @@ TEST_F(HttpParserTest, LargeResponseBodySkipped) {
   feed_server("HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nx");
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].resp_body_len, body_len);
-  EXPECT_EQ(out[1].uri, "/next");
+  EXPECT_EQ(out[0].content_type, "application/zip");
+  EXPECT_EQ(out[1].resp_body_len, 1u);
 }
 
 TEST_F(HttpParserTest, UnansweredRequestFlushedOnClose) {

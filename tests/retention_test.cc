@@ -359,8 +359,8 @@ TEST_F(RetentionTest, RecoveryStopsAtAnotherFormatVersionAndDeletesNothing) {
   };
   std::string bytes = read_all(path);
   ASSERT_GT(bytes.size(), snap::kHeaderSize);
-  // Stamped version 4: a directory an earlier build's daemon wrote.
-  bytes[snap::kMagicSize] = 4;
+  // Stamped version 5: a directory an earlier build's daemon wrote.
+  bytes[snap::kMagicSize] = 5;
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
   const std::string torn = (dir / snap::window_file_name(7)).string();
   std::ofstream(torn) << "torn";
@@ -374,7 +374,7 @@ TEST_F(RetentionTest, RecoveryStopsAtAnotherFormatVersionAndDeletesNothing) {
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find(path), std::string::npos) << what;
-    EXPECT_NE(what.find("format version 4 unsupported"), std::string::npos) << what;
+    EXPECT_NE(what.find("format version 5 unsupported"), std::string::npos) << what;
     EXPECT_NE(what.find("knows version " + std::to_string(snap::kFormatVersion)),
               std::string::npos)
         << what;

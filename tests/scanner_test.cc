@@ -1,7 +1,11 @@
 // Tests for the §3 scanner-identification heuristic.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "analysis/scanner.h"
+#include "core/analyzer.h"
 #include "util/rng.h"
 
 namespace entrace {
@@ -69,11 +73,16 @@ TEST(Scanner, OrderedRunInterruptedResetsCount) {
   EXPECT_EQ(det.scanners().count(src), 0u);
 }
 
+// The site's known internal scanners come from the fold's SiteConfig, not
+// from any shard: fold_shards flags them even when no trace saw them.
 TEST(Scanner, KnownScannersAlwaysIncluded) {
-  ScannerDetector det;
   const Ipv4Address known(0x80030C02);
-  det.add_known_scanner(known);
-  EXPECT_EQ(det.scanners().count(known), 1u);
+  AnalyzerConfig config;
+  config.site.known_scanners = {known};
+  std::vector<TraceShard> shards(2);
+  shards[0].detector.observe(Ipv4Address(0x0A000001), Ipv4Address(0x0A000002));
+  const DatasetAnalysis folded = fold_shards("known", std::move(shards), config);
+  EXPECT_EQ(folded.scanners, std::set<Ipv4Address>{known});
 }
 
 TEST(Scanner, DuplicateContactsDoNotInflate) {

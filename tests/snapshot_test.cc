@@ -206,7 +206,6 @@ TEST_F(SnapshotTest, RoundTripReproducesEveryShardField) {
     const TraceShard& want = reference[t];
     EXPECT_EQ(decoded.shards[t].trace_index, t);
 
-    EXPECT_EQ(got.subnet_id, want.subnet_id);
     EXPECT_EQ(got.total_packets, want.total_packets);
     EXPECT_EQ(got.total_wire_bytes, want.total_wire_bytes);
     EXPECT_EQ(got.l3.total, want.l3.total);
@@ -228,14 +227,12 @@ TEST_F(SnapshotTest, RoundTripReproducesEveryShardField) {
       EXPECT_EQ(got_obs[i].order, want_obs[i].order);
       EXPECT_EQ(got_obs[i].extra_seen, want_obs[i].extra_seen);
     }
-    EXPECT_EQ(got.registry.dynamic_endpoints(), want.registry.dynamic_endpoints());
 
     // Connections, in open order, every serialized field.
     const auto fields = [](const Connection& c) {
       return std::tie(c.key, c.start_ts, c.last_ts, c.orig_pkts, c.resp_pkts, c.orig_bytes,
-                      c.resp_bytes, c.state, c.saw_syn, c.saw_synack, c.saw_fin, c.saw_rst,
-                      c.orig_isn, c.resp_isn, c.retransmissions, c.keepalive_retx, c.icmp_type,
-                      c.app_id, c.multicast, c.open_seq);
+                      c.resp_bytes, c.state, c.keepalive_retx, c.app_id, c.multicast,
+                      c.open_seq);
     };
     ASSERT_EQ(got.connections.size(), want.connections.size());
     ASSERT_FALSE(want.connections.empty());
@@ -244,9 +241,13 @@ TEST_F(SnapshotTest, RoundTripReproducesEveryShardField) {
           << "connection " << i;
     }
 
-    // App events: identical counts, and every event of every kind names
-    // the original's originator and responder.
+    // App events: identical counts, and every event that carries
+    // endpoints names the original's originator and responder.
     EXPECT_EQ(got.events.total(), want.events.total());
+    EXPECT_EQ(got.events.smtp, want.events.smtp);
+    EXPECT_EQ(got.events.epm, want.events.epm);
+    EXPECT_EQ(got.events.cifs.size(), want.events.cifs.size());
+    EXPECT_EQ(got.events.dcerpc.size(), want.events.dcerpc.size());
     const auto same_endpoints = [](const auto& g, const auto& w, const char* kind) {
       ASSERT_EQ(g.size(), w.size()) << kind;
       for (std::size_t i = 0; i < g.size(); ++i) {
@@ -255,23 +256,23 @@ TEST_F(SnapshotTest, RoundTripReproducesEveryShardField) {
       }
     };
     same_endpoints(got.events.http, want.events.http, "http");
-    same_endpoints(got.events.smtp, want.events.smtp, "smtp");
     same_endpoints(got.events.dns, want.events.dns, "dns");
-    same_endpoints(got.events.nbns, want.events.nbns, "nbns");
     same_endpoints(got.events.nbss, want.events.nbss, "nbss");
-    same_endpoints(got.events.cifs, want.events.cifs, "cifs");
-    same_endpoints(got.events.dcerpc, want.events.dcerpc, "dcerpc");
-    same_endpoints(got.events.epm, want.events.epm, "epm");
     same_endpoints(got.events.nfs, want.events.nfs, "nfs");
     same_endpoints(got.events.ncp, want.events.ncp, "ncp");
+    ASSERT_EQ(got.events.nbns.size(), want.events.nbns.size());
+    for (std::size_t i = 0; i < got.events.nbns.size(); ++i) {
+      EXPECT_EQ(got.events.nbns[i].src, want.events.nbns[i].src);
+      EXPECT_EQ(got.events.nbns[i].name, want.events.nbns[i].name);
+    }
     for (std::size_t i = 0; i < got.events.http.size(); ++i) {
-      EXPECT_EQ(got.events.http[i].host, want.events.http[i].host);
-      EXPECT_EQ(got.events.http[i].uri, want.events.http[i].uri);
+      EXPECT_EQ(got.events.http[i].user_agent, want.events.http[i].user_agent);
+      EXPECT_EQ(got.events.http[i].content_type, want.events.http[i].content_type);
       EXPECT_EQ(got.events.http[i].resp_body_len, want.events.http[i].resp_body_len);
     }
     for (std::size_t i = 0; i < got.events.dns.size(); ++i) {
-      EXPECT_EQ(got.events.dns[i].qname, want.events.dns[i].qname);
       EXPECT_EQ(got.events.dns[i].qtype, want.events.dns[i].qtype);
+      EXPECT_EQ(got.events.dns[i].latency(), want.events.dns[i].latency());
     }
 
     // §6 load series, bit-exact 1 s bins.
@@ -370,20 +371,21 @@ TEST_F(SnapshotTest, RejectsFutureFormatVersion) {
   }
 }
 
-// v4 images write each trace shard as nine sections and three load
-// series; this reader has no v4 path and says which version it met.  The
-// frames of a whole file walk the same in every version, so the image is
-// another version's, not damaged.
-TEST_F(SnapshotTest, RejectsFormatVersion4ByName) {
+// v5 images carry a subnet id, dynamic endpoints, a known-scanner list,
+// SMTP and EPM event records and fields no reader reads; this reader has
+// no v5 path and says which version it met.  The frames of a whole file
+// walk the same in every version, so the image is another version's, not
+// damaged.
+TEST_F(SnapshotTest, RejectsFormatVersion5ByName) {
   std::vector<std::uint8_t> bytes = valid_image();
-  bytes[snap::kMagicSize] = 4;
+  bytes[snap::kMagicSize] = 5;
   try {
     snap::decode_snapshot(bytes);
-    FAIL() << "decoded a snapshot stamped format version 4";
+    FAIL() << "decoded a snapshot stamped format version 5";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.offset(), snap::kMagicSize);
     EXPECT_EQ(e.kind(), SnapshotError::Kind::kOtherVersion);
-    EXPECT_NE(std::string(e.what()).find("format version 4 unsupported"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("format version 5 unsupported"), std::string::npos)
         << e.what();
   }
 }

@@ -131,7 +131,7 @@ TEST(TcpBuilder, CleanSessionReconstructsExactly) {
   EXPECT_EQ(c.state, ConnState::kClosed);
   EXPECT_EQ(c.orig_bytes, 5000u);
   EXPECT_EQ(c.resp_bytes, 123456u);
-  EXPECT_EQ(c.retransmissions, 0u);
+  EXPECT_EQ(table.stats().tcp_retransmissions, 0u);
 }
 
 TEST(TcpBuilder, LossProducesRetransmissionsWithoutByteInflation) {
